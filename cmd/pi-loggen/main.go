@@ -8,7 +8,7 @@
 //
 // -mutate-frac weaves UPDATE/DELETE statements against the workload's
 // ontime table into the stream at the given fraction, for driving the
-// DML path (POST /interfaces/{id}/mutate) alongside read mining.
+// DML path (POST /v1/interfaces/{id}/mutate) alongside read mining.
 package main
 
 import (

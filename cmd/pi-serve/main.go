@@ -14,7 +14,7 @@
 //	         [-shard-addr http://HOST:PORT]
 //	pi-serve -check [-addr :8080] [-token T | -token-file F]
 //
-// Endpoints (also mounted unversioned for legacy pages):
+// Endpoints:
 //
 //	GET  /v1/interfaces             list hosted interfaces
 //	GET  /v1/interfaces/{id}        one interface's widgets and initial query
@@ -49,12 +49,15 @@
 // dataset row counts, no access to the original logs needed) and only
 // mines workloads that have no snapshot; while running it persists on
 // POST /v1/snapshot, every -snapshot-every interval (when set), and on
-// graceful shutdown. Kill it with SIGKILL and restart it with the same
-// -data-dir: the dashboards come back. Adding -wal journals every
-// acked write (log batches, row appends, epoch bumps) to a per-
-// interface write-ahead log before the ack returns, so a SIGKILL
-// loses nothing that was acknowledged: restart merges the newest
-// snapshot plus its differential deltas and replays the logged tail.
+// graceful shutdown. Each interface is one base snapshot, a chain of
+// differential deltas and a manifest linking them; a save writes only
+// what changed since the previous one. Kill it with SIGKILL and
+// restart it with the same -data-dir: the dashboards come back as of
+// the last save. Adding -wal decides what an ack promises, not what a
+// save writes: every acked write (log batches, row appends, mutations,
+// epoch bumps) is journaled to a per-interface write-ahead log before
+// the ack returns, and restart replays the logged tail on top of the
+// newest save, so a SIGKILL loses nothing that was acknowledged.
 // -wal-sync widens fsyncs into a group-commit window; 0 syncs before
 // every ack. See README "Durability".
 //
@@ -110,9 +113,9 @@ func main() {
 	batch := flag.Int("batch", 8, "ingested entries per incremental re-mine")
 	flushEvery := flag.Duration("flush-every", 2*time.Second, "background flush interval for partial batches")
 	tails := flag.String("tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
-	dataDir := flag.String("data-dir", "", "directory for durable snapshots (enables restore-on-boot and POST /v1/snapshot)")
+	dataDir := flag.String("data-dir", "", "directory for durable state: per interface a base snapshot, differential deltas and a manifest (enables restore-on-boot and POST /v1/snapshot)")
 	snapEvery := flag.Duration("snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
-	enableWAL := flag.Bool("wal", false, "write-ahead-log every acked publish before its ack returns (needs -data-dir); restart replays the tail so no acked write is lost")
+	enableWAL := flag.Bool("wal", false, "also journal every acked publish to a write-ahead log under -data-dir before its ack returns; restart replays the tail so no acked write is lost (without it, acks are durable as of the next snapshot)")
 	walSync := flag.Duration("wal-sync", 0, "group-commit window for WAL fsyncs (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 4MiB)")
 	token := flag.String("token", "", "bearer token required on query/log endpoints (empty = open)")
@@ -220,7 +223,7 @@ func main() {
 		fatal(fmt.Errorf("no workloads hosted"))
 	}
 
-	// In WAL mode every interface must have a base snapshot on disk
+	// With -wal every interface must have a base snapshot on disk
 	// before its first acked write is journaled: a log with no base to
 	// replay onto is unrecoverable, so freshly mined workloads are
 	// persisted once up front, before the listener opens.

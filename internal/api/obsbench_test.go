@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func BenchmarkQueryPlanCachedNoMetrics(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := svc.QueryInto("olap", req, &resp); err != nil {
+		if err := svc.QueryIntoCtx(context.Background(), "olap", req, &resp); err != nil {
 			b.Fatal(err)
 		}
 		lat = append(lat, time.Since(t0))

@@ -3,6 +3,7 @@
 package api
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -46,7 +47,7 @@ func TestMetricsOverhead(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			start := time.Now()
 			for i := 0; i < perRound; i++ {
-				if err := svc.QueryInto("olap", req, &resp); err != nil {
+				if err := svc.QueryIntoCtx(context.Background(), "olap", req, &resp); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 // warm dashboard pays per interaction — pooled key render, plan-cache
 // hit, bound execution against the hosted snapshot — and reports tail
 // latency (p50_ns/p99_ns) alongside the mean, because the mean hides
-// exactly the stalls a slider drag feels. It drives QueryInto with a
+// exactly the stalls a slider drag feels. It drives QueryIntoCtx with a
 // reused response, the same shape the HTTP handler's response pool
 // produces, so the number is the serving path's cost, not the
 // caller's allocation discipline. scripts/bench_json.sh folds the
@@ -35,7 +36,7 @@ func BenchmarkQueryPlanCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := svc.QueryInto("olap", req, &resp); err != nil {
+		if err := svc.QueryIntoCtx(context.Background(), "olap", req, &resp); err != nil {
 			b.Fatal(err)
 		}
 		lat = append(lat, time.Since(t0))

@@ -233,25 +233,21 @@ func (s *Service) Page(id string) (string, error) {
 // malformed or rejected requests do not inflate traffic stats.
 func (s *Service) Query(id string, req QueryRequest) (*QueryResponse, error) {
 	resp := new(QueryResponse)
-	if err := s.QueryInto(id, req, resp); err != nil {
+	if err := s.QueryIntoCtx(context.Background(), id, req, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// QueryInto is Query writing into a caller-provided response, the
+// QueryIntoCtx is Query writing into a caller-provided response, the
 // allocation-free fast path: when the plan and result caches both hit,
 // the whole bind→execute→serialize round trip is a pooled key render,
 // two cache probes and a page subslice — zero heap allocations — so
 // transports can pool responses and a warm dashboard's per-interaction
-// cost is pure lookup. resp is fully overwritten.
-func (s *Service) QueryInto(id string, req QueryRequest, resp *QueryResponse) error {
-	return s.QueryIntoCtx(context.Background(), id, req, resp)
-}
-
-// QueryIntoCtx is QueryInto carrying a request context, which exists
-// solely so the trace id minted (or accepted) at the HTTP edge reaches
-// the slow-query ring — the Servicer seam itself stays context-free.
+// cost is pure lookup. resp is fully overwritten. The request context
+// exists solely so the trace id minted (or accepted) at the HTTP edge
+// reaches the slow-query ring — the Servicer seam itself stays
+// context-free.
 // It is also the instrumented wrapper around the query proper: latency
 // lands in the per-interface histogram (sampled 1:8 when the slow ring
 // is not armed, so the untimed path pays one atomic tick and no clock

@@ -62,8 +62,9 @@ var _ Servicer = (*Service)(nil)
 // cross-hop tracing matters: a transport that has a request context
 // (carrying the obs trace id) type-asserts for this interface and
 // prefers it, so the trace id minted at the edge reaches slow-query
-// rings and proxied hops. Implementations must behave exactly like
-// QueryInto otherwise.
+// rings and proxied hops; the response is caller-provided so the
+// transport can pool it. Implementations must behave exactly like
+// Query otherwise.
 type CtxQuerier interface {
 	QueryIntoCtx(ctx context.Context, id string, req QueryRequest, resp *QueryResponse) error
 }

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -73,7 +74,7 @@ func TestAppendPlanKeyMatchesPlanKey(t *testing.T) {
 }
 
 // TestQueryIntoCachedPathAllocs pins the tentpole's third layer: a
-// warm query (plan hit + result hit) served through QueryInto must
+// warm query (plan hit + result hit) served through QueryIntoCtx must
 // cost at most one heap allocation — the before state of this path
 // was five.
 func TestQueryIntoCachedPathAllocs(t *testing.T) {
@@ -85,7 +86,7 @@ func TestQueryIntoCachedPathAllocs(t *testing.T) {
 	var resp QueryResponse
 	// Warm: first call populates both caches and the key-scratch pool.
 	for i := 0; i < 3; i++ {
-		if err := svc.QueryInto("olap", req, &resp); err != nil {
+		if err := svc.QueryIntoCtx(context.Background(), "olap", req, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +95,7 @@ func TestQueryIntoCachedPathAllocs(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := svc.QueryInto("olap", req, &resp); err != nil {
+		if err := svc.QueryIntoCtx(context.Background(), "olap", req, &resp); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -9,8 +9,8 @@
 // users keep querying — the "logs as the system API" premise applied
 // to a log that is still being written.
 //
-// Entry points: HTTP (the server's POST /interfaces/{id}/log routes to
-// Submit), direct calls (pi.Ingest) and file tailing (Tail, which
+// Entry points: HTTP (the server's POST /v1/interfaces/{id}/log routes
+// to Submit), direct calls (pi.Ingest) and file tailing (Tail, which
 // follows a growing log file the way tail -f does). An Ingester
 // implements api.Ingestor and api.IngestStatuser, so wiring it
 // into a server enables the endpoint and the /healthz ingest rows.
@@ -281,20 +281,14 @@ func (ing *Ingester) DetachAtEpoch(id string, expectEpoch uint64) (uint64, error
 		return 0, err
 	}
 	f.mu.Lock()
-	if err := ing.flushRowsLocked(f); err != nil {
-		cur := f.hosted.Epoch()
-		f.mu.Unlock()
-		return cur, err
-	}
-	if _, err := ing.flushLocked(f); err != nil {
-		cur := f.hosted.Epoch()
-		f.mu.Unlock()
-		return cur, err
-	}
+	err = ing.flushBothLocked(f)
 	cur := f.hosted.Epoch()
-	if expectEpoch != 0 && cur != expectEpoch {
+	if err == nil && expectEpoch != 0 && cur != expectEpoch {
+		err = fmt.Errorf("ingest: %q at epoch %d, expected %d: %w", id, cur, expectEpoch, ErrEpochMismatch)
+	}
+	if err != nil {
 		f.mu.Unlock()
-		return cur, fmt.Errorf("ingest: %q at epoch %d, expected %d: %w", id, cur, expectEpoch, ErrEpochMismatch)
+		return cur, err
 	}
 	f.sealed = true
 	f.mu.Unlock()
@@ -346,41 +340,28 @@ func (ing *Ingester) Submit(id string, entries []qlog.Entry) (api.IngestAck, err
 	if f.sealed {
 		return api.IngestAck{}, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
 	}
+	dropped := f.dropped
 	var ack api.IngestAck
-	for len(entries) > 0 {
+	for len(entries) > 0 && err == nil {
+		// A full buffer (flushes must have been failing, or MaxBuffer <
+		// BatchSize) drains before it accepts more.
 		room := ing.opts.MaxBuffer - len(f.buf)
-		if room <= 0 {
-			// Buffer full (flushes must have been failing, or MaxBuffer <
-			// BatchSize): drain it before accepting more.
-			dropped, err := ing.flushLocked(f)
-			ack.Flushed = true
-			ack.Dropped += dropped
-			if err != nil {
-				ack.Buffered = len(f.buf)
-				ack.Epoch = f.hosted.Epoch()
-				return ack, err
-			}
-			continue
+		if room > 0 {
+			take := min(room, len(entries))
+			f.buf = append(f.buf, entries[:take]...)
+			entries = entries[take:]
+			f.accepted += uint64(take)
+			ack.Accepted += take
 		}
-		take := min(room, len(entries))
-		f.buf = append(f.buf, entries[:take]...)
-		entries = entries[take:]
-		f.accepted += uint64(take)
-		ack.Accepted += take
-		if len(f.buf) >= ing.opts.BatchSize {
-			dropped, err := ing.flushLocked(f)
+		if room <= 0 || len(f.buf) >= ing.opts.BatchSize {
 			ack.Flushed = true
-			ack.Dropped += dropped
-			if err != nil {
-				ack.Buffered = len(f.buf)
-				ack.Epoch = f.hosted.Epoch()
-				return ack, err
-			}
+			err = ing.flushLocked(f)
 		}
 	}
+	ack.Dropped = int(f.dropped - dropped)
 	ack.Buffered = len(f.buf)
 	ack.Epoch = f.hosted.Epoch()
-	return ack, nil
+	return ack, err
 }
 
 // Flush re-mines any buffered entries and publishes any buffered rows
@@ -393,57 +374,32 @@ func (ing *Ingester) Flush(id string) (uint64, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	err = ing.flushBothLocked(f)
+	return f.hosted.Epoch(), err
+}
+
+// flushBothLocked publishes buffered rows, then buffered log entries.
+// Caller holds f.mu.
+func (ing *Ingester) flushBothLocked(f *feed) error {
 	if err := ing.flushRowsLocked(f); err != nil {
-		return f.hosted.Epoch(), err
+		return err
 	}
-	if _, err := ing.flushLocked(f); err != nil {
-		return f.hosted.Epoch(), err
-	}
-	return f.hosted.Epoch(), nil
+	return ing.flushLocked(f)
 }
 
 // flushLocked re-mines the buffered entries and hot-swaps the updated
-// interface. Caller holds f.mu. Returns how many entries were dropped
-// as unparseable.
-func (ing *Ingester) flushLocked(f *feed) (int, error) {
+// interface. Caller holds f.mu. A batch the feed did not take stays
+// buffered, so a later flush retries it instead of silently losing it;
+// one whose every entry failed to parse is dropped (and counted).
+func (ing *Ingester) flushLocked(f *feed) error {
 	if len(f.buf) == 0 {
-		return 0, nil
+		return nil
 	}
-	entries := f.buf
-	f.buf = nil
-	iface, st, err := f.miner.Append(entries)
-	f.dropped += uint64(st.ParseErrors)
-	if st.LastParseError != "" {
-		f.lastError = st.LastParseError
+	landed, err := ing.publishLocked(f, Publication{Entries: f.buf})
+	if landed || err == nil {
+		f.buf = nil
 	}
-	if err != nil {
-		// A failed Append made no state changes: put the batch back so
-		// a later flush retries it instead of silently losing it.
-		f.buf = append(entries, f.buf...)
-		f.lastError = err.Error()
-		return st.ParseErrors, fmt.Errorf("ingest: re-mine %q: %w", f.hosted.ID, err)
-	}
-	if st.FullRemine {
-		f.fullRemines++
-	}
-	if st.Added == 0 {
-		// Nothing mined (every entry dropped): keep the epoch, and with
-		// it the caches — nothing changed.
-		return st.ParseErrors, nil
-	}
-	f.flushes++
-	if _, err := f.hosted.Swap(iface, nil); err != nil {
-		f.lastError = err.Error()
-		return st.ParseErrors, fmt.Errorf("ingest: swap %q: %w", f.hosted.ID, err)
-	}
-	// Replicate the published batch before the ack propagates: a hook
-	// error (the owner was fenced off by a newer term) fails the
-	// submission so the client never holds an ack a promoted follower
-	// lacks.
-	if err := ing.firePublish(f, entries, nil, nil); err != nil {
-		return st.ParseErrors, err
-	}
-	return st.ParseErrors, nil
+	return err
 }
 
 // FlushAll flushes every feed; errors are recorded in the feeds'

@@ -213,7 +213,7 @@ func serveWith(t *testing.T, ing *Ingester, h *api.Hosted) http.Handler {
 
 func postQuery(t *testing.T, base, body string) *api.QueryResponse {
 	t.Helper()
-	resp, err := http.Post(base+"/interfaces/live/query", "application/json", bytes.NewReader([]byte(body)))
+	resp, err := http.Post(base+"/v1/interfaces/live/query", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func postQuery(t *testing.T, base, body string) *api.QueryResponse {
 	return &out
 }
 
-// TestIngestEndpointTextAndJSON drives POST /interfaces/{id}/log in
+// TestIngestEndpointTextAndJSON drives POST /v1/interfaces/{id}/log in
 // both body formats, including a multi-line statement, and checks
 // /healthz reports the feed.
 func TestIngestEndpointTextAndJSON(t *testing.T) {
@@ -238,7 +238,7 @@ func TestIngestEndpointTextAndJSON(t *testing.T) {
 
 	// text/plain, multi-line ;-terminated with a comment.
 	text := "SELECT a\n  FROM t -- live\n  WHERE x = 45;\nSELECT a FROM t WHERE x = 46\n"
-	resp, err := http.Post(ts.URL+"/interfaces/live/log?flush=1", "text/plain", bytes.NewReader([]byte(text)))
+	resp, err := http.Post(ts.URL+"/v1/interfaces/live/log?flush=1", "text/plain", bytes.NewReader([]byte(text)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestIngestEndpointTextAndJSON(t *testing.T) {
 
 	// JSON body.
 	body := `{"entries":[{"sql":"SELECT a FROM t WHERE x = 47","client":"c9"}]}`
-	resp, err = http.Post(ts.URL+"/interfaces/live/log?flush=1", "application/json", bytes.NewReader([]byte(body)))
+	resp, err = http.Post(ts.URL+"/v1/interfaces/live/log?flush=1", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestIngestEndpointTextAndJSON(t *testing.T) {
 	}
 
 	// /healthz carries the ingest counters and the epoch.
-	hresp, err := http.Get(ts.URL + "/healthz")
+	hresp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestIngestEndpointWithoutIngestorIs501(t *testing.T) {
 	}
 	ts := httptest.NewServer(server.New(api.NewService(reg)).Handler()) // no SetIngestor
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/interfaces/live/log", "text/plain",
+	resp, err := http.Post(ts.URL+"/v1/interfaces/live/log", "text/plain",
 		bytes.NewReader([]byte("SELECT a FROM t WHERE x = 1\n")))
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestHotSwapUnderConcurrentQueries(t *testing.T) {
 				before := h.Epoch()
 				// Alternate cached (initial) and fresh widget states.
 				body := `{"widgets":[]}`
-				resp, err := http.Post(ts.URL+"/interfaces/live/query", "application/json",
+				resp, err := http.Post(ts.URL+"/v1/interfaces/live/query", "application/json",
 					bytes.NewReader([]byte(body)))
 				if err != nil {
 					errs <- err

@@ -24,10 +24,10 @@ import (
 // statement parses, plans and evaluates against that same snapshot.
 // A mutation that matches zero rows acks without publishing — no
 // epoch bump, nothing journaled. One that matches publishes in
-// O(rows-touched): the store retires and appends row versions, the
-// hosted interface hot-swaps onto the new snapshot, and the
-// publication journals and replicates before the ack returns
-// (replicate-before-ack, same as every other write path). Implements
+// O(rows-touched) through the same publishLocked every write path
+// uses: the store retires and appends row versions, the hosted
+// interface hot-swaps onto the new snapshot, and the publication
+// journals and replicates before the ack returns. Implements
 // api.RowMutator.
 func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateAck, error) {
 	f, err := ing.feed(id)
@@ -84,22 +84,12 @@ func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateA
 			tm.Updates[i] = store.RowUpdate{RowID: ids[ri], Vals: mut.NewRows[i]}
 		}
 	}
-	if _, err := f.store.MutateRows(tm.Table, tm.Updates, tm.Deletes); err != nil {
-		f.lastError = err.Error()
-		return ack, err
+	landed, err := ing.publishLocked(f, Publication{Muts: []store.TableMutation{tm}})
+	if landed {
+		ack.Epoch = f.hosted.Epoch()
+		ack.DataEpoch = f.store.Epoch()
+		ack.Updated = len(tm.Updates)
+		ack.Deleted = len(tm.Deletes)
 	}
-	f.rowsMutated += uint64(len(tm.Updates) + len(tm.Deletes))
-	f.mutations++
-	if _, err := f.hosted.Swap(f.hosted.Iface(), f.store.Snapshot()); err != nil {
-		f.lastError = err.Error()
-		return ack, fmt.Errorf("ingest: swap %q after mutation: %w", id, err)
-	}
-	ack.Epoch = f.hosted.Epoch()
-	ack.DataEpoch = f.store.Epoch()
-	ack.Updated = len(tm.Updates)
-	ack.Deleted = len(tm.Deletes)
-	if err := ing.firePublish(f, nil, nil, []store.TableMutation{tm}); err != nil {
-		return ack, err
-	}
-	return ack, nil
+	return ack, err
 }

@@ -164,7 +164,7 @@ func TestSubmitMutationReplicatesToFollower(t *testing.T) {
 	}
 
 	for _, p := range pubs {
-		if err := follower.ApplyMutations("live", p.Muts, p.Epoch, p.Seq); err != nil {
+		if err := follower.Apply("live", p); err != nil {
 			t.Fatalf("apply seq %d: %v", p.Seq, err)
 		}
 	}

@@ -2,8 +2,11 @@ package ingest
 
 import (
 	"fmt"
+	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,6 +15,36 @@ import (
 	"repro/internal/store"
 	"repro/internal/wal"
 )
+
+// This file is the durable half of ingestion. One on-disk layout per
+// interface, whatever the flags:
+//
+//	<id>.snap            base snapshot (full capture)
+//	<id>.<seq>.delta     differential saves on top of it, in order
+//	<id>.manifest.json   base → delta chain → covered position, plus
+//	                     the replication control state
+//	<id>.wal/            the write-ahead log tail — only with a WAL
+//
+// The contract:
+//
+//   - A periodic save costs O(rows since the last save): it cuts a
+//     delta off the copy-on-write version chain (store.CutDelta), links
+//     it into the manifest, and truncates the WAL segments the save
+//     made redundant. Every CompactEvery saves, a full base rewrite
+//     drops the chain and compacts superseded row versions.
+//   - With PersistOptions.WAL set, every acked publish (log batch, row
+//     append, mutation, epoch bump) is in the log before the ack
+//     returns — the persister is the ingester's Journal, and the
+//     journal fires under the feed lock on owners and followers alike.
+//     Without it, acks are durable as of the next save.
+//   - Restore = base + delta chain + WAL tail replayed through the same
+//     Apply followers use. The acked state comes back exactly; a torn
+//     final record (crash mid-append) was never acked and is truncated,
+//     not applied. A data dir holding only a bare .snap (written before
+//     manifests existed) is promoted to this layout on first boot.
+//   - Replication control state (role, term, owner, follower
+//     positions) rides in the manifest, so a restarted shard answers
+//     ownership questions from the term it actually held.
 
 // PersistOptions configure a Persister.
 type PersistOptions struct {
@@ -24,11 +57,10 @@ type PersistOptions struct {
 	// snapshot file cannot carry (pi-serve re-binds the synthetic SDSS
 	// UDF to the restored Galaxy table here).
 	Funcs func(id string, st *store.Store)
-	// WAL, when set, switches the persister into write-ahead-log mode
-	// (walpersist.go): every acked publish is journaled before its ack,
-	// periodic saves write differential deltas instead of full
-	// rewrites, and restore replays the logged tail on top of the
-	// newest save — zero acked-then-lost across a SIGKILL.
+	// WAL, when set, journals every acked publish before its ack and
+	// replays the logged tail on top of the newest save at restore —
+	// zero acked-then-lost across a SIGKILL. It changes what an ack
+	// promises, not what a save writes.
 	WAL *wal.Manager
 	// CompactEvery bounds the delta chain: after this many differential
 	// saves the next save rewrites the full base snapshot and drops the
@@ -52,12 +84,12 @@ type Persister struct {
 
 	// saveMu serializes every durable-state mutation: SaveAll (the
 	// periodic ticker, the HTTP snapshot endpoint and the shutdown
-	// snapshot can all fire concurrently), the WAL-mode manifest map,
-	// Adopt and replication-state persists.
+	// snapshot can all fire concurrently), the manifest map, Adopt and
+	// replication-state persists.
 	saveMu sync.Mutex
 
-	// manifests mirrors the on-disk manifest per interface in WAL mode
-	// (walpersist.go). Guarded by saveMu.
+	// manifests mirrors the on-disk manifest per interface. Guarded by
+	// saveMu.
 	manifests map[string]*store.Manifest
 
 	// replState, when set, reports an interface's live replication
@@ -66,10 +98,10 @@ type Persister struct {
 	replState func(id string) *store.ReplState
 }
 
-// NewPersister returns a persister writing snapshots under dir. With
-// PersistOptions.WAL set, the persister also installs itself as the
-// ingester's durability journal: every acked publish is logged before
-// the ack returns.
+// NewPersister returns a persister writing snapshots under dir and
+// installs it as the ingester's durability journal: with
+// PersistOptions.WAL set, every acked publish is logged before the ack
+// returns.
 func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
 	if opts.Live.Generate.Library == nil {
 		opts.Live = core.DefaultLiveOptions()
@@ -78,14 +110,71 @@ func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
 		opts.CompactEvery = 64
 	}
 	p := &Persister{dir: dir, ing: ing, opts: opts, manifests: map[string]*store.Manifest{}}
-	if opts.WAL != nil {
-		ing.SetJournal(p)
-	}
+	ing.SetJournal(p)
 	return p
 }
 
 // Dir returns the data directory.
 func (p *Persister) Dir() string { return p.dir }
+
+// Append implements Journal: one acked publication into the WAL,
+// synchronously, before the ack returns. Sequence numbers the log
+// already holds are no-ops, which is what makes restore-time replay
+// (driving the same Apply that journals live traffic) safe.
+func (p *Persister) Append(id string, pub Publication) error {
+	if err := p.opts.WAL.Append(id, pub); err != nil {
+		return api.Errf(api.CodeWALFailed, http.StatusInternalServerError,
+			"wal append %q seq %d: %v", id, pub.Seq, err)
+	}
+	return nil
+}
+
+// SetReplStateSource wires the replication manager's live state into
+// saves, so manifests carry current roles, terms and follower
+// positions.
+func (p *Persister) SetReplStateSource(fn func(id string) *store.ReplState) {
+	p.saveMu.Lock()
+	p.replState = fn
+	p.saveMu.Unlock()
+}
+
+// ReplStates returns the replication control state the manifests held
+// at restore, keyed by interface — the shard node feeds these back
+// into its replication manager at boot.
+func (p *Persister) ReplStates() map[string]*store.ReplState {
+	p.saveMu.Lock()
+	defer p.saveMu.Unlock()
+	out := map[string]*store.ReplState{}
+	for id, m := range p.manifests {
+		if m.Replication != nil {
+			out[id] = m.Replication
+		}
+	}
+	return out
+}
+
+// WALStatus implements api.WALStatuser for /healthz rows.
+func (p *Persister) WALStatus(id string) (*api.WALInfo, bool) {
+	st, ok := p.opts.WAL.Status(id)
+	if !ok {
+		return nil, false
+	}
+	info := &api.WALInfo{
+		Segments:  st.Segments,
+		Bytes:     st.Bytes,
+		LastSeq:   st.LastSeq,
+		SyncedSeq: st.SyncedSeq,
+		Truncated: st.Truncated,
+	}
+	p.saveMu.Lock()
+	if m := p.manifests[id]; m != nil && st.LastSeq > m.Seq {
+		info.Lag = st.LastSeq - m.Seq
+	} else if m == nil {
+		info.Lag = st.LastSeq
+	}
+	p.saveMu.Unlock()
+	return info, true
+}
 
 // SaveAll persists every live feed. Buffered log entries and rows are
 // flushed first, so the snapshot reflects everything acknowledged to
@@ -106,9 +195,16 @@ func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 
 	res := &api.SnapshotResult{Dir: p.dir, Interfaces: []api.SnapshotInterface{}}
 	for _, id := range ids {
-		row, err := p.saveOne(id)
+		// Capture shares only immutable data — a log copy and published
+		// table versions — so the disk write that follows never blocks
+		// ingestion or serving.
+		snap, err := p.ing.Capture(id)
 		if err != nil {
 			return nil, err
+		}
+		row, err := p.saveLocked(snap)
+		if err != nil {
+			return nil, fmt.Errorf("ingest: save %q: %w", id, err)
 		}
 		res.Interfaces = append(res.Interfaces, row)
 	}
@@ -116,30 +212,187 @@ func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 	return res, nil
 }
 
-// saveOne captures one feed's state under its lock (Capture shares
-// only immutable data — a log copy and published table versions), then
-// writes the snapshot file with the lock released, so the disk write
-// never blocks ingestion or serving. In WAL mode the write is a
-// differential delta keyed off the previous save (walpersist.go).
-func (p *Persister) saveOne(id string) (api.SnapshotInterface, error) {
-	snap, err := p.ing.Capture(id)
+// saveLocked writes one capture: a differential delta when the
+// manifest chain allows it, a full base rewrite when it does not (no
+// manifest yet, chain at the compaction bound, or a chain the capture
+// no longer continues). Caller holds saveMu.
+func (p *Persister) saveLocked(snap *store.Snapshot) (api.SnapshotInterface, error) {
+	m := p.manifests[snap.ID]
+	rs := p.replStateLocked(snap.ID)
+	if m == nil || len(m.Deltas) >= p.opts.CompactEvery || snap.Seq < m.Seq {
+		return p.saveFullLocked(snap, rs)
+	}
+	if snap.Seq == m.Seq {
+		// Nothing published since the last save; just refresh the
+		// replication state if it moved.
+		if rs != nil && !replStateEqual(rs, m.Replication) {
+			m.Replication = rs
+			if err := store.SaveManifest(p.dir, m); err != nil {
+				return api.SnapshotInterface{}, err
+			}
+		}
+		return snapshotRow(snap, 0), nil
+	}
+	d, err := store.CutDelta(snap, m.Seq, m.LogLen, m.TableRows, m.TableMuts)
+	if err != nil {
+		// A chain the capture does not continue (a table shrank — only
+		// possible through paths outside the append discipline) gets a
+		// full rewrite rather than failing the save loop.
+		return p.saveFullLocked(snap, rs)
+	}
+	size, name, err := store.SaveDelta(p.dir, d)
 	if err != nil {
 		return api.SnapshotInterface{}, err
 	}
-	if p.opts.WAL != nil {
-		return p.saveWAL(snap)
+	m.Deltas = append(m.Deltas, name)
+	m.Seq, m.Epoch, m.DataEpoch = snap.Seq, snap.Epoch, snap.DataEpoch
+	m.LogLen, m.TableRows, m.TableMuts = store.CoveredCounts(snap)
+	if rs != nil {
+		m.Replication = rs
 	}
+	if err := store.SaveManifest(p.dir, m); err != nil {
+		return api.SnapshotInterface{}, err
+	}
+	// The save covers everything through snap.Seq: segments the replay
+	// path no longer needs can go. Best-effort — a failed truncation
+	// only costs replay time.
+	_ = p.opts.WAL.Truncate(snap.ID, snap.Seq)
+	return snapshotRow(snap, size), nil
+}
+
+// saveFullLocked writes a full base snapshot and a fresh manifest,
+// superseding any delta chain. Caller holds saveMu.
+func (p *Persister) saveFullLocked(snap *store.Snapshot, rs *store.ReplState) (api.SnapshotInterface, error) {
 	bytes, err := store.Save(p.dir, snap)
 	if err != nil {
-		return api.SnapshotInterface{}, fmt.Errorf("ingest: save %q: %w", id, err)
+		return api.SnapshotInterface{}, err
+	}
+	old := p.manifests[snap.ID]
+	if rs == nil && old != nil {
+		rs = old.Replication
+	}
+	m := store.NewManifest(snap, rs)
+	if err := store.SaveManifest(p.dir, m); err != nil {
+		return api.SnapshotInterface{}, err
+	}
+	p.manifests[snap.ID] = m
+	if old != nil {
+		for _, name := range old.Deltas {
+			_ = os.Remove(filepath.Join(p.dir, name))
+		}
+	}
+	_ = p.opts.WAL.Truncate(snap.ID, snap.Seq)
+	// A full rewrite is the point where no delta will ever again be cut
+	// against pre-rewrite state, so superseded MVCC row versions (old
+	// UPDATE/DELETE residue) can fold out of the live store's arenas.
+	if st, err := p.ing.Store(snap.ID); err == nil {
+		st.Compact()
 	}
 	return snapshotRow(snap, bytes), nil
 }
 
-// RemoveSnapshot deletes the interface's durable state — snapshot
-// file, and in WAL mode its manifest, delta chain and log directory —
-// so an unhosted interface does not resurrect on the next boot; files
-// that never existed are fine. Implements api.SnapshotRemover.
+// replStateLocked fetches the live replication state for a manifest
+// write. Caller holds saveMu.
+func (p *Persister) replStateLocked(id string) *store.ReplState {
+	if p.replState == nil {
+		return nil
+	}
+	return p.replState(id)
+}
+
+func replStateEqual(a, b *store.ReplState) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Role != b.Role || a.Term != b.Term || a.Owner != b.Owner || len(a.Followers) != len(b.Followers) {
+		return false
+	}
+	for addr, seq := range a.Followers {
+		if b.Followers[addr] != seq {
+			return false
+		}
+	}
+	return true
+}
+
+// Adopt durably installs an externally-sourced snapshot — a migration
+// accept or a replication seed — as this node's truth for the
+// interface: full base + manifest written synchronously (the caller
+// has not acked the transfer yet), the old delta chain dropped, and
+// the WAL reset to the snapshot's sequence, because the old log tail
+// described state the snapshot wholesale replaced.
+func (p *Persister) Adopt(snap *store.Snapshot, rs *store.ReplState) error {
+	p.saveMu.Lock()
+	defer p.saveMu.Unlock()
+	if _, err := p.saveFullLocked(snap, rs); err != nil {
+		return fmt.Errorf("ingest: adopt %q: %w", snap.ID, err)
+	}
+	if err := p.opts.WAL.Reset(snap.ID, snap.Seq); err != nil {
+		return fmt.Errorf("ingest: adopt %q: %w", snap.ID, err)
+	}
+	return nil
+}
+
+// PersistReplState rewrites one interface's manifest with its current
+// replication control state — the replication manager calls this on
+// control-plane changes (promote, demote, fence, term adoption), so a
+// crash right after a failover remembers who won. An interface with
+// no manifest yet (nothing saved) is skipped: the first save captures
+// the state. Errors are returned for the caller to surface but leave
+// the in-memory state authoritative.
+func (p *Persister) PersistReplState(id string) error {
+	p.saveMu.Lock()
+	defer p.saveMu.Unlock()
+	m := p.manifests[id]
+	if m == nil || p.replState == nil {
+		return nil
+	}
+	rs := p.replState(id)
+	if replStateEqual(rs, m.Replication) {
+		return nil
+	}
+	m.Replication = rs
+	if err := store.SaveManifest(p.dir, m); err != nil {
+		return fmt.Errorf("ingest: persist replication state of %q: %w", id, err)
+	}
+	return nil
+}
+
+// CatchUp returns the owner's logged publications with sequence in
+// (fromSeq, head], so a follower that restarted at fromSeq re-syncs
+// from the stream instead of taking a full snapshot seed. ok=false
+// means the log does not cover the range (there is none, it was
+// truncated past it, the follower is too far behind to be worth
+// shipping record by record, or it is unreadable) and the caller
+// should fall back to a seed.
+func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
+	const maxCatchUp = 4096
+	var pubs []Publication
+	err := p.opts.WAL.Replay(id, fromSeq, func(pub Publication) error {
+		if len(pubs) >= maxCatchUp {
+			return fmt.Errorf("wal: catch-up range exceeds %d records", maxCatchUp)
+		}
+		pubs = append(pubs, pub)
+		return nil
+	})
+	if err != nil {
+		return nil, false
+	}
+	// The chain must start exactly one past the follower's position — a
+	// gap means truncation outran the follower and only a seed helps —
+	// and a log with nothing past it covers the range only when the
+	// feed has nothing past it either.
+	if len(pubs) > 0 {
+		return pubs, pubs[0].Seq == fromSeq+1
+	}
+	seq, err := p.ing.Seq(id)
+	return nil, err == nil && seq == fromSeq
+}
+
+// RemoveSnapshot deletes the interface's durable state — base
+// snapshot, manifest, delta chain and log directory — so an unhosted
+// interface does not resurrect on the next boot; files that never
+// existed are fine. Implements api.SnapshotRemover.
 func (p *Persister) RemoveSnapshot(id string) error {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()
@@ -150,36 +403,35 @@ func (p *Persister) RemoveSnapshot(id string) error {
 		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
 	}
 	delete(p.manifests, id)
-	if p.opts.WAL != nil {
-		if err := p.opts.WAL.Remove(id); err != nil {
-			return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
-		}
+	if err := p.opts.WAL.Remove(id); err != nil {
+		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
 	}
 	return nil
 }
 
-// Restore re-hosts every snapshot in the data dir onto the ingester's
-// registry. Returns what came back; a missing or empty dir restores
-// nothing (first boot). A snapshot that fails its checksum or decode
-// is an error — serving silently without an interface the operator
-// expects is worse than failing loudly. In WAL mode each interface's
-// restore merges its delta chain and replays the logged tail
-// (walpersist.go). Implements api.Persister.
+// Restore re-hosts every interface the data dir holds onto the
+// ingester's registry. Returns what came back; a missing or empty dir
+// restores nothing (first boot). A snapshot, delta or log record that
+// fails its checksum or decode is an error — serving silently without
+// an interface the operator expects is worse than failing loudly.
+// Runs once at boot, before the server serves. Implements
+// api.Persister.
 func (p *Persister) Restore() (*api.RestoreResult, error) {
-	if p.opts.WAL != nil {
-		return p.restoreWAL()
-	}
-	files, err := store.List(p.dir)
+	ids, orphans, err := p.scanDataDir()
 	if err != nil {
 		return nil, err
 	}
+	if len(orphans) > 0 {
+		// A WAL directory with no base to replay onto holds acked writes
+		// this process cannot reconstruct. Refuse to serve as if they
+		// never happened.
+		return nil, fmt.Errorf("ingest: restore: WAL logs %v have no snapshot or manifest to replay onto; "+
+			"the interfaces were acked writes this data dir cannot reconstruct", orphans)
+	}
 	res := &api.RestoreResult{Dir: p.dir, Interfaces: []api.SnapshotInterface{}}
-	for _, path := range files {
-		snap, err := store.Load(path)
+	for _, id := range ids {
+		snap, err := p.restoreOne(id)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.restoreOne(snap); err != nil {
 			return nil, err
 		}
 		res.Interfaces = append(res.Interfaces, snapshotRow(snap, 0))
@@ -187,13 +439,91 @@ func (p *Persister) Restore() (*api.RestoreResult, error) {
 	return res, nil
 }
 
-// restoreOne rebuilds one interface: store from the saved tables,
-// miner from the saved log, hosted at the saved epoch.
-func (p *Persister) restoreOne(snap *store.Snapshot) error {
-	if _, err := p.ing.HostSnapshot(snap, p.opts.Live, p.opts.Funcs, snap.Epoch); err != nil {
-		return fmt.Errorf("ingest: restore %q: %w", snap.ID, err)
+// restoreOne rebuilds one interface to its exact acked state.
+func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
+	m, err := store.LoadManifest(p.dir, id)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	var snap *store.Snapshot
+	if m != nil {
+		snap, err = store.RestoreChain(p.dir, m)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		// A bare .snap (written before manifests existed, or a crash
+		// between a first save's base write and its manifest write).
+		// Host it and promote it to a manifest so deltas and the WAL
+		// tail are anchored from here on.
+		snap, err = store.Load(store.SnapFile(p.dir, id))
+		if err != nil {
+			return nil, err
+		}
+		m = store.NewManifest(snap, nil)
+		if err := store.SaveManifest(p.dir, m); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := p.ing.HostSnapshot(snap, p.opts.Live, p.opts.Funcs, snap.Epoch); err != nil {
+		return nil, fmt.Errorf("ingest: restore %q: %w", id, err)
+	}
+	p.saveMu.Lock()
+	p.manifests[id] = m
+	p.saveMu.Unlock()
+
+	// Replay the acked tail: every logged publication past the save,
+	// through the same Apply followers use (the registry bumps the epoch
+	// by exactly one per swap, so the logged epochs verify lockstep).
+	err = p.opts.WAL.Replay(id, m.Seq, func(pub Publication) error { return p.ing.Apply(id, pub) })
+	if err != nil {
+		return nil, fmt.Errorf("ingest: restore %q: replay WAL tail: %w", id, err)
+	}
+	// Report the replayed position, not the save's.
+	if seq, err := p.ing.Seq(id); err == nil {
+		snap.Seq = seq
+	}
+	if h, ok := p.ing.reg.Get(id); ok {
+		snap.Epoch = h.Epoch()
+	}
+	return snap, nil
+}
+
+// scanDataDir enumerates restorable interfaces (manifest or bare
+// .snap) and orphaned WAL directories (log but no base).
+func (p *Persister) scanDataDir() (ids []string, orphans []string, err error) {
+	entries, err := os.ReadDir(p.dir)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("ingest: restore: %w", err)
+	}
+	have := map[string]bool{}
+	walDirs := map[string]bool{}
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case e.IsDir() && strings.HasSuffix(name, ".wal"):
+			walDirs[strings.TrimSuffix(name, ".wal")] = true
+		case e.IsDir():
+		case strings.HasSuffix(name, ".manifest.json"):
+			have[strings.TrimSuffix(name, ".manifest.json")] = true
+		case strings.HasSuffix(name, ".snap"):
+			have[strings.TrimSuffix(name, ".snap")] = true
+		}
+	}
+	for id := range have {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for id := range walDirs {
+		if !have[id] {
+			orphans = append(orphans, id)
+		}
+	}
+	sort.Strings(orphans)
+	return ids, orphans, nil
 }
 
 // snapshotRow summarizes a snapshot for results.

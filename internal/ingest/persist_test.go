@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -300,5 +301,57 @@ func TestTailGlob(t *testing.T) {
 	}
 	if hit99 {
 		t.Fatal("file outside the glob was ingested")
+	}
+}
+
+// TestSaveCompactsWithoutWAL: a persister without a WAL rewrites the
+// base every CompactEvery saves like any other, and that rewrite folds
+// superseded MVCC row versions out of the live store — the version
+// chain stays bounded under UPDATE traffic instead of growing with
+// every mutation — while a restore still reproduces the state byte for
+// byte.
+func TestSaveCompactsWithoutWAL(t *testing.T) {
+	const cycles, touched, compactEvery = 20, 5, 2
+	dir := t.TempDir()
+	_, ing, _ := newIngester(t, Options{})
+	p := NewPersister(dir, ing, PersistOptions{CompactEvery: compactEvery})
+	for i := 0; i < cycles; i++ {
+		ack, err := ing.SubmitMutation("live", fmt.Sprintf("UPDATE t SET a = %d WHERE x <= %d", i, touched), 0)
+		if err != nil || ack.Updated != touched {
+			t.Fatalf("cycle %d: ack %+v, %v", i, ack, err)
+		}
+		if _, err := p.SaveAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := stateOf(t, ing)
+	st, err := ing.Store("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each cycle supersedes `touched` versions; what is still around is
+	// what accumulated since the last base rewrite.
+	if dead := st.Compact(); dead > (compactEvery+1)*touched {
+		t.Fatalf("%d superseded row versions survived %d save cycles, want at most %d",
+			dead, cycles, (compactEvery+1)*touched)
+	}
+
+	ing2 := New(api.NewRegistry(), Options{})
+	if _, err := NewPersister(dir, ing2, PersistOptions{}).Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateOf(t, ing2); got.epoch != want.epoch || got.seq != want.seq || !bytes.Equal(got.frame, want.frame) {
+		t.Fatalf("restore at (epoch %d, seq %d, %d bytes), saved (%d, %d, %d bytes)",
+			got.epoch, got.seq, len(got.frame), want.epoch, want.seq, len(want.frame))
+	}
+}
+
+// TestRestoreMissingDirIsEmpty: a data dir that was never created is a
+// first boot, not an error.
+func TestRestoreMissingDirIsEmpty(t *testing.T) {
+	p := NewPersister(filepath.Join(t.TempDir(), "never-created"), New(api.NewRegistry(), Options{}), PersistOptions{})
+	res, err := p.Restore()
+	if err != nil || len(res.Interfaces) != 0 {
+		t.Fatalf("Restore = %+v, %v; want nothing, nil", res, err)
 	}
 }

@@ -5,44 +5,28 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/qlog"
-	"repro/internal/store"
+	"repro/internal/wal"
 )
 
-// This file is the ingestion side of the replication contract
-// (internal/replica): the owner's ack path publishes every
-// epoch-bumping flush as a Publication through an optional hook, and
-// followers apply those publications — the exact batches, in the exact
-// order — through ApplyBatch/ApplyRows/ApplyBump. Because the hook
-// fires under the same per-feed lock every write path publishes under,
-// publications carry per-interface monotone sequence numbers for free,
-// and a hook error fails the submission's ack: a write is only ever
-// acknowledged after the replication layer has had its say
-// (replicate-before-ack).
+// This file is the one write path of a feed. Every epoch-bumping
+// publish — on the owner that produced it, on a follower the
+// replication stream feeds (internal/replica) and on a restore
+// replaying its WAL tail — lands through land: the same lines apply
+// the publication's content to the miner and the store, hot-swap the
+// hosted interface, advance the sequence number and journal it. The
+// owner's four paths (flushLocked, flushRowsLocked, SubmitMutation,
+// PublishBump) reach it through publishLocked after their own
+// buffering, validation and DML evaluation; everything else reaches it
+// through Apply, which first checks that the publication continues
+// this feed's stream. Because all of it runs under the per-feed lock,
+// publications carry per-interface monotone sequence numbers for free.
+
+// Publication is one epoch-bumping publish (see wal.Record, the one
+// struct that carries it across the log, the wire and restore).
+type Publication = wal.Record
 
 // TableRows is one table's slice of a row publication.
-type TableRows struct {
-	Table string
-	Rows  [][]engine.Value
-}
-
-// Publication is one epoch-bumping publish on the owner: a re-mined
-// log batch (Entries), a row append (Rows), a rowid-keyed mutation set
-// (Muts — the physical form of an UPDATE/DELETE, already evaluated
-// against the owner's snapshot), or a bare epoch bump (none of them —
-// promotion fencing). Seq is the per-interface monotone sequence
-// number of the publish; Epoch is the interface epoch after it. A
-// follower that applies the same publications in the same order to the
-// same seed is byte-identical to the owner (the miner is deterministic
-// and mutations carry resolved rowids, not predicates), so Seq+Epoch
-// double-check lockstep.
-type Publication struct {
-	Seq     uint64
-	Epoch   uint64
-	Entries []qlog.Entry
-	Rows    []TableRows
-	Muts    []store.TableMutation
-}
+type TableRows = wal.TableRows
 
 // PublishHook observes every epoch-bumping publish of every owned
 // feed, synchronously, under the feed lock (keep it fast; serving
@@ -66,36 +50,113 @@ func (ing *Ingester) publishHook() PublishHook {
 	return h
 }
 
-// firePublish bumps the feed's sequence number, journals the
-// publication and runs the replication hook — in that order, so a
-// write is durable locally before it fans out, and an ack implies
-// both. Caller holds f.mu and has already published the swap.
-func (ing *Ingester) firePublish(f *feed, entries []qlog.Entry, rows []TableRows, muts []store.TableMutation) error {
-	f.seq++
-	p := Publication{
-		Seq:     f.seq,
-		Epoch:   f.hosted.Epoch(),
-		Entries: entries,
-		Rows:    rows,
-		Muts:    muts,
-	}
-	if err := ing.journalLocked(f, p); err != nil {
-		return err
-	}
-	h := ing.publishHook()
-	if h == nil {
-		return nil
-	}
-	if err := h(f.hosted.ID, p); err != nil {
+// land applies one publication's content to the feed and publishes it
+// under exactly one epoch bump: a log batch re-mines, row batches
+// append to the store and rowid-keyed mutations retire and replace row
+// versions; then one hot swap moves the hosted interface onto the
+// result, the feed's sequence number advances, p is stamped with the
+// (seq, epoch) it landed at and offered to the journal. Caller holds
+// f.mu.
+//
+// landed=false means the feed is exactly as it was: the content was
+// refused (err says why) or, with a nil error, a log batch mined
+// nothing because every entry failed to parse — no epoch bump, the
+// caches stay valid. landed=true with an error means the content is in
+// the feed but its publish did not complete (swap or journal failed):
+// the ack must fail.
+func (ing *Ingester) land(f *feed, p *Publication) (landed bool, err error) {
+	fail := func(op string, err error) (bool, error) {
 		f.lastError = err.Error()
-		return err
+		return landed, fmt.Errorf("ingest: %s %q: %w", op, f.hosted.ID, err)
 	}
-	return nil
+	// Row batches are checked as a set before the first one lands, so a
+	// publication spanning tables appends all of them or none.
+	for _, tr := range p.Rows {
+		if err := f.store.ValidateRows(tr.Table, tr.Rows); err != nil {
+			return fail("append rows", err)
+		}
+	}
+	iface := f.hosted.Iface()
+	if len(p.Entries) > 0 {
+		mined, st, err := f.miner.Append(p.Entries)
+		f.dropped += uint64(st.ParseErrors)
+		if st.LastParseError != "" {
+			f.lastError = st.LastParseError
+		}
+		if err != nil {
+			return fail("re-mine", err) // a failed Append made no state changes
+		}
+		if st.FullRemine {
+			f.fullRemines++
+		}
+		if st.Added == 0 {
+			return false, nil
+		}
+		f.flushes++
+		iface, landed = mined, true
+	}
+	for _, tr := range p.Rows {
+		if _, err := f.store.AppendRows(tr.Table, tr.Rows); err != nil {
+			return fail("append rows", err)
+		}
+		f.rowsAppended += uint64(len(tr.Rows))
+		landed = true
+	}
+	if len(p.Rows) > 0 {
+		f.rowFlushes++
+	}
+	for _, tm := range p.Muts {
+		if _, err := f.store.MutateRows(tm.Table, tm.Updates, tm.Deletes); err != nil {
+			return fail("mutate rows", err)
+		}
+		f.rowsMutated += uint64(len(tm.Updates) + len(tm.Deletes))
+		landed = true
+	}
+	if len(p.Muts) > 0 {
+		f.mutations++
+	}
+	// A nil catalog keeps the served dataset; only a publication that
+	// touched the store moves the interface onto a fresh snapshot.
+	var db engine.Catalog
+	if len(p.Rows)+len(p.Muts) > 0 {
+		db = f.store.Snapshot()
+	}
+	landed = true
+	epoch, err := f.hosted.Swap(iface, db)
+	if err != nil {
+		return fail("swap", err)
+	}
+	f.seq++
+	p.Seq, p.Epoch = f.seq, epoch
+	// Journal before anything else hears of the publish: on the owner a
+	// write is durable locally before it fans out, and a follower that
+	// restarts replays to its applied position instead of demanding a
+	// full re-seed.
+	return true, ing.journalLocked(f, *p)
 }
 
-// ErrReplicaDiverged reports a follower apply that cannot reproduce
-// the owner's publication (sequence gap, epoch drift, or a batch the
-// local miner rejects): the follower needs a fresh seed. Matched with
+// publishLocked is the owner's publish: land the content, then run the
+// replication hook — journal first, fan-out second, and an ack implies
+// both. A hook error (the owner was fenced off by a newer term) fails
+// the submission so the client never holds an ack a promoted follower
+// lacks. Caller holds f.mu; the results are land's.
+func (ing *Ingester) publishLocked(f *feed, p Publication) (bool, error) {
+	landed, err := ing.land(f, &p)
+	if !landed || err != nil {
+		return landed, err
+	}
+	if h := ing.publishHook(); h != nil {
+		if err := h(f.hosted.ID, p); err != nil {
+			f.lastError = err.Error()
+			return true, err
+		}
+	}
+	return true, nil
+}
+
+// ErrReplicaDiverged reports an Apply that cannot reproduce the
+// owner's publication (sequence gap, epoch drift, or content the local
+// miner or store rejects): the copy needs a fresh seed. Matched with
 // errors.Is.
 var ErrReplicaDiverged = errors.New("replica diverged from owner stream")
 
@@ -113,7 +174,7 @@ func (ing *Ingester) Seq(id string) (uint64, error) {
 // PublishBump publishes a bare epoch bump through the replication
 // hook — the promotion path uses it so cursors minted against the
 // ex-owner expire, with surviving followers bumping in lockstep.
-// Returns the new epoch and sequence number.
+// Returns the interface's epoch and sequence number after the call.
 func (ing *Ingester) PublishBump(id string) (uint64, uint64, error) {
 	f, err := ing.feed(id)
 	if err != nil {
@@ -124,172 +185,47 @@ func (ing *Ingester) PublishBump(id string) (uint64, uint64, error) {
 	if f.sealed {
 		return 0, 0, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
 	}
-	if _, err := f.hosted.Swap(f.hosted.Iface(), nil); err != nil {
-		return 0, 0, fmt.Errorf("ingest: bump %q: %w", id, err)
-	}
-	if err := ing.firePublish(f, nil, nil, nil); err != nil {
-		return f.hosted.Epoch(), f.seq, err
-	}
-	return f.hosted.Epoch(), f.seq, nil
+	_, err = ing.publishLocked(f, Publication{})
+	return f.hosted.Epoch(), f.seq, err
 }
 
-// applyCheck validates the publication slot before any state changes.
-// Caller holds f.mu.
-func (f *feed) applyCheck(id string, wantSeq uint64) error {
+// Apply lands one publication that another copy of the interface
+// produced — a follower applying its owner's stream, or a restore
+// replaying its WAL tail — expected at exactly (p.Seq, p.Epoch). The
+// lockstep checks run before anything changes: a sequence gap or an
+// epoch the next swap would not reach returns ErrReplicaDiverged with
+// the feed untouched. It bypasses the submission buffers and the
+// publish hook — replication is one hop deep, never chained — and the
+// journal's re-offer of a replayed record is a sequence-idempotent
+// no-op.
+func (ing *Ingester) Apply(id string, p Publication) error {
+	f, err := ing.feed(id)
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.sealed {
 		return fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
 	}
-	if wantSeq != f.seq+1 {
+	if p.Seq != f.seq+1 {
 		return fmt.Errorf("ingest: %q apply seq %d does not follow local seq %d: %w",
-			id, wantSeq, f.seq, ErrReplicaDiverged)
+			id, p.Seq, f.seq, ErrReplicaDiverged)
 	}
-	return nil
-}
-
-// applySettle records the applied slot and verifies epoch lockstep.
-// Caller holds f.mu and has published the swap.
-func (f *feed) applySettle(id string, wantEpoch, wantSeq uint64) error {
-	f.seq = wantSeq
-	if cur := f.hosted.Epoch(); wantEpoch != 0 && cur != wantEpoch {
-		return fmt.Errorf("ingest: %q at epoch %d after apply, owner at %d: %w",
-			id, cur, wantEpoch, ErrReplicaDiverged)
+	if next := f.hosted.Epoch() + 1; p.Epoch != next {
+		return fmt.Errorf("ingest: %q apply seq %d would land at epoch %d, owner published at %d: %w",
+			id, p.Seq, next, p.Epoch, ErrReplicaDiverged)
 	}
-	return nil
-}
-
-// ApplyBatch applies one replicated log publication to a follower
-// feed: the exact entry batch the owner flushed, expected to land at
-// exactly (wantEpoch, wantSeq). It bypasses the submission buffer and
-// the publish hook — replication is one hop deep, never chained.
-func (ing *Ingester) ApplyBatch(id string, entries []qlog.Entry, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	iface, st, err := f.miner.Append(entries)
-	f.accepted += uint64(len(entries))
-	f.dropped += uint64(st.ParseErrors)
-	if err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply re-mine: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if st.FullRemine {
-		f.fullRemines++
-	}
-	if st.Added == 0 {
+	f.accepted += uint64(len(p.Entries))
+	landed, err := ing.land(f, &p)
+	switch {
+	case landed:
+		return err // nil, or the journal's refusal: the owner re-sends or re-seeds
+	case err != nil:
+		return fmt.Errorf("%v: %w", err, ErrReplicaDiverged)
+	default:
 		// The owner bumped its epoch for this batch; a deterministic
-		// re-mine that adds nothing here means the replica drifted.
-		return fmt.Errorf("ingest: %q apply mined no entries the owner published: %w",
-			id, ErrReplicaDiverged)
+		// re-mine that adds nothing here means the copy drifted.
+		return fmt.Errorf("ingest: %q apply mined no entries the owner published: %w", id, ErrReplicaDiverged)
 	}
-	f.flushes++
-	if _, err := f.hosted.Swap(iface, nil); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply swap: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	// Journal the applied publication so a restarted follower replays
-	// to this position instead of demanding a full re-seed. A journal
-	// failure refuses the apply (the owner re-sends or re-seeds);
-	// replay-time re-applies are sequence-idempotent no-ops.
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch(), Entries: entries})
-}
-
-// ApplyRows applies one replicated row publication to a follower
-// feed: every table's batch from one owner flush, published under a
-// single epoch bump exactly like the owner's flushRowsLocked.
-func (ing *Ingester) ApplyRows(id string, rows []TableRows, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	appended := 0
-	for _, tr := range rows {
-		if _, err := f.store.AppendRows(tr.Table, tr.Rows); err != nil {
-			f.lastError = err.Error()
-			return fmt.Errorf("ingest: %q apply rows to %q: %v: %w",
-				id, tr.Table, err, ErrReplicaDiverged)
-		}
-		appended += len(tr.Rows)
-	}
-	f.rowsAppended += uint64(appended)
-	f.rowFlushes++
-	if _, err := f.hosted.Swap(f.hosted.Iface(), f.store.Snapshot()); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply swap: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch(), Rows: rows})
-}
-
-// ApplyMutations applies one replicated mutation publication to a
-// follower feed: the rowid-keyed updates and deletes the owner's DML
-// evaluation produced, published under a single epoch bump exactly
-// like the owner's mutation publish. Replication is physical — no
-// predicate re-evaluation, so the follower lands on byte-identical
-// rows even if its apply runs arbitrarily later. The WAL restore path
-// replays through this same method.
-func (ing *Ingester) ApplyMutations(id string, muts []store.TableMutation, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	for _, tm := range muts {
-		if _, err := f.store.MutateRows(tm.Table, tm.Updates, tm.Deletes); err != nil {
-			f.lastError = err.Error()
-			return fmt.Errorf("ingest: %q apply mutations to %q: %v: %w",
-				id, tm.Table, err, ErrReplicaDiverged)
-		}
-		f.rowsMutated += uint64(len(tm.Updates) + len(tm.Deletes))
-	}
-	f.mutations++
-	if _, err := f.hosted.Swap(f.hosted.Iface(), f.store.Snapshot()); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply swap: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch(), Muts: muts})
-}
-
-// ApplyBump applies a bare epoch bump (the promotion fence) to a
-// follower feed.
-func (ing *Ingester) ApplyBump(id string, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	if _, err := f.hosted.Swap(f.hosted.Iface(), nil); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply bump: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch()})
 }

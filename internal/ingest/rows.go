@@ -92,54 +92,28 @@ func (ing *Ingester) FlushRows(id string) (uint64, error) {
 	return f.hosted.Epoch(), nil
 }
 
-// flushRowsLocked appends every buffered row batch to the store and
-// hot-swaps the hosted interface onto the resulting snapshot. Caller
-// holds f.mu. One swap covers all tables flushed together, so a flush
-// costs a single epoch bump regardless of how many tables grew.
-//
-// A failing table (validation at submit time makes this unreachable
-// short of the table being replaced under the buffer) stops the loop
-// but does not lose what already published: the buffered counters only
-// cover tables still waiting, the failed table's rows stay buffered
-// for retry, and the swap still runs so rows the store already
-// accepted become visible instead of floating unreferenced.
+// flushRowsLocked publishes every buffered row batch as one
+// publication: the store appends them and the hosted interface
+// hot-swaps onto the resulting snapshot. Caller holds f.mu. One swap
+// covers all tables flushed together, so a flush costs a single epoch
+// bump regardless of how many tables grew. A publication the feed did
+// not take (validation at submit time makes that unreachable short of
+// a table being replaced under the buffer) leaves every batch buffered
+// for retry.
 func (ing *Ingester) flushRowsLocked(f *feed) error {
 	if f.rowBuffered == 0 {
 		return nil
 	}
-	appended := 0
-	var published []TableRows
-	var failErr error
-	for table, rows := range f.rowBuf {
-		if len(rows) == 0 {
-			delete(f.rowBuf, table)
-			continue
-		}
-		if _, err := f.store.AppendRows(table, rows); err != nil {
-			f.lastError = err.Error()
-			failErr = fmt.Errorf("ingest: append %d rows to %q: %w", len(rows), table, err)
-			break
-		}
-		published = append(published, TableRows{Table: table, Rows: rows})
-		appended += len(rows)
-		f.rowBuffered -= len(rows)
-		delete(f.rowBuf, table)
-	}
-	if appended > 0 {
-		f.rowsAppended += uint64(appended)
-		f.rowFlushes++
-		if _, err := f.hosted.Swap(f.hosted.Iface(), f.store.Snapshot()); err != nil {
-			f.lastError = err.Error()
-			return fmt.Errorf("ingest: swap %q after row append: %w", f.hosted.ID, err)
-		}
-		// Replicate the published batches before the ack propagates
-		// (see flushLocked); one publication covers every table flushed
-		// under this swap.
-		if err := ing.firePublish(f, nil, published, nil); err != nil {
-			if failErr == nil {
-				failErr = err
-			}
+	rows := make([]TableRows, 0, len(f.rowBuf))
+	for table, batch := range f.rowBuf {
+		if len(batch) > 0 {
+			rows = append(rows, TableRows{Table: table, Rows: batch})
 		}
 	}
-	return failErr
+	landed, err := ing.publishLocked(f, Publication{Rows: rows})
+	if landed {
+		f.rowBuf = map[string][][]engine.Value{}
+		f.rowBuffered = 0
+	}
+	return err
 }

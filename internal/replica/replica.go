@@ -75,7 +75,7 @@ type Config struct {
 	// moved tombstone no longer applies.
 	ClearTombstone func(id string)
 	// Adopt, when set, durably installs an accepted seed frame (base
-	// snapshot + manifest + WAL reset) before Follow acknowledges it —
+	// snapshot + manifest, WAL reset) before Follow acknowledges it —
 	// a restarted follower then rebuilds the copy and resumes the
 	// stream from its logged position instead of demanding a re-seed.
 	Adopt func(snap *store.Snapshot, rs *store.ReplState) error
@@ -676,26 +676,15 @@ func (m *Manager) Apply(ev Event) error {
 
 	// The ingest apply takes the feed lock; state.mu must not be held
 	// across it (the publish hook takes the locks in the other order).
-	p := ev.Pub
-	var err error
-	switch {
-	case len(p.Entries) > 0:
-		err = m.cfg.Ing.ApplyBatch(ev.ID, p.Entries, p.Epoch, p.Seq)
-	case len(p.Rows) > 0:
-		err = m.cfg.Ing.ApplyRows(ev.ID, p.Rows, p.Epoch, p.Seq)
-	case len(p.Muts) > 0:
-		err = m.cfg.Ing.ApplyMutations(ev.ID, p.Muts, p.Epoch, p.Seq)
-	default:
-		err = m.cfg.Ing.ApplyBump(ev.ID, p.Epoch, p.Seq)
-	}
+	err := m.cfg.Ing.Apply(ev.ID, ev.Pub)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		s.stale = true
 		return api.Errf(api.CodeReplicaOutOfSync, http.StatusConflict,
-			"apply seq %d to follower of %q: %v", p.Seq, ev.ID, err)
+			"apply seq %d to follower of %q: %v", ev.Pub.Seq, ev.ID, err)
 	}
-	s.seq = p.Seq
+	s.seq = ev.Pub.Seq
 	return nil
 }
 

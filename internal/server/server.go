@@ -21,9 +21,7 @@
 //	GET  /v1/healthz                — build info, uptime, per-interface epoch + cache hit rate
 //	GET  /v1/debug                  — cache and traffic counters
 //
-// The same routes are also mounted unversioned (/interfaces, /healthz,
-// ...) as legacy aliases so pages compiled before the v1 surface keep
-// working. Errors are always the JSON envelope {"code": ..., "error":
+// Errors are always the JSON envelope {"code": ..., "error":
 // ...} with the codes documented in internal/api and API.md. With
 // auth configured, the mutating endpoints (query, log) require a
 // bearer token; metadata GETs stay open.
@@ -88,12 +86,12 @@ func WithLogger(l *log.Logger) Option { return func(s *Server) { s.logger = l } 
 func WithLogFormat(format string) Option { return func(s *Server) { s.logFormat = format } }
 
 // WithMetrics mounts the registry's Prometheus exposition at
-// GET /v1/metrics (and /metrics) and records per-route HTTP request
+// GET /v1/metrics and records per-route HTTP request
 // counts, durations and status classes into it.
 func WithMetrics(reg *obs.Registry) Option { return func(s *Server) { s.metrics = reg } }
 
-// WithSlowRing mounts the slow-query ring at GET /v1/debug/slow (and
-// /debug/slow). Recording into the ring is the Servicer's job (see
+// WithSlowRing mounts the slow-query ring at GET /v1/debug/slow.
+// Recording into the ring is the Servicer's job (see
 // api.Service.SetSlowRing / shard.Router.SetSlowRing); the server only
 // exposes it.
 func WithSlowRing(ring *obs.SlowRing) Option { return func(s *Server) { s.slowRing = ring } }
@@ -117,34 +115,27 @@ func New(svc api.Servicer, opts ...Option) *Server {
 	return s
 }
 
-// routes mounts every operation under /v1 and, for compatibility with
-// pages compiled before the versioned surface, under the legacy
-// unversioned paths.
+// routes mounts every operation under /v1.
 func (s *Server) routes() {
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		s.mux.HandleFunc(method+" /v1"+path, h)
-		s.mux.HandleFunc(method+" "+path, h)
-	}
-	handle("GET /interfaces", s.handleList)
-	handle("GET /interfaces/{id}", s.handleGet)
-	handle("GET /interfaces/{id}/page", s.handlePage)
-	handle("GET /interfaces/{id}/epoch", s.handleEpoch)
-	handle("POST /interfaces/{id}/query", s.protected(s.handleQuery))
-	handle("POST /interfaces/{id}/log", s.protected(s.handleLog))
-	handle("POST /interfaces/{id}/rows", s.protected(s.handleRows))
-	handle("POST /interfaces/{id}/mutate", s.protected(s.handleMutate))
-	handle("DELETE /interfaces/{id}", s.protected(s.handleDelete))
+	s.mux.HandleFunc("GET /v1/interfaces", s.handleList)
+	s.mux.HandleFunc("GET /v1/interfaces/{id}", s.handleGet)
+	s.mux.HandleFunc("GET /v1/interfaces/{id}/page", s.handlePage)
+	s.mux.HandleFunc("GET /v1/interfaces/{id}/epoch", s.handleEpoch)
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/query", s.protected(s.handleQuery))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/log", s.protected(s.handleLog))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/rows", s.protected(s.handleRows))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/mutate", s.protected(s.handleMutate))
+	s.mux.HandleFunc("DELETE /v1/interfaces/{id}", s.protected(s.handleDelete))
 	// Snapshot is server-wide: it is guarded by the default token (the
 	// empty path id resolves to AuthConfig.Token).
-	handle("POST /snapshot", s.protected(s.handleSnapshot))
-	handle("GET /healthz", s.handleHealthz)
-	handle("GET /debug", s.handleDebug)
+	s.mux.HandleFunc("POST /v1/snapshot", s.protected(s.handleSnapshot))
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/debug", s.handleDebug)
 	if s.metrics != nil {
-		handle("GET /metrics", s.handleMetrics)
+		s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	}
 	if s.slowRing != nil {
-		handle("GET /debug/slow", s.handleSlow)
+		s.mux.HandleFunc("GET /v1/debug/slow", s.handleSlow)
 	}
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	for _, m := range s.admin {
@@ -223,14 +214,6 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(page))
 }
 
-// queryIntoServicer is the optional fast path a Servicer can offer:
-// filling a caller-provided response instead of allocating one.
-// *api.Service implements it; routed implementations (shard proxies)
-// fall back to Query.
-type queryIntoServicer interface {
-	QueryInto(id string, req api.QueryRequest, resp *api.QueryResponse) error
-}
-
 // respPool recycles query responses across requests. Entries are
 // zeroed before being pooled so a parked response never pins a
 // retired epoch's cached rows.
@@ -245,18 +228,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if cq, ok := s.svc.(api.CtxQuerier); ok {
 		resp := respPool.Get().(*api.QueryResponse)
 		err := cq.QueryIntoCtx(r.Context(), r.PathValue("id"), req, resp)
-		if err == nil {
-			writeJSON(w, http.StatusOK, resp)
-		} else {
-			writeError(w, r, err)
-		}
-		*resp = api.QueryResponse{}
-		respPool.Put(resp)
-		return
-	}
-	if qi, ok := s.svc.(queryIntoServicer); ok {
-		resp := respPool.Get().(*api.QueryResponse)
-		err := qi.QueryInto(r.PathValue("id"), req, resp)
 		if err == nil {
 			writeJSON(w, http.StatusOK, resp)
 		} else {

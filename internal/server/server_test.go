@@ -111,14 +111,12 @@ func sliderWidget(t testing.TB, iface *core.Interface) *mapper.MappedWidget {
 
 func TestListInterfaces(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, path := range []string{"/v1/interfaces", "/interfaces"} {
-		var list []api.InterfaceSummary
-		if code := getJSON(t, ts.URL+path, &list); code != http.StatusOK {
-			t.Fatalf("GET %s status = %d", path, code)
-		}
-		if len(list) != 1 || list[0].ID != "olap" || list[0].Widgets == 0 {
-			t.Fatalf("GET %s list = %+v", path, list)
-		}
+	var list []api.InterfaceSummary
+	if code := getJSON(t, ts.URL+"/v1/interfaces", &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/interfaces status = %d", code)
+	}
+	if len(list) != 1 || list[0].ID != "olap" || list[0].Widgets == 0 {
+		t.Fatalf("GET /v1/interfaces list = %+v", list)
 	}
 }
 
@@ -162,7 +160,6 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	t.Run("not found", func(t *testing.T) {
 		for _, path := range []string{
 			"/v1/interfaces/nope", "/v1/interfaces/nope/epoch", "/v1/interfaces/nope/page",
-			"/interfaces/nope",
 		} {
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {
@@ -232,31 +229,53 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	})
 }
 
-func TestServedPage(t *testing.T) {
+// TestUnversionedRoutesAreGone: the pre-v1 aliases were removed; only
+// /v1 answers.
+func TestUnversionedRoutesAreGone(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, path := range []string{"/v1/interfaces/olap/page", "/interfaces/olap/page"} {
+	for _, path := range []string{"/interfaces", "/interfaces/olap", "/healthz", "/debug"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
+		resp, err = http.Get(ts.URL + "/v1" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s status = %d", path, resp.StatusCode)
+			t.Fatalf("GET /v1%s = %d, want 200", path, resp.StatusCode)
 		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-			t.Fatalf("content-type = %q", ct)
-		}
-		page := string(b)
-		if !strings.Contains(page, `"endpoint":"/v1/interfaces/olap/query"`) {
-			t.Fatalf("page not wired to the v1 query endpoint:\n%.400s", page)
-		}
-		if strings.Contains(page, `"token":"`) {
-			t.Fatal("open page embeds a token")
-		}
+	}
+}
+
+func TestServedPage(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/v1/interfaces/olap/page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET page status = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+		t.Fatalf("content-type = %q", ct)
+	}
+	page := string(b)
+	if !strings.Contains(page, `"endpoint":"/v1/interfaces/olap/query"`) {
+		t.Fatalf("page not wired to the v1 query endpoint:\n%.400s", page)
+	}
+	if strings.Contains(page, `"token":"`) {
+		t.Fatal("open page embeds a token")
 	}
 }
 
@@ -415,8 +434,7 @@ func doReq(t *testing.T, method, url, token, body string) (*http.Response, api.E
 func TestAuthContract(t *testing.T) {
 	ts, _ := authedServer(t)
 
-	for _, path := range []string{"/v1/interfaces/olap/query", "/interfaces/olap/query",
-		"/v1/interfaces/olap/log"} {
+	for _, path := range []string{"/v1/interfaces/olap/query", "/v1/interfaces/olap/log"} {
 		resp, e := doReq(t, "POST", ts.URL+path, "", `{"widgets":[]}`)
 		if resp.StatusCode != http.StatusUnauthorized || e.Code != api.CodeUnauthorized {
 			t.Fatalf("POST %s no-token = %d %q, want 401 unauthorized", path, resp.StatusCode, e.Code)

@@ -107,13 +107,6 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		return nil, fmt.Errorf("shard: node needs an ingester (snapshot export rides its feeds)")
 	}
 	n := &Node{Service: svc, ing: ing, opts: opts, moved: map[string]string{}}
-	if p := opts.Persister; p != nil {
-		moved, err := loadTombstones(p.Dir())
-		if err != nil {
-			n.tombErr = err.Error()
-		}
-		n.moved = moved
-	}
 	cfg := replica.Config{
 		Self:           addr,
 		Token:          opts.Token,
@@ -125,13 +118,17 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		Drop:           n.dropLocal,
 		ClearTombstone: n.clearTombstone,
 	}
-	walMode := opts.Persister != nil && opts.Persister.WALEnabled()
-	if walMode {
-		p := opts.Persister
-		// WAL mode makes replication state crash-proof: seeds persist
+	p := opts.Persister
+	if p != nil {
+		moved, err := loadTombstones(p.Dir())
+		if err != nil {
+			n.tombErr = err.Error()
+		}
+		n.moved = moved
+		// Persistence makes replication state crash-proof: seeds persist
 		// before they are acked, control-plane changes rewrite the
-		// manifest, and trailing followers re-sync from the owner's log
-		// instead of taking a fresh seed.
+		// manifest, and (with a WAL) trailing followers re-sync from the
+		// owner's log instead of taking a fresh seed.
 		cfg.Adopt = p.Adopt
 		cfg.Persist = func(id string) { _ = p.PersistReplState(id) }
 		cfg.CatchUp = p.CatchUp
@@ -141,8 +138,7 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		return nil, err
 	}
 	n.mgr = mgr
-	if walMode {
-		p := opts.Persister
+	if p != nil {
 		p.SetReplStateSource(func(id string) *store.ReplState {
 			info := mgr.Info(id)
 			if info == nil {
@@ -160,7 +156,7 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		// Re-adopt what the manifests remembered: a restarted ex-owner
 		// answers from the term it held (not a blank slate a stale peer
 		// could out-fence), and a restarted follower resumes the stream
-		// at the sequence its WAL replay reached.
+		// at the sequence its restore reached.
 		for id, rs := range p.ReplStates() {
 			seq, _ := ing.Seq(id)
 			mgr.RestoreState(id, rs, seq)
@@ -270,23 +266,12 @@ func (n *Node) Query(id string, req api.QueryRequest) (*api.QueryResponse, error
 	return n.Service.Query(id, req)
 }
 
-// QueryInto keeps the zero-alloc serving path available on a shard.
-// Without this override the server's pooled-response fast path would
-// reach the embedded Service's QueryInto directly and skip the
-// relinquish/tombstone check that turns queries for moved interfaces
-// into structured `moved` errors.
-func (n *Node) QueryInto(id string, req api.QueryRequest, resp *api.QueryResponse) error {
-	if e := n.readErr(id); e != nil {
-		return e
-	}
-	return n.Service.QueryInto(id, req, resp)
-}
-
-// QueryIntoCtx mirrors QueryInto for the context-carrying fast path.
-// Required for the same reason: the embedded Service satisfies
+// QueryIntoCtx keeps the zero-alloc, context-carrying serving path
+// behind the shard's gate: the embedded Service satisfies
 // api.CtxQuerier by promotion, and without this override the
 // transport's type assertion would bypass the relinquish/tombstone
-// check.
+// check that turns queries for moved interfaces into structured
+// `moved` errors.
 func (n *Node) QueryIntoCtx(ctx context.Context, id string, req api.QueryRequest, resp *api.QueryResponse) error {
 	if e := n.readErr(id); e != nil {
 		return e
@@ -465,9 +450,9 @@ func (n *Node) Accept(frame []byte) (*AcceptResult, error) {
 		}
 	}
 	if p := n.opts.Persister; p != nil {
-		// Adopt, not a bare file write: in WAL mode this also writes the
-		// manifest and resets the interface's log to the frame's
-		// sequence — the old tail described state this frame replaced.
+		// Adopt, not a bare file write: it also writes the manifest and
+		// resets the interface's log to the frame's sequence — the old
+		// tail described state this frame replaced.
 		saved := *snap
 		saved.Epoch = epoch
 		if err := p.Adopt(&saved, nil); err != nil {

@@ -228,28 +228,3 @@ func TestManifestChainSaveRestore(t *testing.T) {
 		t.Fatalf("second RemoveManifest: %v", err)
 	}
 }
-
-func TestListIgnoresDeltaAndManifestFiles(t *testing.T) {
-	dir := t.TempDir()
-	base := testSnap("iface", 3, 2)
-	if _, err := Save(dir, base); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	d, err := CutDelta(testSnap("iface", 4, 3), 3, 3, map[string]int{"ontime": 2}, map[string]uint64{"ontime": 0})
-	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
-	}
-	if _, _, err := SaveDelta(dir, d); err != nil {
-		t.Fatalf("SaveDelta: %v", err)
-	}
-	if err := SaveManifest(dir, &Manifest{ID: "iface", Base: "iface.snap", Seq: 3}); err != nil {
-		t.Fatalf("SaveManifest: %v", err)
-	}
-	files, err := List(dir)
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if len(files) != 1 || !strings.HasSuffix(files[0], "iface.snap") {
-		t.Fatalf("List = %v, want just the .snap", files)
-	}
-}

@@ -84,8 +84,8 @@ func SaveManifest(dir string, m *Manifest) error {
 }
 
 // LoadManifest reads one interface's manifest; a missing file returns
-// (nil, nil) — the interface predates differential saves (or was
-// saved full-only) and restores through the legacy .snap path.
+// (nil, nil) — the data dir holds at most a bare .snap for it, which
+// the restore path promotes (NewManifest).
 func LoadManifest(dir, id string) (*Manifest, error) {
 	raw, err := os.ReadFile(ManifestFile(dir, id))
 	if os.IsNotExist(err) {
@@ -148,6 +148,22 @@ func RestoreChain(dir string, m *Manifest) (*Snapshot, error) {
 			m.ID, snap.Seq, snap.Epoch, m.Seq, m.Epoch)
 	}
 	return snap, nil
+}
+
+// NewManifest describes a freshly written (or freshly found) base
+// snapshot with no deltas on top: the chain starts at the snapshot's
+// own position and covered counts.
+func NewManifest(snap *Snapshot, rs *ReplState) *Manifest {
+	m := &Manifest{
+		ID:          snap.ID,
+		Base:        snap.ID + ".snap",
+		Seq:         snap.Seq,
+		Epoch:       snap.Epoch,
+		DataEpoch:   snap.DataEpoch,
+		Replication: rs,
+	}
+	m.LogLen, m.TableRows, m.TableMuts = CoveredCounts(snap)
+	return m
 }
 
 // CoveredCounts summarizes a snapshot's covered positions for the

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/engine"
@@ -222,27 +221,6 @@ func Load(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
 	return snap, nil
-}
-
-// List returns the snapshot files in dir in sorted order. A missing
-// dir is an empty list, not an error (first boot).
-func List(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: list snapshots: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
-			continue
-		}
-		out = append(out, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Restore rebuilds a store from the snapshot's tables: each table's

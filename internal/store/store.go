@@ -270,19 +270,30 @@ func (s *Store) publish(epoch uint64, key string, tv *mvcc.View) {
 
 // ValidateRows checks that the table exists and every row matches its
 // column count, without publishing anything — the cheap pre-flight the
-// ingestion path runs before buffering.
+// ingestion path runs before buffering and before landing a
+// publication. It reads the writer state, so it never materializes a
+// view.
 func (s *Store) ValidateRows(table string, rows [][]engine.Value) error {
-	t, ok := s.Snapshot().Table(table)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, _, err := s.checkRowsLocked(table, rows)
+	return err
+}
+
+// checkRowsLocked resolves the writer table and checks every row's
+// column count against it. Callers hold s.mu.
+func (s *Store) checkRowsLocked(table string, rows [][]engine.Value) (*mvcc.Table, string, error) {
+	t, key, ok := s.lookupWriter(table)
 	if !ok {
-		return fmt.Errorf("store: unknown table %q", table)
+		return nil, "", fmt.Errorf("store: unknown table %q", table)
 	}
 	for i, r := range rows {
-		if len(r) != t.NumCols() {
-			return fmt.Errorf("store: table %q has %d columns, row %d has %d",
-				t.Name, t.NumCols(), i, len(r))
+		if len(r) != len(t.Cols) {
+			return nil, "", fmt.Errorf("store: table %q has %d columns, row %d has %d",
+				t.Name, len(t.Cols), i, len(r))
 		}
 	}
-	return nil
+	return t, key, nil
 }
 
 // AppendRows appends rows to the named table and publishes a new
@@ -296,18 +307,9 @@ func (s *Store) AppendRows(table string, rows [][]engine.Value) (uint64, error) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.v.Load()
-	t, key, ok := s.lookupWriter(table)
-	if !ok {
-		return cur.view.epoch, fmt.Errorf("store: unknown table %q", table)
-	}
-	for i, r := range rows {
-		if len(r) != len(t.Cols) {
-			return cur.view.epoch, fmt.Errorf("store: table %q has %d columns, row %d has %d",
-				t.Name, len(t.Cols), i, len(r))
-		}
-	}
-	if len(rows) == 0 {
-		return cur.view.epoch, nil
+	t, key, err := s.checkRowsLocked(table, rows)
+	if err != nil || len(rows) == 0 {
+		return cur.view.epoch, err
 	}
 	epoch := cur.view.epoch + 1
 	t.Append(rows, epoch)

@@ -272,13 +272,6 @@ func TestSaveRejectsHostileID(t *testing.T) {
 	}
 }
 
-func TestListMissingDirIsEmpty(t *testing.T) {
-	files, err := List(filepath.Join(t.TempDir(), "never-created"))
-	if err != nil || len(files) != 0 {
-		t.Fatalf("List = %v, %v; want empty, nil", files, err)
-	}
-}
-
 func TestAddTableAndFunc(t *testing.T) {
 	st := New()
 	before := st.Snapshot()

@@ -47,19 +47,24 @@ import (
 	"repro/internal/store"
 )
 
-// TableRows is one table's slice of a recorded row publication. It
-// mirrors the ingestion layer's publication shape without importing
-// it (the ingestion layer imports this package).
+// TableRows is one table's slice of a row publication.
 type TableRows struct {
 	Table string
 	Rows  [][]engine.Value
 }
 
-// Record is one acked publication: the per-interface monotone
-// sequence number, the interface epoch after the publish, and the
-// payload — log entries (re-mine batch), table rows (row append),
-// rowid-keyed mutations (UPDATE/DELETE publish), or none of them (a
-// bare epoch bump / promotion fence). Muts gob-decodes empty on
+// Record is one epoch-bumping publish of an interface, and the only
+// struct that carries one: the ingestion layer publishes it, the log
+// frames it, the replication stream ships it and restore replays it.
+// The payload is a re-mined log batch (Entries), a row append (Rows),
+// a rowid-keyed mutation set (Muts — the physical form of an
+// UPDATE/DELETE, already evaluated against the owner's snapshot), or
+// none of them (a bare epoch bump / promotion fence). Seq is the
+// per-interface monotone sequence number of the publish; Epoch is the
+// interface epoch after it. Applying the same records in the same
+// order to the same seed is byte-identical to the owner (the miner is
+// deterministic and mutations carry resolved rowids, not predicates),
+// so Seq+Epoch double-check lockstep. Muts gob-decodes empty on
 // records written before DML existed, so old logs keep replaying.
 type Record struct {
 	Seq     uint64
@@ -133,6 +138,11 @@ func segName(firstSeq uint64) string {
 // safe for concurrent use; per-interface appends serialize on the
 // log's lock (the callers already hold the ingestion feed lock, so in
 // practice one interface's appends arrive in order).
+//
+// A nil *Manager is the data dir without a write-ahead log: appends,
+// truncations, resets and removals succeed without effect, Replay
+// yields nothing and Status reports no log — so the persister's one
+// optional part is decided here, not at each of its call sites.
 type Manager struct {
 	dir  string
 	opts Options
@@ -151,8 +161,12 @@ func NewManager(dir string, opts Options) *Manager {
 func (m *Manager) Dir() string { return m.dir }
 
 // Log opens (or creates) the interface's log, replaying nothing. The
-// first open after a crash truncates a torn tail.
+// first open after a crash truncates a torn tail. A nil manager has no
+// log to open: it returns nil with no error.
 func (m *Manager) Log(id string) (*Log, error) {
+	if m == nil {
+		return nil, nil
+	}
 	if !store.ValidID(id) {
 		return nil, fmt.Errorf("wal: invalid interface id %q", id)
 	}
@@ -175,7 +189,7 @@ func (m *Manager) Log(id string) (*Log, error) {
 // Append records one publication for the interface (see Log.Append).
 func (m *Manager) Append(id string, r Record) error {
 	l, err := m.Log(id)
-	if err != nil {
+	if l == nil {
 		return err
 	}
 	return l.Append(r)
@@ -186,7 +200,7 @@ func (m *Manager) Append(id string, r Record) error {
 // written is a no-op.
 func (m *Manager) Truncate(id string, seq uint64) error {
 	l, err := m.Log(id)
-	if err != nil {
+	if l == nil {
 		return err
 	}
 	return l.Truncate(seq)
@@ -196,7 +210,7 @@ func (m *Manager) Truncate(id string, seq uint64) error {
 // order. A missing log replays nothing.
 func (m *Manager) Replay(id string, fromSeq uint64, fn func(Record) error) error {
 	l, err := m.Log(id)
-	if err != nil {
+	if l == nil {
 		return err
 	}
 	return l.Replay(fromSeq, fn)
@@ -208,7 +222,7 @@ func (m *Manager) Replay(id string, fromSeq uint64, fn func(Record) error) error
 // applies to it).
 func (m *Manager) Reset(id string, seq uint64) error {
 	l, err := m.Log(id)
-	if err != nil {
+	if l == nil {
 		return err
 	}
 	return l.Reset(seq)
@@ -217,6 +231,9 @@ func (m *Manager) Reset(id string, seq uint64) error {
 // Remove deletes the interface's log directory entirely (the
 // interface was deleted or dropped).
 func (m *Manager) Remove(id string) error {
+	if m == nil {
+		return nil
+	}
 	if !store.ValidID(id) {
 		return fmt.Errorf("wal: invalid interface id %q", id)
 	}
@@ -236,6 +253,9 @@ func (m *Manager) Remove(id string) error {
 // Status reports the interface log's health, false if it was never
 // opened in this process.
 func (m *Manager) Status(id string) (Status, bool) {
+	if m == nil {
+		return Status{}, false
+	}
 	m.mu.Lock()
 	l, ok := m.logs[id]
 	m.mu.Unlock()

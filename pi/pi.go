@@ -211,7 +211,7 @@ func Host(reg *Registry, id, title string, iface *Interface, db *DB) (*Hosted, e
 // ServeHandler returns the HTTP handler exposing the registry's
 // versioned JSON API and served pages (GET /v1/interfaces,
 // GET /v1/interfaces/{id}[/page|/epoch], POST /v1/interfaces/{id}/query,
-// GET /v1/healthz, GET /v1/debug — plus legacy unversioned aliases).
+// GET /v1/healthz, GET /v1/debug).
 func ServeHandler(reg *Registry) http.Handler {
 	return server.New(api.NewService(reg)).Handler()
 }
@@ -241,7 +241,7 @@ func CompileServedHTML(iface *Interface, title, endpoint string) (string, error)
 
 // Ingester buffers submitted log entries per interface and re-mines
 // incrementally; it also implements the server's Ingestor hook, which
-// enables POST /interfaces/{id}/log.
+// enables POST /v1/interfaces/{id}/log.
 type Ingester = ingest.Ingester
 
 // IngestOptions configure ingestion batching (batch size, buffer

@@ -191,7 +191,7 @@ func TestLiveIngestFacade(t *testing.T) {
 
 	// 50 is outside the mined [1,3] domain: a query for it must fail.
 	body := `{"widgets":[{"path":"` + h.Iface().Widgets[0].Path.String() + `","number":50}]}`
-	resp, err := http.Post(ts.URL+"/interfaces/live/query", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/interfaces/live/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestLiveIngestFacade(t *testing.T) {
 	if ack, err := Ingest(ing, "live", "SELECT a FROM t WHERE x = 50"); err != nil || !ack.Flushed || ack.Epoch != 2 {
 		t.Fatalf("ingest ack = %+v, %v", ack, err)
 	}
-	resp, err = http.Post(ts.URL+"/interfaces/live/query", "application/json", strings.NewReader(body))
+	resp, err = http.Post(ts.URL+"/v1/interfaces/live/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 # (pi-serve -check), and verify the auth and error contracts with raw
 # curl. Exits non-zero on any failure.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ADDR="${ADDR:-127.0.0.1:8094}"
 TOKEN="${TOKEN:-smoke-secret}"
@@ -13,26 +14,10 @@ LOG="$(mktemp)"
 echo "== build"
 go build -o "$BIN" ./cmd/pi-serve
 
-cleanup() {
-    [ -n "${PID:-}" ] && kill "$PID" 2>/dev/null || true
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
 echo "== start pi-serve -token ... on $ADDR"
 "$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 -token "$TOKEN" >"$LOG" 2>&1 &
 PID=$!
-
-i=0
-until curl -sf "http://$ADDR/v1/healthz" >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 120 ]; then
-        echo "server never came up; log:" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    sleep 0.25
-done
+wait_up "$ADDR" "pi-serve"
 
 echo "== pi-serve -check (SDK round-trip incl. auth rejection)"
 "$BIN" -check -addr "$ADDR" -token "$TOKEN"
@@ -62,15 +47,7 @@ esac
 
 echo "== graceful shutdown"
 kill -TERM "$PID"
-i=0
-while kill -0 "$PID" 2>/dev/null; do
-    i=$((i + 1))
-    if [ "$i" -gt 60 ]; then
-        echo "server did not shut down on SIGTERM" >&2
-        exit 1
-    fi
-    sleep 0.25
-done
+wait_exit "$PID" "pi-serve"
 PID=""
 
 echo "api-smoke: ok"

@@ -9,6 +9,7 @@
 # it re-syncs through the logged tail (no full re-seed) with its epoch
 # in lockstep. Exits non-zero on any failure.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ADDR="${ADDR:-127.0.0.1:8098}"
 TOKEN="${TOKEN:-dml-secret}"
@@ -19,40 +20,6 @@ LOG="$(mktemp)"
 echo "== build"
 go build -o "$BIN_DIR/pi-serve" ./cmd/pi-serve
 go build -o "$BIN_DIR/pi-router" ./cmd/pi-router
-
-cleanup() {
-    [ -n "${PID:-}" ] && kill -9 "$PID" 2>/dev/null || true
-    [ -n "${A_PID:-}" ] && kill -9 "$A_PID" 2>/dev/null || true
-    [ -n "${B_PID:-}" ] && kill -9 "$B_PID" 2>/dev/null || true
-    [ -n "${R_PID:-}" ] && kill -9 "$R_PID" 2>/dev/null || true
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
-fail() {
-    echo "FAIL: $1" >&2
-    echo "--- process log:" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-
-wait_up() {
-    i=0
-    until curl -sf "http://$1/v1/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        [ "$i" -gt 120 ] || { sleep 0.25; continue; }
-        fail "$2 never came up on $1"
-    done
-}
-
-# json_int BODY FIELD -> first integer value of "field":N
-json_int() {
-    printf '%s' "$1" | sed -n "s/.*\"$2\":\([0-9][0-9]*\).*/\1/p" | head -n 1
-}
-
-json_str() {
-    printf '%s' "$1" | sed -n "s/.*\"$2\":\"\([^\"]*\)\".*/\1/p" | head -n 1
-}
 
 # Marker rows: distance values (9999/8888/7777) that OnTimeDB never
 # generates (it stays under 3000), so predicates select exactly them.

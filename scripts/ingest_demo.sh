@@ -3,35 +3,31 @@
 # build pi-serve, host the OLAP workload, query it, stream new log
 # entries in over HTTP, and show the epoch bump + widened interface.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ADDR="${PI_SERVE_ADDR:-127.0.0.1:18080}"
 BASE="http://$ADDR"
 BIN="$(mktemp -d)/pi-serve"
-LOGF="$(mktemp)"
+LOG="$(mktemp)"
 
 say() { printf '\n=== %s\n' "$*"; }
 
 go build -o "$BIN" ./cmd/pi-serve
 
 say "starting pi-serve on $ADDR (olap workload, batch=2)"
-"$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 -batch 2 >"$LOGF" 2>&1 &
+"$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 -batch 2 >"$LOG" 2>&1 &
 PID=$!
-trap 'kill $PID 2>/dev/null || true; rm -f "$LOGF"' EXIT INT TERM
-
-for _ in $(seq 1 50); do
-	if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-	sleep 0.2
-done
+wait_up "$ADDR" "pi-serve"
 
 say "hosted interfaces"
-curl -fsS "$BASE/interfaces"; echo
+curl -fsS "$BASE/v1/interfaces"; echo
 
 say "initial query (epoch 1, cache miss)"
-curl -fsS -X POST "$BASE/interfaces/olap/query" \
+curl -fsS -X POST "$BASE/v1/interfaces/olap/query" \
 	-H 'Content-Type: application/json' -d '{"widgets":[]}' | head -c 400; echo
 
 say "ingesting 3 new log entries (text format, forced flush)"
-curl -fsS -X POST "$BASE/interfaces/olap/log?flush=1" --data-binary @- <<'SQL'
+curl -fsS -X POST "$BASE/v1/interfaces/olap/log?flush=1" --data-binary @- <<'SQL'
 SELECT DestState, COUNT(Delay) FROM ontime WHERE Day = 28 GROUP BY DestState
 SELECT DestState, COUNT(Delay)
   FROM ontime -- multi-line statement
@@ -42,16 +38,16 @@ SQL
 echo
 
 say "epoch after ingestion (was 1)"
-curl -fsS "$BASE/interfaces/olap/epoch"; echo
+curl -fsS "$BASE/v1/interfaces/olap/epoch"; echo
 
 say "post-swap query (fresh caches, new epoch)"
-curl -fsS -X POST "$BASE/interfaces/olap/query" \
+curl -fsS -X POST "$BASE/v1/interfaces/olap/query" \
 	-H 'Content-Type: application/json' -d '{"widgets":[]}' | head -c 400; echo
 
 say "healthz (per-interface epoch, hit rates, ingest counters)"
-curl -fsS "$BASE/healthz"; echo
+curl -fsS "$BASE/v1/healthz"; echo
 
 say "server log tail"
-tail -n 5 "$LOGF"
+tail -n 5 "$LOG"
 
 say "ingest demo OK"

@@ -9,6 +9,7 @@
 # both the router's and the shard's /v1/debug/slow rings.
 # Exits non-zero on any failure.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:8110}"
 A_ADDR="${A_ADDR:-127.0.0.1:8111}"
@@ -27,34 +28,6 @@ ROW='["AA","AA","CAP","NYP","CA","NY",1,1,1,10,10,10,500,1,0,0]'
 echo "== build"
 go build -o "$BIN_DIR/pi-serve" ./cmd/pi-serve
 go build -o "$BIN_DIR/pi-router" ./cmd/pi-router
-
-cleanup() {
-    [ -n "${A_PID:-}" ] && kill -9 "$A_PID" 2>/dev/null || true
-    [ -n "${B_PID:-}" ] && kill -9 "$B_PID" 2>/dev/null || true
-    [ -n "${R_PID:-}" ] && kill -9 "$R_PID" 2>/dev/null || true
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
-fail() {
-    echo "FAIL: $1" >&2
-    echo "--- shard A log:" >&2
-    cat "$A_LOG" >&2
-    echo "--- shard B log:" >&2
-    cat "$B_LOG" >&2
-    echo "--- router log:" >&2
-    cat "$R_LOG" >&2
-    exit 1
-}
-
-wait_up() {
-    i=0
-    until curl -sf "http://$1/v1/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        [ "$i" -gt 120 ] || { sleep 0.25; continue; }
-        fail "$2 never came up on $1"
-    done
-}
 
 # series_value SCRAPE GREP_PATTERN -> sum of every matching sample
 # (handles preallocated zero-valued label combos; empty when no match).

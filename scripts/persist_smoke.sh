@@ -5,8 +5,12 @@
 # restart it on the same data dir, and verify the survivor — same or
 # later epoch, identical dataset row counts, a working query through
 # the SDK — all without the first process's workload generator state.
+# Along the way it pins the on-disk layout (base + manifest, then a
+# delta that leaves the base untouched, no WAL without -wal) and that a
+# dir holding only a bare .snap, as older builds wrote, still boots.
 # Exits non-zero on any failure.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ADDR="${ADDR:-127.0.0.1:8095}"
 TOKEN="${TOKEN:-persist-secret}"
@@ -17,31 +21,11 @@ LOG="$(mktemp)"
 echo "== build"
 go build -o "$BIN" ./cmd/pi-serve
 
-cleanup() {
-    [ -n "${PID:-}" ] && kill -9 "$PID" 2>/dev/null || true
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
 start_server() {
     "$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
         -token "$TOKEN" -data-dir "$DATA_DIR" >>"$LOG" 2>&1 &
     PID=$!
-    i=0
-    until curl -sf "http://$ADDR/v1/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 120 ]; then
-            echo "server never came up; log:" >&2
-            cat "$LOG" >&2
-            exit 1
-        fi
-        sleep 0.25
-    done
-}
-
-# json_field BODY FIELD -> first numeric value of "field":N
-json_field() {
-    printf '%s' "$1" | sed -n "s/.*\"$2\":\([0-9][0-9]*\).*/\1/p" | head -n 1
+    wait_up "$ADDR" "pi-serve"
 }
 
 ONTIME_ROW='["AA","AA","CAP","NYP","CA","NY",1,1,1,10,12,8,500,1,0,0]'
@@ -53,14 +37,14 @@ echo "== grow the dataset (rows endpoint) and the interface (log endpoint)"
 body=$(curl -s -X POST "http://$ADDR/v1/interfaces/olap/rows?flush=1" \
     -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
     -d "{\"table\":\"ontime\",\"rows\":[$ONTIME_ROW,$ONTIME_ROW]}")
-rowcount=$(json_field "$body" rowCount)
+rowcount=$(json_int "$body" rowCount)
 [ "$rowcount" = "502" ] || { echo "append ack rowCount=$rowcount, want 502: $body" >&2; exit 1; }
 
 curl -s -X POST "http://$ADDR/v1/interfaces/olap/log?flush=1" \
     -H "Authorization: Bearer $TOKEN" -H 'Content-Type: text/plain' \
     --data-binary 'SELECT carrier, avg(delay) FROM ontime WHERE month = 7 GROUP BY carrier;' >/dev/null
 
-epoch_before=$(json_field "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
+epoch_before=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
 [ -n "$epoch_before" ] && [ "$epoch_before" -ge 2 ] || {
     echo "epoch before kill is $epoch_before, expected >= 2" >&2; exit 1; }
 
@@ -70,7 +54,22 @@ case "$body" in
 *'"id":"olap"'*) ;;
 *) echo "snapshot result missing olap: $body" >&2; exit 1 ;;
 esac
-[ -f "$DATA_DIR/olap.snap" ] || { echo "no snapshot file in $DATA_DIR" >&2; exit 1; }
+[ -f "$DATA_DIR/olap.snap" ] || fail "no base snapshot in $DATA_DIR"
+[ -f "$DATA_DIR/olap.manifest.json" ] || fail "first snapshot wrote no manifest; dir: $(ls "$DATA_DIR")"
+
+echo "== a second snapshot after a small append writes a delta, not a new base"
+# Keep the base as it is now: the shape of a data dir written before
+# manifests existed, which the last step of this script boots from.
+BARE_DIR="$(mktemp -d)"
+cp "$DATA_DIR/olap.snap" "$BARE_DIR/olap.snap"
+body=$(curl -s -X POST "http://$ADDR/v1/interfaces/olap/rows?flush=1" \
+    -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
+    -d "{\"table\":\"ontime\",\"rows\":[$ONTIME_ROW]}")
+[ "$(json_int "$body" rowCount)" = "503" ] || fail "second append ack: $body"
+curl -s -X POST "http://$ADDR/v1/snapshot" -H "Authorization: Bearer $TOKEN" >/dev/null
+ls "$DATA_DIR" | grep -q '^olap\..*\.delta$' || fail "no delta file after the second snapshot; dir: $(ls "$DATA_DIR")"
+cmp -s "$DATA_DIR/olap.snap" "$BARE_DIR/olap.snap" || fail "the second snapshot rewrote the base"
+[ ! -d "$DATA_DIR/olap.wal" ] || fail "a server without -wal created a write-ahead log"
 
 echo "== SIGKILL"
 kill -9 "$PID"
@@ -82,17 +81,17 @@ start_server
 grep -q "restored olap" "$LOG" || { echo "server did not restore olap; log:" >&2; cat "$LOG" >&2; exit 1; }
 
 echo "== verify: epoch is same-or-later"
-epoch_after=$(json_field "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
+epoch_after=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
 [ -n "$epoch_after" ] && [ "$epoch_after" -ge "$epoch_before" ] || {
     echo "epoch went backwards: $epoch_before -> $epoch_after" >&2; exit 1; }
 
-echo "== verify: dataset row counts survived (502 + 1 new = 503)"
+echo "== verify: dataset row counts survived base + delta (503 + 1 new = 504)"
 body=$(curl -s -X POST "http://$ADDR/v1/interfaces/olap/rows?flush=1" \
     -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
     -d "{\"table\":\"ontime\",\"rows\":[$ONTIME_ROW]}")
-rowcount=$(json_field "$body" rowCount)
-[ "$rowcount" = "503" ] || {
-    echo "post-restore rowCount=$rowcount, want 503 (the 2 pre-kill rows must survive): $body" >&2
+rowcount=$(json_int "$body" rowCount)
+[ "$rowcount" = "504" ] || {
+    echo "post-restore rowCount=$rowcount, want 504 (the 3 pre-kill rows must survive): $body" >&2
     exit 1
 }
 
@@ -107,16 +106,24 @@ esac
 
 echo "== graceful shutdown persists a final snapshot"
 kill -TERM "$PID"
-i=0
-while kill -0 "$PID" 2>/dev/null; do
-    i=$((i + 1))
-    if [ "$i" -gt 60 ]; then
-        echo "server did not shut down on SIGTERM" >&2
-        exit 1
-    fi
-    sleep 0.25
-done
+wait_exit "$PID" "pi-serve"
 PID=""
 grep -q "final snapshot" "$LOG" || { echo "no final snapshot on shutdown; log:" >&2; cat "$LOG" >&2; exit 1; }
+
+echo "== a data dir holding only a bare .snap is upgraded on first boot"
+DATA_DIR="$BARE_DIR"
+start_server
+grep -q "restored olap.*from $BARE_DIR" "$LOG" || fail "server did not restore the bare snapshot"
+[ -f "$BARE_DIR/olap.manifest.json" ] || fail "boot did not promote the bare snapshot to a manifest"
+body=$(curl -s -X POST "http://$ADDR/v1/interfaces/olap/rows?flush=1" \
+    -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
+    -d "{\"table\":\"ontime\",\"rows\":[$ONTIME_ROW]}")
+[ "$(json_int "$body" rowCount)" = "503" ] || fail "bare-snapshot boot lost rows (502 saved + 1 new): $body"
+epoch_bare=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
+[ "$epoch_bare" -gt "$epoch_before" ] || fail "bare-snapshot boot at epoch $epoch_bare, saved at $epoch_before"
+"$BIN" -check -addr "$ADDR" -token "$TOKEN"
+kill -TERM "$PID"
+wait_exit "$PID" "pi-serve"
+PID=""
 
 echo "persist-smoke: ok"

@@ -10,6 +10,7 @@
 # structured shard_unavailable / degraded-health contract.
 # Exits non-zero on any failure.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:8100}"
 A_ADDR="${A_ADDR:-127.0.0.1:8101}"
@@ -22,35 +23,6 @@ LIVE_CODES="$(mktemp)"
 echo "== build"
 go build -o "$BIN_DIR/pi-serve" ./cmd/pi-serve
 go build -o "$BIN_DIR/pi-router" ./cmd/pi-router
-
-cleanup() {
-    [ -n "${A_PID:-}" ] && kill -9 "$A_PID" 2>/dev/null || true
-    [ -n "${B_PID:-}" ] && kill -9 "$B_PID" 2>/dev/null || true
-    [ -n "${R_PID:-}" ] && kill -9 "$R_PID" 2>/dev/null || true
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
-fail() {
-    echo "FAIL: $1" >&2
-    echo "--- process log:" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-
-wait_up() {
-    i=0
-    until curl -sf "http://$1/v1/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        [ "$i" -gt 120 ] || { sleep 0.25; continue; }
-        fail "$2 never came up on $1"
-    done
-}
-
-# json_str BODY FIELD -> first string value of "field":"..."
-json_str() {
-    printf '%s' "$1" | sed -n "s/.*\"$2\":\"\([^\"]*\)\".*/\1/p" | head -n 1
-}
 
 # query ADDR ID EXTRA_JSON -> response body
 query() {

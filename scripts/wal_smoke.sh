@@ -7,6 +7,7 @@
 # delta (not a base rewrite), and a second SIGKILL restores through
 # base + delta + tail. Exits non-zero on any failure.
 set -eu
+. "$(dirname "$0")/lib.sh"
 
 ADDR="${ADDR:-127.0.0.1:8097}"
 TOKEN="${TOKEN:-wal-secret}"
@@ -17,31 +18,11 @@ LOG="$(mktemp)"
 echo "== build"
 go build -o "$BIN" ./cmd/pi-serve
 
-cleanup() {
-    [ -n "${PID:-}" ] && kill -9 "$PID" 2>/dev/null || true
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
 start_server() {
     "$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
         -token "$TOKEN" -data-dir "$DATA_DIR" -wal -wal-sync 0 >>"$LOG" 2>&1 &
     PID=$!
-    i=0
-    until curl -sf "http://$ADDR/v1/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 120 ]; then
-            echo "server never came up; log:" >&2
-            cat "$LOG" >&2
-            exit 1
-        fi
-        sleep 0.25
-    done
-}
-
-# json_field BODY FIELD -> first numeric value of "field":N
-json_field() {
-    printf '%s' "$1" | sed -n "s/.*\"$2\":\([0-9][0-9]*\).*/\1/p" | head -n 1
+    wait_up "$ADDR" "pi-serve"
 }
 
 append_rows() { # append_rows N -> ack body
@@ -68,12 +49,12 @@ grep -q "wal: initial snapshot" "$LOG" || { echo "no initial snapshot logged; lo
 
 echo "== acked writes that are never snapshotted (they live only in the WAL)"
 body=$(append_rows 3)
-rowcount=$(json_field "$body" rowCount)
+rowcount=$(json_int "$body" rowCount)
 [ "$rowcount" = "503" ] || { echo "append ack rowCount=$rowcount, want 503: $body" >&2; exit 1; }
 curl -s -X POST "http://$ADDR/v1/interfaces/olap/log?flush=1" \
     -H "Authorization: Bearer $TOKEN" -H 'Content-Type: text/plain' \
     --data-binary 'SELECT carrier, avg(delay) FROM ontime WHERE month = 7 GROUP BY carrier;' >/dev/null
-epoch_before=$(json_field "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
+epoch_before=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
 [ -n "$epoch_before" ] && [ "$epoch_before" -ge 2 ] || {
     echo "epoch before kill is $epoch_before, expected >= 2" >&2; exit 1; }
 
@@ -83,7 +64,7 @@ case "$body" in
 *'"wal"'*) ;;
 *) echo "healthz has no wal block: $body" >&2; exit 1 ;;
 esac
-lag=$(json_field "$body" lag)
+lag=$(json_int "$body" lag)
 [ -n "$lag" ] && [ "$lag" -ge 1 ] || { echo "wal lag=$lag, want >= 1 (acked, unsaved writes): $body" >&2; exit 1; }
 
 echo "== SIGKILL (no snapshot covered the appends)"
@@ -95,12 +76,12 @@ echo "== second life: the WAL tail must replay the acked writes"
 start_server
 grep -q "restored olap" "$LOG" || { echo "server did not restore olap; log:" >&2; cat "$LOG" >&2; exit 1; }
 body=$(append_rows 1)
-rowcount=$(json_field "$body" rowCount)
+rowcount=$(json_int "$body" rowCount)
 [ "$rowcount" = "504" ] || {
     echo "post-crash rowCount=$rowcount, want 504 (3 WAL-only rows must survive): $body" >&2
     exit 1
 }
-epoch_after=$(json_field "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
+epoch_after=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
 [ -n "$epoch_after" ] && [ "$epoch_after" -ge "$epoch_before" ] || {
     echo "epoch went backwards: $epoch_before -> $epoch_after" >&2; exit 1; }
 
@@ -124,7 +105,7 @@ wait "$PID" 2>/dev/null || true
 PID=""
 start_server
 body=$(append_rows 1)
-rowcount=$(json_field "$body" rowCount)
+rowcount=$(json_int "$body" rowCount)
 [ "$rowcount" = "507" ] || {
     echo "chain-restore rowCount=$rowcount, want 507: $body" >&2; exit 1; }
 
@@ -133,15 +114,7 @@ echo "== verify: queries work (SDK round-trip incl. auth)"
 
 echo "== graceful shutdown"
 kill -TERM "$PID"
-i=0
-while kill -0 "$PID" 2>/dev/null; do
-    i=$((i + 1))
-    if [ "$i" -gt 60 ]; then
-        echo "server did not shut down on SIGTERM" >&2
-        exit 1
-    fi
-    sleep 0.25
-done
+wait_exit "$PID" "pi-serve"
 PID=""
 grep -q "final snapshot" "$LOG" || { echo "no final snapshot on shutdown; log:" >&2; cat "$LOG" >&2; exit 1; }
 
