@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race bench bench-json perf-gate ingest-demo api-smoke persist-smoke shard-smoke replica-smoke wal-smoke dml-smoke obs-smoke
+.PHONY: check fmt-check vet build test race fuzz bench microbench bench-json perf-gate ingest-demo api-smoke persist-smoke shard-smoke replica-smoke wal-smoke dml-smoke obs-smoke
 
 check: fmt-check vet build race
 
@@ -20,7 +20,22 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Every fuzz target for 10 s on top of its checked-in seed corpus
+# (testdata/fuzz); go test takes one -fuzz target per run.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparser
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/qlog
+
+# The gating benchmark (BENCHMARK.json, bench/README.md): one workload
+# against freshly built binaries, e.g. make bench WORKLOAD=ingest_live.
+WORKLOAD ?= mine_batch
+SEED ?= 1
+SECONDS ?= 12
 bench:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
+
+# The ungated in-process micro-benchmarks (paper figures, serving, storage).
+microbench:
 	$(GO) test -bench=. -benchmem .
 
 # End-to-end drive of the live-ingestion subsystem: build pi-serve,

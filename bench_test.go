@@ -346,7 +346,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	dir := b.TempDir()
 	reg := api.NewRegistryWithCache(api.DefaultCacheSize)
 	ing := ingest.New(reg, ingest.Options{})
-	if _, err := ing.Host("olap", "bench", workload.OLAPLog(150, 7), engine.OnTimeDB(2000), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("olap", "bench", workload.OLAPLog(150, 7), engine.OnTimeDB(2000), core.DefaultOptions()); err != nil {
 		b.Fatal(err)
 	}
 	p := ingest.NewPersister(dir, ing, ingest.PersistOptions{})
@@ -389,7 +389,7 @@ func BenchmarkColdStartVsRestore(b *testing.B) {
 	{
 		reg := api.NewRegistryWithCache(api.DefaultCacheSize)
 		ing := ingest.New(reg, ingest.Options{})
-		if _, err := ing.Host("olap", "bench", workload.OLAPLog(150, 7), engine.OnTimeDB(2000), core.DefaultLiveOptions()); err != nil {
+		if _, err := ing.Host("olap", "bench", workload.OLAPLog(150, 7), engine.OnTimeDB(2000), core.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := ingest.NewPersister(dir, ing, ingest.PersistOptions{}).SaveAll(); err != nil {
@@ -401,7 +401,7 @@ func BenchmarkColdStartVsRestore(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			reg := api.NewRegistryWithCache(api.DefaultCacheSize)
 			ing := ingest.New(reg, ingest.Options{})
-			if _, err := ing.Host("olap", "bench", workload.OLAPLog(150, 7), engine.OnTimeDB(2000), core.DefaultLiveOptions()); err != nil {
+			if _, err := ing.Host("olap", "bench", workload.OLAPLog(150, 7), engine.OnTimeDB(2000), core.DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,13 +1,13 @@
 // Command pi-serve mines interfaces from the paper's workloads and
 // serves them over the versioned HTTP API: the generated pages become
 // live dashboards whose widget interactions execute against the
-// in-memory engine, and — with ingestion enabled — the dashboards keep
-// improving as new query-log entries stream in.
+// in-memory engine, and the dashboards keep improving as new query-log
+// entries stream in.
 //
 // Usage:
 //
 //	pi-serve [-addr :8080] [-workloads olap,adhoc,sdss] [-n 150] [-rows 2000]
-//	         [-seed 7] [-cache 256] [-ingest] [-batch 8] [-flush-every 2s]
+//	         [-seed 7] [-cache 256] [-batch 8] [-flush-every 2s]
 //	         [-tail id=path[,id=path...]] [-token T | -token-file F]
 //	         [-data-dir DIR] [-snapshot-every 30s]
 //	         [-wal] [-wal-sync 2ms] [-wal-segment-bytes N]
@@ -109,7 +109,6 @@ func main() {
 	rows := flag.Int("rows", 2000, "rows per synthetic dataset table")
 	seed := flag.Int64("seed", 7, "workload generator seed")
 	cache := flag.Int("cache", api.DefaultCacheSize, "per-interface result/plan-cache entries (0 disables)")
-	enableIngest := flag.Bool("ingest", true, "enable live log ingestion (POST /v1/interfaces/{id}/log)")
 	batch := flag.Int("batch", 8, "ingested entries per incremental re-mine")
 	flushEvery := flag.Duration("flush-every", 2*time.Second, "background flush interval for partial batches")
 	tails := flag.String("tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
@@ -120,7 +119,7 @@ func main() {
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 4MiB)")
 	token := flag.String("token", "", "bearer token required on query/log endpoints (empty = open)")
 	tokenFile := flag.String("token-file", "", "file holding the bearer token (overrides -token)")
-	shardAddr := flag.String("shard-addr", "", "advertised base URL for shard mode, e.g. http://10.0.0.5:8081 (enables the /v1/shard admin surface; needs -ingest)")
+	shardAddr := flag.String("shard-addr", "", "advertised base URL for shard mode, e.g. http://10.0.0.5:8081 (enables the /v1/shard admin surface)")
 	pprofAddr := flag.String("pprof-addr", "", "private listen address for net/http/pprof, e.g. localhost:6060 (empty = disabled; keep it off public interfaces)")
 	logFormat := flag.String("log-format", server.LogText, "request-log line shape: text or json (one JSON object per line)")
 	slowThresh := flag.Duration("slow-threshold", 250*time.Millisecond, "queries at or above this duration are recorded in GET /v1/debug/slow")
@@ -155,9 +154,6 @@ func main() {
 	var persister *ingest.Persister
 	var walMgr *wal.Manager
 	if *dataDir != "" {
-		if !*enableIngest {
-			fatal(fmt.Errorf("-data-dir needs -ingest (snapshots cover live-hosted interfaces)"))
-		}
 		popts := ingest.PersistOptions{Funcs: attachWorkloadFuncs}
 		if *enableWAL {
 			walMgr = wal.NewManager(*dataDir, wal.Options{
@@ -199,16 +195,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var h *api.Hosted
-		if *enableIngest {
-			h, err = ing.Host(name, title, logq, db, core.DefaultLiveOptions())
-		} else {
-			var iface *core.Interface
-			iface, err = core.Generate(logq, core.DefaultOptions())
-			if err == nil {
-				h, err = reg.Add(name, title, iface, db)
-			}
-		}
+		h, err := ing.Host(name, title, logq, db, core.DefaultOptions())
 		if err != nil {
 			fatal(fmt.Errorf("host %s: %w", name, err))
 		}
@@ -257,27 +244,23 @@ func main() {
 			}
 		}()
 	}
-	if *enableIngest {
-		svc.SetIngestor(ing)
-		go ing.Run(ctx)
-		for _, spec := range strings.Split(*tails, ",") {
-			spec = strings.TrimSpace(spec)
-			if spec == "" {
-				continue
-			}
-			id, path, ok := strings.Cut(spec, "=")
-			if !ok {
-				fatal(fmt.Errorf("bad -tail spec %q (want id=path)", spec))
-			}
-			go func(id, path string) {
-				log.Printf("tailing %s into /v1/interfaces/%s", path, id)
-				if err := ing.Tail(ctx, id, path, time.Second); err != nil && ctx.Err() == nil {
-					log.Printf("tail %s: %v", path, err)
-				}
-			}(id, path)
+	svc.SetIngestor(ing)
+	go ing.Run(ctx)
+	for _, spec := range strings.Split(*tails, ",") {
+		spec = strings.TrimSpace(spec)
+		if spec == "" {
+			continue
 		}
-	} else if *tails != "" {
-		fatal(fmt.Errorf("-tail needs -ingest"))
+		id, path, ok := strings.Cut(spec, "=")
+		if !ok {
+			fatal(fmt.Errorf("bad -tail spec %q (want id=path)", spec))
+		}
+		go func(id, path string) {
+			log.Printf("tailing %s into /v1/interfaces/%s", path, id)
+			if err := ing.Tail(ctx, id, path, time.Second); err != nil && ctx.Err() == nil {
+				log.Printf("tail %s: %v", path, err)
+			}
+		}(id, path)
 	}
 
 	// Observability: process gauges, the Prometheus exposition at
@@ -305,9 +288,6 @@ func main() {
 	// /v1/shard admin surface a router migrates interfaces through.
 	var servicer api.Servicer = svc
 	if *shardAddr != "" {
-		if !*enableIngest {
-			fatal(fmt.Errorf("-shard-addr needs -ingest (snapshot export rides live feeds)"))
-		}
 		node, err := shard.NewNode(svc, ing, shard.NodeOptions{
 			Addr:      *shardAddr,
 			Funcs:     attachWorkloadFuncs,
@@ -323,8 +303,7 @@ func main() {
 	}
 	hs := server.New(servicer, opts...).HTTPServer(*addr)
 
-	log.Printf("serving %d interface(s) on %s (ingestion %v, auth %v)",
-		reg.Len(), *addr, *enableIngest, tok != "")
+	log.Printf("serving %d interface(s) on %s (auth %v)", reg.Len(), *addr, tok != "")
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

@@ -273,7 +273,7 @@ type IngestStatus struct {
 	Accepted     uint64 `json:"accepted"`
 	Dropped      uint64 `json:"dropped"`
 	Flushes      uint64 `json:"flushes"`
-	FullRemines  uint64 `json:"fullRemines"`
+	FullRemines  uint64 `json:"fullRemines"` // always 0: the miner has no fallback; survives only until a benchmark PR can drop it
 	RowsAppended uint64 `json:"rowsAppended,omitempty"`
 	RowsBuffered int    `json:"rowsBuffered,omitempty"`
 	RowFlushes   uint64 `json:"rowFlushes,omitempty"`

@@ -2,6 +2,7 @@ package ast
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -167,5 +168,21 @@ func TestStringRendering(t *testing.T) {
 	want := "(BiExpr{op:=} (ColExpr{value:cty}) (StrExpr{value:USA}))"
 	if got := n.String(); got != want {
 		t.Fatalf("String = %q, want %q", got, want)
+	}
+}
+
+// TestIsKeyword: every reserved word is recognised in any letter case
+// (IsKeyword lower-cases into a fixed buffer sized to the longest one),
+// and nothing longer or merely similar is.
+func TestIsKeyword(t *testing.T) {
+	for k := range keywords {
+		if !IsKeyword(k) || !IsKeyword(strings.ToUpper(k)) {
+			t.Errorf("IsKeyword(%q) = false", k)
+		}
+	}
+	for _, w := range []string{"", "selects", "sel", "distinctly", "tbl"} {
+		if IsKeyword(w) {
+			t.Errorf("IsKeyword(%q) = true", w)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func writeSQL(b *strings.Builder, n *Node) {
 		writeSQL(b, n.Child(0))
 		if a := n.Attr("alias"); a != "" {
 			b.WriteString(" AS ")
-			b.WriteString(a)
+			writeIdent(b, a)
 		}
 	case TypeFrom:
 		writeList(b, n.Children)
@@ -36,7 +36,7 @@ func writeSQL(b *strings.Builder, n *Node) {
 		writeSQL(b, n.Child(0))
 		if a := n.Attr("alias"); a != "" {
 			b.WriteString(" AS ")
-			b.WriteString(a)
+			writeIdent(b, a)
 		}
 	case TypeWhere, TypeHaving, TypeElseClause:
 		writeSQL(b, n.Child(0))
@@ -48,8 +48,11 @@ func writeSQL(b *strings.Builder, n *Node) {
 		writeList(b, n.Children)
 	case TypeOrderClause:
 		writeSQL(b, n.Child(0))
-		if d := n.Attr("dir"); d == "desc" {
+		switch n.Attr("dir") {
+		case "desc":
 			b.WriteString(" DESC")
+		case "asc": // explicit in the source; kept, or the tree changes
+			b.WriteString(" ASC")
 		}
 	case TypeLimit:
 		writeSQL(b, n.Child(0))
@@ -86,11 +89,11 @@ func writeSQL(b *strings.Builder, n *Node) {
 	case TypeSet:
 		writeList(b, n.Children)
 	case TypeSetItem:
-		b.WriteString(n.Attr("col"))
+		writeIdent(b, n.Attr("col"))
 		b.WriteString(" = ")
 		writeSQL(b, n.Child(0))
 	case TypeTabExpr:
-		b.WriteString(n.Value())
+		writeName(b, n.Value())
 	case TypeTabFunc:
 		writeFunc(b, n)
 	case TypeBiExpr:
@@ -110,19 +113,23 @@ func writeSQL(b *strings.Builder, n *Node) {
 			b.WriteString(strings.ToUpper(op))
 			b.WriteByte(' ')
 		} else {
+			// "- -x" must not render as "--x", a comment.
+			if op == "-" && strings.HasSuffix(b.String(), "-") {
+				b.WriteByte(' ')
+			}
 			b.WriteString(op)
 		}
 		writeSQL(b, n.Child(0))
 	case TypeFuncExpr:
 		writeFunc(b, n)
 	case TypeFuncName:
-		b.WriteString(strings.ToUpper(n.Value()))
+		writeFuncName(b, n.Value())
 	case TypeCastExpr:
 		b.WriteString("CAST(")
 		writeSQL(b, n.Child(0))
 		if as := n.Attr("as"); as != "" {
 			b.WriteString(" AS ")
-			b.WriteString(as)
+			writeIdent(b, as)
 		}
 		b.WriteByte(')')
 	case TypeCaseExpr:
@@ -151,10 +158,10 @@ func writeSQL(b *strings.Builder, n *Node) {
 		writeSQL(b, n.Child(2))
 	case TypeColExpr:
 		if t := n.Attr("table"); t != "" {
-			b.WriteString(t)
+			writeName(b, t)
 			b.WriteByte('.')
 		}
-		b.WriteString(n.Value())
+		writeIdent(b, n.Value())
 	case TypeStrExpr:
 		b.WriteByte('\'')
 		b.WriteString(strings.ReplaceAll(n.Value(), "'", "''"))
@@ -163,7 +170,7 @@ func writeSQL(b *strings.Builder, n *Node) {
 		b.WriteString(n.Value())
 	case TypeStarExpr:
 		if t := n.Attr("table"); t != "" {
-			b.WriteString(t)
+			writeName(b, t)
 			b.WriteByte('.')
 		}
 		b.WriteByte('*')
@@ -214,8 +221,7 @@ func writeSelect(b *strings.Builder, n *Node) {
 }
 
 func writeFunc(b *strings.Builder, n *Node) {
-	name := n.Child(0)
-	b.WriteString(strings.ToUpper(name.Value()))
+	writeFuncName(b, n.Child(0).Value())
 	b.WriteByte('(')
 	if n.Attr("distinct") == "true" {
 		b.WriteString("DISTINCT ")
@@ -259,4 +265,102 @@ func isWordOp(op string) bool {
 		return true
 	}
 	return false
+}
+
+// keywords are the words the lexer reserves (matched
+// case-insensitively): bare, they never read as identifiers.
+var keywords = map[string]bool{
+	"select": true, "from": true, "where": true, "group": true,
+	"by": true, "having": true, "order": true, "limit": true,
+	"top": true, "distinct": true, "as": true, "and": true, "or": true,
+	"not": true, "in": true, "between": true, "like": true, "is": true,
+	"null": true, "case": true, "when": true, "then": true, "else": true,
+	"end": true, "cast": true, "asc": true, "desc": true, "true": true,
+	"false": true, "join": true, "inner": true, "left": true,
+	"outer": true, "on": true, "update": true, "delete": true,
+	"set": true,
+}
+
+// IsKeyword reports whether word is a reserved word in any letter case.
+func IsKeyword(word string) bool {
+	var lower [8]byte // the longest keyword is 8 bytes
+	if len(word) > len(lower) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lower[i] = c
+	}
+	return keywords[string(lower[:len(word)])]
+}
+
+// bareIdent reports whether the lexer reads s, unquoted, back as the one
+// identifier s: a word of its identifier bytes that is not reserved.
+func bareIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '_' || c == '@' || c == '#' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+		case i > 0 && (c == '$' || '0' <= c && c <= '9'):
+		default:
+			return false
+		}
+	}
+	return s != "" && !IsKeyword(s)
+}
+
+// writeIdent renders one identifier: bare when that reads back as the
+// same identifier, otherwise quoted ("0" is a column, 0 a number) with
+// a delimiter the text does not contain — text that was lexed from one
+// quoted identifier always lacks at least its own closing delimiter.
+func writeIdent(b *strings.Builder, s string) {
+	quotes := "``"
+	switch {
+	case bareIdent(s):
+		b.WriteString(s)
+		return
+	case !strings.Contains(s, `"`):
+		quotes = `""`
+	case !strings.Contains(s, "]"):
+		quotes = "[]"
+	}
+	b.WriteByte(quotes[0])
+	b.WriteString(s)
+	b.WriteByte(quotes[1])
+}
+
+// writeName renders a qualified name, which the parser stores as its
+// identifiers joined by dots: identifier by identifier, or — when a dot
+// inside a quoted identifier left an empty piece — as the one quoted
+// identifier that joins to the same text (which reads back unless its
+// parts between them held all three closing delimiters).
+func writeName(b *strings.Builder, s string) {
+	if strings.HasPrefix(s, ".") || strings.HasSuffix(s, ".") || strings.Contains(s, "..") {
+		writeIdent(b, s)
+		return
+	}
+	for {
+		part, rest, more := strings.Cut(s, ".")
+		writeIdent(b, part)
+		if !more {
+			return
+		}
+		b.WriteByte('.')
+		s = rest
+	}
+}
+
+// writeFuncName renders a function name, which the parser stores
+// lower-cased: upper-cased when it is plain, as a quoted name otherwise.
+func writeFuncName(b *strings.Builder, name string) {
+	for rest, more := name, true; more; {
+		var part string
+		if part, rest, more = strings.Cut(rest, "."); !bareIdent(part) {
+			writeName(b, name)
+			return
+		}
+	}
+	b.WriteString(strings.ToUpper(name))
 }

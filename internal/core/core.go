@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -54,50 +53,20 @@ type Interface struct {
 	Stats   Stats
 }
 
-// Generate parses the log and builds an interface for it.
+// Generate parses the log and builds an interface for it: the
+// interface of a Miner that is never appended to.
 func Generate(log *qlog.Log, opts Options) (*Interface, error) {
-	if log.Len() == 0 {
-		return nil, fmt.Errorf("core: empty query log")
-	}
-	start := time.Now()
-	queries, err := log.Parse()
+	m, err := NewMiner(log, opts)
 	if err != nil {
 		return nil, err
 	}
-	parseTime := time.Since(start)
-	iface := GenerateFromASTs(queries, opts)
-	iface.Stats.ParseTime = parseTime
-	return iface, nil
+	return m.iface, nil
 }
 
 // GenerateFromASTs builds an interface from already-parsed queries (in
 // log order; the earliest query becomes q0, per §4.4).
 func GenerateFromASTs(queries []*ast.Node, opts Options) *Interface {
-	if opts.Library == nil {
-		opts.Library = widgets.DefaultLibrary()
-	}
-	t0 := time.Now()
-	g, mstats := interaction.Mine(queries, opts.Miner)
-	mineTime := time.Since(t0)
-
-	t1 := time.Now()
-	ws := mapper.Map(g, opts.Library)
-	mapTime := time.Since(t1)
-
-	return &Interface{
-		Widgets: ws,
-		Initial: queries[0],
-		Graph:   g,
-		Stats: Stats{
-			MineTime:    mineTime,
-			MapTime:     mapTime,
-			Comparisons: mstats.Comparisons,
-			Edges:       mstats.Edges,
-			DiffRecords: mstats.DiffRecords,
-			WidgetCount: len(ws),
-			Cost:        mapper.TotalCost(ws),
-		},
-	}
+	return mine(queries, opts).iface
 }
 
 // Cost is the interface cost C_I (§4.4).

@@ -9,97 +9,105 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/qlog"
 	"repro/internal/sqlparser"
-	"repro/internal/treediff"
 	"repro/internal/widgets"
 )
 
-// LiveOptions configure a Miner: the usual generation options plus the
-// incremental-update policy.
-type LiveOptions struct {
-	Generate Options
+// LiveOptions is Options under an older name that bench/ compiles
+// against; it survives only until a benchmark PR can drop it.
+type LiveOptions = Options
 
-	// CoverageThreshold is the structural-coverage bar for the
-	// incremental path: after an append, at least this fraction of the
-	// newly added queries must be expressible by the updated interface,
-	// otherwise the miner falls back to a full re-mine of the whole
-	// log. 0 selects DefaultCoverageThreshold; a negative value
-	// disables the check (never fall back).
-	CoverageThreshold float64
-
-	// ComparerSize caps the memoized treediff comparer (0 = default).
-	ComparerSize int
-}
-
-// DefaultCoverageThreshold is the structural-coverage bar used when
-// LiveOptions.CoverageThreshold is zero.
-const DefaultCoverageThreshold = 0.5
-
-// DefaultLiveOptions are DefaultOptions plus the default incremental
-// policy.
-func DefaultLiveOptions() LiveOptions { return LiveOptions{Generate: DefaultOptions()} }
+// DefaultLiveOptions is DefaultOptions; it survives only until a
+// benchmark PR can drop it.
+func DefaultLiveOptions() LiveOptions { return DefaultOptions() }
 
 // AppendStats reports what one Miner.Append did.
 type AppendStats struct {
 	Added       int // entries parsed, mined and now part of the log
 	ParseErrors int // entries dropped because they did not parse
-	Comparisons int // treediff comparisons this append performed
-	NewEdges    int // interaction-graph edges added
-	NewDiffs    int // diff records added to the mapper's partitions
-	// Coverage is the fraction of the added queries the updated
-	// interface can express (1 when nothing was added).
-	Coverage float64
-	// FullRemine is true when the coverage check failed and the miner
-	// rebuilt graph and widgets from the whole log.
-	FullRemine bool
 	// LastParseError describes the most recent dropped entry ("" when
 	// every entry parsed).
 	LastParseError string
-	Elapsed        time.Duration
 }
 
-// Miner is the incremental form of Generate: it retains the parsed
-// queries, the interaction graph and the mapper's partition state so
-// that appending K log entries costs O(K·window) tree comparisons plus
-// a re-merge, instead of the full O(n·window) (or O(n²)) re-mine. A
-// graph grown by appends is identical to batch-mining the grown log, so
-// the interface a Miner serves after Append equals what Generate would
-// produce from scratch — the fallback path exists for configurations
-// where the structural-coverage check demands a rebuild.
+// Miner is the one mining path. It retains the interaction graph and
+// the mapper's partition state, and every interface — Generate's,
+// NewMiner's, each Append's — is the result of extend on that state, so
+// a miner grown by appends equals batch-mining the grown log because
+// batch mining is an append onto an empty miner. Appending K entries
+// costs O(K·window) tree comparisons plus a re-merge.
 //
 // A Miner is not safe for concurrent use. Callers (internal/ingest)
 // serialize Append and hand the returned immutable *Interface to the
 // serving layer.
 type Miner struct {
-	opts  LiveOptions
+	opts  Options
 	log   *qlog.Log
-	asts  []*ast.Node
 	graph *interaction.Graph
 	state *mapper.State
-	cmp   *treediff.Comparer
 	iface *Interface
 
 	comparisons int
 }
 
-// NewMiner mines the initial log and returns a miner ready for appends.
-func NewMiner(log *qlog.Log, opts LiveOptions) (*Miner, error) {
+// mine is the constructor behind Generate, GenerateFromASTs and
+// NewMiner: an empty miner extended by the parsed queries (in log
+// order; the earliest becomes q0, per §4.4).
+func mine(queries []*ast.Node, opts Options) *Miner {
+	if opts.Library == nil {
+		opts.Library = widgets.DefaultLibrary()
+	}
+	m := &Miner{opts: opts, graph: &interaction.Graph{}, state: mapper.NewState(opts.Library)}
+	m.extend(queries)
+	return m
+}
+
+// extend mines the new queries into the graph (§4.2, §6), adds the new
+// edges' diff records to the partition state, re-merges (§5) and
+// assembles the resulting Interface.
+func (m *Miner) extend(queries []*ast.Node) {
+	t0 := time.Now()
+	prevEdges := len(m.graph.Edges)
+	m.comparisons += interaction.MineAppend(m.graph, queries, m.opts.Miner).Comparisons
+	mineTime := time.Since(t0)
+
+	t1 := time.Now()
+	var diffs []interaction.DiffRecord
+	for _, e := range m.graph.Edges[prevEdges:] {
+		diffs = append(diffs, e.Diffs...)
+	}
+	m.state.AddDiffs(diffs)
+	ws := m.state.Widgets()
+	m.iface = &Interface{
+		Widgets: ws,
+		Initial: m.graph.Queries[0],
+		Graph:   m.graph,
+		Stats: Stats{
+			MineTime:    mineTime,
+			MapTime:     time.Since(t1),
+			Comparisons: m.comparisons,
+			Edges:       len(m.graph.Edges),
+			DiffRecords: m.graph.NumDiffs(),
+			WidgetCount: len(ws),
+			Cost:        mapper.TotalCost(ws),
+		},
+	}
+}
+
+// NewMiner parses and mines the initial log and returns a miner ready
+// for appends.
+func NewMiner(log *qlog.Log, opts Options) (*Miner, error) {
 	if log.Len() == 0 {
 		return nil, fmt.Errorf("core: empty query log")
 	}
-	if opts.Generate.Library == nil {
-		opts.Generate.Library = widgets.DefaultLibrary()
-	}
-	asts, err := log.Parse()
+	start := time.Now()
+	queries, err := log.Parse()
 	if err != nil {
 		return nil, err
 	}
-	m := &Miner{
-		opts: opts,
-		log:  log.Slice(0, log.Len()), // private copy, Seq rebased
-		asts: asts,
-		cmp:  treediff.NewComparer(opts.ComparerSize),
-	}
-	m.remineAll()
+	parseTime := time.Since(start)
+	m := mine(queries, opts)
+	m.log = log.Slice(0, log.Len()) // private copy, Seq rebased
+	m.iface.Stats.ParseTime = parseTime
 	return m, nil
 }
 
@@ -108,20 +116,19 @@ func NewMiner(log *qlog.Log, opts LiveOptions) (*Miner, error) {
 func (m *Miner) Interface() *Interface { return m.iface }
 
 // Len returns the number of mined log entries.
-func (m *Miner) Len() int { return len(m.asts) }
+func (m *Miner) Len() int { return len(m.graph.Queries) }
 
 // Log returns a copy of the accumulated log.
 func (m *Miner) Log() *qlog.Log { return m.log.Slice(0, m.log.Len()) }
 
-// Append parses and mines new log entries, updating the interface
-// incrementally. Entries that fail to parse are dropped and counted in
-// the returned stats; the good entries are still mined. The returned
-// interface is a fresh value (the previous one stays valid for readers
-// that hold it).
+// Append parses and mines new log entries. Entries that fail to parse
+// are dropped and counted in the returned stats; the good entries are
+// still mined. The returned interface is a fresh value (the previous
+// one stays valid for readers that hold it). The error is always nil:
+// the signature is one bench/ compiles against.
 func (m *Miner) Append(entries []qlog.Entry) (*Interface, AppendStats, error) {
-	start := time.Now()
 	var st AppendStats
-	var newASTs []*ast.Node
+	var queries []*ast.Node
 	for _, e := range entries {
 		n, err := sqlparser.Parse(e.SQL)
 		if err != nil {
@@ -129,99 +136,14 @@ func (m *Miner) Append(entries []qlog.Entry) (*Interface, AppendStats, error) {
 			st.LastParseError = fmt.Sprintf("entry %q: %v", truncateSQL(e.SQL), err)
 			continue
 		}
-		newASTs = append(newASTs, n)
+		queries = append(queries, n)
 		m.log.Append(e.SQL, e.Client)
 	}
-	st.Added = len(newASTs)
-	if st.Added == 0 {
-		st.Coverage = 1
-		st.Elapsed = time.Since(start)
-		return m.iface, st, nil
+	st.Added = len(queries)
+	if st.Added > 0 {
+		m.extend(queries)
 	}
-
-	prevEdges := len(m.graph.Edges)
-	mineStats := interaction.MineAppend(m.graph, newASTs, m.opts.Generate.Miner, m.cmp)
-	m.asts = m.graph.Queries
-	st.Comparisons = mineStats.Comparisons
-	st.NewEdges = mineStats.Edges
-	m.comparisons += mineStats.Comparisons
-
-	var newDiffs []interaction.DiffRecord
-	for _, e := range m.graph.Edges[prevEdges:] {
-		newDiffs = append(newDiffs, e.Diffs...)
-	}
-	st.NewDiffs = len(newDiffs)
-	m.state.AddDiffs(newDiffs)
-	m.rebuildInterface()
-
-	st.Coverage = m.coverage(newASTs)
-	if thr := m.threshold(); st.Coverage < thr {
-		m.remineAll()
-		st.FullRemine = true
-		st.Coverage = m.coverage(newASTs)
-	}
-	st.Elapsed = time.Since(start)
 	return m.iface, st, nil
-}
-
-func (m *Miner) threshold() float64 {
-	t := m.opts.CoverageThreshold
-	if t == 0 {
-		return DefaultCoverageThreshold
-	}
-	if t < 0 {
-		return 0
-	}
-	return t
-}
-
-// coverage is the structural-coverage check: the fraction of the given
-// queries the current interface can express.
-func (m *Miner) coverage(qs []*ast.Node) float64 {
-	if len(qs) == 0 {
-		return 1
-	}
-	n := 0
-	for _, q := range qs {
-		if m.iface.CanExpress(q) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(qs))
-}
-
-// remineAll rebuilds graph, partitions and interface from the whole
-// log — the batch path, reused both at construction and as the
-// incremental fallback. The memoized comparer makes a fallback after
-// many appends cheaper than a cold Generate: every window pair already
-// compared incrementally is a memo hit.
-func (m *Miner) remineAll() {
-	g, mstats := interaction.MineWith(m.asts, m.opts.Generate.Miner, m.cmp)
-	m.graph = g
-	m.state = mapper.NewState(m.opts.Generate.Library)
-	m.state.AddDiffs(g.Diffs())
-	m.comparisons = mstats.Comparisons
-	m.rebuildInterface()
-}
-
-// rebuildInterface re-merges the mapper state into a fresh Interface.
-func (m *Miner) rebuildInterface() {
-	t0 := time.Now()
-	ws := m.state.Widgets()
-	mapTime := time.Since(t0)
-	m.iface = &Interface{
-		Widgets: ws,
-		Initial: m.asts[0],
-		Graph:   m.graph,
-		Stats: Stats{
-			MapTime:     mapTime,
-			Comparisons: m.comparisons,
-			Edges:       len(m.graph.Edges),
-			DiffRecords: m.graph.NumDiffs(),
-			WidgetCount: len(ws),
-			Cost:        mapper.TotalCost(ws),
-		},
-	}
 }
 
 func truncateSQL(s string) string {

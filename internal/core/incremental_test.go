@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/interaction"
 	"repro/internal/qlog"
-	"repro/internal/widgets"
+	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
 
@@ -39,36 +42,104 @@ func ifaceFingerprint(t *testing.T, i *Interface) string {
 	return out
 }
 
-// TestAppendMatchesBatchRemine is the incremental-correctness anchor:
-// a miner grown entry-by-entry must produce exactly the interface a
-// batch Generate over the grown log produces.
+// TestAppendMatchesBatchRemine is the incremental-correctness anchor: a
+// miner fed a log in arbitrary pieces must serve exactly the interface a
+// batch Generate over the same (parsable) entries produces. Schedules
+// are seeded and random: chunk sizes from 1 to the whole remainder,
+// salted with unparsable entries (dropped) and duplicates of earlier
+// entries (mined), so all-junk chunks and identical-neighbour pairs
+// occur too.
 func TestAppendMatchesBatchRemine(t *testing.T) {
-	initial, extra := grownOLAP(120, 30)
+	logs := []struct {
+		name string
+		gen  func(n int, seed int64) *qlog.Log
+	}{
+		{"olap", workload.OLAPLog},
+		{"adhoc", workload.AdhocLog},
+		{"sdss", workload.SDSSFullLog},
+	}
+	// All-pairs mining keeps O(n²) diff records and every append
+	// re-merges them, so it gets the shorter log and fewer schedules.
+	configs := []struct {
+		name     string
+		miner    interaction.Options
+		n, seeds int
+	}{
+		{"window2+lca", interaction.DefaultOptions(), 150, 6},
+		{"allpairs", interaction.Options{WindowSize: 0, LCAPrune: false}, 36, 3},
+	}
+	for _, l := range logs {
+		for _, c := range configs {
+			t.Run(l.name+"/"+c.name, func(t *testing.T) {
+				log := l.gen(c.n, 7)
+				for seed := int64(1); seed <= int64(c.seeds); seed++ {
+					checkRandomSchedule(t, log, Options{Miner: c.miner}, seed)
+				}
+			})
+		}
+	}
+}
 
-	m, err := NewMiner(initial, DefaultLiveOptions())
+func checkRandomSchedule(t *testing.T, log *qlog.Log, opts Options, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	n0 := 1 + r.Intn(log.Len()/2)
+	m, err := NewMiner(log.Slice(0, n0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Append in uneven chunks to exercise chunk-boundary handling.
-	for _, chunk := range [][]qlog.Entry{extra[:1], extra[1:12], extra[12:]} {
+	// The stream: the rest of the log, salted. parsable collects what a
+	// batch miner would be given.
+	parsable := log.Slice(0, n0)
+	var stream []qlog.Entry
+	for _, e := range log.Entries[n0:] {
+		if r.Intn(6) == 0 {
+			stream = append(stream, qlog.Entry{SQL: "THIS IS NOT SQL ((("})
+		}
+		if r.Intn(6) == 0 {
+			stream = append(stream, log.Entries[r.Intn(n0)])
+		}
+		stream = append(stream, e)
+	}
+	for len(stream) > 0 {
+		k := 1
+		switch r.Intn(8) {
+		case 0:
+			k = len(stream) // whole remainder
+		case 1, 2, 3:
+			k = 1 + r.Intn(min(12, len(stream)))
+		}
+		chunk := stream[:k]
+		stream = stream[k:]
+		good := 0
+		for _, e := range chunk {
+			if _, err := sqlparser.Parse(e.SQL); err == nil {
+				parsable.Append(e.SQL, e.Client)
+				good++
+			}
+		}
 		if _, st, err := m.Append(chunk); err != nil {
 			t.Fatal(err)
-		} else if st.Added != len(chunk) || st.ParseErrors != 0 {
-			t.Fatalf("append stats = %+v, want %d added", st, len(chunk))
+		} else if st.Added != good || st.ParseErrors != len(chunk)-good {
+			t.Fatalf("seed %d: append stats = %+v, want %d added of %d", seed, st, good, len(chunk))
 		}
 	}
 
-	grown := workload.OLAPLog(150, 7)
-	want, err := Generate(grown, DefaultOptions())
+	want, err := Generate(parsable, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := m.Interface()
 	if g, w := ifaceFingerprint(t, got), ifaceFingerprint(t, want); g != w {
-		t.Fatalf("incremental interface diverged from batch re-mine:\nincremental:\n%s\nbatch:\n%s", g, w)
+		t.Fatalf("seed %d: incremental interface diverged from batch mining:\nincremental:\n%s\nbatch:\n%s", seed, g, w)
 	}
-	if m.Len() != 150 {
-		t.Fatalf("miner length = %d, want 150", m.Len())
+	gs, ws := got.Stats, want.Stats
+	if gs.Comparisons != ws.Comparisons || gs.Edges != ws.Edges || gs.DiffRecords != ws.DiffRecords {
+		t.Fatalf("seed %d: incremental stats %d/%d/%d, batch %d/%d/%d (comparisons/edges/diff records)",
+			seed, gs.Comparisons, gs.Edges, gs.DiffRecords, ws.Comparisons, ws.Edges, ws.DiffRecords)
+	}
+	if m.Len() != parsable.Len() || !slices.Equal(m.Log().SQLs(), parsable.SQLs()) {
+		t.Fatalf("seed %d: miner holds %d entries, want the %d parsable ones in order", seed, m.Len(), parsable.Len())
 	}
 }
 
@@ -81,7 +152,7 @@ func TestAppendWidensDomains(t *testing.T) {
 		"SELECT a FROM t WHERE x = 2",
 		"SELECT a FROM t WHERE x = 3",
 	)
-	m, err := NewMiner(log, DefaultLiveOptions())
+	m, err := NewMiner(log, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +169,8 @@ func TestAppendWidensDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Added != 2 || st.FullRemine {
-		t.Fatalf("stats = %+v, want 2 added on the incremental path", st)
+	if st.Added != 2 {
+		t.Fatalf("stats = %+v, want 2 added", st)
 	}
 	if !ast.Equal(iface.Initial, before.Initial) {
 		t.Fatalf("initial query changed across append: %s -> %s",
@@ -119,49 +190,6 @@ func TestAppendWidensDomains(t *testing.T) {
 	}
 }
 
-// TestAppendCoverageFallback: an appended query whose transformations
-// the widget library cannot express (a slider-only library facing a
-// tree-shaped change) trips the structural-coverage check and forces a
-// full re-mine; with the check disabled the append stays incremental.
-func TestAppendCoverageFallback(t *testing.T) {
-	log := qlog.FromSQL(
-		"SELECT a FROM t WHERE x = 1",
-		"SELECT a FROM t WHERE x = 2",
-	)
-	opts := DefaultLiveOptions()
-	opts.CoverageThreshold = 1.0
-	opts.Generate.Library = widgets.Library{widgets.Slider}
-	m, err := NewMiner(log, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := m.Append([]qlog.Entry{
-		{SQL: "SELECT COUNT(z), w FROM other GROUP BY w ORDER BY w DESC"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.FullRemine {
-		t.Fatalf("coverage check did not trigger a full re-mine: %+v", st)
-	}
-
-	// With the check disabled the same append stays incremental.
-	opts.CoverageThreshold = -1
-	m2, err := NewMiner(qlog.FromSQL(log.SQLs()...), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st2, err := m2.Append([]qlog.Entry{
-		{SQL: "SELECT COUNT(z), w FROM other GROUP BY w ORDER BY w DESC"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.FullRemine {
-		t.Fatalf("disabled coverage check still re-mined: %+v", st2)
-	}
-}
-
 // TestAppendDropsUnparseableEntries: bad entries are counted and
 // skipped, good ones still mined.
 func TestAppendDropsUnparseableEntries(t *testing.T) {
@@ -169,7 +197,7 @@ func TestAppendDropsUnparseableEntries(t *testing.T) {
 		"SELECT a FROM t WHERE x = 1",
 		"SELECT a FROM t WHERE x = 2",
 	)
-	m, err := NewMiner(log, DefaultLiveOptions())
+	m, err := NewMiner(log, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,20 +226,16 @@ func TestIncrementalSpeedup(t *testing.T) {
 	}
 	const n, k = 1200, 5
 	initial, extra := grownOLAP(n, k)
-	m, err := NewMiner(initial, DefaultLiveOptions())
+	m, err := NewMiner(initial, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t0 := time.Now()
-	_, st, err := m.Append(extra)
-	if err != nil {
+	if _, _, err := m.Append(extra); err != nil {
 		t.Fatal(err)
 	}
 	incr := time.Since(t0)
-	if st.FullRemine {
-		t.Fatalf("append fell back to a full re-mine: %+v", st)
-	}
 
 	grown := workload.OLAPLog(n+k, 7)
 	t1 := time.Now()
@@ -234,7 +258,7 @@ func TestIncrementalSpeedup(t *testing.T) {
 func BenchmarkAppendIncremental(b *testing.B) {
 	const n, k, chunks = 1200, 5, 1024
 	full := workload.OLAPLog(n+k*chunks, 7)
-	m, err := NewMiner(full.Slice(0, n), DefaultLiveOptions())
+	m, err := NewMiner(full.Slice(0, n), DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,9 +272,9 @@ func BenchmarkAppendIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkFullRemine is the baseline the incremental path replaces:
+// BenchmarkGenerateGrown is the baseline the incremental path replaces:
 // batch Generate over the grown log.
-func BenchmarkFullRemine(b *testing.B) {
+func BenchmarkGenerateGrown(b *testing.B) {
 	const n, k = 1200, 5
 	grown := workload.OLAPLog(n+k, 7)
 	b.ResetTimer()

@@ -55,7 +55,7 @@ func newCopies(t *testing.T) *copies {
 	c := &copies{dir: t.TempDir()}
 	host := func() *Ingester {
 		ing := New(api.NewRegistry(), Options{BatchSize: 100, RowBatchSize: 100})
-		if _, err := ing.Host("live", "live test", fixtureLog(4), equivDB(t), core.DefaultLiveOptions()); err != nil {
+		if _, err := ing.Host("live", "live test", fixtureLog(4), equivDB(t), core.DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 		return ing

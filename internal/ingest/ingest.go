@@ -100,7 +100,6 @@ type feed struct {
 	accepted     uint64
 	dropped      uint64
 	flushes      uint64
-	fullRemines  uint64
 	rowsAppended uint64
 	rowFlushes   uint64
 	rowsMutated  uint64
@@ -138,7 +137,11 @@ func New(reg *api.Registry, opts Options) *Ingester {
 // interface serves immutable store snapshots, and SubmitRows grows the
 // dataset under the same epoch discipline that Submit applies to the
 // interface. The caller must not mutate db after handing it over.
-func (ing *Ingester) Host(id, title string, log *qlog.Log, db *engine.DB, opts core.LiveOptions) (*api.Hosted, error) {
+//
+// Snapshots do not record opts: an interface that is restored from
+// disk, migrated to another shard or seeded onto a follower is re-mined
+// from its saved log with core.DefaultOptions.
+func (ing *Ingester) Host(id, title string, log *qlog.Log, db *engine.DB, opts core.Options) (*api.Hosted, error) {
 	m, err := core.NewMiner(log, opts)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: mine %q: %w", id, err)
@@ -186,12 +189,9 @@ type PreparedSnapshot struct {
 // PrepareSnapshot rebuilds a snapshot into a hostable state with no
 // side effects on the ingester or registry: the store loads the saved
 // tables, funcs (optional) re-attaches table-valued functions a
-// snapshot cannot carry, and the saved log re-mines to exactly the
-// interface that was serving.
-func (ing *Ingester) PrepareSnapshot(snap *store.Snapshot, live core.LiveOptions, funcs func(id string, st *store.Store)) (*PreparedSnapshot, error) {
-	if live.Generate.Library == nil {
-		live = core.DefaultLiveOptions()
-	}
+// snapshot cannot carry, and the saved log re-mines, with
+// core.DefaultOptions, to exactly the interface that was serving.
+func (ing *Ingester) PrepareSnapshot(snap *store.Snapshot, funcs func(id string, st *store.Store)) (*PreparedSnapshot, error) {
 	st, err := snap.Restore()
 	if err != nil {
 		return nil, fmt.Errorf("ingest: host snapshot %q: %w", snap.ID, err)
@@ -199,7 +199,7 @@ func (ing *Ingester) PrepareSnapshot(snap *store.Snapshot, live core.LiveOptions
 	if funcs != nil {
 		funcs(snap.ID, st)
 	}
-	m, err := core.NewMiner(snap.RestoredLog(), live)
+	m, err := core.NewMiner(snap.RestoredLog(), core.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("ingest: host snapshot %q: mine saved log: %w", snap.ID, err)
 	}
@@ -220,8 +220,8 @@ func (ing *Ingester) HostPrepared(p *PreparedSnapshot, epoch uint64) (*api.Hoste
 // shard-accept path (which hosts at saved epoch + 1 so cursors minted
 // by the relinquishing shard expire instead of silently paging a
 // restored result set).
-func (ing *Ingester) HostSnapshot(snap *store.Snapshot, live core.LiveOptions, funcs func(id string, st *store.Store), epoch uint64) (*api.Hosted, error) {
-	p, err := ing.PrepareSnapshot(snap, live, funcs)
+func (ing *Ingester) HostSnapshot(snap *store.Snapshot, funcs func(id string, st *store.Store), epoch uint64) (*api.Hosted, error) {
+	p, err := ing.PrepareSnapshot(snap, funcs)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +447,6 @@ func (ing *Ingester) IngestStatus(id string) (api.IngestStatus, bool) {
 		Accepted:     f.accepted,
 		Dropped:      f.dropped,
 		Flushes:      f.flushes,
-		FullRemines:  f.fullRemines,
 		RowsAppended: f.rowsAppended,
 		RowsBuffered: f.rowBuffered,
 		RowFlushes:   f.rowFlushes,

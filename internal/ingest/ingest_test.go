@@ -49,7 +49,7 @@ func newIngester(t *testing.T, opts Options) (*api.Registry, *Ingester, *api.Hos
 	t.Helper()
 	reg := api.NewRegistry()
 	ing := New(reg, opts)
-	h, err := ing.Host("live", "live test", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions())
+	h, err := ing.Host("live", "live test", fixtureLog(4), fixtureDB(t), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestIngestEndpointTextAndJSON(t *testing.T) {
 func TestIngestEndpointWithoutIngestorIs501(t *testing.T) {
 	reg := api.NewRegistry()
 	ing := New(reg, Options{})
-	if _, err := ing.Host("live", "t", fixtureLog(3), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("live", "t", fixtureLog(3), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(server.New(api.NewService(reg)).Handler()) // no SetIngestor

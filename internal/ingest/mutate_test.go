@@ -132,7 +132,7 @@ func TestSubmitMutationConflictAndZeroMatch(t *testing.T) {
 func TestSubmitMutationReplicatesToFollower(t *testing.T) {
 	_, owner, _ := newIngester(t, Options{BatchSize: 100})
 	follower := New(api.NewRegistry(), Options{})
-	if _, err := follower.Host("live", "live test", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := follower.Host("live", "live test", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 

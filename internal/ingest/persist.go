@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -48,10 +47,6 @@ import (
 
 // PersistOptions configure a Persister.
 type PersistOptions struct {
-	// Live are the mining options used when restoring (the saved log is
-	// mined once at boot to rebuild the interface and the incremental
-	// miner state). Zero value selects core.DefaultLiveOptions.
-	Live core.LiveOptions
 	// Funcs, when set, is called for every restored interface so the
 	// caller can re-attach table-valued functions — code that a
 	// snapshot file cannot carry (pi-serve re-binds the synthetic SDSS
@@ -103,9 +98,6 @@ type Persister struct {
 // PersistOptions.WAL set, every acked publish is logged before the ack
 // returns.
 func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
-	if opts.Live.Generate.Library == nil {
-		opts.Live = core.DefaultLiveOptions()
-	}
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = 64
 	}
@@ -465,7 +457,12 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 			return nil, err
 		}
 	}
-	if _, err := p.ing.HostSnapshot(snap, p.opts.Live, p.opts.Funcs, snap.Epoch); err != nil {
+	if p.opts.WAL == nil {
+		if err := refuseUnreplayedTail(p.dir, id, m.Seq); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := p.ing.HostSnapshot(snap, p.opts.Funcs, snap.Epoch); err != nil {
 		return nil, fmt.Errorf("ingest: restore %q: %w", id, err)
 	}
 	p.saveMu.Lock()
@@ -487,6 +484,28 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 		snap.Epoch = h.Epoch()
 	}
 	return snap, nil
+}
+
+// refuseUnreplayedTail is the boot without a WAL on a data dir that has
+// one: records in <id>.wal/ past the newest save are writes a client
+// was told succeeded, and only a boot with the WAL can replay them.
+// Serving without them would silently un-ack them, so it is an error.
+func refuseUnreplayedTail(dir, id string, savedSeq uint64) error {
+	logDir := wal.LogDir(dir, id)
+	if _, err := os.Stat(logDir); os.IsNotExist(err) {
+		return nil
+	}
+	mgr := wal.NewManager(dir, wal.Options{})
+	defer mgr.Close()
+	var n int
+	if err := mgr.Replay(id, savedSeq, func(Publication) error { n++; return nil }); err != nil {
+		return fmt.Errorf("ingest: restore %q: %w", id, err)
+	}
+	if n > 0 {
+		return fmt.Errorf("ingest: restore %q: %s holds %d acked publication(s) past the newest save (seq %d) "+
+			"and this boot has no WAL to replay them; restart with the WAL enabled (pi-serve -wal)", id, logDir, n, savedSeq)
+	}
+	return nil
 }
 
 // scanDataDir enumerates restorable interfaces (manifest or bare

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/qlog"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // TestKillRestoreRoundTrip is the storage tentpole end to end, minus
@@ -28,7 +30,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 	// --- first life.
 	reg1 := api.NewRegistry()
 	ing1 := New(reg1, Options{BatchSize: 2, RowBatchSize: 2})
-	h1, err := ing1.Host("live", "round trip", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions())
+	h1, err := ing1.Host("live", "round trip", fixtureLog(4), fixtureDB(t), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestRestoreReattachesFuncs(t *testing.T) {
 	dir := t.TempDir()
 	reg1 := api.NewRegistry()
 	ing1 := New(reg1, Options{})
-	if _, err := ing1.Host("live", "udf", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing1.Host("live", "udf", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewPersister(dir, ing1, PersistOptions{}).SaveAll(); err != nil {
@@ -169,7 +171,7 @@ func TestRestoreFailsLoudlyOnCorruption(t *testing.T) {
 	dir := t.TempDir()
 	reg1 := api.NewRegistry()
 	ing1 := New(reg1, Options{})
-	if _, err := ing1.Host("live", "x", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing1.Host("live", "x", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewPersister(dir, ing1, PersistOptions{}).SaveAll(); err != nil {
@@ -198,7 +200,7 @@ func TestSaveAllFlushesBuffered(t *testing.T) {
 	dir := t.TempDir()
 	reg := api.NewRegistry()
 	ing := New(reg, Options{BatchSize: 1000, RowBatchSize: 1000})
-	if _, err := ing.Host("live", "buf", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("live", "buf", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ing.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 44")}); err != nil {
@@ -353,5 +355,49 @@ func TestRestoreMissingDirIsEmpty(t *testing.T) {
 	res, err := p.Restore()
 	if err != nil || len(res.Interfaces) != 0 {
 		t.Fatalf("Restore = %+v, %v; want nothing, nil", res, err)
+	}
+}
+
+// TestRestoreWithoutWALRefusesUnreplayedTail: a boot without a WAL on a
+// data dir whose log holds acked writes past the newest save must
+// refuse, naming the log directory — not serve as if they never
+// happened. Once a save covers the log, the same boot succeeds.
+func TestRestoreWithoutWALRefusesUnreplayedTail(t *testing.T) {
+	dir := t.TempDir()
+	_, ing1, p1, m1 := newWALPersister(t, dir, PersistOptions{})
+	if _, err := p1.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30)}, true); err != nil {
+		t.Fatal(err) // acked, journaled, never saved
+	}
+	m1.Close()
+
+	restoreWithoutWAL := func() error {
+		_, err := NewPersister(dir, New(api.NewRegistry(), Options{}), PersistOptions{}).Restore()
+		return err
+	}
+	err := restoreWithoutWAL()
+	if err == nil {
+		t.Fatal("restore without a WAL ignored an acked write that only the log holds")
+	}
+	if !strings.Contains(err.Error(), wal.LogDir(dir, "live")) {
+		t.Fatalf("error does not name the log directory: %v", err)
+	}
+
+	// A boot with the WAL replays the tail; after its save the log holds
+	// nothing the save does not, and a WAL-less boot is fine.
+	m2 := wal.NewManager(dir, wal.Options{})
+	defer m2.Close()
+	p2 := NewPersister(dir, New(api.NewRegistry(), Options{}), PersistOptions{WAL: m2})
+	if _, err := p2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	m2.Close()
+	if err := restoreWithoutWAL(); err != nil {
+		t.Fatalf("restore without a WAL after a covering save: %v", err)
 	}
 }

@@ -86,9 +86,6 @@ func (ing *Ingester) land(f *feed, p *Publication) (landed bool, err error) {
 		if err != nil {
 			return fail("re-mine", err) // a failed Append made no state changes
 		}
-		if st.FullRemine {
-			f.fullRemines++
-		}
 		if st.Added == 0 {
 			return false, nil
 		}

@@ -37,7 +37,7 @@ func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()
 	dir := t.TempDir()
 	reg := api.NewRegistry()
 	ing := New(reg, Options{BatchSize: 2, RowBatchSize: 1})
-	if _, err := ing.Host("live", "perf", fixtureLog(4), bigDB(t, 20000), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("live", "perf", fixtureLog(4), bigDB(t, 20000), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	popts := PersistOptions{}

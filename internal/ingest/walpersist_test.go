@@ -19,7 +19,7 @@ func newWALPersister(t *testing.T, dir string, opts PersistOptions) (*api.Regist
 	t.Helper()
 	reg := api.NewRegistry()
 	ing := New(reg, Options{BatchSize: 2, RowBatchSize: 2})
-	if _, err := ing.Host("live", "wal test", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("live", "wal test", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	m := wal.NewManager(dir, wal.Options{})
@@ -390,7 +390,7 @@ func TestWALLegacySnapPromoted(t *testing.T) {
 	dir := t.TempDir()
 	reg1 := api.NewRegistry()
 	ing1 := New(reg1, Options{})
-	if _, err := ing1.Host("live", "legacy", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing1.Host("live", "legacy", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewPersister(dir, ing1, PersistOptions{}).SaveAll(); err != nil {

@@ -84,30 +84,12 @@ type Stats struct {
 	DiffRecords int
 }
 
-// Differ computes the pairwise subtree transformations the miner is
-// built on. The zero-state stdDiffer calls treediff directly; a
-// *treediff.Comparer memoizes repeated pairs, which an incremental
-// miner revisits on every fallback re-mine.
-type Differ interface {
-	Compare(left, right *ast.Node) treediff.Result
-	CompareLCA(left, right *ast.Node) treediff.Result
-}
-
-type stdDiffer struct{}
-
-func (stdDiffer) Compare(l, r *ast.Node) treediff.Result    { return treediff.Compare(l, r) }
-func (stdDiffer) CompareLCA(l, r *ast.Node) treediff.Result { return treediff.CompareLCA(l, r) }
-
 // Mine parses nothing — it takes already-parsed ASTs (one per log entry,
-// in log order) and builds the interaction graph.
+// in log order) and builds the interaction graph: MineAppend onto an
+// empty graph, so batch and incremental mining are the same code.
 func Mine(queries []*ast.Node, opts Options) (*Graph, Stats) {
-	return MineWith(queries, opts, nil)
-}
-
-// MineWith is Mine with an explicit differ (nil = plain treediff).
-func MineWith(queries []*ast.Node, opts Options, d Differ) (*Graph, Stats) {
 	g := &Graph{}
-	st := MineAppend(g, queries, opts, d)
+	st := MineAppend(g, queries, opts)
 	return g, st
 }
 
@@ -119,10 +101,7 @@ func MineWith(queries []*ast.Node, opts Options, d Differ) (*Graph, Stats) {
 // O(n·w) full re-mine, and a graph grown by repeated MineAppend calls
 // is structurally identical to batch-mining the whole log. The returned
 // stats cover only this append.
-func MineAppend(g *Graph, newQueries []*ast.Node, opts Options, d Differ) Stats {
-	if d == nil {
-		d = stdDiffer{}
-	}
+func MineAppend(g *Graph, newQueries []*ast.Node, opts Options) Stats {
 	var st Stats
 	base := len(g.Queries)
 	g.Queries = append(g.Queries, newQueries...)
@@ -137,7 +116,7 @@ func MineAppend(g *Graph, newQueries []*ast.Node, opts Options, d Differ) Stats 
 		}
 		for i := lo; i < j; i++ {
 			st.Comparisons++
-			e, ok := compare(g.Queries, i, j, opts.LCAPrune, d)
+			e, ok := compare(g.Queries, i, j, opts.LCAPrune)
 			if !ok {
 				continue
 			}
@@ -149,12 +128,12 @@ func MineAppend(g *Graph, newQueries []*ast.Node, opts Options, d Differ) Stats 
 	return st
 }
 
-func compare(queries []*ast.Node, i, j int, lca bool, d Differ) (Edge, bool) {
+func compare(queries []*ast.Node, i, j int, lca bool) (Edge, bool) {
 	var res treediff.Result
 	if lca {
-		res = d.CompareLCA(queries[i], queries[j])
+		res = treediff.CompareLCA(queries[i], queries[j])
 	} else {
-		res = d.Compare(queries[i], queries[j])
+		res = treediff.Compare(queries[i], queries[j])
 	}
 	if len(res.Leaves) == 0 {
 		return Edge{}, false // identical queries: no interaction needed

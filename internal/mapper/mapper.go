@@ -43,10 +43,9 @@ func rebuild(lib widgets.Library, path ast.Path, d []interaction.DiffRecord) *Ma
 // Map runs the full heuristic over an interaction graph and returns the
 // selected widgets in deterministic (path) order.
 func Map(g *interaction.Graph, lib widgets.Library) []*MappedWidget {
-	ws := initialize(g, lib)
-	ws = merge(ws, lib)
-	sort.Slice(ws, func(i, j int) bool { return ws[i].Path.Compare(ws[j].Path) < 0 })
-	return ws
+	s := NewState(lib)
+	s.AddDiffs(g.Diffs())
+	return s.Widgets()
 }
 
 // MapWithoutMerge runs initialization only (Algorithm 1), skipping the
@@ -70,15 +69,14 @@ func initialize(g *interaction.Graph, lib widgets.Library) []*MappedWidget {
 	return s.initialWidgets()
 }
 
-// State is the mapper's retained partition state for incremental
-// re-mapping: the (path, kind)-partitioned diffs table plus the widget
-// instantiated for each partition. Batch mapping partitions the whole
-// diffs table, instantiates every partition's widget and merges; a
-// State keeps the partitions across appends so only partitions touched
-// by new diff records are re-instantiated, leaving the per-append cost
-// proportional to the new records (merging still runs over the full
-// widget set — it is the cheap phase). Widgets() output is identical to
-// a batch Map over the same accumulated records.
+// State is the mapper's retained partition state: the (path,
+// kind)-partitioned diffs table plus the widget instantiated for each
+// partition. It keeps the partitions across AddDiffs calls so only
+// partitions touched by new diff records are re-instantiated (merging
+// still runs over the full widget set). Batch mapping is the same
+// State given the whole diffs table in one call (Map), so Widgets()
+// after any sequence of appends equals Map over the accumulated
+// records.
 //
 // A State is not safe for concurrent use; it belongs to one miner.
 type State struct {
@@ -100,9 +98,8 @@ func NewState(lib widgets.Library) *State {
 }
 
 // AddDiffs appends new diff records to the partition state and
-// re-instantiates only the touched partitions. Returns how many
-// partitions were (re)built.
-func (s *State) AddDiffs(ds []interaction.DiffRecord) int {
+// re-instantiates only the touched partitions.
+func (s *State) AddDiffs(ds []interaction.DiffRecord) {
 	dirty := map[string]bool{}
 	for _, d := range ds {
 		key := d.Path.String() + "|" + d.Kind().String()
@@ -117,16 +114,6 @@ func (s *State) AddDiffs(ds []interaction.DiffRecord) int {
 			delete(s.built, key)
 		}
 	}
-	return len(dirty)
-}
-
-// NumDiffs returns the number of accumulated diff records.
-func (s *State) NumDiffs() int {
-	n := 0
-	for _, recs := range s.parts {
-		n += len(recs)
-	}
-	return n
 }
 
 // initialWidgets assembles the pre-merge widget list in sorted
@@ -171,18 +158,11 @@ func merge(ws []*MappedWidget, lib widgets.Library) []*MappedWidget {
 			}
 			return ws[i].Path.Compare(ws[j].Path) < 0
 		})
-		for ai := 0; ai < len(ws); ai++ {
-			wa := ws[ai]
-			if wa == nil {
-				continue
-			}
+		for _, wa := range ws {
 			var desc []*MappedWidget
-			for di := 0; di < len(ws); di++ {
-				if di == ai || ws[di] == nil {
-					continue
-				}
-				if wa.Path.IsStrictPrefixOf(ws[di].Path) {
-					desc = append(desc, ws[di])
+			for _, w := range ws {
+				if wa.Path.IsStrictPrefixOf(w.Path) {
+					desc = append(desc, w)
 				}
 			}
 			if len(desc) == 0 {
@@ -200,7 +180,7 @@ func merge(ws []*MappedWidget, lib widgets.Library) []*MappedWidget {
 			}
 			var out []*MappedWidget
 			for _, w := range ws {
-				if w != nil && !old[w] {
+				if !old[w] {
 					out = append(out, w)
 				}
 			}
@@ -209,17 +189,9 @@ func merge(ws []*MappedWidget, lib widgets.Library) []*MappedWidget {
 			break // restart scan over the updated widget set
 		}
 		if !improved {
-			break
+			return ws
 		}
 	}
-	// Drop nils defensively and return.
-	var out []*MappedWidget
-	for _, w := range ws {
-		if w != nil {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // mergeStep is Algorithm 3 for one (ancestor, descendants) pair. It
@@ -309,15 +281,6 @@ func mergeStep(wa *MappedWidget, wd []*MappedWidget, lib widgets.Library) ([]*Ma
 		}
 	}
 	return out, true
-}
-
-func incidentVertices(ds []interaction.DiffRecord) map[int]bool {
-	out := map[int]bool{}
-	for _, d := range ds {
-		out[d.Q1] = true
-		out[d.Q2] = true
-	}
-	return out
 }
 
 func filter(ds []interaction.DiffRecord, keep func(interaction.DiffRecord) bool) []interaction.DiffRecord {

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/store"
 )
@@ -57,9 +56,8 @@ type Config struct {
 	Ing *ingest.Ingester
 	// Reg is the node's registry, for epoch reads and copy teardown.
 	Reg *api.Registry
-	// Live/Funcs mirror the node's accept options: how seeded
-	// snapshots re-mine and which table-valued functions re-attach.
-	Live  core.LiveOptions
+	// Funcs mirrors the node's accept option: which table-valued
+	// functions re-attach to a seeded snapshot's store.
 	Funcs func(id string, st *store.Store)
 	// Demote is called (on its own goroutine, no locks held) when this
 	// shard learns it no longer owns id: tombstone to newOwner, then
@@ -583,7 +581,7 @@ func (m *Manager) Follow(frame []byte, term uint64, owner string) (*StatusRespon
 		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "follow: %v", err)
 	}
 	id := snap.ID
-	prep, err := m.cfg.Ing.PrepareSnapshot(snap, m.cfg.Live, m.cfg.Funcs)
+	prep, err := m.cfg.Ing.PrepareSnapshot(snap, m.cfg.Funcs)
 	if err != nil {
 		return nil, api.Errf(api.CodeRestoreFailed, http.StatusInternalServerError,
 			"follow %q: %v", id, err)

@@ -30,7 +30,7 @@ func liveServer(t *testing.T, opts ...Option) (*httptest.Server, *api.Hosted, *a
 	} {
 		l.Append(sql, "")
 	}
-	h, err := ing.Host("olap", "live rows", l, engine.OnTimeDB(50), core.DefaultLiveOptions())
+	h, err := ing.Host("olap", "live rows", l, engine.OnTimeDB(50), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/qlog"
 	"repro/internal/replica"
@@ -49,9 +48,6 @@ type NodeOptions struct {
 	// load reports and the router hand to clients (e.g.
 	// "http://10.0.0.5:8081"). A bare host:port gets an http scheme.
 	Addr string
-	// Live are the mining options used when accepting an interface via
-	// snapshot. Zero value selects core.DefaultLiveOptions.
-	Live core.LiveOptions
 	// Funcs, when set, re-attaches table-valued functions — code a
 	// snapshot frame cannot carry — to every accepted interface's store.
 	Funcs func(id string, st *store.Store)
@@ -112,7 +108,6 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		Token:          opts.Token,
 		Ing:            ing,
 		Reg:            svc.Registry(),
-		Live:           opts.Live,
 		Funcs:          opts.Funcs,
 		Demote:         n.demoteLocal,
 		Drop:           n.dropLocal,
@@ -433,7 +428,7 @@ func (n *Node) Accept(frame []byte) (*AcceptResult, error) {
 	// down, so a failed accept never leaves this shard serving less
 	// than it did: prepare (restore + re-mine), then persist, then the
 	// teardown + registration that cannot realistically fail.
-	prep, err := n.ing.PrepareSnapshot(snap, n.opts.Live, n.opts.Funcs)
+	prep, err := n.ing.PrepareSnapshot(snap, n.opts.Funcs)
 	if err != nil {
 		return nil, api.Errf(api.CodeRestoreFailed, http.StatusInternalServerError,
 			"accept %q: %v", snap.ID, err)

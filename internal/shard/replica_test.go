@@ -374,7 +374,7 @@ func TestTombstoneSurvivesRestart(t *testing.T) {
 
 	node, ing := build()
 	olap, _ := fixtureLogs(t)
-	if _, err := ing.Host("olap", "olap", olap, engine.OnTimeDB(200), core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("olap", "olap", olap, engine.OnTimeDB(200), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	frame, epoch, err := node.Export("olap")

@@ -93,7 +93,7 @@ func startShard(t testing.TB, ids ...string) *testShard {
 		default:
 			t.Fatalf("unknown fixture workload %q", id)
 		}
-		if _, err := ing.Host(id, id+" dashboard", log, engine.OnTimeDB(200), core.DefaultLiveOptions()); err != nil {
+		if _, err := ing.Host(id, id+" dashboard", log, engine.OnTimeDB(200), core.DefaultOptions()); err != nil {
 			t.Fatalf("host %s: %v", id, err)
 		}
 	}

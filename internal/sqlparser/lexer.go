@@ -2,6 +2,8 @@ package sqlparser
 
 import (
 	"strings"
+
+	"repro/internal/ast"
 )
 
 // lexer tokenizes a SQL string. It is deliberately permissive about
@@ -131,6 +133,9 @@ func (l *lexer) lexQuotedIdent() (token, *Error) {
 	if end < 0 {
 		return token{}, &Error{Pos: start, Msg: "unterminated quoted identifier", SQL: l.src}
 	}
+	if end == 0 {
+		return token{}, &Error{Pos: start, Msg: "empty quoted identifier", SQL: l.src}
+	}
 	text := l.src[l.pos : l.pos+end]
 	l.pos += end + 1
 	return token{tokIdent, text, start}, nil
@@ -179,7 +184,7 @@ func (l *lexer) lexWord() (token, *Error) {
 		l.pos++
 	}
 	w := l.src[start:l.pos]
-	if keywords[strings.ToLower(w)] {
+	if ast.IsKeyword(w) {
 		return token{tokKeyword, strings.ToLower(w), start}, nil
 	}
 	return token{tokIdent, w, start}, nil

@@ -70,6 +70,11 @@ func TestRoundTrip(t *testing.T) {
 		"SELECT a FROM t WHERE c IN (SELECT c FROM u WHERE d = 2)",
 		"SELECT CAST(a AS int) FROM t",
 		"SELECT TRUE, FALSE, NULL FROM t",
+		// Quoted identifiers keep their quotes wherever the bare text
+		// would read as something else.
+		`SELECT "0", "select", [x y].c, "a.b", "a."."b c".*, "f g"(1) FROM "my tab" AS [t 1], [dbo].Galaxy`,
+		"SELECT a `from`, CAST(b AS \"big int\") FROM [a\"b], `c]\"d`",
+		"SELECT - -x, a - -1 FROM t ORDER BY a ASC, b DESC",
 	}
 	for _, q := range append(append([]string{}, paperQueries...), extra...) {
 		first, err := Parse(q)
@@ -105,6 +110,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE x ! 1",
 		"SELECT a FROM (SELECT b FROM t",
 		"SELECT TOP 1 a FROM t LIMIT 2",
+		`SELECT ""`,
+		"SELECT a FROM []",
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {

@@ -71,19 +71,6 @@ func (t token) String() string {
 	return fmt.Sprintf("%s %q", t.kind, t.text)
 }
 
-// keywords recognized by the lexer (matched case-insensitively).
-var keywords = map[string]bool{
-	"select": true, "from": true, "where": true, "group": true,
-	"by": true, "having": true, "order": true, "limit": true,
-	"top": true, "distinct": true, "as": true, "and": true, "or": true,
-	"not": true, "in": true, "between": true, "like": true, "is": true,
-	"null": true, "case": true, "when": true, "then": true, "else": true,
-	"end": true, "cast": true, "asc": true, "desc": true, "true": true,
-	"false": true, "join": true, "inner": true, "left": true,
-	"outer": true, "on": true, "update": true, "delete": true,
-	"set": true,
-}
-
 // Error is a parse error with the byte offset where it occurred.
 type Error struct {
 	Pos int

@@ -101,9 +101,6 @@ func ApplyAll(q *ast.Node, ds []Diff) *ast.Node {
 	return out
 }
 
-// Inverse returns the reverse transformation d⁻¹ with the sides swapped.
-func (d Diff) Inverse() Diff { return Diff{Path: d.Path, Left: d.Right, Right: d.Left} }
-
 // Result holds the transformations between one ordered pair of ASTs.
 type Result struct {
 	// Leaves are the minimal differing subtree pairs.
@@ -112,14 +109,6 @@ type Result struct {
 	// every path from the root to a leaf diff (the root pair — replacing
 	// the whole query — is always among them when any diff exists).
 	Ancestors []Diff
-}
-
-// All returns leaves followed by ancestors.
-func (r Result) All() []Diff {
-	out := make([]Diff, 0, len(r.Leaves)+len(r.Ancestors))
-	out = append(out, r.Leaves...)
-	out = append(out, r.Ancestors...)
-	return out
 }
 
 // Compare diffs the ordered pair (left, right) and returns the leaf

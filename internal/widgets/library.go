@@ -111,17 +111,6 @@ func (w *Widget) Expresses(path ast.Path, sub *ast.Node) bool {
 	return w.Path.Equal(path) && w.Domain.Contains(sub)
 }
 
-// Covers reports whether the widget can produce the given subtree of a
-// target query: the widget path must be an ancestor-or-self of the
-// change and the target's subtree at the widget path must be in the
-// domain. Used by the closure computation.
-func (w *Widget) Covers(target *ast.Node, changed ast.Path) bool {
-	if !w.Path.IsPrefixOf(changed) {
-		return false
-	}
-	return w.Domain.Contains(target.At(w.Path))
-}
-
 // Pick implements pickWidget (Algorithm 2): among the library types
 // whose rules accept the domain, instantiate the one with minimal cost.
 // It returns nil when no type accepts (cannot happen with the default

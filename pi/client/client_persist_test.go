@@ -34,7 +34,7 @@ func liveFixture(t *testing.T) (*api.Service, *memPersister) {
 	db.AddTable(tbl)
 	reg := api.NewRegistry()
 	ing := ingest.New(reg, ingest.Options{RowBatchSize: 100})
-	if _, err := ing.Host("tiny", "tiny live", l, db, core.DefaultLiveOptions()); err != nil {
+	if _, err := ing.Host("tiny", "tiny live", l, db, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	svc := api.NewService(reg)

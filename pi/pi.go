@@ -251,17 +251,8 @@ type IngestOptions = ingest.Options
 // IngestAck reports what happened to one batch of submitted entries.
 type IngestAck = api.IngestAck
 
-// LiveOptions are generation options plus the incremental-update
-// policy (structural-coverage threshold for the full re-mine
-// fallback).
-type LiveOptions = core.LiveOptions
-
 // LogEntry is one query-log entry (SQL plus optional client).
 type LogEntry = qlog.Entry
-
-// DefaultLiveOptions returns DefaultOptions plus the default
-// incremental policy.
-func DefaultLiveOptions() LiveOptions { return core.DefaultLiveOptions() }
 
 // NewIngester returns an ingester over the registry with default
 // batching. Wire it into a server (ServeLiveHandler or
@@ -274,7 +265,7 @@ func NewIngester(reg *Registry, opts IngestOptions) *Ingester { return ingest.Ne
 // Ingester.Tail) are re-mined incrementally and hot-swapped in while
 // the interface keeps its ID and epoch history.
 func HostLive(ing *Ingester, id, title string, log *Log, db *DB) (*Hosted, error) {
-	return ing.Host(id, title, log, db, core.DefaultLiveOptions())
+	return ing.Host(id, title, log, db, core.DefaultOptions())
 }
 
 // Ingest submits SQL statements to a live-hosted interface. Entries

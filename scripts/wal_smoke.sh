@@ -5,7 +5,8 @@
 # every acked write came back from the logged tail alone. Then prove
 # the differential save path: a snapshot after more appends writes a
 # delta (not a base rewrite), and a second SIGKILL restores through
-# base + delta + tail. Exits non-zero on any failure.
+# base + delta + tail — after a boot without -wal has refused the dir
+# rather than drop the tail. Exits non-zero on any failure.
 set -eu
 . "$(dirname "$0")/lib.sh"
 
@@ -103,6 +104,21 @@ body=$(append_rows 2)
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
+
+echo "== a boot without -wal must refuse: olap.wal/ holds acked writes no save covers"
+"$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
+    -token "$TOKEN" -data-dir "$DATA_DIR" >>"$LOG" 2>&1 &
+PID=$!
+i=0
+while kill -0 "$PID" 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -gt 60 ] || { sleep 0.25; continue; }
+    fail "pi-serve without -wal kept running on a data dir whose WAL holds unsaved acked writes"
+done
+wait "$PID" && fail "pi-serve without -wal exited 0 on a data dir whose WAL holds unsaved acked writes"
+PID=""
+grep -q "$DATA_DIR/olap.wal holds" "$LOG" || fail "the refusal does not name the WAL directory"
+
 start_server
 body=$(append_rows 1)
 rowcount=$(json_int "$body" rowCount)
