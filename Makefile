@@ -57,8 +57,7 @@ persist-smoke:
 
 # End-to-end smoke of the sharding subsystem: two shards + a router,
 # byte-identical routed queries, a live migration under load, cursor
-# expiry across the move, p50 proxy overhead < 2x, structured errors
-# after a shard dies.
+# expiry across the move, structured errors after a shard dies.
 shard-smoke:
 	sh scripts/shard_smoke.sh
 

@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact; see DESIGN.md §3 for the
-// index) plus ablation benches for the design choices DESIGN.md calls
-// out. Run with:
+// evaluation (one benchmark per artifact; the registry in
+// internal/experiments is the index) plus ablation benches for the
+// mapper's design choices (README "Deviations from the paper"). Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -104,7 +105,7 @@ func BenchmarkMineWindow2NoLCA(b *testing.B) { benchMine(b, 2000, 2, false) }
 func BenchmarkMineWindow10LCA(b *testing.B)  { benchMine(b, 2000, 10, true) }
 func BenchmarkMineAllPairs200(b *testing.B)  { benchMine(b, 200, 0, true) }
 
-// --- Ablation benchmarks (DESIGN.md §4).
+// --- Ablation benchmarks.
 
 // BenchmarkAblationNoMerge compares the initial interface (Algorithm 1
 // only) against the merged one; the reported metric is widget count and

@@ -29,10 +29,10 @@
 //	GET  /v1/debug                  cache and traffic counters
 //
 // With -shard-addr the process runs as a shard: the same v1 surface
-// plus the /v1/shard admin surface (load, export, accept, relinquish,
-// and the replication control plane: follow, apply, promote, demote,
-// unfollow, targets, replica status) that cmd/pi-router migrates
-// interfaces and replicates them through; requests for an interface
+// plus the /v1/shard admin surface (load, and the replication control
+// plane: follow, apply, promote, demote, handoff, unfollow, targets,
+// replica status) that cmd/pi-router replicates interfaces and
+// migrates them through; requests for an interface
 // this shard handed off answer with a structured "moved" error the
 // SDK follows, and requests that need the owner of a replicated
 // interface answer "not_owner" pointing at it. A shard may boot with

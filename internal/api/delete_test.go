@@ -10,7 +10,7 @@ type stubDetacher struct {
 
 func (d *stubDetacher) Detach(id string) { d.detached = append(d.detached, id) }
 
-// stubRemover implements Persister + SnapshotRemover.
+// stubRemover implements Persister, recording RemoveSnapshot calls.
 type stubRemover struct {
 	removed []string
 	fail    error
@@ -22,6 +22,8 @@ func (r *stubRemover) RemoveSnapshot(id string) error {
 	r.removed = append(r.removed, id)
 	return r.fail
 }
+
+func (r *stubRemover) WALStatus(id string) (*WALInfo, bool) { return nil, false }
 
 func TestRegistryRemove(t *testing.T) {
 	svc, h := newTestService(t)

@@ -102,11 +102,6 @@ const (
 	// be reached (process down, network partition). Transient from the
 	// router's point of view; clients may retry. 502.
 	CodeShardUnavailable = "shard_unavailable"
-	// CodeEpochMismatch — a shard-admin handoff was conditioned on an
-	// interface epoch that has since advanced (writes landed between
-	// snapshot export and relinquish); the caller re-exports and
-	// retries. 409.
-	CodeEpochMismatch = "epoch_mismatch"
 	// CodeNotOwner — the shard hosts only a follower replica of the
 	// interface (or was fenced off by a newer replication term); writes
 	// must go to the owner whose base URL is in the error's Addr field.
@@ -116,7 +111,8 @@ const (
 	// CodeReplicaLagging — the follower replica that received the
 	// request has detected a gap in its apply stream and is awaiting a
 	// re-seed; its data may be arbitrarily stale. Addr (when set) names
-	// the owner, which can answer instead. 503.
+	// the owner, which can answer instead. Also what an owner answers
+	// when asked to hand off to a follower that is not in sync. 503.
 	CodeReplicaLagging = "replica_lagging"
 	// CodeReplicaOutOfSync — a replication apply arrived out of
 	// sequence (the follower missed at least one event); the owner must

@@ -9,9 +9,11 @@ import (
 	"repro/internal/qlog"
 )
 
-// fakeRowIngestor implements Ingestor + RowIngestor, recording the
-// last rows submission.
+// fakeRowIngestor implements Ingestor, recording the last rows
+// submission; the embedded nil Ingestor stands in for the mutation and
+// detach paths these tests never reach.
 type fakeRowIngestor struct {
+	Ingestor
 	lastID    string
 	lastTable string
 	lastRows  [][]engine.Value
@@ -31,6 +33,10 @@ func (f *fakeRowIngestor) SubmitRows(id, table string, rows [][]engine.Value, fl
 		return RowsAck{}, errors.New("store says no")
 	}
 	return RowsAck{Table: table, Accepted: len(rows), Flushed: flush, Epoch: 2, DataEpoch: 2, RowCount: 7}, nil
+}
+
+func (f *fakeRowIngestor) IngestStatus(id string) (IngestStatus, bool) {
+	return IngestStatus{}, false
 }
 
 // fakePersister implements Persister in-memory.
@@ -58,29 +64,24 @@ func (p *fakePersister) Restore() (*RestoreResult, error) {
 	return &RestoreResult{Dir: "mem", Interfaces: p.restoreRows}, nil
 }
 
+func (p *fakePersister) RemoveSnapshot(id string) error { return nil }
+
+func (p *fakePersister) WALStatus(id string) (*WALInfo, bool) { return nil, false }
+
 func TestServiceAppendRowsWithoutRowIngestor(t *testing.T) {
 	svc, _ := newTestService(t)
 	req := RowsRequest{Table: "ontime", Rows: [][]any{{1.0}}}
-	// No ingestor at all.
+	// No ingestor: every write path answers ingest_disabled.
 	if _, err := svc.AppendRows("olap", req, false); errCode(t, err) != CodeIngestDisabled {
-		t.Fatalf("no-ingestor code = %v", err)
+		t.Fatalf("no-ingestor append code = %v", err)
 	}
-	// An ingestor that cannot do rows (log-only) is the same contract.
-	svc.SetIngestor(logOnlyIngestor{})
-	if _, err := svc.AppendRows("olap", req, false); errCode(t, err) != CodeIngestDisabled {
-		t.Fatalf("log-only ingestor code = %v", err)
+	if _, err := svc.MutateRows("olap", MutateRequest{SQL: "DELETE FROM ontime"}); errCode(t, err) != CodeIngestDisabled {
+		t.Fatalf("no-ingestor mutate code = %v", err)
 	}
 	if _, err := svc.AppendRows("nope", req, false); errCode(t, err) != CodeNotFound {
 		t.Fatalf("unknown interface code = %v", err)
 	}
 }
-
-type logOnlyIngestor struct{}
-
-func (logOnlyIngestor) Submit(id string, entries []qlog.Entry) (IngestAck, error) {
-	return IngestAck{}, nil
-}
-func (logOnlyIngestor) Flush(id string) (uint64, error) { return 1, nil }
 
 func TestServiceAppendRowsValidationAndConversion(t *testing.T) {
 	svc, _ := newTestService(t)

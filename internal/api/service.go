@@ -103,8 +103,9 @@ func NewPersistentService(reg *Registry, p Persister, opts ...ServiceOptions) (*
 	return s, res, nil
 }
 
-// SetIngestor wires live log ingestion into IngestLog. Call before
-// serving begins.
+// SetIngestor wires the live-write seam in: without one IngestLog,
+// AppendRows and MutateRows answer ingest_disabled. Call before serving
+// begins.
 func (s *Service) SetIngestor(ing Ingestor) { s.ing = ing }
 
 // SetSlowRing wires a slow-query ring into the query path: queries
@@ -526,15 +527,13 @@ func (s *Service) IngestLog(id string, entries []qlog.Entry, flush bool) (*Inges
 // interface's store. Rows buffer in the ingestion layer and are
 // published copy-on-write under a bumped epoch when a batch fills (or
 // immediately with flush set), so queries accepted after the ack with
-// Flushed=true can never be answered from a pre-append cache. Requires
-// an ingestor that supports row ingestion (a store-backed one).
+// Flushed=true can never be answered from a pre-append cache.
 func (s *Service) AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, error) {
 	h, apiErr := s.hosted(id)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	ri, ok := s.ing.(RowIngestor)
-	if !ok {
+	if s.ing == nil {
 		return nil, Errf(CodeIngestDisabled, http.StatusNotImplemented,
 			"row ingestion is not enabled on this server")
 	}
@@ -548,7 +547,7 @@ func (s *Service) AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, 
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	ack, err := ri.SubmitRows(h.ID, req.Table, rows, flush)
+	ack, err := s.ing.SubmitRows(h.ID, req.Table, rows, flush)
 	if err != nil {
 		return nil, errOr(err, CodeRowsRejected, http.StatusUnprocessableEntity)
 	}
@@ -562,22 +561,20 @@ func (s *Service) AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, 
 // the snapshot current at submission (after buffered appends flush),
 // and the resulting rowid-keyed mutation set — not the predicate — is
 // what journals and replicates, so every copy of the interface lands
-// on byte-identical rows. Requires an ingestor that supports row
-// mutation (a store-backed one).
+// on byte-identical rows.
 func (s *Service) MutateRows(id string, req MutateRequest) (*MutateAck, error) {
 	h, apiErr := s.hosted(id)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	rm, ok := s.ing.(RowMutator)
-	if !ok {
+	if s.ing == nil {
 		return nil, Errf(CodeIngestDisabled, http.StatusNotImplemented,
 			"row mutation is not enabled on this server")
 	}
 	if strings.TrimSpace(req.SQL) == "" {
 		return nil, errBadRequest("mutation request needs a sql statement")
 	}
-	ack, err := rm.SubmitMutation(h.ID, req.SQL, req.IfEpoch)
+	ack, err := s.ing.SubmitMutation(h.ID, req.SQL, req.IfEpoch)
 	if err != nil {
 		return nil, errOr(err, CodeRowsRejected, http.StatusUnprocessableEntity)
 	}
@@ -618,18 +615,17 @@ func decodeRows(in [][]any) ([][]engine.Value, *Error) {
 // persistence is wired) is deleted so the interface does not resurrect
 // on the next boot. In-flight requests that already resolved the
 // interface finish against the epoch snapshot they loaded. This is
-// also the local half of a shard relinquishing an interface during
-// rebalancing.
+// also how a shard drops a copy it no longer owns or follows.
 func (s *Service) DeleteInterface(id string) (*DeleteAck, error) {
 	if _, apiErr := s.hosted(id); apiErr != nil {
 		return nil, apiErr
 	}
-	if d, ok := s.ing.(IngestDetacher); ok {
-		d.Detach(id)
+	if s.ing != nil {
+		s.ing.Detach(id)
 	}
 	s.reg.Remove(id)
-	if rem, ok := s.per.(SnapshotRemover); ok {
-		if err := rem.RemoveSnapshot(id); err != nil {
+	if s.per != nil {
+		if err := s.per.RemoveSnapshot(id); err != nil {
 			return nil, Errf(CodeSnapshotFailed, http.StatusInternalServerError,
 				"interface %q unhosted but its snapshot was not removed: %v", id, err)
 		}
@@ -664,8 +660,6 @@ func (s *Service) Health() *Health {
 		Persistence:   s.per != nil,
 		Interfaces:    []HealthInterface{},
 	}
-	statuser, _ := s.ing.(IngestStatuser)
-	walStatuser, _ := s.per.(WALStatuser)
 	for _, h := range s.reg.List() {
 		st := h.load()
 		row := HealthInterface{
@@ -676,13 +670,13 @@ func (s *Service) Health() *Health {
 			CacheHitRate: hitRate(st.cache.Stats()),
 			PlanHitRate:  hitRate(st.plans.Stats()),
 		}
-		if statuser != nil {
-			if is, ok := statuser.IngestStatus(h.ID); ok {
+		if s.ing != nil {
+			if is, ok := s.ing.IngestStatus(h.ID); ok {
 				row.Ingest = &is
 			}
 		}
-		if walStatuser != nil {
-			if wi, ok := walStatuser.WALStatus(h.ID); ok {
+		if s.per != nil {
+			if wi, ok := s.per.WALStatus(h.ID); ok {
 				row.WAL = wi
 			}
 		}

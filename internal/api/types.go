@@ -181,70 +181,47 @@ type RestoreResult struct {
 	Interfaces []SnapshotInterface `json:"interfaces"`
 }
 
-// Ingestor accepts new query-log entries for a hosted interface —
-// internal/ingest implements it; the service stays decoupled from the
-// mining machinery. Submit buffers entries (and may flush when a batch
-// fills); Flush forces buffered entries through re-mining and returns
-// the resulting epoch.
+// Ingestor is the live-write seam: everything that changes a hosted
+// interface after it was mined goes through it. internal/ingest
+// implements it; the service stays decoupled from the mining machinery
+// and the versioned store.
 type Ingestor interface {
+	// Submit buffers query-log entries (and may flush when a batch
+	// fills); Flush forces buffered entries through re-mining and
+	// returns the resulting epoch.
 	Submit(id string, entries []qlog.Entry) (IngestAck, error)
 	Flush(id string) (uint64, error)
-}
-
-// IngestStatuser is optionally implemented by an Ingestor to surface
-// per-interface ingestion counters in Health.
-type IngestStatuser interface {
-	IngestStatus(id string) (IngestStatus, bool)
-}
-
-// RowIngestor is optionally implemented by an Ingestor whose hosted
-// interfaces sit on a versioned store: SubmitRows buffers (and, when a
-// batch fills or flush is set, publishes) new dataset rows under the
-// same hot-swap discipline as interface re-mining — the bumped epoch
-// makes every pre-append cached result unreachable.
-type RowIngestor interface {
+	// SubmitRows buffers (and, when a batch fills or flush is set,
+	// publishes) new dataset rows under the same hot-swap discipline as
+	// interface re-mining — the bumped epoch makes every pre-append
+	// cached result unreachable.
 	SubmitRows(id, table string, rows [][]engine.Value, flush bool) (RowsAck, error)
-}
-
-// RowMutator is optionally implemented by an Ingestor whose hosted
-// interfaces sit on a versioned store: SubmitMutation evaluates one
-// UPDATE or DELETE statement against the interface's current snapshot
-// and publishes the resulting row-version changes under a bumped
-// epoch, so every pre-mutation cached result becomes unreachable the
-// moment the ack returns.
-type RowMutator interface {
+	// SubmitMutation evaluates one UPDATE or DELETE statement against
+	// the interface's current snapshot and publishes the resulting
+	// row-version changes under a bumped epoch.
 	SubmitMutation(id, sql string, ifEpoch uint64) (MutateAck, error)
-}
-
-// IngestDetacher is optionally implemented by an Ingestor that keeps
-// per-interface state (live feeds): DeleteInterface calls it so an
-// unhosted interface stops accepting submissions instead of leaking
-// its feed.
-type IngestDetacher interface {
+	// Detach drops the interface's live feed: DeleteInterface calls it
+	// so an unhosted interface stops accepting submissions instead of
+	// leaking its feed.
 	Detach(id string)
+	// IngestStatus surfaces per-interface ingestion counters in Health.
+	IngestStatus(id string) (IngestStatus, bool)
 }
 
 // Persister is the durable snapshot/restore seam the service exposes
 // through Snapshot and restore-on-construct; internal/ingest
-// implements it over the data dir. SaveAll persists every hosted
-// interface's (log, dataset, epoch); Restore rebuilds hosted
-// interfaces from the newest snapshot files.
+// implements it over the data dir.
 type Persister interface {
+	// SaveAll persists every hosted interface's (log, dataset, epoch);
+	// Restore rebuilds hosted interfaces from the newest snapshot files.
 	SaveAll() (*SnapshotResult, error)
 	Restore() (*RestoreResult, error)
-}
-
-// SnapshotRemover is optionally implemented by a Persister:
-// DeleteInterface calls it so an unhosted interface's durable snapshot
-// does not resurrect it on the next boot.
-type SnapshotRemover interface {
+	// RemoveSnapshot deletes an unhosted interface's durable state, so
+	// DeleteInterface is not undone by the next boot.
 	RemoveSnapshot(id string) error
-}
-
-// WALStatuser is optionally implemented by a Persister running with a
-// write-ahead log: Health attaches the per-interface log position so
-// operators can watch durability lag.
-type WALStatuser interface {
+	// WALStatus reports the interface's write-ahead-log position for
+	// Health (false when it has none), so operators can watch
+	// durability lag.
 	WALStatus(id string) (*WALInfo, bool)
 }
 

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§7 and Appendices A–D). Each experiment is a
 // named runner that prints the same rows/series the paper reports;
-// DESIGN.md §3 is the index and EXPERIMENTS.md records paper-vs-
-// measured values.
+// Registry is the index, and a runner's footer quotes the paper's
+// value where the paper states one.
 package experiments
 
 import (

@@ -19,7 +19,7 @@ func runFig8c(w io.Writer) error {
 	}
 	tb.write(w)
 	fmt.Fprintln(w, "  (paper Fig 8c: PI 9.3s±0.8 vs SDSS 11.2s±1 on tasks 2-4; task 1: 9.9s±1.5 vs ≈60s)")
-	fmt.Fprintln(w, "  NOTE: simulated participants (DESIGN.md §2); shapes, not human data.")
+	fmt.Fprintln(w, "  NOTE: simulated participants (see package internal/study); shapes, not human data.")
 	return nil
 }
 

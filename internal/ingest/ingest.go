@@ -12,8 +12,8 @@
 // Entry points: HTTP (the server's POST /v1/interfaces/{id}/log routes
 // to Submit), direct calls (pi.Ingest) and file tailing (Tail, which
 // follows a growing log file the way tail -f does). An Ingester
-// implements api.Ingestor and api.IngestStatuser, so wiring it
-// into a server enables the endpoint and the /healthz ingest rows.
+// implements api.Ingestor, so wiring it into a server enables the
+// write endpoints and the /healthz ingest rows.
 package ingest
 
 import (
@@ -82,10 +82,11 @@ type feed struct {
 	store  *store.Store
 	buf    []qlog.Entry
 
-	// sealed marks a feed mid-handoff (DetachAtEpoch): submissions that
-	// already resolved the feed pointer but acquire mu after the seal
-	// must be rejected, not acknowledged into a detached buffer.
-	sealed bool
+	// sealed is non-nil once the feed handed its interface off (Handoff):
+	// every submission that acquires mu after the seal is refused with it
+	// — the moved error naming the new owner — instead of being
+	// acknowledged into a copy that is about to be dropped.
+	sealed error
 
 	// rowBuf holds dataset rows waiting for the next store publish,
 	// keyed by the submitted table name; rowBuffered is their total.
@@ -178,8 +179,8 @@ func (ing *Ingester) host(id, title string, m *core.Miner, st *store.Store, epoc
 
 // PreparedSnapshot is a snapshot rebuilt and re-mined but not yet
 // hosted — the fallible half of HostSnapshot, split out so a caller
-// replacing an existing copy (shard re-accept) can finish every
-// failure-prone step before tearing the old copy down.
+// replacing an existing copy (a follower taking a fresh seed) can
+// finish every failure-prone step before tearing the old copy down.
 type PreparedSnapshot struct {
 	snap  *store.Snapshot
 	miner *core.Miner
@@ -215,11 +216,8 @@ func (ing *Ingester) HostPrepared(p *PreparedSnapshot, epoch uint64) (*api.Hoste
 }
 
 // HostSnapshot is PrepareSnapshot + HostPrepared: rebuild and host an
-// interface from a snapshot at the given epoch. Shared by the
-// restore-on-boot path (which hosts at the saved epoch) and the
-// shard-accept path (which hosts at saved epoch + 1 so cursors minted
-// by the relinquishing shard expire instead of silently paging a
-// restored result set).
+// interface from a snapshot at the given epoch — the restore-on-boot
+// path, which hosts at the saved epoch.
 func (ing *Ingester) HostSnapshot(snap *store.Snapshot, funcs func(id string, st *store.Store), epoch uint64) (*api.Hosted, error) {
 	p, err := ing.PrepareSnapshot(snap, funcs)
 	if err != nil {
@@ -255,45 +253,45 @@ func (ing *Ingester) Capture(id string) (*store.Snapshot, error) {
 // Detach removes the interface's live feed, so further submissions are
 // rejected instead of evolving an interface that is no longer hosted.
 // Entries still buffered in the feed are discarded with it — callers
-// that care flush first. Implements api.IngestDetacher (the
-// DeleteInterface and shard-relinquish paths).
+// that care flush first. Implements api.Ingestor (the DeleteInterface
+// path).
 func (ing *Ingester) Detach(id string) {
 	ing.mu.Lock()
 	delete(ing.feeds, id)
 	ing.mu.Unlock()
 }
 
-// DetachAtEpoch is the atomic CAS half of a shard handoff: it drains
-// the feed's buffers, verifies the interface is still at the expected
-// epoch, and — only on a match — seals the feed against further
-// submissions and detaches it, all without releasing the feed lock
-// between the check and the seal. Every write path (Submit,
-// SubmitRows, Flush) publishes under the same lock, so a write either
-// lands before the check (bumping the epoch and failing the CAS, so
-// the caller re-exports) or after the seal (rejected, never
-// acknowledged) — an acknowledged write can never be silently dropped
-// by a concurrent handoff. expectEpoch 0 skips the check (forced
-// handoff). Returns the epoch the detach happened at (or the current
-// epoch alongside ErrEpochMismatch).
-func (ing *Ingester) DetachAtEpoch(id string, expectEpoch uint64) (uint64, error) {
+// Handoff is the owner's half of a planned ownership change
+// (replica.Manager.Handoff): it drains the feed's buffers and, still
+// holding the feed lock, runs commit with the sequence number the
+// feed reached. Every write path publishes under that lock, so a
+// write either landed before commit ran — it is part of the stream
+// commit hands over, buffered flushed:false acks included — or it
+// waits behind it. Only when commit succeeds is the feed sealed with
+// the moved error: waiting and later submissions are refused with it
+// (the request was not processed, the client re-issues it at the new
+// owner), never acknowledged into a copy that no longer owns the
+// interface. On any error nothing is sealed and the feed keeps taking
+// writes. commit runs under the feed lock: it must not re-enter this
+// feed (Seq, Flush, Capture).
+func (ing *Ingester) Handoff(id string, moved error, commit func(seq uint64) error) error {
 	f, err := ing.feed(id)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	f.mu.Lock()
-	err = ing.flushBothLocked(f)
-	cur := f.hosted.Epoch()
-	if err == nil && expectEpoch != 0 && cur != expectEpoch {
-		err = fmt.Errorf("ingest: %q at epoch %d, expected %d: %w", id, cur, expectEpoch, ErrEpochMismatch)
+	defer f.mu.Unlock()
+	if f.sealed != nil {
+		return f.sealed
 	}
-	if err != nil {
-		f.mu.Unlock()
-		return cur, err
+	if err := ing.flushBothLocked(f); err != nil {
+		return err
 	}
-	f.sealed = true
-	f.mu.Unlock()
-	ing.Detach(id)
-	return cur, nil
+	if err := commit(f.seq); err != nil {
+		return err
+	}
+	f.sealed = moved
+	return nil
 }
 
 // Store returns the versioned store backing a live-hosted interface.
@@ -308,11 +306,6 @@ func (ing *Ingester) Store(id string) (*store.Store, error) {
 // ErrNoFeed reports an interface with no live feed (hosted without
 // ingestion, or already detached). Matched with errors.Is.
 var ErrNoFeed = errors.New("has no live feed (hosted without ingestion?)")
-
-// ErrEpochMismatch reports a DetachAtEpoch whose expected epoch no
-// longer matches — writes published since the caller captured it.
-// Matched with errors.Is.
-var ErrEpochMismatch = errors.New("interface epoch advanced past the expected handoff epoch")
 
 func (ing *Ingester) feed(id string) (*feed, error) {
 	ing.mu.RLock()
@@ -337,8 +330,8 @@ func (ing *Ingester) Submit(id string, entries []qlog.Entry) (api.IngestAck, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.sealed {
-		return api.IngestAck{}, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
+	if f.sealed != nil {
+		return api.IngestAck{}, f.sealed
 	}
 	dropped := f.dropped
 	var ack api.IngestAck
@@ -432,7 +425,7 @@ func (ing *Ingester) Run(ctx context.Context) {
 	}
 }
 
-// IngestStatus implements api.IngestStatuser for /healthz.
+// IngestStatus implements api.Ingestor for /healthz.
 func (ing *Ingester) IngestStatus(id string) (api.IngestStatus, bool) {
 	ing.mu.RLock()
 	f, ok := ing.feeds[id]

@@ -28,7 +28,7 @@ import (
 // uses: the store retires and appends row versions, the hosted
 // interface hot-swaps onto the new snapshot, and the publication
 // journals and replicates before the ack returns. Implements
-// api.RowMutator.
+// api.Ingestor.
 func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateAck, error) {
 	f, err := ing.feed(id)
 	if err != nil {
@@ -37,8 +37,8 @@ func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateA
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ack := api.MutateAck{}
-	if f.sealed {
-		return ack, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
+	if f.sealed != nil {
+		return ack, f.sealed
 	}
 	if err := ing.flushRowsLocked(f); err != nil {
 		return ack, err

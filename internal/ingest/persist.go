@@ -145,7 +145,7 @@ func (p *Persister) ReplStates() map[string]*store.ReplState {
 	return out
 }
 
-// WALStatus implements api.WALStatuser for /healthz rows.
+// WALStatus implements api.Persister for /healthz rows.
 func (p *Persister) WALStatus(id string) (*api.WALInfo, bool) {
 	st, ok := p.opts.WAL.Status(id)
 	if !ok {
@@ -307,8 +307,8 @@ func replStateEqual(a, b *store.ReplState) bool {
 	return true
 }
 
-// Adopt durably installs an externally-sourced snapshot — a migration
-// accept or a replication seed — as this node's truth for the
+// Adopt durably installs an externally-sourced snapshot — a
+// replication seed — as this node's truth for the
 // interface: full base + manifest written synchronously (the caller
 // has not acked the transfer yet), the old delta chain dropped, and
 // the WAL reset to the snapshot's sequence, because the old log tail
@@ -384,7 +384,7 @@ func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
 // RemoveSnapshot deletes the interface's durable state — base
 // snapshot, manifest, delta chain and log directory — so an unhosted
 // interface does not resurrect on the next boot; files that never
-// existed are fine. Implements api.SnapshotRemover.
+// existed are fine. Implements api.Persister.
 func (p *Persister) RemoveSnapshot(id string) error {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()

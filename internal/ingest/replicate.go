@@ -179,8 +179,8 @@ func (ing *Ingester) PublishBump(id string) (uint64, uint64, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.sealed {
-		return 0, 0, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
+	if f.sealed != nil {
+		return 0, 0, f.sealed
 	}
 	_, err = ing.publishLocked(f, Publication{})
 	return f.hosted.Epoch(), f.seq, err
@@ -202,8 +202,8 @@ func (ing *Ingester) Apply(id string, p Publication) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.sealed {
-		return fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
+	if f.sealed != nil {
+		return f.sealed
 	}
 	if p.Seq != f.seq+1 {
 		return fmt.Errorf("ingest: %q apply seq %d does not follow local seq %d: %w",

@@ -24,7 +24,7 @@ import (
 // batch larger than the cap, or a drain that failed) is rejected with
 // an error the service layer surfaces as rows_rejected — bounded
 // memory, never silent loss. The caller must not mutate rows
-// afterwards. Implements api.RowIngestor.
+// afterwards. Implements api.Ingestor.
 func (ing *Ingester) SubmitRows(id, table string, rows [][]engine.Value, flush bool) (api.RowsAck, error) {
 	f, err := ing.feed(id)
 	if err != nil {
@@ -33,8 +33,8 @@ func (ing *Ingester) SubmitRows(id, table string, rows [][]engine.Value, flush b
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ack := api.RowsAck{Table: table}
-	if f.sealed {
-		return ack, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
+	if f.sealed != nil {
+		return ack, f.sealed
 	}
 	if err := f.store.ValidateRows(table, rows); err != nil {
 		f.lastError = err.Error()

@@ -8,21 +8,23 @@
 // — replicate-before-ack, so a write is only ever acknowledged after
 // the followers that define "in sync" have applied it. A follower is
 // therefore always a valid epoch-consistent snapshot of the owner: it
-// is seeded with the same checksummed frame format the shard accept
-// path uses (store.Encode/Decode), hosted at exactly the owner's
+// is seeded with the checksummed frame format .snap files use
+// (store.Encode/Decode), hosted at exactly the owner's
 // epoch and sequence, and each applied event bumps its epoch in
 // lockstep (the miner is deterministic, so re-applying the owner's
 // batches reproduces the owner's interface bit for bit).
 //
-// The control plane is term-fenced, in the generalization of the
-// shard package's migration CAS: every promotion increments a
+// The control plane is term-fenced: every promotion increments a
 // per-interface term, a follower rejects replication traffic from an
 // owner with an older term (not_owner, carrying the new owner's
 // address), and an ex-owner that sees that rejection demotes itself —
 // its un-replicated tail is discarded and its clients are redirected
-// with the same structured moved/not_owner contract migrations use. A
-// follower that detects a gap in its stream marks itself stale
-// (reads answer replica_lagging) until the owner re-seeds it.
+// with a structured moved/not_owner error. A follower that detects a
+// gap in its stream marks itself stale (reads answer replica_lagging)
+// until the owner re-seeds it. There is one owner-change protocol:
+// a failover promotes a follower because the owner died, a migration
+// (Handoff) promotes one on purpose — after draining the live owner's
+// buffers into the stream, so the planned move loses no ack.
 //
 // Availability over strict durability: a follower that cannot be
 // reached is marked out-of-sync and the ack proceeds on the owner —
@@ -56,14 +58,15 @@ type Config struct {
 	Ing *ingest.Ingester
 	// Reg is the node's registry, for epoch reads and copy teardown.
 	Reg *api.Registry
-	// Funcs mirrors the node's accept option: which table-valued
-	// functions re-attach to a seeded snapshot's store.
+	// Funcs re-attaches table-valued functions — code a frame cannot
+	// carry — to a seeded snapshot's store.
 	Funcs func(id string, st *store.Store)
-	// Demote is called (on its own goroutine, no locks held) when this
-	// shard learns it no longer owns id: tombstone to newOwner, then
-	// drop the local copy. The manager has already flipped the
-	// interface to a stale follower, so the window before Demote
-	// completes answers not_owner/replica_lagging, never a silent ack.
+	// Demote is called (no locks held) when this shard no longer owns
+	// id: tombstone to newOwner, then drop the local copy. A fence calls
+	// it on its own goroutine, having already flipped the interface to a
+	// stale follower, so the window before Demote completes answers
+	// not_owner/replica_lagging, never a silent ack; a handoff calls it
+	// inline, the feed already sealed against writes.
 	Demote func(id, newOwner string)
 	// Drop removes a local copy (and any durable snapshot) without a
 	// tombstone — the unfollow/reseed teardown. Missing copies are not
@@ -195,7 +198,7 @@ func (m *Manager) ensure(id string) *ifaceState {
 	return s
 }
 
-// Forget drops the interface's replication state (relinquish/delete
+// Forget drops the interface's replication state (demote/delete
 // teardown). The copy itself is the caller's business.
 func (m *Manager) Forget(id string) {
 	m.mu.Lock()
@@ -385,6 +388,7 @@ func (m *Manager) SetTargets(id string, addrs []string) error {
 		if fo.mode == fNew || fo.mode == fStale {
 			fo.mode = fSeeding
 			fo.pending = nil
+			fo.lastErr = "" // from here on an error means THIS seed failed
 			seed = append(seed, addr)
 		}
 	}
@@ -775,6 +779,70 @@ func (m *Manager) Promote(id string, term uint64, targets []PromoteTarget) (*Sta
 		go m.seed(id, addr)
 	}
 	return m.Status(id)
+}
+
+// Handoff moves ownership of id to the synced follower at to — a
+// planned failover, and the only way an interface changes owner while
+// its owner is alive. Under the ingestion feed lock (ingest.Handoff) it
+// drains both write buffers through the stream, requires to to be in
+// sync at exactly the sequence the feed reached (replica_lagging
+// otherwise, nothing changed), and promotes it at term+1 with the
+// other in-sync followers as its targets. Only a successful promote
+// seals the feed — blocked and later submissions answer moved → to —
+// and then the local copy goes the way every lost claim goes
+// (Config.Demote: tombstone first, so reads flip from served straight
+// to moved). A promote whose response is lost leaves this shard an
+// unsealed owner of the older term: the winner refuses its next
+// publish (not_owner), which fences it before that write is acked.
+// to is a normalized base URL, as it appears in the follower table.
+func (m *Manager) Handoff(id, to string) (*StatusResponse, error) {
+	if to == m.cfg.Self {
+		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+			"handoff %q: target %s is this shard", id, to)
+	}
+	if _, ok := m.cfg.Reg.Get(id); !ok {
+		return nil, api.Errf(api.CodeNotFound, http.StatusNotFound, "unknown interface %q", id)
+	}
+	s := m.ensure(id)
+	var won *StatusResponse
+	err := m.cfg.Ing.Handoff(id, api.ErrMoved(id, to), func(seq uint64) error {
+		s.mu.Lock()
+		if s.role != api.RoleOwner {
+			owner := s.owner
+			s.mu.Unlock()
+			return api.ErrNotOwner(id, owner)
+		}
+		if fo := s.followers[to]; fo == nil || fo.mode != fSynced || fo.seq != seq {
+			s.mu.Unlock()
+			return api.Errf(api.CodeReplicaLagging, http.StatusServiceUnavailable,
+				"handoff %q: %s is not an in-sync follower at seq %d", id, to, seq)
+		}
+		term := s.term + 1
+		var others []PromoteTarget
+		for addr, fo := range s.followers {
+			if addr != to && fo.mode == fSynced {
+				others = append(others, PromoteTarget{Addr: addr, Seq: fo.seq})
+			}
+		}
+		s.mu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ApplyTimeout)
+		defer cancel()
+		st, err := m.client(to).Promote(ctx, id, term, others)
+		var refused *api.Error
+		if err != nil && !errors.As(err, &refused) {
+			return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
+				"handoff %q: promote on %s did not answer (%v); if it was applied, the newer term fences this shard on its next publish or refresh", id, to, err)
+		}
+		won = st
+		return err
+	})
+	if err != nil {
+		return nil, api.FromErr(err)
+	}
+	if m.cfg.Demote != nil {
+		m.cfg.Demote(id, to)
+	}
+	return won, nil
 }
 
 // DemoteRequest asks a shard to give up an owner claim that lost a

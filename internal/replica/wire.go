@@ -24,13 +24,14 @@ import (
 //	POST /v1/shard/interfaces/{id}/apply     — one streamed event (gob)
 //	POST /v1/shard/interfaces/{id}/promote   — failover CAS: {term, targets}
 //	POST /v1/shard/interfaces/{id}/demote    — lost a term race: {to, term}
+//	POST /v1/shard/interfaces/{id}/handoff   — ?to=ADDR: planned failover onto a synced follower
 //	POST /v1/shard/interfaces/{id}/unfollow  — drop the follower copy
 //	POST /v1/shard/interfaces/{id}/targets   — owner's follower set: {targets}
 //	GET  /v1/shard/interfaces/{id}/replica   — one interface's status
 //	GET  /v1/shard/replication               — every tracked interface's status
 //
-// Seed frames reuse the checksummed store.Encode format the accept
-// path uses; streamed events are gob (they carry engine values, which
+// Seed frames are the checksummed store.Encode format .snap files
+// use; streamed events are gob (they carry engine values, which
 // the snapshot payloads already gob-encode — one codec, one set of
 // compatibility rules).
 const (
@@ -39,7 +40,9 @@ const (
 	ownerHeader = "Pi-Replica-Owner"
 	// maxEventBody caps a streamed event (one flushed batch).
 	maxEventBody = 64 << 20
-	// maxSeedBody caps a seed frame, matching the shard accept cap.
+	// maxSeedBody caps a seed frame (a full interface: log + dataset).
+	// 256 MiB is far above any fixture and far below "accidentally
+	// stream /dev/zero".
 	maxSeedBody = 256 << 20
 )
 
@@ -88,6 +91,7 @@ func (m *Manager) Register(mux *http.ServeMux, guard func(http.HandlerFunc) http
 	mux.HandleFunc("POST /v1/shard/interfaces/{id}/apply", guard(m.handleApply))
 	mux.HandleFunc("POST /v1/shard/interfaces/{id}/promote", guard(m.handlePromote))
 	mux.HandleFunc("POST /v1/shard/interfaces/{id}/demote", guard(m.handleDemote))
+	mux.HandleFunc("POST /v1/shard/interfaces/{id}/handoff", guard(m.handleHandoff))
 	mux.HandleFunc("POST /v1/shard/interfaces/{id}/unfollow", guard(m.handleUnfollow))
 	mux.HandleFunc("POST /v1/shard/interfaces/{id}/targets", guard(m.handleTargets))
 	mux.HandleFunc("GET /v1/shard/interfaces/{id}/replica", guard(m.handleStatus))
@@ -182,6 +186,20 @@ func (m *Manager) handleDemote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "movedTo": req.To})
+}
+
+func (m *Manager) handleHandoff(w http.ResponseWriter, r *http.Request) {
+	to, err := client.NormalizeBase(r.URL.Query().Get("to"))
+	if err != nil {
+		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "handoff: %v", err))
+		return
+	}
+	st, err := m.Handoff(r.PathValue("id"), to)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleUnfollow(w http.ResponseWriter, r *http.Request) {
@@ -336,6 +354,17 @@ func (c *Client) Promote(ctx context.Context, id string, term uint64, targets []
 func (c *Client) Demote(ctx context.Context, id, to string, term uint64) error {
 	body, _ := json.Marshal(DemoteRequest{To: to, Term: term})
 	return c.do(ctx, http.MethodPost, ifacePath(id, "demote"), "application/json", body, nil)
+}
+
+// Handoff asks the owner of id to hand it to its synced follower at
+// to; the response is the new owner's status after the fence bump.
+func (c *Client) Handoff(ctx context.Context, id, to string) (*StatusResponse, error) {
+	var out StatusResponse
+	path := ifacePath(id, "handoff") + "?" + url.Values{"to": {to}}.Encode()
+	if err := c.do(ctx, http.MethodPost, path, "", nil, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // Unfollow drops a follower copy.

@@ -140,6 +140,10 @@ func (p *snapPersister) Restore() (*api.RestoreResult, error) {
 	return &api.RestoreResult{}, nil
 }
 
+func (p *snapPersister) RemoveSnapshot(id string) error { return nil }
+
+func (p *snapPersister) WALStatus(id string) (*api.WALInfo, bool) { return nil, false }
+
 func TestSnapshotEndpoint(t *testing.T) {
 	// Without a persister the endpoint reports persistence_disabled.
 	ts, _ := newTestServer(t)

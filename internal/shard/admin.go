@@ -1,46 +1,24 @@
 package shard
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"strconv"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/server"
-	"repro/pi/client"
-)
-
-// The shard-admin wire contract. Export streams the checksummed
-// snapshot frame as an opaque body with the CAS epoch in a header;
-// accept takes the same bytes back. Everything else is the usual JSON
-// envelope.
-const (
-	// epochHeader carries Export's CAS epoch alongside the binary frame.
-	epochHeader = "Pi-Shard-Epoch"
-	// maxFrameBody caps accepted snapshot frames (a full interface:
-	// log + dataset). 256 MiB is far above any fixture and far below
-	// "accidentally stream /dev/zero".
-	maxFrameBody = 256 << 20
 )
 
 // AdminHandler returns the shard-admin surface, meant to be mounted at
 // /v1/shard/ beside the v1 API (server.WithAdmin):
 //
-//	GET  /v1/shard/load                          — serving load report
-//	GET  /v1/shard/interfaces/{id}/export        — snapshot frame (octet-stream + Pi-Shard-Epoch)
-//	POST /v1/shard/accept                        — host an exported frame (octet-stream body)
-//	POST /v1/shard/interfaces/{id}/relinquish    — ?to=ADDR&epoch=N: hand off + tombstone
+//	GET /v1/shard/load — serving load report
 //
-// Every route is guarded by the auth config's default token — admin
-// operations move whole interfaces between processes and must never be
-// open just because individual interfaces are.
+// plus the replication surface (follow/apply/promote/demote/handoff/
+// unfollow/targets/status), which rides the same mux and guard — see
+// internal/replica for the wire contract. Every route is guarded by
+// the auth config's default token — admin operations move whole
+// interfaces between processes and must never be open just because
+// individual interfaces are.
 func (n *Node) AdminHandler(auth server.AuthConfig) http.Handler {
 	mux := http.NewServeMux()
 	guard := func(h http.HandlerFunc) http.HandlerFunc {
@@ -52,73 +30,11 @@ func (n *Node) AdminHandler(auth server.AuthConfig) http.Handler {
 			h(w, r)
 		}
 	}
-	mux.HandleFunc("GET /v1/shard/load", guard(n.handleLoad))
-	mux.HandleFunc("GET /v1/shard/interfaces/{id}/export", guard(n.handleExport))
-	mux.HandleFunc("POST /v1/shard/accept", guard(n.handleAccept))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/relinquish", guard(n.handleRelinquish))
-	// The replication surface (follow/apply/promote/demote/unfollow/
-	// targets/status) rides the same mux and guard — see
-	// internal/replica for the wire contract.
+	mux.HandleFunc("GET /v1/shard/load", guard(func(w http.ResponseWriter, r *http.Request) {
+		writeAdminJSON(w, http.StatusOK, n.Load())
+	}))
 	n.mgr.Register(mux, guard)
 	return mux
-}
-
-func (n *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
-	writeAdminJSON(w, http.StatusOK, n.Load())
-}
-
-func (n *Node) handleExport(w http.ResponseWriter, r *http.Request) {
-	frame, epoch, err := n.Export(r.PathValue("id"))
-	if err != nil {
-		writeAdminError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	_, _ = w.Write(frame)
-}
-
-func (n *Node) handleAccept(w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFrameBody))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeAdminError(w, api.Errf(api.CodePayloadTooLarge, http.StatusRequestEntityTooLarge,
-				"snapshot frame exceeds %d bytes", maxErr.Limit))
-			return
-		}
-		// An aborted upload is the sender's (or the network's) problem,
-		// not an oversized frame — do not misdirect the operator.
-		writeAdminError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
-			"read snapshot frame: %v", err))
-		return
-	}
-	res, aerr := n.Accept(frame)
-	if aerr != nil {
-		writeAdminError(w, aerr)
-		return
-	}
-	writeAdminJSON(w, http.StatusOK, res)
-}
-
-func (n *Node) handleRelinquish(w http.ResponseWriter, r *http.Request) {
-	var epoch uint64
-	if s := r.URL.Query().Get("epoch"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			writeAdminError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
-				"bad epoch %q", s))
-			return
-		}
-		epoch = v
-	}
-	res, err := n.Relinquish(r.PathValue("id"), r.URL.Query().Get("to"), epoch)
-	if err != nil {
-		writeAdminError(w, err)
-		return
-	}
-	writeAdminJSON(w, http.StatusOK, res)
 }
 
 func writeAdminJSON(w http.ResponseWriter, status int, v any) {
@@ -130,128 +46,4 @@ func writeAdminJSON(w http.ResponseWriter, status int, v any) {
 func writeAdminError(w http.ResponseWriter, err error) {
 	e := api.FromErr(err)
 	writeAdminJSON(w, e.Status, e)
-}
-
-// --- the admin client the router (and tests) drive other shards with.
-
-// adminClient speaks the shard-admin wire contract against one shard.
-type adminClient struct {
-	base  string // normalized base URL
-	token string
-	hc    *http.Client
-}
-
-func newAdminClient(base, token string, hc *http.Client) *adminClient {
-	return &adminClient{base: base, token: token, hc: hc}
-}
-
-func (a *adminClient) req(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, a.base+path, rd)
-	if err != nil {
-		return nil, fmt.Errorf("shard: build admin request: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	if a.token != "" {
-		req.Header.Set("Authorization", "Bearer "+a.token)
-	}
-	return req, nil
-}
-
-// adminError decodes a non-2xx admin response exactly like the SDK
-// decodes v1 failures — one error-envelope contract, one decoder.
-func adminError(resp *http.Response) *api.Error {
-	return client.DecodeError(resp)
-}
-
-func (a *adminClient) json(ctx context.Context, method, path string, body []byte, out any) error {
-	req, err := a.req(ctx, method, path, body)
-	if err != nil {
-		return err
-	}
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("shard: %s %s%s: %w", method, a.base, path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return adminError(resp)
-	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("shard: decode %s%s response: %w", a.base, path, err)
-	}
-	return nil
-}
-
-// export fetches the interface's snapshot frame and its CAS epoch.
-func (a *adminClient) export(ctx context.Context, id string) ([]byte, uint64, error) {
-	req, err := a.req(ctx, http.MethodGet, "/v1/shard/interfaces/"+url.PathEscape(id)+"/export", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: export %q from %s: %w", id, a.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, adminError(resp)
-	}
-	frame, err := io.ReadAll(io.LimitReader(resp.Body, maxFrameBody+1))
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: read exported frame for %q: %w", id, err)
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get(epochHeader), 10, 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: export %q: bad %s header %q", id, epochHeader, resp.Header.Get(epochHeader))
-	}
-	return frame, epoch, nil
-}
-
-// accept hands a frame to the target shard.
-func (a *adminClient) accept(ctx context.Context, frame []byte) (*AcceptResult, error) {
-	var out AcceptResult
-	if err := a.json(ctx, http.MethodPost, "/v1/shard/accept", frame, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// relinquish asks the source shard to hand the interface off,
-// conditioned on the exported epoch.
-func (a *adminClient) relinquish(ctx context.Context, id, to string, epoch uint64) (*RelinquishResult, error) {
-	q := url.Values{"to": {to}}
-	if epoch != 0 {
-		q.Set("epoch", strconv.FormatUint(epoch, 10))
-	}
-	var out RelinquishResult
-	p := "/v1/shard/interfaces/" + url.PathEscape(id) + "/relinquish?" + q.Encode()
-	if err := a.json(ctx, http.MethodPost, p, []byte{}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// load fetches the shard's load report.
-func (a *adminClient) load(ctx context.Context) (*LoadReport, error) {
-	var out LoadReport
-	if err := a.json(ctx, http.MethodGet, "/v1/shard/load", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// defaultAdminHTTPClient bounds admin calls; snapshot transfers can be
-// big, so the budget is generous compared to query proxying.
-func defaultAdminHTTPClient() *http.Client {
-	return &http.Client{Timeout: 2 * time.Minute}
 }

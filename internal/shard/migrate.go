@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/replica"
 )
 
 // MigrateResult reports one completed migration.
@@ -16,34 +17,32 @@ type MigrateResult struct {
 	ID        string  `json:"id"`
 	From      string  `json:"from"`
 	To        string  `json:"to"`
-	Epoch     uint64  `json:"epoch"`    // epoch the target hosts at (source + 1)
-	Bytes     int     `json:"bytes"`    // transferred snapshot frame size
-	Attempts  int     `json:"attempts"` // export/CAS rounds (>1 when writes raced the handoff)
+	Epoch     uint64  `json:"epoch"` // epoch the target serves at after the fence bump (source + 1)
 	ElapsedMS float64 `json:"elapsedMs"`
 }
 
-// migrateAttempts bounds export/CAS rounds: an interface under such
-// heavy write traffic that three exports in a row go stale should keep
-// serving where it is rather than loop.
-const migrateAttempts = 3
-
-// Migrate moves one interface to the shard at target, live:
+// Migrate moves one interface to the shard at target, live, as a
+// planned failover over the replication stream:
 //
-//  1. the source exports a snapshot frame (flushing buffered writes
-//     first) together with the epoch it captured — the CAS token;
-//  2. the target accepts the frame, re-mines the saved log and hosts
-//     the interface at epoch + 1 (so cursors minted by the source
-//     expire instead of paging a restored result set);
-//  3. the source relinquishes, conditioned on the exported epoch: on
-//     success it unhosts the interface and leaves a moved tombstone,
-//     on epoch_mismatch (writes landed in between) the stale copy is
-//     deleted from the target and the round restarts;
-//  4. the router atomically flips its placement map.
+//  1. the target becomes a follower of the owner (unless it already is
+//     one): seeded from a snapshot frame, then fed every publish until
+//     the owner reports it in sync — writes keep landing meanwhile;
+//  2. the owner hands off (replica.Manager.Handoff): under its feed
+//     lock it drains buffered writes into the stream, promotes the
+//     target at term+1 and, only once that succeeded, seals its feed,
+//     leaves a moved tombstone and drops its copy. The promotion bumps
+//     the epoch, so cursors minted by the source expire instead of
+//     paging a result set the new owner may have moved past;
+//  3. the router flips its placement map.
 //
-// Queries never fail during the move: until relinquish the source
-// answers them; between relinquish and the flip the source returns
-// structured moved errors, which this router (and the SDK, for clients
-// talking to shards directly) follows to the new owner.
+// Requests never fail during the move: until the handoff the source
+// serves them; after it the source answers structured moved errors,
+// which this router (and the SDK, for clients talking to shards
+// directly) follows to the new owner. A handoff whose outcome is
+// unknown (lost response) is reported as a failure and changes no
+// placement: if it did commit, the source's moved answers repair the
+// map on the next request; if only the promote committed, term fencing
+// demotes the source on its next publish or refresh.
 func (rt *Router) Migrate(ctx context.Context, id, target string) (*MigrateResult, error) {
 	start := time.Now()
 	toAddr, err := NormalizeAddr(target)
@@ -51,112 +50,97 @@ func (rt *Router) Migrate(ctx context.Context, id, target string) (*MigrateResul
 		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "migrate %q: %v", id, err)
 	}
 	rt.mu.RLock()
-	tgt, ok := rt.shards[toAddr]
+	_, ok := rt.shards[toAddr]
 	rt.mu.RUnlock()
 	if !ok {
 		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 			"migrate %q: target %s is not a configured shard", id, toAddr)
 	}
-
-	for attempt := 1; attempt <= migrateAttempts; attempt++ {
-		src, apiErr := rt.owner(id)
-		if apiErr != nil {
-			return nil, apiErr
+	// One owner change per interface at a time; a failover or another
+	// migration in flight finishes first, then this one re-reads the
+	// placement it left.
+	release, busy := rt.claimOwnerChange(id)
+	for release == nil {
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, migrateErr("wait for the owner change in flight", id, toAddr, ctx.Err())
 		}
-		if src.addr == toAddr {
-			return &MigrateResult{
-				ID: id, From: src.addr, To: toAddr, Attempts: attempt,
-				ElapsedMS: elapsedMS(start),
-			}, nil
-		}
-
-		frame, epoch, err := src.admin.export(ctx, id)
-		if err != nil {
-			return nil, migrateErr("export", id, src.addr, err)
-		}
-		accepted, err := tgt.admin.accept(ctx, frame)
-		if err != nil {
-			return nil, migrateErr("accept", id, toAddr, err)
-		}
-		committed, refusal, relErr := settleRelinquish(ctx, src, id, toAddr, epoch)
-		if relErr != nil {
-			// Ambiguous: the relinquish may or may not have committed on
-			// the source, so the target's copy may be the only one left —
-			// deleting it here could destroy the interface fleet-wide.
-			// Leave both copies standing: if the source committed, its
-			// moved tombstone routes traffic to the target; if it did
-			// not, the placement map still points at it and the next
-			// Refresh (or a retried Migrate) reconciles.
-			return nil, api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
-				"migrate %q: relinquish on %s did not settle (%v); the move may or may not have committed — retry the migration or refresh placement",
-				id, src.addr, relErr)
-		}
-		if !committed {
-			// Structured refusal: the source provably still owns the
-			// interface, so the copy the target accepted is stale —
-			// delete it so two shards never diverge on one interface.
-			dctx, cancel := rt.callCtx(nil)
-			_, derr := tgt.c.DeleteInterface(dctx, id)
-			cancel()
-			// A lost-response replay answers not_found for a delete that
-			// succeeded: the target no longer holds the copy, which is
-			// exactly the state this cleanup wants.
-			var dae *api.Error
-			if errors.As(derr, &dae) && dae.Code == api.CodeNotFound {
-				derr = nil
-			}
-			if derr != nil {
-				return nil, api.Errf(api.CodeInternal, http.StatusInternalServerError,
-					"migrate %q: relinquish on %s refused (%v) AND deleting the stale copy on %s failed (%v); manual cleanup needed",
-					id, src.addr, refusal, toAddr, derr)
-			}
-			if refusal.Code == api.CodeEpochMismatch {
-				continue // writes raced the handoff: re-export and retry
-			}
-			return nil, refusal
-		}
-		rt.follow(id, toAddr)
-		return &MigrateResult{
-			ID: id, From: src.addr, To: toAddr, Epoch: accepted.Epoch,
-			Bytes: len(frame), Attempts: attempt, ElapsedMS: elapsedMS(start),
-		}, nil
+		release, busy = rt.claimOwnerChange(id)
 	}
-	return nil, api.Errf(api.CodeEpochMismatch, http.StatusConflict,
-		"migrate %q: lost the epoch race %d times (heavy write traffic?); retry later",
-		id, migrateAttempts)
+	defer release()
+
+	src, apiErr := rt.owner(id)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	res := &MigrateResult{ID: id, From: src.addr, To: toAddr}
+	if src.addr != toAddr {
+		if err := awaitFollower(ctx, src.rep, id, toAddr); err != nil {
+			return nil, migrateErr("sync target", id, src.addr, err)
+		}
+		st, err := src.rep.Handoff(ctx, id, toAddr)
+		if err != nil {
+			return nil, migrateErr("handoff", id, src.addr, err)
+		}
+		rt.ownerChanged(id, toAddr, st)
+		res.Epoch = st.Epoch
+	}
+	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	return res, nil
 }
 
-// settleRelinquish asks the source to relinquish and classifies the
-// outcome into exactly one of three states:
-//
-//   - committed (true, nil, nil): the source handed the interface off —
-//     either this call succeeded, or it answered moved-to-target,
-//     which proves an earlier (lost-response) relinquish committed;
-//   - refused (false, *api.Error, nil): a structured error other than
-//     moved-to-target — the source provably still owns the interface;
-//   - unsettled (false, nil, err): transport failures on every try —
-//     the handoff may or may not have committed on the source.
-//
-// A transport failure is retried once before being reported unsettled:
-// if the first attempt's success response was lost, the retry answers
-// moved-to-target and resolves the ambiguity.
-func settleRelinquish(ctx context.Context, src *shardConn, id, toAddr string, epoch uint64) (bool, *api.Error, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		_, err := src.admin.relinquish(ctx, id, toAddr, epoch)
-		if err == nil {
-			return true, nil, nil
-		}
-		var ae *api.Error
-		if errors.As(err, &ae) {
-			if ae.Code == api.CodeMoved && ae.Addr == toAddr {
-				return true, nil, nil
-			}
-			return false, ae, nil
-		}
-		lastErr = err
+// awaitFollower makes the shard at to an in-sync follower of id's
+// owner: if it is not one already it joins the owner's follower set
+// (which seeds it), then the owner's view is polled until it reports
+// the follower synced. A seed that failed ends the wait with its error
+// and restores the follower set; ctx bounds the whole wait.
+func awaitFollower(ctx context.Context, owner *replica.Client, id, to string) error {
+	st, err := owner.Status(ctx, id)
+	if err != nil {
+		return err
 	}
-	return false, nil, lastErr
+	if followerAt(st, to).Synced {
+		return nil
+	}
+	had := make([]string, 0, len(st.Info.Followers)+1)
+	for _, f := range st.Info.Followers {
+		if f.Addr != to {
+			had = append(had, f.Addr)
+		}
+	}
+	st, err = owner.Targets(ctx, id, append(had, to))
+	for err == nil {
+		switch f := followerAt(st, to); {
+		case f.Synced:
+			return nil
+		case f.Error != "":
+			err = fmt.Errorf("seeding %s failed: %s", to, f.Error)
+		default:
+			select {
+			case <-ctx.Done():
+				err = fmt.Errorf("%s is still not in sync: %w", to, ctx.Err())
+			case <-time.After(10 * time.Millisecond):
+				st, err = owner.Status(ctx, id)
+			}
+		}
+	}
+	// Best effort (ctx may be spent; the client's own timeout bounds the
+	// call): without it a fleet that does not reconcile follower sets
+	// (-replicas <= 1) would list the failed target forever.
+	_, _ = owner.Targets(context.WithoutCancel(ctx), id, had)
+	return err
+}
+
+// followerAt returns the owner's view of its follower at addr (zero
+// when it has none there).
+func followerAt(st *replica.StatusResponse, addr string) api.ReplicaFollower {
+	for _, f := range st.Info.Followers {
+		if f.Addr == addr {
+			return f
+		}
+	}
+	return api.ReplicaFollower{}
 }
 
 // migrateErr wraps one migration step's failure, preserving structured
@@ -168,10 +152,6 @@ func migrateErr(step, id, addr string, err error) error {
 	}
 	return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
 		"migrate %q: %s on %s: %v", id, step, addr, err)
-}
-
-func elapsedMS(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
 }
 
 // RebalanceResult reports what a rebalance pass moved.

@@ -353,13 +353,13 @@ func TestProbeBackoffSkipsDeadShard(t *testing.T) {
 	_ = a
 }
 
-// TestTombstoneSurvivesRestart: a shard that relinquished an interface
+// TestTombstoneSurvivesRestart: a shard that handed an interface off
 // must keep answering moved after a restart — the durable tombstone
 // file closes the restart hole where a tombstone-less shard answered
 // not_found and routers dropped the placement.
 func TestTombstoneSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	build := func() (*Node, *ingest.Ingester) {
+	build := func() *testShard {
 		reg := api.NewRegistry()
 		ing := ingest.New(reg, ingest.Options{})
 		svc := api.NewService(reg)
@@ -369,41 +369,43 @@ func TestTombstoneSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return node, ing
+		return &testShard{node: node, ing: ing}
 	}
 
-	node, ing := build()
+	sh := build()
 	olap, _ := fixtureLogs(t)
-	if _, err := ing.Host("olap", "olap", olap, engine.OnTimeDB(200), core.DefaultOptions()); err != nil {
+	if _, err := sh.ing.Host("olap", "olap", olap, engine.OnTimeDB(200), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	frame, epoch, err := node.Export("olap")
-	if err != nil {
+	frame, _ := frameOf(t, sh, "olap")
+	peer := startShard(t)
+	if err := sh.node.Replication().SetTargets("olap", []string{peer.ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.Relinquish("olap", "127.0.0.1:8222", epoch); err != nil {
+	waitSynced(t, sh, "olap", 1)
+	if _, err := sh.node.Replication().Handoff("olap", peer.ts.URL); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Restart": a fresh process over the same data dir remembers the
 	// relocation.
-	node2, _ := build()
-	_, qerr := node2.Query("olap", api.QueryRequest{Limit: 1})
+	sh2 := build()
+	_, qerr := sh2.node.Query("olap", api.QueryRequest{Limit: 1})
 	var ae *api.Error
 	if !errors.As(qerr, &ae) || ae.Code != api.CodeMoved {
 		t.Fatalf("restarted shard answered %v, want moved", qerr)
 	}
-	if ae.Addr != "http://127.0.0.1:8222" {
-		t.Fatalf("restored tombstone points at %q", ae.Addr)
+	if ae.Addr != peer.ts.URL {
+		t.Fatalf("restored tombstone points at %q, want %q", ae.Addr, peer.ts.URL)
 	}
 
-	// Accepting the interface back clears the tombstone durably too.
-	if _, err := node2.Accept(frame); err != nil {
+	// Being seeded with the interface again clears the tombstone
+	// durably too.
+	if _, err := sh2.node.Replication().Follow(frame, 1, peer.ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	node3, _ := build()
-	if moved := node3.Moved(); len(moved) != 0 {
-		t.Fatalf("tombstone survived the accept: %v", moved)
+	if moved := build().node.Moved(); len(moved) != 0 {
+		t.Fatalf("tombstone survived the seed: %v", moved)
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 // RouterOptions configure a Router.
 type RouterOptions struct {
 	// Token is the bearer token the router presents to shards — both on
-	// proxied v1 operations and on the shard-admin surface during
-	// migrations. Shards in a routed fleet share one admin token.
+	// proxied v1 operations and on the shard-admin surface
+	// (replication, failover, migration). Shards in a routed fleet share
+	// one admin token.
 	Token string
 	// Timeout bounds one proxied operation (default 30s). Migrations
 	// use their own caller-supplied contexts.
@@ -49,13 +50,12 @@ type RouterOptions struct {
 }
 
 // shardConn is one shard the router fronts: the SDK client for
-// proxied v1 operations, the admin client for migrations and the
-// replica client for the replication control plane.
+// proxied v1 operations and the replica client for the replication
+// control plane (follower sets, failover, migration).
 type shardConn struct {
-	addr  string
-	c     *client.Client
-	admin *adminClient
-	rep   *replica.Client
+	addr string
+	c    *client.Client
+	rep  *replica.Client
 
 	// ingestion is the shard's ingestion capability as of the last
 	// Refresh (guarded by the router's mu). It backs the cheap
@@ -96,9 +96,11 @@ type Router struct {
 	pins   map[string]string      // normalized RouterOptions.Pins
 	reps   map[string]*replicaSet // interface ID -> follower state (owner's view)
 
-	// foMu serializes failover per interface: the first caller to
-	// observe a dead owner runs the promotion, concurrent callers wait
-	// for its outcome instead of racing a second promote.
+	// foMu serializes owner changes per interface. The first caller to
+	// observe a dead owner runs the failover, concurrent callers wait
+	// for its outcome instead of racing a second promote; a migration
+	// holds the same slot, which also keeps the refresh loop from
+	// trimming its not-yet-promoted target out of the follower set.
 	foMu       sync.Mutex
 	foInflight map[string]chan struct{}
 
@@ -188,10 +190,11 @@ func (rt *Router) addShard(addr string) (*shardConn, error) {
 		return nil, fmt.Errorf("shard: router: %w", err)
 	}
 	conn := &shardConn{
-		addr:      norm,
-		c:         c,
-		admin:     newAdminClient(norm, rt.opts.Token, defaultAdminHTTPClient()),
-		rep:       replica.NewClient(norm, rt.opts.Token, defaultAdminHTTPClient()),
+		addr: norm,
+		c:    c,
+		// Control-plane calls can wait on a seed (a whole interface on the
+		// wire), so their budget is generous compared to query proxying.
+		rep:       replica.NewClient(norm, rt.opts.Token, &http.Client{Timeout: 2 * time.Minute}),
 		ingestion: true,
 	}
 	conn.mx = newShardMetrics(norm)

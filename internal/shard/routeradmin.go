@@ -113,7 +113,7 @@ type FailoverResult struct {
 //	POST /v1/router/migrate     — {"id": ..., "to": ...}: move one interface live
 //	POST /v1/router/rebalance   — move every interface to its pinned/hashed home
 //	GET  /v1/router/replication — per-interface replica sets (owner, term, followers)
-//	POST /v1/router/failover    — {"id": ...}: force-promote the best follower
+//	POST /v1/router/failover    — {"id": ...}: force-promote the best follower (drops the live owner's flushed:false acks; migrate does not)
 //
 // Every route is guarded by the auth config's default token.
 func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
@@ -149,8 +149,8 @@ func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
 				`migrate needs a JSON body {"id": ..., "to": ...}`))
 			return
 		}
-		// Migration transfers a full snapshot; give it its own budget
-		// rather than the proxy timeout.
+		// Migration seeds a full snapshot and waits for the target to
+		// sync; give it its own budget rather than the proxy timeout.
 		ctx, cancel := context.WithTimeout(r.Context(), 2*rt.opts.Timeout)
 		defer cancel()
 		res, err := rt.Migrate(ctx, req.ID, req.To)

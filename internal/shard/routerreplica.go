@@ -185,6 +185,14 @@ func (rt *Router) ensureReplication(ctx context.Context, claims map[string]owner
 	}
 	var wg sync.WaitGroup
 	for id, c := range claims {
+		rt.foMu.Lock()
+		_, changing := rt.foInflight[id]
+		rt.foMu.Unlock()
+		if changing {
+			// A migration's target is a follower beyond the desired set
+			// until it is promoted; trimming it here would drop its copy.
+			continue
+		}
 		want := rt.desiredFollowers(id, c.addr)
 		if len(want) == 0 && (c.info == nil || len(c.info.Followers) == 0) {
 			continue
@@ -307,24 +315,15 @@ func (rt *Router) markFollowerFailed(id, addr string) {
 //  4. flip the placement; the next refresh re-seeds a replacement
 //     follower via ensureReplication.
 func (rt *Router) failover(id, deadAddr string) (string, bool) {
-	rt.foMu.Lock()
-	if ch, inflight := rt.foInflight[id]; inflight {
-		rt.foMu.Unlock()
-		<-ch
+	release, busy := rt.claimOwnerChange(id)
+	if release == nil {
+		<-busy
 		rt.mu.RLock()
 		cur := rt.place[id]
 		rt.mu.RUnlock()
 		return cur, cur != "" && cur != deadAddr
 	}
-	ch := make(chan struct{})
-	rt.foInflight[id] = ch
-	rt.foMu.Unlock()
-	defer func() {
-		rt.foMu.Lock()
-		delete(rt.foInflight, id)
-		rt.foMu.Unlock()
-		close(ch)
-	}()
+	defer release()
 
 	rt.mu.RLock()
 	cur := rt.place[id]
@@ -412,21 +411,50 @@ func (rt *Router) failover(id, deadAddr string) (string, bool) {
 		if err != nil {
 			continue // next-best survivor gets its chance
 		}
-		rt.mu.Lock()
-		rt.place[id] = c.conn.addr
-		rt.reps[id] = newReplicaSet(&st.Info, rt.reps[id])
-		rt.mu.Unlock()
+		rt.ownerChanged(id, c.conn.addr, st)
 		mxFailovers.Inc()
 		return c.conn.addr, true
 	}
 	return "", false
 }
 
+// ownerChanged flips the placement to the shard this router just got
+// promoted (failover or migration) and adopts its view of the replica
+// set.
+func (rt *Router) ownerChanged(id, addr string, st *replica.StatusResponse) {
+	rt.mu.Lock()
+	rt.place[id] = addr
+	rt.reps[id] = newReplicaSet(&st.Info, rt.reps[id])
+	rt.mu.Unlock()
+}
+
+// claimOwnerChange takes the interface's owner-change slot. It returns
+// the release func, or — when a failover or migration already holds
+// the slot — nil and the channel that closes when that one finishes.
+func (rt *Router) claimOwnerChange(id string) (release func(), busy <-chan struct{}) {
+	rt.foMu.Lock()
+	defer rt.foMu.Unlock()
+	if ch, inflight := rt.foInflight[id]; inflight {
+		return nil, ch
+	}
+	ch := make(chan struct{})
+	rt.foInflight[id] = ch
+	return func() {
+		rt.foMu.Lock()
+		delete(rt.foInflight, id)
+		rt.foMu.Unlock()
+		close(ch)
+	}, nil
+}
+
 // FailoverInterface forces a failover election for one interface, as
 // if its current owner were dead — the manual big red button for an
 // owner that is misbehaving rather than gone. The ex-owner, if it is
-// actually alive, is fenced by the next refresh observing the new
-// term.
+// actually alive, is fenced by its next publish or by the next refresh
+// observing the new term; writes it acked into its buffers
+// (flushed:false) and had not yet published die with it. Moving a
+// healthy owner is Migrate's job: its handoff drains those buffers
+// first.
 func (rt *Router) FailoverInterface(id string) (string, *api.Error) {
 	rt.mu.RLock()
 	cur := rt.place[id]

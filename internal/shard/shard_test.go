@@ -15,6 +15,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/qlog"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/workload"
 	"repro/pi/client"
 )
@@ -27,6 +28,17 @@ type testShard struct {
 	node *Node
 	ts   *httptest.Server
 	ing  *ingest.Ingester
+
+	mu sync.RWMutex
+	h  http.Handler
+}
+
+// wrap puts a middleware in front of everything the shard serves from
+// now on (fault injection, request counting).
+func (s *testShard) wrap(mw func(next http.Handler) http.Handler) {
+	s.mu.Lock()
+	s.h = mw(s.h)
+	s.mu.Unlock()
 }
 
 // fixture logs are mined per hosted interface; the raw logs and
@@ -58,29 +70,27 @@ func startShard(t testing.TB, ids ...string) *testShard {
 
 	// The node needs its advertised URL, which exists only once the
 	// listener is up: serve through a late-bound handler.
-	var (
-		mu sync.RWMutex
-		h  http.Handler
-	)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.RLock()
-		handler := h
-		mu.RUnlock()
+	sh := &testShard{ing: ing}
+	sh.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sh.mu.RLock()
+		handler := sh.h
+		sh.mu.RUnlock()
 		handler.ServeHTTP(w, r)
 	}))
-	t.Cleanup(ts.Close)
+	t.Cleanup(sh.ts.Close)
 
-	node, err := NewNode(svc, ing, NodeOptions{Addr: ts.URL, Token: testToken})
+	node, err := NewNode(svc, ing, NodeOptions{Addr: sh.ts.URL, Token: testToken})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh.node = node
 	auth := server.AuthConfig{Token: testToken}
-	mu.Lock()
-	h = server.New(node,
+	sh.mu.Lock()
+	sh.h = server.New(node,
 		server.WithAuth(auth),
 		server.WithAdmin("/v1/shard/", node.AdminHandler(auth)),
 	).Handler()
-	mu.Unlock()
+	sh.mu.Unlock()
 
 	olap, adhc := fixtureLogs(t)
 	for _, id := range ids {
@@ -97,7 +107,7 @@ func startShard(t testing.TB, ids ...string) *testShard {
 			t.Fatalf("host %s: %v", id, err)
 		}
 	}
-	return &testShard{node: node, ts: ts, ing: ing}
+	return sh
 }
 
 // startFleet boots two shards (olap on A, adhoc on B) and a refreshed
@@ -182,7 +192,7 @@ func TestMigrateLiveAndSDKFollowsMoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.From != a.ts.URL || res.To != b.ts.URL || res.Bytes == 0 {
+	if res.From != a.ts.URL || res.To != b.ts.URL {
 		t.Fatalf("migrate result = %+v", res)
 	}
 	if res.Epoch <= before.Epoch {
@@ -282,73 +292,38 @@ func TestCursorExpiresAcrossMigration(t *testing.T) {
 	}
 }
 
-// TestRelinquishEpochCAS: a handoff conditioned on a stale epoch must
-// fail with epoch_mismatch and change nothing — the guard that keeps
-// writes landing mid-migration from being silently dropped.
-func TestRelinquishEpochCAS(t *testing.T) {
-	a, b, _ := startFleet(t)
-
-	frame, epoch, err := a.node.Export("olap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame) == 0 || epoch == 0 {
-		t.Fatalf("export frame %d bytes at epoch %d", len(frame), epoch)
-	}
-
-	// A write lands (and publishes) between export and relinquish.
-	if _, err := a.node.IngestLog("olap", []qlog.Entry{{SQL: "SELECT dest, count(*) FROM ontime WHERE carrier = 'AA' GROUP BY dest"}}, true); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = a.node.Relinquish("olap", b.ts.URL, epoch)
-	if codeOf(t, err) != api.CodeEpochMismatch {
-		t.Fatalf("stale relinquish = %v, want %s", err, api.CodeEpochMismatch)
-	}
-	// Nothing changed: still hosted, no tombstone.
-	if _, ok := a.node.Registry().Get("olap"); !ok {
-		t.Fatal("failed relinquish unhosted the interface")
-	}
-	if len(a.node.Moved()) != 0 {
-		t.Fatalf("failed relinquish left a tombstone: %v", a.node.Moved())
-	}
-
-	// Re-exporting at the new epoch succeeds.
-	_, epoch2, err := a.node.Export("olap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch2 <= epoch {
-		t.Fatalf("epoch did not advance: %d -> %d", epoch, epoch2)
-	}
-	if _, err := a.node.Relinquish("olap", b.ts.URL, epoch2); err != nil {
-		t.Fatalf("fresh relinquish: %v", err)
-	}
-	if a.node.Moved()["olap"] != b.ts.URL {
-		t.Fatalf("tombstone = %v, want olap -> %s", a.node.Moved(), b.ts.URL)
-	}
-}
-
+// TestAcceptClearsTombstoneAndBumpsEpoch: an A→B→A round trip. The
+// seed A accepts on the way back clears the tombstone it left on the
+// way out, and every owner change bumps the epoch, so epochs stay
+// strictly increasing across moves.
 func TestAcceptClearsTombstoneAndBumpsEpoch(t *testing.T) {
 	a, b, rt := startFleet(t)
-
-	if _, err := rt.Migrate(context.Background(), "olap", b.ts.URL); err != nil {
+	start, err := a.node.Epoch("olap")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.node.Moved()["olap"] == "" {
-		t.Fatal("source kept no tombstone")
+
+	out, err := rt.Migrate(context.Background(), "olap", b.ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.node.Moved()["olap"] != b.ts.URL {
+		t.Fatalf("source tombstone = %v, want olap -> %s", a.node.Moved(), b.ts.URL)
 	}
 	epochOnB, err := b.node.Epoch("olap")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if out.Epoch != epochOnB.Epoch || epochOnB.Epoch <= start.Epoch {
+		t.Fatalf("epoch %d -> migrate reported %d, B serves %d; want strictly increasing", start.Epoch, out.Epoch, epochOnB.Epoch)
+	}
 
-	// Move it back: A accepts again, clearing its tombstone.
+	// Move it back: A is seeded again, clearing its tombstone.
 	if _, err := rt.Migrate(context.Background(), "olap", a.ts.URL); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.node.Moved()) != 0 {
-		t.Fatalf("accept did not clear the tombstone: %v", a.node.Moved())
+		t.Fatalf("the seed did not clear the tombstone: %v", a.node.Moved())
 	}
 	back, err := a.node.Epoch("olap")
 	if err != nil {
@@ -357,10 +332,18 @@ func TestAcceptClearsTombstoneAndBumpsEpoch(t *testing.T) {
 	if back.Epoch <= epochOnB.Epoch {
 		t.Fatalf("round-trip epoch %d, want > %d (monotone across moves)", back.Epoch, epochOnB.Epoch)
 	}
+	if info := a.node.Replication().Info("olap"); info == nil || info.Role != api.RoleOwner || info.Term != 2 {
+		t.Fatalf("A after the round trip = %+v, want owner at term 2", info)
+	}
 	// And B now tombstones it.
 	_, err = b.node.Query("olap", api.QueryRequest{})
-	if codeOf(t, err) != api.CodeMoved {
-		t.Fatalf("B after handback = %v, want moved", err)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeMoved || ae.Addr != a.ts.URL {
+		t.Fatalf("B after handback = %v, want moved -> %s", err, a.ts.URL)
+	}
+	// Writes reach it on A again.
+	if _, err := rt.AppendRows("olap", api.RowsRequest{Table: "ontime", Rows: [][]any{ontimeRow(1)}}, true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -460,30 +443,6 @@ func TestRefreshPrefersLiveClaims(t *testing.T) {
 	}
 }
 
-// TestRelinquishIdempotentAnswersMoved: re-relinquishing to the same
-// target answers moved-to-target — how a migration whose success
-// response was lost confirms the handoff committed instead of deleting
-// the only surviving copy.
-func TestRelinquishIdempotentAnswersMoved(t *testing.T) {
-	a, b, _ := startFleet(t)
-
-	frame, epoch, err := a.node.Export("olap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.node.Accept(frame); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.node.Relinquish("olap", b.ts.URL, epoch); err != nil {
-		t.Fatal(err)
-	}
-	_, err = a.node.Relinquish("olap", b.ts.URL, epoch)
-	var ae *api.Error
-	if !errors.As(err, &ae) || ae.Code != api.CodeMoved || ae.Addr != b.ts.URL {
-		t.Fatalf("replayed relinquish = %v, want moved -> %s", err, b.ts.URL)
-	}
-}
-
 func TestPinMustTargetConfiguredShard(t *testing.T) {
 	a := startShard(t, "olap")
 	_, err := NewRouter([]string{a.ts.URL}, RouterOptions{
@@ -516,37 +475,48 @@ func TestAdminSurfaceRequiresToken(t *testing.T) {
 	}
 }
 
-// TestReAcceptReplacesStaleCopy: a migration round whose relinquish
-// never settled leaves a copy on the target; the retried round's
-// accept must replace it (monotone epoch) instead of failing on a
+// frameOf captures the interface's current state on sh as a seed frame.
+func frameOf(t testing.TB, sh *testShard, id string) ([]byte, *store.Snapshot) {
+	t.Helper()
+	if _, err := sh.ing.Flush(id); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sh.ing.Capture(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := store.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame, snap
+}
+
+// TestReAcceptReplacesStaleCopy: a migration that stopped before its
+// handoff leaves a follower copy on the target; when the source has
+// moved on, the next seed must replace that copy — hosted at exactly
+// the source's newer epoch and sequence — instead of failing on a
 // duplicate ID forever.
 func TestReAcceptReplacesStaleCopy(t *testing.T) {
 	a, b, _ := startFleet(t)
 
-	frame, _, err := a.node.Export("olap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := b.node.Accept(frame)
+	frame, _ := frameOf(t, a, "olap")
+	first, err := b.node.Replication().Follow(frame, 0, a.ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The source advances (the write that would have failed the CAS),
-	// and the retried round re-exports and re-accepts.
 	if _, err := a.node.IngestLog("olap", []qlog.Entry{{SQL: "SELECT dest, count(*) FROM ontime WHERE carrier = 'UA' GROUP BY dest"}}, true); err != nil {
 		t.Fatal(err)
 	}
-	frame2, _, err := a.node.Export("olap")
+	frame2, snap2 := frameOf(t, a, "olap")
+	second, err := b.node.Replication().Follow(frame2, 0, a.ts.URL)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("re-seed over a stale copy failed: %v", err)
 	}
-	second, err := b.node.Accept(frame2)
-	if err != nil {
-		t.Fatalf("re-accept of a stale copy failed: %v", err)
-	}
-	if second.Epoch <= first.Epoch {
-		t.Fatalf("re-accept epoch %d, want > %d (monotone)", second.Epoch, first.Epoch)
+	if second.Epoch <= first.Epoch || second.Epoch != snap2.Epoch || second.Info.Seq != snap2.Seq {
+		t.Fatalf("re-seeded copy at epoch %d seq %d (first %d), want the source's %d/%d",
+			second.Epoch, second.Info.Seq, first.Epoch, snap2.Epoch, snap2.Seq)
 	}
 	got, err := b.node.Epoch("olap")
 	if err != nil {
@@ -559,8 +529,11 @@ func TestReAcceptReplacesStaleCopy(t *testing.T) {
 
 func TestAcceptRejectsCorruptFrame(t *testing.T) {
 	b := startShard(t, "adhoc")
-	_, err := b.node.Accept([]byte("not a snapshot frame"))
+	_, err := b.node.Replication().Follow([]byte("not a snapshot frame"), 0, "http://127.0.0.1:1")
 	if codeOf(t, err) != api.CodeBadRequest {
 		t.Fatalf("corrupt frame = %v, want bad_request", err)
+	}
+	if _, err := b.node.Query("adhoc", api.QueryRequest{Limit: 1}); err != nil {
+		t.Fatalf("a refused seed disturbed what the shard serves: %v", err)
 	}
 }

@@ -128,9 +128,8 @@ func (s *Store) CaptureTables() []TableData {
 // Encode serializes the snapshot into the framed format shared by
 // .snap files and shard-to-shard transfers: magic, CRC-32 checksum,
 // payload length, gob payload. Because the checksum rides inside the
-// frame, a snapshot exported over HTTP during a migration is verified
-// end-to-end by the accepting shard exactly like a file read back from
-// disk.
+// frame, a seed shipped over HTTP to a follower is verified end-to-end
+// by the receiving shard exactly like a file read back from disk.
 func Encode(snap *Snapshot) ([]byte, error) {
 	snap.FormatVersion = FormatVersion
 	var payload bytes.Buffer

@@ -217,9 +217,8 @@ func (m *Manager) Replay(id string, fromSeq uint64, fn func(Record) error) error
 }
 
 // Reset discards every record of the interface's log and resumes the
-// sequence at seq — the adopt path (a seed or migration frame
-// replaced the local state wholesale, so the old tail no longer
-// applies to it).
+// sequence at seq — the adopt path (a seed frame replaced the local
+// state wholesale, so the old tail no longer applies to it).
 func (m *Manager) Reset(id string, seq uint64) error {
 	l, err := m.Log(id)
 	if l == nil {
@@ -715,8 +714,8 @@ func (l *Log) Truncate(seq uint64) error {
 }
 
 // Reset discards every record and resumes the sequence at seq (the
-// next append must carry seq+1) — the adopt path after a seed or
-// migration frame replaced local state wholesale.
+// next append must carry seq+1) — the adopt path after a seed frame
+// replaced local state wholesale.
 func (l *Log) Reset(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -3,8 +3,7 @@
 // Tableau student log) are not redistributable, so these generators
 // reproduce the statistical structure the paper describes and that the
 // algorithms actually observe: the distribution of AST shapes and of
-// structural changes between nearby queries. DESIGN.md §2 documents the
-// substitution argument.
+// structural changes between nearby queries.
 package workload
 
 import (

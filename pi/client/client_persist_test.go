@@ -53,6 +53,10 @@ func (p *memPersister) SaveAll() (*api.SnapshotResult, error) {
 
 func (p *memPersister) Restore() (*api.RestoreResult, error) { return &api.RestoreResult{}, nil }
 
+func (p *memPersister) RemoveSnapshot(id string) error { return nil }
+
+func (p *memPersister) WALStatus(id string) (*api.WALInfo, bool) { return nil, false }
+
 // TestClientAppendRowsAndSnapshot drives the two storage operations
 // end to end through the SDK.
 func TestClientAppendRowsAndSnapshot(t *testing.T) {

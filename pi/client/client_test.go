@@ -44,9 +44,16 @@ func fixtureService(t *testing.T, opts ...api.ServiceOptions) *api.Service {
 	return api.NewService(reg, opts...)
 }
 
-// stubIngestor acks whatever it is given, recording the last submit.
+// stubIngestor acks whatever log entries it is given, counting them;
+// the embedded nil Ingestor stands in for the row paths these tests
+// never reach.
 type stubIngestor struct {
+	api.Ingestor
 	submitted atomic.Int64
+}
+
+func (s *stubIngestor) IngestStatus(id string) (api.IngestStatus, bool) {
+	return api.IngestStatus{}, false
 }
 
 func (s *stubIngestor) Submit(id string, entries []qlog.Entry) (api.IngestAck, error) {

@@ -120,7 +120,8 @@ func Str(s string) engine.Value  { return engine.Str(s) }
 func Render(t *Table) string { return vis.Render(t) }
 
 // --- Extensions beyond the core pipeline (each maps to a direction the
-// paper discusses; see DESIGN.md).
+// paper discusses; see the doc comment of the package behind each
+// type).
 
 // Dependency marks a widget as active only under some states of an
 // ancestor widget (e.g. the Figure 5d TOP slider).
@@ -356,8 +357,8 @@ func NewPersistentService(reg *Registry, p *Persister) (*Service, error) {
 }
 
 // --- Sharding (internal/shard): partition hosted interfaces across
-// processes. A shard node is a full server plus an admin surface that
-// can hand interfaces off via snapshot frames; a router is a drop-in
+// processes. A shard node is a full server plus the replication admin
+// surface (seed, stream, promote, hand off); a router is a drop-in
 // Servicer that proxies to the owning shard, fans out fleet-wide
 // operations and migrates interfaces live.
 
@@ -367,7 +368,8 @@ func NewPersistentService(reg *Registry, p *Persister) (*Service, error) {
 type Servicer = api.Servicer
 
 // ShardNode wraps a service as one shard of a fleet: same operations,
-// plus export/accept/relinquish and moved tombstones.
+// plus the replication control plane (follow/apply/promote/demote/
+// handoff) and moved tombstones.
 type ShardNode = shard.Node
 
 // ShardNodeOptions configure a shard node (advertised address, restore

@@ -5,9 +5,8 @@
 # queries, migrate an interface live while queries keep flowing (no
 # failure other than structured moved errors the router/SDK follow),
 # verify epoch-bound cursors minted before the migration expire with
-# cursor_expired, bound the router-proxy p50 overhead at < 2x direct
-# serve on the cached-plan path, then kill a shard and verify the
-# structured shard_unavailable / degraded-health contract.
+# cursor_expired, then kill a shard and verify the structured
+# shard_unavailable / degraded-health contract.
 # Exits non-zero on any failure.
 set -eu
 . "$(dirname "$0")/lib.sh"
@@ -115,31 +114,6 @@ routed=$(query "$ROUTER_ADDR" olap ',"limit":10')
 direct=$(query "$B_ADDR" olap ',"limit":10')
 [ "$(stable_part "$routed")" = "$(stable_part "$direct")" ] \
     || fail "post-migration routed response differs from shard B"
-
-echo "== router-proxy p50 overhead < 2x direct serve (cached-plan path)"
-# Measured on a realistic page (200 rows, plan + result cache hot, both
-# interfaces live on shard B at this point, gzip negotiated like the
-# SDK and every browser does) so the fixed per-hop cost is weighed
-# against real serving work, not a near-empty identity response.
-p50() { # addr -> median time_total over 40 cached queries
-    j=0
-    while [ "$j" -lt 40 ]; do
-        j=$((j + 1))
-        curl -s --compressed -o /dev/null -w '%{time_total}\n' \
-            -X POST "http://$1/v1/interfaces/adhoc/query" \
-            -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
-            -d '{"widgets":[],"limit":200}'
-    done | sort -n | sed -n '20p'
-}
-query "$B_ADDR" adhoc ',"limit":200' >/dev/null # warm caches
-query "$ROUTER_ADDR" adhoc ',"limit":200' >/dev/null
-direct_p50=$(p50 "$B_ADDR")
-router_p50=$(p50 "$ROUTER_ADDR")
-awk -v d="$direct_p50" -v r="$router_p50" 'BEGIN {
-    ratio = (d > 0) ? r / d : 0
-    printf "   direct p50 %.4fs, router p50 %.4fs, overhead %.2fx\n", d, r, ratio
-    exit (d > 0 && ratio < 2.0) ? 0 : 1
-}' || fail "router p50 $router_p50 is not < 2x direct p50 $direct_p50"
 
 echo "== migrate adhoc B -> A so each shard owns one interface again"
 mig2=$(curl -s -X POST "http://$ROUTER_ADDR/v1/router/migrate" \
