@@ -25,6 +25,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/qlog
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/store
 
 # The gating benchmark (BENCHMARK.json, bench/README.md): one workload
 # against freshly built binaries, e.g. make bench WORKLOAD=ingest_live.
@@ -50,8 +51,9 @@ api-smoke:
 	sh scripts/api_smoke.sh
 
 # End-to-end smoke of the versioned storage layer: pi-serve with
-# -data-dir, append rows + ingest log entries, snapshot, SIGKILL,
-# restart on the same dir, verify epoch/rows/queries survived.
+# -data-dir, append rows + ingest log entries, snapshot (a checkpoint
+# that writes nothing after a small append), SIGKILL, restart on the
+# same dir, verify epoch/rows/queries survived through base + log.
 persist-smoke:
 	sh scripts/persist_smoke.sh
 
@@ -68,10 +70,10 @@ shard-smoke:
 replica-smoke:
 	sh scripts/replica_smoke.sh
 
-# End-to-end smoke of the write-ahead log: pi-serve -wal, acked
+# End-to-end smoke of the write-ahead log: pi-serve -data-dir, acked
 # appends that no snapshot ever covers, SIGKILL, restart, verify the
-# logged tail replayed them; then differential saves and a second
-# crash restoring through base + delta + tail.
+# logged tail replayed them; then a checkpoint that writes no new
+# file and a second crash restoring through base + log.
 wal-smoke:
 	sh scripts/wal_smoke.sh
 
@@ -95,7 +97,7 @@ obs-smoke:
 # Benchmark router-proxy overhead vs direct serve (BENCH_shard.json),
 # the replication layer's ack coupling + fan-out read
 # (BENCH_replica.json), and the WAL's acked-append overhead +
-# differential-vs-full snapshot cost (BENCH_wal.json), so the perf
+# checkpoint-vs-full snapshot cost (BENCH_wal.json), so the perf
 # trajectory is tracked run over run.
 bench-json:
 	sh scripts/bench_json.sh

@@ -43,13 +43,13 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// startServer launches pi-serve in WAL mode against dataDir and waits
-// for it to serve health.
+// startServer launches pi-serve against dataDir — every ack journaled
+// to the write-ahead log — and waits for it to serve health.
 func startServer(t *testing.T, bin, addr, dataDir string, extra ...string) (*exec.Cmd, *client.Client) {
 	t.Helper()
 	args := append([]string{
 		"-addr", addr, "-workloads", "olap", "-n", "20", "-rows", "60",
-		"-data-dir", dataDir, "-wal",
+		"-data-dir", dataDir,
 	}, extra...)
 	cmd := exec.Command(bin, args...)
 	var out strings.Builder
@@ -239,13 +239,11 @@ func TestWALBootRefusesOrphanLog(t *testing.T) {
 	cmd.Wait()
 
 	// Remove the base + manifest but keep the log: unrecoverable.
-	for _, pat := range []string{"olap.snap", "olap.manifest.json", "*.delta"} {
-		matches, _ := filepath.Glob(filepath.Join(dataDir, pat))
-		for _, m := range matches {
-			os.Remove(m)
-		}
+	for _, name := range []string{"olap.snap", "olap.manifest.json"} {
+		os.Remove(filepath.Join(dataDir, name))
 	}
 
+	// -wal is deprecated and ignored; it must still parse.
 	reboot := exec.Command(bin, "-addr", addr, "-workloads", "olap", "-n", "20", "-rows", "60",
 		"-data-dir", dataDir, "-wal", "-wal-sync", "0")
 	out, err := reboot.CombinedOutput()

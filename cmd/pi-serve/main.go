@@ -10,7 +10,7 @@
 //	         [-seed 7] [-cache 256] [-batch 8] [-flush-every 2s]
 //	         [-tail id=path[,id=path...]] [-token T | -token-file F]
 //	         [-data-dir DIR] [-snapshot-every 30s]
-//	         [-wal] [-wal-sync 2ms] [-wal-segment-bytes N]
+//	         [-wal-sync 2ms] [-wal-segment-bytes N]
 //	         [-shard-addr http://HOST:PORT]
 //	pi-serve -check [-addr :8080] [-token T | -token-file F]
 //
@@ -47,19 +47,17 @@
 // With -data-dir the server is durable: on boot it restores every
 // interface saved under the dir (same-or-later epoch, identical
 // dataset row counts, no access to the original logs needed) and only
-// mines workloads that have no snapshot; while running it persists on
-// POST /v1/snapshot, every -snapshot-every interval (when set), and on
-// graceful shutdown. Each interface is one base snapshot, a chain of
-// differential deltas and a manifest linking them; a save writes only
-// what changed since the previous one. Kill it with SIGKILL and
-// restart it with the same -data-dir: the dashboards come back as of
-// the last save. Adding -wal decides what an ack promises, not what a
-// save writes: every acked write (log batches, row appends, mutations,
-// epoch bumps) is journaled to a per-interface write-ahead log before
-// the ack returns, and restart replays the logged tail on top of the
-// newest save, so a SIGKILL loses nothing that was acknowledged.
-// -wal-sync widens fsyncs into a group-commit window; 0 syncs before
-// every ack. See README "Durability".
+// mines workloads that have no snapshot. Every acked write (log
+// batches, row appends, mutations, epoch bumps) is journaled to a
+// per-interface write-ahead log before the ack returns, and a restart
+// replays the logged tail on top of the interface's base snapshot, so
+// a SIGKILL loses nothing that was acknowledged. POST /v1/snapshot,
+// every -snapshot-every interval (when set) and graceful shutdown
+// checkpoint: a new base is written, and the log truncated, only once
+// the log has outgrown a fixed fraction of the base. -wal-sync widens
+// fsyncs into a group-commit window; 0 syncs before every ack. -wal is
+// accepted and ignored (the log is always on). See README
+// "Durability".
 //
 // -check flips the binary into client mode: it probes a running
 // pi-serve at -addr through the pi/client SDK (health, list, a query
@@ -112,10 +110,10 @@ func main() {
 	batch := flag.Int("batch", 8, "ingested entries per incremental re-mine")
 	flushEvery := flag.Duration("flush-every", 2*time.Second, "background flush interval for partial batches")
 	tails := flag.String("tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
-	dataDir := flag.String("data-dir", "", "directory for durable state: per interface a base snapshot, differential deltas and a manifest (enables restore-on-boot and POST /v1/snapshot)")
+	dataDir := flag.String("data-dir", "", "directory for durable state: per interface a base snapshot, a manifest and a write-ahead log every ack is journaled to before it returns (enables restore-on-boot and POST /v1/snapshot)")
 	snapEvery := flag.Duration("snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
-	enableWAL := flag.Bool("wal", false, "also journal every acked publish to a write-ahead log under -data-dir before its ack returns; restart replays the tail so no acked write is lost (without it, acks are durable as of the next snapshot)")
-	walSync := flag.Duration("wal-sync", 0, "group-commit window for WAL fsyncs (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
+	flag.Bool("wal", false, "deprecated and ignored: under -data-dir the write-ahead log is always on")
+	walSync := flag.Duration("wal-sync", 0, "group-commit window for WAL fsyncs under -data-dir (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 4MiB)")
 	token := flag.String("token", "", "bearer token required on query/log endpoints (empty = open)")
 	tokenFile := flag.String("token-file", "", "file holding the bearer token (overrides -token)")
@@ -152,17 +150,11 @@ func main() {
 	// consulted).
 	var svc *api.Service
 	var persister *ingest.Persister
-	var walMgr *wal.Manager
 	if *dataDir != "" {
-		popts := ingest.PersistOptions{Funcs: attachWorkloadFuncs}
-		if *enableWAL {
-			walMgr = wal.NewManager(*dataDir, wal.Options{
-				SegmentBytes: *walSegBytes,
-				SyncInterval: *walSync,
-			})
-			popts.WAL = walMgr
-		}
-		persister = ingest.NewPersister(*dataDir, ing, popts)
+		persister = ingest.NewPersister(*dataDir, ing, ingest.PersistOptions{
+			Funcs: attachWorkloadFuncs,
+			WAL:   wal.NewManager(*dataDir, wal.Options{SegmentBytes: *walSegBytes, SyncInterval: *walSync}),
+		})
 		var restored *api.RestoreResult
 		var rerr error
 		svc, restored, rerr = api.NewPersistentService(reg, persister)
@@ -178,9 +170,6 @@ func main() {
 	}
 	if *snapEvery > 0 && persister == nil {
 		fatal(fmt.Errorf("-snapshot-every needs -data-dir"))
-	}
-	if *enableWAL && *dataDir == "" {
-		fatal(fmt.Errorf("-wal needs -data-dir (the log lives alongside the snapshots it replays onto)"))
 	}
 
 	for _, name := range strings.Split(*workloads, ",") {
@@ -210,11 +199,12 @@ func main() {
 		fatal(fmt.Errorf("no workloads hosted"))
 	}
 
-	// With -wal every interface must have a base snapshot on disk
-	// before its first acked write is journaled: a log with no base to
-	// replay onto is unrecoverable, so freshly mined workloads are
-	// persisted once up front, before the listener opens.
-	if walMgr != nil {
+	// Every interface must have a base snapshot on disk before its first
+	// acked write is journaled: a log with no base to replay onto is
+	// unrecoverable, so freshly mined workloads are persisted once up
+	// front, before the listener opens. The same checkpoint folds a
+	// restored legacy delta chain into a base.
+	if persister != nil {
 		if res, err := svc.Snapshot(); err != nil {
 			fatal(fmt.Errorf("initial snapshot: %w", err))
 		} else if len(res.Interfaces) > 0 {
@@ -318,17 +308,15 @@ func main() {
 		if err := hs.Shutdown(sctx); err != nil {
 			fatal(fmt.Errorf("shutdown: %w", err))
 		}
-		// A final snapshot so a graceful stop never loses ingested state
-		// (a SIGKILL loses only what arrived since the last snapshot).
+		// A final checkpoint, then the log's close, which syncs anything
+		// an fsync window left open.
 		if persister != nil {
 			if res, err := svc.Snapshot(); err != nil {
 				log.Printf("final snapshot: %v", err)
 			} else {
 				log.Printf("final snapshot: %d interface(s) persisted to %s", len(res.Interfaces), res.Dir)
 			}
-		}
-		if walMgr != nil {
-			if err := walMgr.Close(); err != nil {
+			if err := persister.Close(); err != nil {
 				log.Printf("wal close: %v", err)
 			}
 		}

@@ -235,8 +235,8 @@ type WALInfo struct {
 	// one known fsynced (they converge at every group commit).
 	LastSeq   uint64 `json:"lastSeq"`
 	SyncedSeq uint64 `json:"syncedSeq"`
-	// Lag counts acked publications the newest snapshot save does not
-	// cover — what a crash right now would replay from the log.
+	// Lag counts acked publications the base snapshot does not cover —
+	// what a crash right now would replay from the log.
 	Lag uint64 `json:"lag"`
 	// Truncated reports that a torn tail (a record cut mid-write by a
 	// crash) was dropped when the log was opened. The torn record was
@@ -280,7 +280,7 @@ type HealthInterface struct {
 	// Replication is present on replicated deployments: the interface's
 	// role on this shard and its position in the replication stream.
 	Replication *ReplicationInfo `json:"replication,omitempty"`
-	// WAL is present when the server runs with a write-ahead log: the
+	// WAL is present when the server persists (pi-serve -data-dir): the
 	// interface's log position and durability lag.
 	WAL *WALInfo `json:"wal,omitempty"`
 }

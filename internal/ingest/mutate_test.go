@@ -1,9 +1,10 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
-	"path/filepath"
+	"os"
 	"reflect"
 	"testing"
 
@@ -233,36 +234,33 @@ func TestWALMutationKillRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALMutationDifferentialSave: a save after a mutation cuts a
-// Replace delta for the mutated table (a tail cannot describe an
-// in-place change), and the base+delta chain restores the exact
-// post-mutation state with identities intact.
+// TestWALMutationDifferentialSave: a save after a small mutation
+// writes no new base — the log already carries the rowid-keyed
+// mutation set — and base + log restores the exact post-mutation state
+// with row identities intact.
 func TestWALMutationDifferentialSave(t *testing.T) {
 	dir := t.TempDir()
 	_, ing, p, _ := newWALPersister(t, dir, PersistOptions{})
+	growTable(t, ing, 500) // a base the one-row DELETE is small against
 	if _, err := p.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	base, err := os.ReadFile(store.SnapFile(dir, "live"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ing.SubmitMutation("live", "DELETE FROM t WHERE x = 7", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	man, err := store.LoadManifest(dir, "live")
-	if err != nil || man == nil || len(man.Deltas) != 1 {
-		t.Fatalf("manifest = %+v, %v; want one delta", man, err)
-	}
-	d, err := store.LoadDelta(filepath.Join(dir, man.Deltas[0]))
+	res, err := p.SaveAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Tables) != 1 || !d.Tables[0].Replace {
-		t.Fatalf("delta tables = %+v, want one Replace", d.Tables)
+	if res.Interfaces[0].Bytes != 0 || res.Interfaces[0].Rows != 549 {
+		t.Fatalf("save after one DELETE = %+v, want no base written and 549 rows reported", res.Interfaces[0])
 	}
-	if got := len(d.Tables[0].Rows); got != 49 {
-		t.Fatalf("Replace delta carries %d rows, want the full 49", got)
+	if after, err := os.ReadFile(store.SnapFile(dir, "live")); err != nil || !bytes.Equal(after, base) {
+		t.Fatalf("the save rewrote the base (%v)", err)
 	}
 
 	ing2 := New(api.NewRegistry(), Options{})
@@ -272,14 +270,14 @@ func TestWALMutationDifferentialSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := tableVals(t, ing2, "live", "t")
-	if len(vals) != 49 {
-		t.Fatalf("chain-restored rows = %d, want 49", len(vals))
+	if len(vals) != 549 {
+		t.Fatalf("restored rows = %d, want 549", len(vals))
 	}
 	if _, alive := vals[7]; alive {
-		t.Fatal("deleted row resurrected by the chain restore")
+		t.Fatal("deleted row resurrected by the restore")
 	}
 	// The restored interface keeps accepting mutations — identities
-	// round-tripped through the Replace delta.
+	// round-tripped through the base and the logged mutation set.
 	if ack, err := ing2.SubmitMutation("live", "DELETE FROM t WHERE x = 8", 0); err != nil || ack.Deleted != 1 {
 		t.Fatalf("post-restore mutation = %+v, %v", ack, err)
 	}

@@ -16,34 +16,42 @@ import (
 )
 
 // This file is the durable half of ingestion. One on-disk layout per
-// interface, whatever the flags:
+// interface:
 //
-//	<id>.snap            base snapshot (full capture)
-//	<id>.<seq>.delta     differential saves on top of it, in order
-//	<id>.manifest.json   base → delta chain → covered position, plus
-//	                     the replication control state
-//	<id>.wal/            the write-ahead log tail — only with a WAL
+//	<id>.snap            base snapshot (full capture at some seq)
+//	<id>.manifest.json   the base's position plus the replication
+//	                     control state
+//	<id>.wal/            the write-ahead log: every acked publication
+//	                     since (at least) the base
 //
 // The contract:
 //
-//   - A periodic save costs O(rows since the last save): it cuts a
-//     delta off the copy-on-write version chain (store.CutDelta), links
-//     it into the manifest, and truncates the WAL segments the save
-//     made redundant. Every CompactEvery saves, a full base rewrite
-//     drops the chain and compacts superseded row versions.
-//   - With PersistOptions.WAL set, every acked publish (log batch, row
-//     append, mutation, epoch bump) is in the log before the ack
-//     returns — the persister is the ingester's Journal, and the
-//     journal fires under the feed lock on owners and followers alike.
-//     Without it, acks are durable as of the next save.
-//   - Restore = base + delta chain + WAL tail replayed through the same
-//     Apply followers use. The acked state comes back exactly; a torn
-//     final record (crash mid-append) was never acked and is truncated,
-//     not applied. A data dir holding only a bare .snap (written before
-//     manifests existed) is promoted to this layout on first boot.
+//   - Every acked publish (log batch, row append, mutation, epoch bump)
+//     is in the log before the ack returns — the persister is the
+//     ingester's Journal, and the journal fires under the feed lock on
+//     owners and followers alike. The log is the record of what
+//     changed since the base.
+//   - A save is a checkpoint. It writes a new base and truncates the
+//     log only once the log outgrows a fixed fraction of the base
+//     (checkpointFraction); otherwise it writes nothing but a changed
+//     replication state. Either way it folds superseded MVCC row
+//     versions out of the live store.
+//   - Restore = base + log replayed through the same Apply followers
+//     use. The acked state comes back exactly; a torn final record
+//     (crash mid-append) was never acked and is truncated, not applied.
+//     A data dir holding only a bare .snap is promoted on first boot,
+//     and one written by a build that saved differentially (a v1
+//     manifest chaining .delta files) restores through the read-only
+//     legacy loader; the first save after either writes a new base.
 //   - Replication control state (role, term, owner, follower
 //     positions) rides in the manifest, so a restarted shard answers
 //     ownership questions from the term it actually held.
+
+// checkpointFraction sets when a save writes a new base: once the log
+// bytes retained past the current base exceed 1/checkpointFraction of
+// the base's size. Below that, replaying the log at restore costs less
+// than rewriting the base at every save.
+const checkpointFraction = 4
 
 // PersistOptions configure a Persister.
 type PersistOptions struct {
@@ -52,26 +60,22 @@ type PersistOptions struct {
 	// snapshot file cannot carry (pi-serve re-binds the synthetic SDSS
 	// UDF to the restored Galaxy table here).
 	Funcs func(id string, st *store.Store)
-	// WAL, when set, journals every acked publish before its ack and
-	// replays the logged tail on top of the newest save at restore —
-	// zero acked-then-lost across a SIGKILL. It changes what an ack
-	// promises, not what a save writes.
+	// WAL is the write-ahead log the persister journals into. When nil,
+	// NewPersister opens one under the data dir with default options
+	// (fsync before every ack).
 	WAL *wal.Manager
-	// CompactEvery bounds the delta chain: after this many differential
-	// saves the next save rewrites the full base snapshot and drops the
-	// chain. Default 64.
-	CompactEvery int
 }
 
 // Persister is the durable snapshot/restore coordinator over an
-// ingester's feeds: SaveAll serializes every live-hosted interface's
+// ingester's feeds: it journals every acked publish into the
+// write-ahead log, SaveAll checkpoints every live-hosted interface's
 // (log, dataset, epoch) into the data dir through internal/store's
 // checksummed atomic writer, and Restore re-hosts whatever the dir
 // holds — the saved log re-mines to exactly the interface that was
-// serving, the dataset rows load instead of being regenerated, and
-// the interface resumes at its saved epoch, so a SIGKILLed server
-// comes back without the original log or workload generator.
-// Implements api.Persister.
+// serving, the dataset rows load instead of being regenerated, the
+// logged tail replays, and the interface resumes at its acked epoch,
+// so a SIGKILLed server comes back without the original log or
+// workload generator. Implements api.Persister.
 type Persister struct {
 	dir  string
 	ing  *Ingester
@@ -93,13 +97,12 @@ type Persister struct {
 	replState func(id string) *store.ReplState
 }
 
-// NewPersister returns a persister writing snapshots under dir and
-// installs it as the ingester's durability journal: with
-// PersistOptions.WAL set, every acked publish is logged before the ack
-// returns.
+// NewPersister returns a persister writing under dir and installs it
+// as the ingester's durability journal: every acked publish is logged
+// before the ack returns.
 func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 64
+	if opts.WAL == nil {
+		opts.WAL = wal.NewManager(dir, wal.Options{})
 	}
 	p := &Persister{dir: dir, ing: ing, opts: opts, manifests: map[string]*store.Manifest{}}
 	ing.SetJournal(p)
@@ -108,6 +111,9 @@ func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
 
 // Dir returns the data directory.
 func (p *Persister) Dir() string { return p.dir }
+
+// Close syncs and closes the write-ahead log.
+func (p *Persister) Close() error { return p.opts.WAL.Close() }
 
 // Append implements Journal: one acked publication into the WAL,
 // synchronously, before the ack returns. Sequence numbers the log
@@ -204,57 +210,49 @@ func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 	return res, nil
 }
 
-// saveLocked writes one capture: a differential delta when the
-// manifest chain allows it, a full base rewrite when it does not (no
-// manifest yet, chain at the compaction bound, or a chain the capture
-// no longer continues). Caller holds saveMu.
+// saveLocked checkpoints one capture: a new base when the manifest
+// asks for one (none yet, a legacy chain to fold, a capture behind the
+// base) or the log has outgrown checkpointFraction of the base;
+// otherwise only a changed replication state is written, and the log
+// keeps carrying everything past the base. Either way superseded MVCC
+// row versions (UPDATE/DELETE residue) fold out of the live store: the
+// base and the log describe rows by rowid, never by version. Caller
+// holds saveMu.
 func (p *Persister) saveLocked(snap *store.Snapshot) (api.SnapshotInterface, error) {
+	if st, err := p.ing.Store(snap.ID); err == nil {
+		defer st.Compact()
+	}
 	m := p.manifests[snap.ID]
 	rs := p.replStateLocked(snap.ID)
-	if m == nil || len(m.Deltas) >= p.opts.CompactEvery || snap.Seq < m.Seq {
-		return p.saveFullLocked(snap, rs)
+	if p.needsBaseLocked(snap, m) {
+		return p.writeBaseLocked(snap, rs)
 	}
-	if snap.Seq == m.Seq {
-		// Nothing published since the last save; just refresh the
-		// replication state if it moved.
-		if rs != nil && !replStateEqual(rs, m.Replication) {
-			m.Replication = rs
-			if err := store.SaveManifest(p.dir, m); err != nil {
-				return api.SnapshotInterface{}, err
-			}
-		}
-		return snapshotRow(snap, 0), nil
-	}
-	d, err := store.CutDelta(snap, m.Seq, m.LogLen, m.TableRows, m.TableMuts)
-	if err != nil {
-		// A chain the capture does not continue (a table shrank — only
-		// possible through paths outside the append discipline) gets a
-		// full rewrite rather than failing the save loop.
-		return p.saveFullLocked(snap, rs)
-	}
-	size, name, err := store.SaveDelta(p.dir, d)
-	if err != nil {
-		return api.SnapshotInterface{}, err
-	}
-	m.Deltas = append(m.Deltas, name)
-	m.Seq, m.Epoch, m.DataEpoch = snap.Seq, snap.Epoch, snap.DataEpoch
-	m.LogLen, m.TableRows, m.TableMuts = store.CoveredCounts(snap)
-	if rs != nil {
+	if rs != nil && !replStateEqual(rs, m.Replication) {
 		m.Replication = rs
+		if err := store.SaveManifest(p.dir, m); err != nil {
+			return api.SnapshotInterface{}, err
+		}
 	}
-	if err := store.SaveManifest(p.dir, m); err != nil {
-		return api.SnapshotInterface{}, err
-	}
-	// The save covers everything through snap.Seq: segments the replay
-	// path no longer needs can go. Best-effort — a failed truncation
-	// only costs replay time.
-	_ = p.opts.WAL.Truncate(snap.ID, snap.Seq)
-	return snapshotRow(snap, size), nil
+	return snapshotRow(snap, 0), nil
 }
 
-// saveFullLocked writes a full base snapshot and a fresh manifest,
-// superseding any delta chain. Caller holds saveMu.
-func (p *Persister) saveFullLocked(snap *store.Snapshot, rs *store.ReplState) (api.SnapshotInterface, error) {
+// needsBaseLocked decides whether a save of snap writes a new base.
+// Caller holds saveMu.
+func (p *Persister) needsBaseLocked(snap *store.Snapshot, m *store.Manifest) bool {
+	if m == nil || m.FormatVersion != store.ManifestFormatVersion || len(m.Deltas) > 0 || snap.Seq < m.Seq {
+		return true
+	}
+	st, _ := p.opts.WAL.Status(snap.ID)
+	base, err := os.Stat(filepath.Join(p.dir, m.Base))
+	return err != nil || st.Bytes*checkpointFraction > base.Size()
+}
+
+// writeBaseLocked writes a full base snapshot and a fresh manifest,
+// then drops what the base supersedes: legacy delta files and the log
+// segments at or below its seq. The manifest lands after the base, so
+// a crash between the two restores from the new base (see
+// store.RestoreChain). Caller holds saveMu.
+func (p *Persister) writeBaseLocked(snap *store.Snapshot, rs *store.ReplState) (api.SnapshotInterface, error) {
 	bytes, err := store.Save(p.dir, snap)
 	if err != nil {
 		return api.SnapshotInterface{}, err
@@ -268,18 +266,13 @@ func (p *Persister) saveFullLocked(snap *store.Snapshot, rs *store.ReplState) (a
 		return api.SnapshotInterface{}, err
 	}
 	p.manifests[snap.ID] = m
+	// Best-effort: a file left behind only costs disk and replay time.
 	if old != nil {
 		for _, name := range old.Deltas {
 			_ = os.Remove(filepath.Join(p.dir, name))
 		}
 	}
 	_ = p.opts.WAL.Truncate(snap.ID, snap.Seq)
-	// A full rewrite is the point where no delta will ever again be cut
-	// against pre-rewrite state, so superseded MVCC row versions (old
-	// UPDATE/DELETE residue) can fold out of the live store's arenas.
-	if st, err := p.ing.Store(snap.ID); err == nil {
-		st.Compact()
-	}
 	return snapshotRow(snap, bytes), nil
 }
 
@@ -310,13 +303,12 @@ func replStateEqual(a, b *store.ReplState) bool {
 // Adopt durably installs an externally-sourced snapshot — a
 // replication seed — as this node's truth for the
 // interface: full base + manifest written synchronously (the caller
-// has not acked the transfer yet), the old delta chain dropped, and
-// the WAL reset to the snapshot's sequence, because the old log tail
+// has not acked the transfer yet) and the WAL reset to the snapshot's sequence, because the old log tail
 // described state the snapshot wholesale replaced.
 func (p *Persister) Adopt(snap *store.Snapshot, rs *store.ReplState) error {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()
-	if _, err := p.saveFullLocked(snap, rs); err != nil {
+	if _, err := p.writeBaseLocked(snap, rs); err != nil {
 		return fmt.Errorf("ingest: adopt %q: %w", snap.ID, err)
 	}
 	if err := p.opts.WAL.Reset(snap.ID, snap.Seq); err != nil {
@@ -382,7 +374,7 @@ func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
 }
 
 // RemoveSnapshot deletes the interface's durable state — base
-// snapshot, manifest, delta chain and log directory — so an unhosted
+// snapshot, manifest, any legacy delta files and log directory — so an unhosted
 // interface does not resurrect on the next boot; files that never
 // existed are fine. Implements api.Persister.
 func (p *Persister) RemoveSnapshot(id string) error {
@@ -403,7 +395,7 @@ func (p *Persister) RemoveSnapshot(id string) error {
 
 // Restore re-hosts every interface the data dir holds onto the
 // ingester's registry. Returns what came back; a missing or empty dir
-// restores nothing (first boot). A snapshot, delta or log record that
+// restores nothing (first boot). A snapshot, legacy delta or log record that
 // fails its checksum or decode is an error — serving silently without
 // an interface the operator expects is worse than failing loudly.
 // Runs once at boot, before the server serves. Implements
@@ -446,19 +438,14 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 	} else {
 		// A bare .snap (written before manifests existed, or a crash
 		// between a first save's base write and its manifest write).
-		// Host it and promote it to a manifest so deltas and the WAL
-		// tail are anchored from here on.
+		// Host it and promote it to a manifest so the log is anchored
+		// from here on.
 		snap, err = store.Load(store.SnapFile(p.dir, id))
 		if err != nil {
 			return nil, err
 		}
 		m = store.NewManifest(snap, nil)
 		if err := store.SaveManifest(p.dir, m); err != nil {
-			return nil, err
-		}
-	}
-	if p.opts.WAL == nil {
-		if err := refuseUnreplayedTail(p.dir, id, m.Seq); err != nil {
 			return nil, err
 		}
 	}
@@ -469,14 +456,14 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 	p.manifests[id] = m
 	p.saveMu.Unlock()
 
-	// Replay the acked tail: every logged publication past the save,
+	// Replay the acked tail: every logged publication past the base,
 	// through the same Apply followers use (the registry bumps the epoch
 	// by exactly one per swap, so the logged epochs verify lockstep).
-	err = p.opts.WAL.Replay(id, m.Seq, func(pub Publication) error { return p.ing.Apply(id, pub) })
+	err = p.opts.WAL.Replay(id, snap.Seq, func(pub Publication) error { return p.ing.Apply(id, pub) })
 	if err != nil {
 		return nil, fmt.Errorf("ingest: restore %q: replay WAL tail: %w", id, err)
 	}
-	// Report the replayed position, not the save's.
+	// Report the replayed position, not the base's.
 	if seq, err := p.ing.Seq(id); err == nil {
 		snap.Seq = seq
 	}
@@ -484,28 +471,6 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 		snap.Epoch = h.Epoch()
 	}
 	return snap, nil
-}
-
-// refuseUnreplayedTail is the boot without a WAL on a data dir that has
-// one: records in <id>.wal/ past the newest save are writes a client
-// was told succeeded, and only a boot with the WAL can replay them.
-// Serving without them would silently un-ack them, so it is an error.
-func refuseUnreplayedTail(dir, id string, savedSeq uint64) error {
-	logDir := wal.LogDir(dir, id)
-	if _, err := os.Stat(logDir); os.IsNotExist(err) {
-		return nil
-	}
-	mgr := wal.NewManager(dir, wal.Options{})
-	defer mgr.Close()
-	var n int
-	if err := mgr.Replay(id, savedSeq, func(Publication) error { n++; return nil }); err != nil {
-		return fmt.Errorf("ingest: restore %q: %w", id, err)
-	}
-	if n > 0 {
-		return fmt.Errorf("ingest: restore %q: %s holds %d acked publication(s) past the newest save (seq %d) "+
-			"and this boot has no WAL to replay them; restart with the WAL enabled (pi-serve -wal)", id, logDir, n, savedSeq)
-	}
-	return nil
 }
 
 // scanDataDir enumerates restorable interfaces (manifest or bare

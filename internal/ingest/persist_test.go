@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/qlog"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // TestKillRestoreRoundTrip is the storage tentpole end to end, minus
@@ -306,37 +304,48 @@ func TestTailGlob(t *testing.T) {
 	}
 }
 
-// TestSaveCompactsWithoutWAL: a persister without a WAL rewrites the
-// base every CompactEvery saves like any other, and that rewrite folds
-// superseded MVCC row versions out of the live store — the version
-// chain stays bounded under UPDATE traffic instead of growing with
-// every mutation — while a restore still reproduces the state byte for
-// byte.
+// TestSaveCompactsWithoutWAL: every save — whether or not it writes a
+// new base — folds superseded MVCC row versions out of the live store,
+// so dead versions never outlive one save cycle (`touched` of them)
+// under UPDATE traffic instead of growing with every mutation, while a
+// restore still reproduces the state byte for byte.
 func TestSaveCompactsWithoutWAL(t *testing.T) {
-	const cycles, touched, compactEvery = 20, 5, 2
+	const cycles, touched = 20, 5
 	dir := t.TempDir()
 	_, ing, _ := newIngester(t, Options{})
-	p := NewPersister(dir, ing, PersistOptions{CompactEvery: compactEvery})
+	p := NewPersister(dir, ing, PersistOptions{})
+	defer p.Close()
+	st, err := ing.Store("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A base big enough that one cycle's log record stays under the
+	// checkpoint fraction.
+	growTable(t, ing, 500)
+	bases := 0
 	for i := 0; i < cycles; i++ {
 		ack, err := ing.SubmitMutation("live", fmt.Sprintf("UPDATE t SET a = %d WHERE x <= %d", i, touched), 0)
 		if err != nil || ack.Updated != touched {
 			t.Fatalf("cycle %d: ack %+v, %v", i, ack, err)
 		}
-		if _, err := p.SaveAll(); err != nil {
+		res, err := p.SaveAll()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Interfaces[0].Bytes > 0 {
+			bases++
+		}
+		// The save folded the `touched` versions the cycle superseded:
+		// nothing is left for a second compaction to drop.
+		if dead := st.Compact(); dead != 0 {
+			t.Fatalf("cycle %d (base written: %v): %d superseded row versions survived the save",
+				i, res.Interfaces[0].Bytes > 0, dead)
+		}
+	}
+	if bases == 0 || bases == cycles {
+		t.Fatalf("%d of %d saves wrote a base; want the log to carry some cycles and outgrow the base in others", bases, cycles)
 	}
 	want := stateOf(t, ing)
-	st, err := ing.Store("live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each cycle supersedes `touched` versions; what is still around is
-	// what accumulated since the last base rewrite.
-	if dead := st.Compact(); dead > (compactEvery+1)*touched {
-		t.Fatalf("%d superseded row versions survived %d save cycles, want at most %d",
-			dead, cycles, (compactEvery+1)*touched)
-	}
 
 	ing2 := New(api.NewRegistry(), Options{})
 	if _, err := NewPersister(dir, ing2, PersistOptions{}).Restore(); err != nil {
@@ -348,6 +357,60 @@ func TestSaveCompactsWithoutWAL(t *testing.T) {
 	}
 }
 
+// growTable acks one append of n rows whose x values (1000 and up)
+// stay clear of the fixture's.
+func growTable(t *testing.T, ing *Ingester, n int) {
+	t.Helper()
+	rows := make([][]engine.Value, n)
+	for i := range rows {
+		rows[i] = numRow(float64(i), float64(1000+i))
+	}
+	if _, err := ing.SubmitRows("live", "t", rows, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDefaultPersisterJournalsAcks: a persister built with no options
+// journals every ack. After the base is anchored, an acked log batch,
+// a row append and an UPDATE are never saved; the persister is
+// abandoned without a save or a close, and a fresh ingester on the same
+// dir restores every one of them.
+func TestDefaultPersisterJournalsAcks(t *testing.T) {
+	dir := t.TempDir()
+	_, ing1, _ := newIngester(t, Options{BatchSize: 2})
+	p1 := NewPersister(dir, ing1, PersistOptions{})
+	if _, err := p1.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ing1.Submit("live", []qlog.Entry{
+		entry("SELECT a FROM t WHERE x = 30"),
+		entry("SELECT a FROM t WHERE x = 31"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30)}, true); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := ing1.SubmitMutation("live", "UPDATE t SET a = -1 WHERE x <= 2", 0); err != nil || ack.Updated != 2 {
+		t.Fatalf("update ack %+v, %v", ack, err)
+	}
+	want := stateOf(t, ing1)
+	if want.seq != 3 {
+		t.Fatalf("first life acked %d publications, want 3", want.seq)
+	}
+
+	ing2 := New(api.NewRegistry(), Options{})
+	p2 := NewPersister(dir, ing2, PersistOptions{})
+	defer p2.Close()
+	if _, err := p2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateOf(t, ing2); got.epoch != want.epoch || got.seq != want.seq || !bytes.Equal(got.frame, want.frame) {
+		t.Fatalf("restore at (epoch %d, seq %d, %d bytes), acked (%d, %d, %d bytes)",
+			got.epoch, got.seq, len(got.frame), want.epoch, want.seq, len(want.frame))
+	}
+}
+
 // TestRestoreMissingDirIsEmpty: a data dir that was never created is a
 // first boot, not an error.
 func TestRestoreMissingDirIsEmpty(t *testing.T) {
@@ -355,49 +418,5 @@ func TestRestoreMissingDirIsEmpty(t *testing.T) {
 	res, err := p.Restore()
 	if err != nil || len(res.Interfaces) != 0 {
 		t.Fatalf("Restore = %+v, %v; want nothing, nil", res, err)
-	}
-}
-
-// TestRestoreWithoutWALRefusesUnreplayedTail: a boot without a WAL on a
-// data dir whose log holds acked writes past the newest save must
-// refuse, naming the log directory — not serve as if they never
-// happened. Once a save covers the log, the same boot succeeds.
-func TestRestoreWithoutWALRefusesUnreplayedTail(t *testing.T) {
-	dir := t.TempDir()
-	_, ing1, p1, m1 := newWALPersister(t, dir, PersistOptions{})
-	if _, err := p1.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30)}, true); err != nil {
-		t.Fatal(err) // acked, journaled, never saved
-	}
-	m1.Close()
-
-	restoreWithoutWAL := func() error {
-		_, err := NewPersister(dir, New(api.NewRegistry(), Options{}), PersistOptions{}).Restore()
-		return err
-	}
-	err := restoreWithoutWAL()
-	if err == nil {
-		t.Fatal("restore without a WAL ignored an acked write that only the log holds")
-	}
-	if !strings.Contains(err.Error(), wal.LogDir(dir, "live")) {
-		t.Fatalf("error does not name the log directory: %v", err)
-	}
-
-	// A boot with the WAL replays the tail; after its save the log holds
-	// nothing the save does not, and a WAL-less boot is fine.
-	m2 := wal.NewManager(dir, wal.Options{})
-	defer m2.Close()
-	p2 := NewPersister(dir, New(api.NewRegistry(), Options{}), PersistOptions{WAL: m2})
-	if _, err := p2.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	m2.Close()
-	if err := restoreWithoutWAL(); err != nil {
-		t.Fatalf("restore without a WAL after a covering save: %v", err)
 	}
 }

@@ -17,8 +17,8 @@ import (
 	"repro/internal/wal"
 )
 
-// bigDB builds a dataset large enough that a full snapshot rewrite
-// visibly dwarfs a 1% differential.
+// bigDB builds a dataset large enough that a full base rewrite
+// visibly dwarfs a 1% tail.
 func bigDB(t testing.TB, rows int) *engine.DB {
 	t.Helper()
 	tbl := engine.NewTable("t", "a", "x")
@@ -32,6 +32,9 @@ func bigDB(t testing.TB, rows int) *engine.DB {
 	return db
 }
 
+// hostPerf hosts a 20k-row interface. With walOpts set, a persister
+// journals every ack into a log with those options; with nil, the
+// ingester has no journal at all — the no-durability baseline.
 func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()) {
 	t.Helper()
 	dir := t.TempDir()
@@ -40,61 +43,75 @@ func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()
 	if _, err := ing.Host("live", "perf", fixtureLog(4), bigDB(t, 20000), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	popts := PersistOptions{}
-	cleanup := func() {}
-	if walOpts != nil {
-		m := wal.NewManager(dir, *walOpts)
-		popts.WAL = m
-		cleanup = func() { m.Close() }
+	if walOpts == nil {
+		return ing, nil, func() {}
 	}
-	p := NewPersister(dir, ing, popts)
-	return ing, p, cleanup
+	p := NewPersister(dir, ing, PersistOptions{WAL: wal.NewManager(dir, *walOpts)})
+	return ing, p, func() { p.Close() }
 }
 
-// TestDifferentialSnapshotCheaper pins the tentpole's save economics:
-// at a 1% delta, the differential save must write at least 5x fewer
-// bytes than the full base rewrite it replaces. (Bytes, not wall
-// time: bytes are deterministic under CI noise, and the write is the
-// cost the delta exists to avoid.)
+// appendTail acks one append of n rows.
+func appendTail(t testing.TB, ing *Ingester, first, n int) {
+	t.Helper()
+	rows := make([][]engine.Value, 0, n)
+	for i := 0; i < n; i++ {
+		rows = append(rows, numRow(float64(first+i), float64(i%97)))
+	}
+	if _, err := ing.SubmitRows("live", "t", rows, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDifferentialSnapshotCheaper pins the checkpoint's save economics:
+// after a 1% tail the log already holds the change, so a save writes
+// nothing (bytes 0) and leaves the log in place; once the log outgrows
+// checkpointFraction of the base, one save writes one base and
+// truncates the log. (Bytes, not wall time: bytes are deterministic
+// under CI noise.)
 func TestDifferentialSnapshotCheaper(t *testing.T) {
 	ing, p, cleanup := hostPerf(t, &wal.Options{})
 	defer cleanup()
 
-	fullStart := time.Now()
 	res, err := p.SaveAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullDur := time.Since(fullStart)
-	fullBytes := res.Interfaces[0].Bytes
-	if fullBytes == 0 {
-		t.Fatal("full save reported zero bytes")
+	baseBytes := res.Interfaces[0].Bytes
+	if baseBytes == 0 {
+		t.Fatal("first save wrote no base")
 	}
 
 	// 1% of the dataset arrives, acked and journaled.
-	delta := make([][]engine.Value, 0, 200)
-	for i := 0; i < 200; i++ {
-		delta = append(delta, numRow(float64(1000000+i), float64(i%97)))
-	}
-	if _, err := ing.SubmitRows("live", "t", delta, true); err != nil {
-		t.Fatal(err)
-	}
-
-	diffStart := time.Now()
+	appendTail(t, ing, 1000000, 200)
 	res, err = p.SaveAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffDur := time.Since(diffStart)
-	diffBytes := res.Interfaces[0].Bytes
-	if diffBytes == 0 {
-		t.Fatal("differential save reported zero bytes (no delta was cut)")
+	if got := res.Interfaces[0]; got.Bytes != 0 || got.Rows != 20200 {
+		t.Fatalf("save after a 1%% tail = %+v, want no base written and 20200 rows reported", got)
 	}
-	t.Logf("full save: %d bytes in %v; differential (1%% delta): %d bytes in %v (%.1fx fewer bytes)",
-		fullBytes, fullDur, diffBytes, diffDur, float64(fullBytes)/float64(diffBytes))
-	if diffBytes*5 > fullBytes {
-		t.Fatalf("differential save wrote %d bytes, full %d — less than the pinned 5x saving at a 1%% delta",
-			diffBytes, fullBytes)
+	tail, _ := p.WALStatus("live")
+	if tail.Lag != 1 {
+		t.Fatalf("log holds %d publications past the base, want the 1 tail", tail.Lag)
+	}
+	t.Logf("base: %d bytes; log after a 1%% tail: %d bytes (%.1f%% of the base)",
+		baseBytes, tail.Bytes, 100*float64(tail.Bytes)/float64(baseBytes))
+
+	// Grow the log past the fraction: the next save checkpoints.
+	for n := 1; tail.Bytes*checkpointFraction <= baseBytes; n++ {
+		appendTail(t, ing, 1000000+200*n, 200)
+		tail, _ = p.WALStatus("live")
+	}
+	res, err = p.SaveAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interfaces[0].Bytes == 0 {
+		t.Fatalf("log at %d bytes against a %d-byte base, but the save wrote no base", tail.Bytes, baseBytes)
+	}
+	after, _ := p.WALStatus("live")
+	if after.Lag != 0 || after.Bytes >= tail.Bytes/10 {
+		t.Fatalf("checkpoint left the log at %+v (was %d bytes)", after, tail.Bytes)
 	}
 }
 
@@ -168,7 +185,7 @@ func postPerfRow(t *testing.T, url string, n int) {
 func benchAcks(b *testing.B, walOpts *wal.Options) {
 	ing, p, cleanup := hostPerf(b, walOpts)
 	defer cleanup()
-	if walOpts != nil {
+	if p != nil {
 		if _, err := p.SaveAll(); err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +222,10 @@ func BenchmarkSnapshotFull(b *testing.B) {
 	}
 }
 
-func BenchmarkSnapshotDifferential(b *testing.B) {
+// BenchmarkCheckpoint is a save after each 1% tail: the log already
+// holds the tail, so most saves write no base; the base rewrites the
+// checkpoint fraction triggers are amortized into the per-op cost.
+func BenchmarkCheckpoint(b *testing.B) {
 	ing, p, cleanup := hostPerf(b, &wal.Options{})
 	defer cleanup()
 	if _, err := p.SaveAll(); err != nil {
@@ -214,13 +234,7 @@ func BenchmarkSnapshotDifferential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rows := make([][]engine.Value, 0, 200)
-		for j := 0; j < 200; j++ {
-			rows = append(rows, numRow(float64(4000000+i*200+j), float64(j%97)))
-		}
-		if _, err := ing.SubmitRows("live", "t", rows, true); err != nil {
-			b.Fatal(err)
-		}
+		appendTail(b, ing, 4000000+i*200, 200)
 		b.StartTimer()
 		if _, err := p.SaveAll(); err != nil {
 			b.Fatal(err)

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/api"
@@ -13,8 +12,8 @@ import (
 	"repro/internal/wal"
 )
 
-// newWALPersister hosts the fixture interface with a WAL-mode
-// persister journaling every ack into dir.
+// newWALPersister hosts the fixture interface with a persister
+// journaling every ack into a caller-visible WAL manager under dir.
 func newWALPersister(t *testing.T, dir string, opts PersistOptions) (*api.Registry, *Ingester, *Persister, *wal.Manager) {
 	t.Helper()
 	reg := api.NewRegistry()
@@ -109,112 +108,6 @@ func TestWALKillRestoreRoundTrip(t *testing.T) {
 	st3, _ := ing3.Store("live")
 	if n, _ := st3.RowCount("t"); n != wantRows+1 {
 		t.Fatalf("third-life rows = %d, want %d", n, wantRows+1)
-	}
-}
-
-// TestWALDifferentialSave: the second save must cut a delta, not
-// rewrite the base, and must truncate the WAL segments it covered.
-func TestWALDifferentialSave(t *testing.T) {
-	dir := t.TempDir()
-	_, ing, p, m := newWALPersister(t, dir, PersistOptions{})
-	if _, err := p.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	baseInfo, err := os.Stat(store.SnapFile(dir, "live"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(801, 60), numRow(802, 61)}, true); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.SaveAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	man, err := store.LoadManifest(dir, "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man == nil || len(man.Deltas) != 1 {
-		t.Fatalf("manifest after differential save = %+v", man)
-	}
-	if _, err := os.Stat(filepath.Join(dir, man.Deltas[0])); err != nil {
-		t.Fatalf("delta file missing: %v", err)
-	}
-	after, err := os.Stat(store.SnapFile(dir, "live"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.ModTime().Equal(baseInfo.ModTime()) || after.Size() != baseInfo.Size() {
-		t.Fatal("differential save rewrote the base snapshot")
-	}
-	if res.Interfaces[0].Bytes >= baseInfo.Size() {
-		t.Fatalf("delta (%d bytes) not smaller than base (%d bytes)", res.Interfaces[0].Bytes, baseInfo.Size())
-	}
-	if st, ok := m.Status("live"); !ok || st.LastSeq != man.Seq {
-		t.Fatalf("WAL head does not match the save: %+v", st)
-	}
-	replayed := 0
-	if err := m.Replay("live", 0, func(wal.Record) error { replayed++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 0 {
-		t.Fatalf("WAL still holds %d records the save covered", replayed)
-	}
-
-	// The chain restores to the exact post-append state.
-	reg2 := api.NewRegistry()
-	ing2 := New(reg2, Options{})
-	m2 := wal.NewManager(dir, wal.Options{})
-	defer m2.Close()
-	if _, err := NewPersister(dir, ing2, PersistOptions{WAL: m2}).Restore(); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := ing2.Store("live")
-	if n, _ := st2.RowCount("t"); n != 52 {
-		t.Fatalf("chain-restored rows = %d, want 52", n)
-	}
-}
-
-// TestWALCompaction: CompactEvery bounds the chain — the save after
-// the bound rewrites the base and removes the stale delta files.
-func TestWALCompaction(t *testing.T) {
-	dir := t.TempDir()
-	_, ing, p, _ := newWALPersister(t, dir, PersistOptions{CompactEvery: 2})
-	if _, err := p.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	var deltaFiles []string
-	for i := 0; i < 3; i++ {
-		if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(float64(600+i), 70)}, true); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.SaveAll(); err != nil {
-			t.Fatal(err)
-		}
-		man, err := store.LoadManifest(dir, "live")
-		if err != nil {
-			t.Fatal(err)
-		}
-		deltaFiles = append(deltaFiles, man.Deltas...)
-		if i < 2 {
-			if len(man.Deltas) != i+1 {
-				t.Fatalf("save %d: chain = %v", i, man.Deltas)
-			}
-		} else if len(man.Deltas) != 0 {
-			t.Fatalf("chain not compacted at bound: %v", man.Deltas)
-		}
-	}
-	for _, name := range deltaFiles {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("stale delta %s survived compaction", name)
-		}
-	}
-	st, _ := ing.Store("live")
-	if n, _ := st.RowCount("t"); n != 53 {
-		t.Fatalf("rows = %d, want 53", n)
 	}
 }
 
@@ -383,8 +276,8 @@ func TestWALOrphanLogFailsRestore(t *testing.T) {
 	}
 }
 
-// TestWALLegacySnapPromoted: a bare .snap written before WAL mode (or
-// by a crash between base write and manifest write) still restores,
+// TestWALLegacySnapPromoted: a bare .snap written before manifests
+// existed (or by a crash between base write and manifest write) still restores,
 // gains a manifest, and anchors the replayed tail.
 func TestWALLegacySnapPromoted(t *testing.T) {
 	dir := t.TempDir()
@@ -421,8 +314,8 @@ func TestWALLegacySnapPromoted(t *testing.T) {
 	}
 }
 
-// TestWALRemoveSnapshotDropsLog: unhosting removes the manifest, the
-// delta chain and the log directory, so the interface cannot
+// TestWALRemoveSnapshotDropsLog: unhosting removes the base, the
+// manifest and the log directory, so the interface cannot
 // resurrect — and cannot trip the orphan check.
 func TestWALRemoveSnapshotDropsLog(t *testing.T) {
 	dir := t.TempDir()

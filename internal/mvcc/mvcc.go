@@ -128,9 +128,8 @@ func Seed(name string, cols []string, rows [][]engine.Value, ids []uint64, nextI
 func (t *Table) NextID() uint64 { return t.nextID }
 
 // MutGen returns the mutation generation: how many Mutate publishes
-// the table has absorbed. The differential-snapshot cutter compares it
-// against the last save to decide whether a tail-append delta is still
-// sound.
+// the table has absorbed. Snapshots carry it so a restored table
+// resumes the count.
 func (t *Table) MutGen() uint64 { return t.mutGen }
 
 // LiveCount returns the number of live rows (without materializing).

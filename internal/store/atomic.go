@@ -12,8 +12,8 @@ import (
 // rename itself survives a crash. A reader (or a crash at any point)
 // can only ever observe the old complete file or the new complete
 // file, never a torn write. This is the one write idiom every durable
-// artifact in the data dir uses — .snap snapshots, delta frames,
-// manifests, the shard tombstone map — so their crash semantics can
+// artifact in the data dir uses — .snap snapshots, manifests, the
+// shard tombstone map — so their crash semantics can
 // never drift apart.
 func AtomicWrite(dir, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -1,30 +1,24 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 
 	"repro/internal/engine"
 	"repro/internal/qlog"
 )
 
-// This file is the differential half of persistence: instead of
-// rewriting the whole dataset on every save, a periodic save appends
-// one Delta — the log entries and table rows added since the previous
-// save — keyed off the copy-on-write version chain (a table's new
-// rows are exactly the slice past the previously-saved row count,
-// because AppendRows only ever extends the backing array). A manifest
-// (manifest.go) links base snapshot → deltas → WAL tail; restore
-// merges them back into one in-memory Snapshot.
+// This file is the read-only legacy half of persistence. Data dirs
+// written by builds that saved differentially hold a base snapshot plus
+// a chain of .delta files (the log entries and table rows added between
+// two saves); a v1 manifest lists them. Restore folds the chain into
+// the base (RestoreChain), and the first save afterwards writes a full
+// base and drops the chain. Nothing writes a delta any more: the
+// write-ahead log is the record of what changed since the base.
 
-// Delta is the durable form of "what changed since the last save":
-// the appended tail of the query log and of each grown table, plus
-// the position (seq, epochs) the interface had when it was cut.
+// Delta is one legacy differential save: the appended tail of the query
+// log and of each grown table, plus the position (seq, epochs) the
+// interface had when it was cut.
 type Delta struct {
 	// FormatVersion guards decoding across format changes.
 	FormatVersion int
@@ -47,18 +41,16 @@ type Delta struct {
 // shapes, discriminated by Replace:
 //
 //   - append tail (Replace false): Rows/RowIDs hold only the rows
-//     added past FromRow — the common case, tiny files.
+//     added past FromRow.
 //   - replacement (Replace true): the table absorbed UPDATE/DELETE
-//     mutations since the last save, so a tail cut cannot describe it;
-//     Rows/RowIDs carry the full visible table and Apply swaps it
-//     wholesale. Still differential at the save level: unmutated
-//     tables and the log keep riding as tails.
+//     mutations since the previous save, so Rows/RowIDs carry the full
+//     visible table and Apply swaps it wholesale.
 type TableDelta struct {
 	Name string
 	Cols []string
-	// FromRow is the row count the previous save covered; the restore
-	// path refuses a delta whose FromRow does not meet the merged table
-	// where it left off (a gap would silently drop acked rows).
+	// FromRow is the row count the previous save covered; Apply refuses
+	// a delta whose FromRow does not meet the merged table where it left
+	// off (a gap would silently drop acked rows).
 	FromRow int
 	Rows    [][]engine.Value
 
@@ -72,78 +64,11 @@ type TableDelta struct {
 	Replace bool
 }
 
-// DeltaFormatVersion is the current delta file format.
+// DeltaFormatVersion is the delta file format this build reads.
 const DeltaFormatVersion = 1
 
 // deltaMagic leads every delta file, distinguishing it from snapshots.
 var deltaMagic = []byte("PIDELT01")
-
-// DeltaFile returns the delta path for an interface at a covered seq.
-// The zero-padded seq keeps lexicographic order equal to replay order.
-func DeltaFile(dir, id string, toSeq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.%020d.delta", id, toSeq))
-}
-
-// CutDelta derives the delta between a previous save — described by
-// its covered log length, per-table row counts and per-table mutation
-// generations, as the manifest records them — and a fresh full
-// capture. A table whose mutation generation moved since the last save
-// has been updated or deleted from, so its tail is not a sound
-// description of the change: it rides as a full-table replacement
-// delta instead, while unmutated tables keep the cheap tail cut.
-// Sharing is safe: the returned slices alias the capture's immutable
-// rows.
-func CutDelta(snap *Snapshot, fromSeq uint64, logLen int, tableRows map[string]int, tableMuts map[string]uint64) (*Delta, error) {
-	if logLen > len(snap.Log) {
-		return nil, fmt.Errorf("store: delta of %q: capture has %d log entries, previous save covered %d",
-			snap.ID, len(snap.Log), logLen)
-	}
-	d := &Delta{
-		FormatVersion: DeltaFormatVersion,
-		ID:            snap.ID,
-		FromSeq:       fromSeq,
-		ToSeq:         snap.Seq,
-		Epoch:         snap.Epoch,
-		DataEpoch:     snap.DataEpoch,
-		Log:           snap.Log[logLen:],
-	}
-	for _, td := range snap.Tables {
-		if td.MutGen != tableMuts[td.Name] {
-			d.Tables = append(d.Tables, TableDelta{
-				Name:      td.Name,
-				Cols:      td.Cols,
-				Rows:      td.Rows,
-				RowIDs:    td.RowIDs,
-				NextRowID: td.NextRowID,
-				MutGen:    td.MutGen,
-				Replace:   true,
-			})
-			continue
-		}
-		covered := tableRows[td.Name]
-		if covered > len(td.Rows) {
-			return nil, fmt.Errorf("store: delta of %q: table %q has %d rows, previous save covered %d",
-				snap.ID, td.Name, len(td.Rows), covered)
-		}
-		if covered == len(td.Rows) && covered > 0 {
-			continue // unchanged table: nothing to carry
-		}
-		var ids []uint64
-		if len(td.RowIDs) == len(td.Rows) {
-			ids = td.RowIDs[covered:]
-		}
-		d.Tables = append(d.Tables, TableDelta{
-			Name:      td.Name,
-			Cols:      td.Cols,
-			FromRow:   covered,
-			Rows:      td.Rows[covered:],
-			RowIDs:    ids,
-			NextRowID: td.NextRowID,
-			MutGen:    td.MutGen,
-		})
-	}
-	return d, nil
-}
 
 // Apply merges the delta into a snapshot being rebuilt, in place. The
 // seq chain and per-table row positions are verified — a delta that
@@ -210,70 +135,18 @@ func (d *Delta) Apply(snap *Snapshot) error {
 	return nil
 }
 
-// EncodeDelta serializes the delta into the same framed format
-// snapshots use — magic, CRC-32, length, gob — under its own magic.
-func EncodeDelta(d *Delta) ([]byte, error) {
-	d.FormatVersion = DeltaFormatVersion
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(d); err != nil {
-		return nil, fmt.Errorf("store: encode delta %q: %w", d.ID, err)
-	}
-	sum := crc32.ChecksumIEEE(payload.Bytes())
-	frame := make([]byte, 0, len(deltaMagic)+12+payload.Len())
-	frame = append(frame, deltaMagic...)
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], sum)
-	binary.BigEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
-	frame = append(frame, hdr[:]...)
-	frame = append(frame, payload.Bytes()...)
-	return frame, nil
-}
-
-// DecodeDelta verifies and decodes one EncodeDelta frame.
+// DecodeDelta verifies and decodes one delta frame: the snapshot frame
+// layout (see Decode) under the delta magic.
 func DecodeDelta(raw []byte) (*Delta, error) {
-	if len(raw) < len(deltaMagic)+12 {
-		return nil, fmt.Errorf("store: delta is truncated (%d bytes)", len(raw))
-	}
-	if !bytes.Equal(raw[:len(deltaMagic)], deltaMagic) {
-		return nil, fmt.Errorf("store: not a delta (bad magic)")
-	}
-	hdr := raw[len(deltaMagic):]
-	sum := binary.BigEndian.Uint32(hdr[0:4])
-	size := binary.BigEndian.Uint64(hdr[4:12])
-	payload := hdr[12:]
-	if uint64(len(payload)) != size {
-		return nil, fmt.Errorf("store: delta is truncated (payload %d bytes, header says %d)",
-			len(payload), size)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("store: delta failed checksum (got %08x, want %08x)", got, sum)
-	}
 	var d Delta
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil {
-		return nil, fmt.Errorf("store: decode delta: %w", err)
+	if err := decodeFrame(raw, deltaMagic, "delta", &d); err != nil {
+		return nil, err
 	}
 	if d.FormatVersion != DeltaFormatVersion {
 		return nil, fmt.Errorf("store: delta has format %d, this build reads %d",
 			d.FormatVersion, DeltaFormatVersion)
 	}
 	return &d, nil
-}
-
-// SaveDelta writes the delta durably next to its base snapshot,
-// returning the file's byte size and name.
-func SaveDelta(dir string, d *Delta) (int64, string, error) {
-	if !ValidID(d.ID) {
-		return 0, "", fmt.Errorf("store: invalid delta id %q", d.ID)
-	}
-	frame, err := EncodeDelta(d)
-	if err != nil {
-		return 0, "", err
-	}
-	name := filepath.Base(DeltaFile(dir, d.ID, d.ToSeq))
-	if err := AtomicWrite(dir, name, frame); err != nil {
-		return 0, "", fmt.Errorf("store: save delta %q: %w", d.ID, err)
-	}
-	return int64(len(frame)), name, nil
 }
 
 // LoadDelta reads and verifies one delta file.

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,66 +31,49 @@ func testSnap(id string, seq uint64, rows int) *Snapshot {
 	return snap
 }
 
-func TestCutDeltaApplyRoundTrip(t *testing.T) {
-	base := testSnap("iface", 3, 10)
-	logLen, tableRows, tableMuts := CoveredCounts(base)
-
-	// Grow: 5 more rows, 2 more log entries, seq 3 -> 5.
-	grown := testSnap("iface", 5, 15)
-
-	d, err := CutDelta(grown, base.Seq, logLen, tableRows, tableMuts)
-	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
-	}
-	if d.FromSeq != 3 || d.ToSeq != 5 {
-		t.Fatalf("delta range = [%d,%d], want [3,5]", d.FromSeq, d.ToSeq)
-	}
-	if len(d.Tables) != 1 || len(d.Tables[0].Rows) != 5 || d.Tables[0].FromRow != 10 {
-		t.Fatalf("table delta = %+v, want 5 rows from row 10", d.Tables)
-	}
-	if len(d.Log) != 2 {
-		t.Fatalf("log delta has %d entries, want 2", len(d.Log))
-	}
-
-	if err := d.Apply(base); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if base.Seq != 5 || base.Epoch != grown.Epoch || base.DataEpoch != grown.DataEpoch {
-		t.Fatalf("merged position = seq %d epoch %d, want seq 5 epoch %d", base.Seq, base.Epoch, grown.Epoch)
-	}
-	if got := len(base.Tables[0].Rows); got != 15 {
-		t.Fatalf("merged rows = %d, want 15", got)
-	}
-	if got := len(base.Log); got != 5 {
-		t.Fatalf("merged log = %d entries, want 5", got)
+// tailDelta is the legacy append-tail delta that takes testSnap(id,
+// from, fromRows) to testSnap(id, to, toRows), as the differential
+// saver wrote it.
+func tailDelta(id string, from uint64, fromRows int, to uint64, toRows int) *Delta {
+	grown := testSnap(id, to, toRows)
+	return &Delta{
+		FormatVersion: DeltaFormatVersion,
+		ID:            id,
+		FromSeq:       from,
+		ToSeq:         to,
+		Epoch:         grown.Epoch,
+		DataEpoch:     grown.DataEpoch,
+		Log:           grown.Log[from:],
+		Tables: []TableDelta{{Name: "ontime", Cols: grown.Tables[0].Cols,
+			FromRow: fromRows, Rows: grown.Tables[0].Rows[fromRows:]}},
 	}
 }
 
-func TestCutDeltaSkipsUnchangedTables(t *testing.T) {
-	snap := testSnap("iface", 4, 8)
-	snap.Tables = append(snap.Tables, TableData{Name: "carriers", Cols: []string{"code"},
-		Rows: [][]engine.Value{{engine.Str("AA")}}})
-	logLen, tableRows, tableMuts := CoveredCounts(snap)
-
-	grown := testSnap("iface", 6, 12)
-	grown.Tables = append(grown.Tables, snap.Tables[1]) // carriers unchanged
-
-	d, err := CutDelta(grown, snap.Seq, logLen, tableRows, tableMuts)
+// writeDelta stores a legacy delta file the way the differential saver
+// named and framed it.
+func writeDelta(t *testing.T, dir string, d *Delta) string {
+	t.Helper()
+	frame, err := encodeFrame(deltaMagic, d)
 	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
+		t.Fatal(err)
 	}
-	if len(d.Tables) != 1 || d.Tables[0].Name != "ontime" {
-		t.Fatalf("delta carries tables %+v, want only grown ontime", d.Tables)
+	name := fmt.Sprintf("%s.%020d.delta", d.ID, d.ToSeq)
+	if err := AtomicWrite(dir, name, frame); err != nil {
+		t.Fatal(err)
 	}
+	return name
 }
 
 func TestApplyRefusesGaps(t *testing.T) {
-	base := testSnap("iface", 3, 10)
-	grown := testSnap("iface", 5, 15)
-	logLen, tableRows, tableMuts := CoveredCounts(base)
-	d, err := CutDelta(grown, base.Seq, logLen, tableRows, tableMuts)
-	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
+	d := &Delta{
+		FormatVersion: DeltaFormatVersion,
+		ID:            "iface",
+		FromSeq:       3,
+		ToSeq:         5,
+		Epoch:         6,
+		DataEpoch:     5,
+		Tables: []TableDelta{{Name: "ontime", Cols: []string{"carrier", "delay"}, FromRow: 10,
+			Rows: [][]engine.Value{{engine.Str("AA"), engine.Num(10)}}}},
 	}
 
 	// Seq gap: applying onto a snapshot that does not end at FromSeq.
@@ -103,22 +88,31 @@ func TestApplyRefusesGaps(t *testing.T) {
 		t.Fatalf("row-gap apply error = %v, want continues-table error", err)
 	}
 
+	// A tail for a table the snapshot lacks must start at row 0.
+	d.Tables[0].Name = "absent"
+	if err := d.Apply(testSnap("iface", 3, 10)); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Fatalf("unknown-table apply error = %v, want unknown-table error", err)
+	}
+	d.Tables[0].Name = "ontime"
+
 	// Wrong interface entirely.
 	other := testSnap("other", 3, 10)
 	if err := d.Apply(other); err == nil {
 		t.Fatalf("cross-interface apply succeeded, want error")
 	}
+
+	// The gapless case merges.
+	ok := testSnap("iface", 3, 10)
+	if err := d.Apply(ok); err != nil || ok.Seq != 5 || ok.Epoch != 6 || len(ok.Tables[0].Rows) != 11 {
+		t.Fatalf("gapless apply = seq %d epoch %d rows %d, %v", ok.Seq, ok.Epoch, len(ok.Tables[0].Rows), err)
+	}
 }
 
 func TestDeltaEncodeDecodeDetectsCorruption(t *testing.T) {
-	grown := testSnap("iface", 5, 15)
-	d, err := CutDelta(grown, 3, 3, map[string]int{"ontime": 10}, map[string]uint64{"ontime": 0})
+	d := tailDelta("iface", 3, 10, 5, 15)
+	frame, err := encodeFrame(deltaMagic, d)
 	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
-	}
-	frame, err := EncodeDelta(d)
-	if err != nil {
-		t.Fatalf("EncodeDelta: %v", err)
+		t.Fatal(err)
 	}
 	back, err := DecodeDelta(frame)
 	if err != nil {
@@ -136,57 +130,61 @@ func TestDeltaEncodeDecodeDetectsCorruption(t *testing.T) {
 	if _, err := DecodeDelta(frame[:10]); err == nil {
 		t.Fatalf("truncated delta decoded, want error")
 	}
+	// A snapshot frame is not a delta, and vice versa.
+	snapFrame, err := Encode(testSnap("iface", 3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeDelta(snapFrame); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("snapshot decoded as a delta: %v", err)
+	}
+	if _, err := Decode(frame); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("delta decoded as a snapshot: %v", err)
+	}
+}
+
+// legacyChain writes a base at seq 3 plus deltas to seq 5 and 9 under a
+// format 1 manifest, the shape the differential saver left behind.
+func legacyChain(t *testing.T, dir string) *Manifest {
+	t.Helper()
+	if _, err := Save(dir, testSnap("iface", 3, 10)); err != nil {
+		t.Fatalf("Save base: %v", err)
+	}
+	m := &Manifest{
+		FormatVersion: 1,
+		ID:            "iface",
+		Base:          "iface.snap",
+		Replication: &ReplState{Role: "owner", Term: 7,
+			Followers: map[string]uint64{"http://127.0.0.1:9001": 3}},
+	}
+	from, fromRows := uint64(3), 10
+	for _, to := range []uint64{5, 9} {
+		toRows := 10 + int(to-3)*5
+		d := tailDelta("iface", from, fromRows, to, toRows)
+		m.Deltas = append(m.Deltas, writeDelta(t, dir, d))
+		m.Seq, m.Epoch, m.DataEpoch = d.ToSeq, d.Epoch, d.DataEpoch
+		from, fromRows = to, toRows
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWrite(dir, "iface"+manifestSuffix, raw); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestManifestChainSaveRestore(t *testing.T) {
 	dir := t.TempDir()
-
-	base := testSnap("iface", 3, 10)
-	if _, err := Save(dir, base); err != nil {
-		t.Fatalf("Save base: %v", err)
-	}
-	logLen, tableRows, tableMuts := CoveredCounts(base)
-	m := &Manifest{
-		ID:        "iface",
-		Base:      "iface.snap",
-		Seq:       base.Seq,
-		Epoch:     base.Epoch,
-		DataEpoch: base.DataEpoch,
-		LogLen:    logLen,
-		TableRows: tableRows,
-		TableMuts: tableMuts,
-		Replication: &ReplState{Role: "owner", Term: 7,
-			Followers: map[string]uint64{"http://127.0.0.1:9001": 3}},
-	}
-	if err := SaveManifest(dir, m); err != nil {
-		t.Fatalf("SaveManifest: %v", err)
-	}
-
-	// Two differential saves.
-	for _, to := range []uint64{5, 9} {
-		grown := testSnap("iface", to, 10+int(to-3)*5)
-		d, err := CutDelta(grown, m.Seq, m.LogLen, m.TableRows, m.TableMuts)
-		if err != nil {
-			t.Fatalf("CutDelta to %d: %v", to, err)
-		}
-		_, name, err := SaveDelta(dir, d)
-		if err != nil {
-			t.Fatalf("SaveDelta to %d: %v", to, err)
-		}
-		m.Deltas = append(m.Deltas, name)
-		m.Seq, m.Epoch, m.DataEpoch = grown.Seq, grown.Epoch, grown.DataEpoch
-		m.LogLen, m.TableRows, m.TableMuts = CoveredCounts(grown)
-		if err := SaveManifest(dir, m); err != nil {
-			t.Fatalf("SaveManifest after %d: %v", to, err)
-		}
-	}
+	legacyChain(t, dir)
 
 	loaded, err := LoadManifest(dir, "iface")
 	if err != nil {
 		t.Fatalf("LoadManifest: %v", err)
 	}
-	if loaded == nil || len(loaded.Deltas) != 2 || loaded.Seq != 9 {
-		t.Fatalf("loaded manifest = %+v, want 2 deltas at seq 9", loaded)
+	if loaded == nil || loaded.FormatVersion != 1 || len(loaded.Deltas) != 2 || loaded.Seq != 9 {
+		t.Fatalf("loaded manifest = %+v, want format 1 with 2 deltas at seq 9", loaded)
 	}
 	if loaded.Replication == nil || loaded.Replication.Term != 7 {
 		t.Fatalf("replication state not preserved: %+v", loaded.Replication)
@@ -202,6 +200,14 @@ func TestManifestChainSaveRestore(t *testing.T) {
 		t.Fatalf("merged snapshot seq %d rows %d log %d, want seq %d rows %d log %d",
 			merged.Seq, len(merged.Tables[0].Rows), len(merged.Log),
 			want.Seq, len(want.Tables[0].Rows), len(want.Log))
+	}
+
+	// A missing delta is a lost save, not a shorter history.
+	if err := os.Remove(filepath.Join(dir, loaded.Deltas[1])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreChain(dir, loaded); err == nil {
+		t.Fatal("restore over a missing delta succeeded")
 	}
 
 	// Missing manifest is (nil, nil), not an error.
@@ -226,5 +232,56 @@ func TestManifestChainSaveRestore(t *testing.T) {
 	// Idempotent.
 	if err := RemoveManifest(dir, "iface"); err != nil {
 		t.Fatalf("second RemoveManifest: %v", err)
+	}
+}
+
+// TestRestoreChainAfterFoldCrash: the first save after a legacy restore
+// writes a folded base, then the manifest that drops the chain. A crash
+// between the two leaves the new base under the old manifest; restore
+// must skip the deltas the base already covers instead of refusing
+// them as a seq gap.
+func TestRestoreChainAfterFoldCrash(t *testing.T) {
+	dir := t.TempDir()
+	m := legacyChain(t, dir)
+	folded := testSnap("iface", 9, 40)
+	if _, err := Save(dir, folded); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RestoreChain(dir, m)
+	if err != nil {
+		t.Fatalf("RestoreChain over a folded base: %v", err)
+	}
+	if got.Seq != 9 || len(got.Tables[0].Rows) != 40 || len(got.Log) != 9 {
+		t.Fatalf("restored seq %d rows %d log %d, want seq 9 rows 40 log 9",
+			got.Seq, len(got.Tables[0].Rows), len(got.Log))
+	}
+
+	// A base written past the manifest's position (a later checkpoint
+	// whose manifest never landed) restores from the base.
+	if _, err := Save(dir, testSnap("iface", 12, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := RestoreChain(dir, m); err != nil || got.Seq != 12 {
+		t.Fatalf("RestoreChain past the manifest = %+v, %v", got, err)
+	}
+}
+
+// TestManifestFormats: this build writes format 2 without any chain
+// and reads formats 1 and 2; anything else is refused loudly.
+func TestManifestFormats(t *testing.T) {
+	dir := t.TempDir()
+	m := NewManifest(testSnap("iface", 4, 3), nil)
+	if err := SaveManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(ManifestFile(dir, "iface"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"formatVersion": 2`) || strings.Contains(string(raw), "deltas") {
+		t.Fatalf("manifest written as:\n%s", raw)
+	}
+	if _, err := decodeManifest("iface", []byte(`{"formatVersion": 3, "id": "iface"}`)); err == nil {
+		t.Fatal("format 3 manifest decoded")
 	}
 }

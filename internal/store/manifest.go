@@ -7,37 +7,31 @@ import (
 	"path/filepath"
 )
 
-// Manifest links an interface's durable pieces together: the base
-// snapshot, the ordered delta chain on top of it, and the position
-// (seq, epochs, covered counts) everything through the last delta
-// adds up to — the floor above which WAL records still apply.
-// Replication control state (role, term, owner, follower positions)
-// rides along so a restarted shard answers ownership questions from
-// the term it actually held, not a blank slate.
+// Manifest anchors an interface's durable state: the base snapshot and
+// the position (seq, epochs) it covers — the floor above which the
+// interface's write-ahead log records still apply. Replication control
+// state (role, term, owner, follower positions) rides along so a
+// restarted shard answers ownership questions from the term it actually
+// held, not a blank slate.
 //
-// The manifest is tiny JSON written atomically (AtomicWrite), so the
-// chain flips from "base+deltas(n)" to "base+deltas(n+1)" in one
-// rename; a crash between the delta write and the manifest write
-// leaves an orphaned delta file the next save overwrites or ignores.
+// The manifest is tiny JSON written atomically (AtomicWrite) after the
+// base it names, so a crash between the two leaves the new base with
+// the old manifest; restore then starts from the base's own position.
 type Manifest struct {
 	FormatVersion int    `json:"formatVersion"`
 	ID            string `json:"id"`
 	// Base is the base snapshot's file name inside the data dir.
 	Base string `json:"base"`
-	// Deltas are the delta file names, in apply order.
+	// Deltas are the legacy delta files chained onto the base, in apply
+	// order. Only format 1 dirs have them; no save adds one, and the
+	// first save after a restore folds them into a new base.
 	Deltas []string `json:"deltas,omitempty"`
-	// Seq/Epoch/DataEpoch are the position base+deltas reconstruct to;
-	// WAL records with seq > Seq complete the acked state.
+	// Seq/Epoch/DataEpoch are the position the base (plus any legacy
+	// deltas) reconstructs to; log records with seq > Seq complete the
+	// acked state.
 	Seq       uint64 `json:"seq"`
 	Epoch     uint64 `json:"epoch"`
 	DataEpoch uint64 `json:"dataEpoch"`
-	// LogLen and TableRows are the covered counts the next differential
-	// save cuts its delta against; TableMuts are the covered mutation
-	// generations — a table whose generation moved since the last save
-	// rides the next delta as a full replacement, not a tail.
-	LogLen    int               `json:"logLen"`
-	TableRows map[string]int    `json:"tableRows,omitempty"`
-	TableMuts map[string]uint64 `json:"tableMuts,omitempty"`
 	// Replication, when present, is the interface's crash-proof
 	// replication control state.
 	Replication *ReplState `json:"replication,omitempty"`
@@ -59,15 +53,17 @@ type ReplState struct {
 	Followers map[string]uint64 `json:"followers,omitempty"`
 }
 
-// ManifestFormatVersion is the current manifest format.
-const ManifestFormatVersion = 1
+// ManifestFormatVersion is the manifest format this build writes.
+// Format 1 (base + delta chain) is still read; builds that only know
+// format 1 refuse a format 2 manifest instead of misreading it.
+const ManifestFormatVersion = 2
 
 const manifestSuffix = ".manifest.json"
 
 // ManifestFile returns the manifest path for an interface inside dir.
 func ManifestFile(dir, id string) string { return filepath.Join(dir, id+manifestSuffix) }
 
-// SaveManifest writes the manifest durably.
+// SaveManifest writes the manifest durably in the current format.
 func SaveManifest(dir string, m *Manifest) error {
 	if !ValidID(m.ID) {
 		return fmt.Errorf("store: invalid manifest id %q", m.ID)
@@ -94,20 +90,26 @@ func LoadManifest(dir, id string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read manifest %q: %w", id, err)
 	}
+	return decodeManifest(id, raw)
+}
+
+// decodeManifest parses one manifest file's bytes, accepting the current
+// format and the legacy delta-chain format.
+func decodeManifest(id string, raw []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("store: decode manifest %q: %w", id, err)
 	}
-	if m.FormatVersion != ManifestFormatVersion {
-		return nil, fmt.Errorf("store: manifest %q has format %d, this build reads %d",
+	if m.FormatVersion != 1 && m.FormatVersion != ManifestFormatVersion {
+		return nil, fmt.Errorf("store: manifest %q has format %d, this build reads 1 and %d",
 			id, m.FormatVersion, ManifestFormatVersion)
 	}
 	return &m, nil
 }
 
-// RemoveManifest deletes the manifest and every delta it references;
-// files that never existed are fine. The base snapshot is the
-// caller's business (RemoveSnapshot already owns it).
+// RemoveManifest deletes the manifest and every legacy delta it
+// references; files that never existed are fine. The base snapshot is
+// the caller's business (RemoveSnapshot already owns it).
 func RemoveManifest(dir, id string) error {
 	m, err := LoadManifest(dir, id)
 	if err != nil {
@@ -126,9 +128,11 @@ func RemoveManifest(dir, id string) error {
 	return nil
 }
 
-// RestoreChain loads the base snapshot and folds every delta into it,
-// returning the merged snapshot — the state base+deltas cover, on top
-// of which the WAL tail replays.
+// RestoreChain loads the base and folds in every legacy delta the
+// manifest lists, returning the state the log replays onto. Deltas the
+// base already covers are skipped, and a base past the manifest's seq
+// is fine: both are a crash between a checkpoint's base write and its
+// manifest write. A base short of it means a file was lost.
 func RestoreChain(dir string, m *Manifest) (*Snapshot, error) {
 	snap, err := Load(filepath.Join(dir, m.Base))
 	if err != nil {
@@ -139,11 +143,14 @@ func RestoreChain(dir string, m *Manifest) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: restore chain %q: %w", m.ID, err)
 		}
+		if d.ToSeq <= snap.Seq {
+			continue
+		}
 		if err := d.Apply(snap); err != nil {
 			return nil, err
 		}
 	}
-	if snap.Seq != m.Seq || snap.Epoch != m.Epoch {
+	if snap.Seq < m.Seq || (snap.Seq == m.Seq && snap.Epoch != m.Epoch) {
 		return nil, fmt.Errorf("store: restore chain %q: base+deltas reach seq %d epoch %d, manifest says seq %d epoch %d",
 			m.ID, snap.Seq, snap.Epoch, m.Seq, m.Epoch)
 	}
@@ -151,10 +158,9 @@ func RestoreChain(dir string, m *Manifest) (*Snapshot, error) {
 }
 
 // NewManifest describes a freshly written (or freshly found) base
-// snapshot with no deltas on top: the chain starts at the snapshot's
-// own position and covered counts.
+// snapshot: the log applies from the snapshot's own position.
 func NewManifest(snap *Snapshot, rs *ReplState) *Manifest {
-	m := &Manifest{
+	return &Manifest{
 		ID:          snap.ID,
 		Base:        snap.ID + ".snap",
 		Seq:         snap.Seq,
@@ -162,19 +168,4 @@ func NewManifest(snap *Snapshot, rs *ReplState) *Manifest {
 		DataEpoch:   snap.DataEpoch,
 		Replication: rs,
 	}
-	m.LogLen, m.TableRows, m.TableMuts = CoveredCounts(snap)
-	return m
-}
-
-// CoveredCounts summarizes a snapshot's covered positions for the
-// manifest: log length, per-table row counts and per-table mutation
-// generations.
-func CoveredCounts(snap *Snapshot) (logLen int, tableRows map[string]int, tableMuts map[string]uint64) {
-	tableRows = make(map[string]int, len(snap.Tables))
-	tableMuts = make(map[string]uint64, len(snap.Tables))
-	for _, t := range snap.Tables {
-		tableRows[t.Name] = len(t.Rows)
-		tableMuts[t.Name] = t.MutGen
-	}
-	return len(snap.Log), tableRows, tableMuts
 }

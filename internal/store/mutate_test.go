@@ -171,7 +171,7 @@ type errRowSet int
 func (e errRowSet) Error() string { return "pinned snapshot changed under concurrent mutations" }
 
 // captureSnap captures a live store as a persistence Snapshot, the way
-// the ingest persister does before cutting a delta.
+// the ingest persister does before writing a base.
 func captureSnap(s *Store, seq uint64) *Snapshot {
 	return &Snapshot{
 		ID:        "iface",
@@ -182,15 +182,14 @@ func captureSnap(s *Store, seq uint64) *Snapshot {
 	}
 }
 
-// TestCutDeltaMutationFoldBoundary exercises the differential cutter
-// around the compaction fold: a table that absorbed mutations since the
-// last save rides as a Replace delta, the delta is identical whether it
-// is cut before or after Compact folds the retired versions, and the
-// encoded delta round-trips through Apply onto the previous base.
-func TestCutDeltaMutationFoldBoundary(t *testing.T) {
+// TestReplaceDeltaApply: a legacy Replace delta — the full visible
+// table the differential saver wrote for a table that absorbed
+// UPDATE/DELETE mutations — round-trips through its frame and Apply
+// onto the previous base, and the merged snapshot restores to a store
+// whose row identities keep accepting mutations.
+func TestReplaceDeltaApply(t *testing.T) {
 	s := mutFixture(t, 6)
 	base := captureSnap(s, 1)
-	logLen, tableRows, tableMuts := CoveredCounts(base)
 	ids := base.Tables[0].RowIDs
 
 	if _, err := s.MutateRows("m",
@@ -198,36 +197,16 @@ func TestCutDeltaMutationFoldBoundary(t *testing.T) {
 		[]uint64{ids[5]}); err != nil {
 		t.Fatal(err)
 	}
-
-	pre := captureSnap(s, 2)
-	dPre, err := CutDelta(pre, base.Seq, logLen, tableRows, tableMuts)
+	live := captureSnap(s, 2)
+	td := live.Tables[0]
+	frame, err := encodeFrame(deltaMagic, &Delta{
+		FormatVersion: DeltaFormatVersion, ID: "iface", FromSeq: 1, ToSeq: 2,
+		Epoch: live.Epoch, DataEpoch: live.DataEpoch,
+		Tables: []TableDelta{{Name: td.Name, Cols: td.Cols, Rows: td.Rows, RowIDs: td.RowIDs,
+			NextRowID: td.NextRowID, MutGen: td.MutGen, Replace: true}},
+	})
 	if err != nil {
-		t.Fatalf("CutDelta before compaction: %v", err)
-	}
-	if len(dPre.Tables) != 1 || !dPre.Tables[0].Replace {
-		t.Fatalf("mutated table rides as %+v, want a Replace delta", dPre.Tables)
-	}
-	if got := len(dPre.Tables[0].Rows); got != 5 {
-		t.Fatalf("Replace delta carries %d rows, want the full 5 visible", got)
-	}
-
-	// Compaction folds the retired versions; the cut must not change.
-	if dropped := s.Compact(); dropped == 0 {
-		t.Fatal("Compact folded nothing after an update and a delete")
-	}
-	post := captureSnap(s, 2)
-	dPost, err := CutDelta(post, base.Seq, logLen, tableRows, tableMuts)
-	if err != nil {
-		t.Fatalf("CutDelta after compaction: %v", err)
-	}
-	if !reflect.DeepEqual(dPre.Tables, dPost.Tables) {
-		t.Fatalf("delta changed across compaction:\npre  %+v\npost %+v", dPre.Tables, dPost.Tables)
-	}
-
-	// Encode/decode/apply the mutation-bearing delta onto the old base.
-	frame, err := EncodeDelta(dPre)
-	if err != nil {
-		t.Fatalf("EncodeDelta: %v", err)
+		t.Fatal(err)
 	}
 	back, err := DecodeDelta(frame)
 	if err != nil {
@@ -236,41 +215,15 @@ func TestCutDeltaMutationFoldBoundary(t *testing.T) {
 	if err := back.Apply(base); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if !reflect.DeepEqual(base.Tables, pre.Tables) {
-		t.Fatalf("merged tables diverge from the live capture:\nmerged %+v\nlive   %+v", base.Tables, pre.Tables)
+	if !reflect.DeepEqual(base.Tables, live.Tables) {
+		t.Fatalf("merged tables diverge from the live capture:\nmerged %+v\nlive   %+v", base.Tables, live.Tables)
 	}
 
-	// The merged snapshot restores to a store whose row identities keep
-	// accepting mutations — the property follower catch-up relies on.
 	restored, err := base.Restore()
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if _, err := restored.MutateRows("m", nil, []uint64{ids[0]}); err != nil {
 		t.Fatalf("restored store rejects a mutation by preserved rowid: %v", err)
-	}
-}
-
-// TestCutDeltaEmpty: a save with nothing new cuts a delta that carries
-// no tables and no log tail, and applying it only advances the chain
-// position.
-func TestCutDeltaEmpty(t *testing.T) {
-	s := mutFixture(t, 4)
-	base := captureSnap(s, 1)
-	logLen, tableRows, tableMuts := CoveredCounts(base)
-
-	again := captureSnap(s, 1)
-	d, err := CutDelta(again, base.Seq, logLen, tableRows, tableMuts)
-	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
-	}
-	if len(d.Tables) != 0 || len(d.Log) != 0 {
-		t.Fatalf("empty cut carries %d tables, %d log entries", len(d.Tables), len(d.Log))
-	}
-	if err := d.Apply(base); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if got := len(base.Tables[0].Rows); got != 4 {
-		t.Fatalf("empty delta changed the table: %d rows", got)
 	}
 }

@@ -77,13 +77,9 @@ func SnapFile(dir, id string) string { return filepath.Join(dir, id+".snap") }
 
 // ValidID mirrors the registry's interface-ID rule so a hostile ID
 // can never escape the data dir as a path. Every layer that derives a
-// file or directory name from an interface ID (snapshots, deltas,
-// manifests, WAL directories) gates on it.
-func ValidID(id string) bool { return validSnapID(id) }
-
-// validSnapID mirrors the registry's interface-ID rule so a hostile ID
-// can never escape the data dir as a path.
-func validSnapID(id string) bool {
+// file or directory name from an interface ID (snapshots, manifests,
+// WAL directories) gates on it.
+func ValidID(id string) bool {
 	if id == "" {
 		return false
 	}
@@ -132,46 +128,61 @@ func (s *Store) CaptureTables() []TableData {
 // by the receiving shard exactly like a file read back from disk.
 func Encode(snap *Snapshot) ([]byte, error) {
 	snap.FormatVersion = FormatVersion
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
+	frame, err := encodeFrame(fileMagic, snap)
+	if err != nil {
 		return nil, fmt.Errorf("store: encode snapshot %q: %w", snap.ID, err)
 	}
-	sum := crc32.ChecksumIEEE(payload.Bytes())
-
-	frame := make([]byte, 0, len(fileMagic)+12+payload.Len())
-	frame = append(frame, fileMagic...)
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], sum)
-	binary.BigEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
-	frame = append(frame, hdr[:]...)
-	frame = append(frame, payload.Bytes()...)
 	return frame, nil
+}
+
+// encodeFrame gob-encodes v behind magic, a CRC-32 of the payload and
+// the payload length.
+func encodeFrame(magic []byte, v any) ([]byte, error) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 0, len(magic)+12+payload.Len())
+	frame = append(frame, magic...)
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload.Bytes()))
+	frame = binary.BigEndian.AppendUint64(frame, uint64(payload.Len()))
+	return append(frame, payload.Bytes()...), nil
+}
+
+// decodeFrame verifies one encodeFrame frame — magic, length, checksum
+// — and gob-decodes its payload into v; what names the artifact in
+// errors. Snapshots and legacy deltas share it.
+func decodeFrame(raw, magic []byte, what string, v any) error {
+	if len(raw) < len(magic)+12 {
+		return fmt.Errorf("store: %s is truncated (%d bytes)", what, len(raw))
+	}
+	if !bytes.Equal(raw[:len(magic)], magic) {
+		return fmt.Errorf("store: not a %s (bad magic)", what)
+	}
+	hdr := raw[len(magic):]
+	sum := binary.BigEndian.Uint32(hdr[0:4])
+	size := binary.BigEndian.Uint64(hdr[4:12])
+	payload := hdr[12:]
+	if uint64(len(payload)) != size {
+		return fmt.Errorf("store: %s is truncated (payload %d bytes, header says %d)",
+			what, len(payload), size)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return fmt.Errorf("store: %s failed checksum (got %08x, want %08x)", what, got, sum)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return fmt.Errorf("store: decode %s: %w", what, err)
+	}
+	return nil
 }
 
 // Decode verifies and decodes one frame produced by Encode: magic,
 // checksum, then gob. A truncated, corrupted or foreign byte stream is
 // an error, never a silently wrong snapshot.
 func Decode(raw []byte) (*Snapshot, error) {
-	if len(raw) < len(fileMagic)+12 {
-		return nil, fmt.Errorf("store: snapshot is truncated (%d bytes)", len(raw))
-	}
-	if !bytes.Equal(raw[:len(fileMagic)], fileMagic) {
-		return nil, fmt.Errorf("store: not a snapshot (bad magic)")
-	}
-	hdr := raw[len(fileMagic):]
-	sum := binary.BigEndian.Uint32(hdr[0:4])
-	size := binary.BigEndian.Uint64(hdr[4:12])
-	payload := hdr[12:]
-	if uint64(len(payload)) != size {
-		return nil, fmt.Errorf("store: snapshot is truncated (payload %d bytes, header says %d)",
-			len(payload), size)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("store: snapshot failed checksum (got %08x, want %08x)", got, sum)
-	}
 	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decode snapshot: %w", err)
+	if err := decodeFrame(raw, fileMagic, "snapshot", &snap); err != nil {
+		return nil, err
 	}
 	if snap.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("store: snapshot has format %d, this build reads %d",
@@ -185,7 +196,7 @@ func Decode(raw []byte) (*Snapshot, error) {
 // complete file or the new complete file, never a torn write. Returns
 // the byte size of the file.
 func Save(dir string, snap *Snapshot) (int64, error) {
-	if !validSnapID(snap.ID) {
+	if !ValidID(snap.ID) {
 		return 0, fmt.Errorf("store: invalid snapshot id %q", snap.ID)
 	}
 	frame, err := Encode(snap)

@@ -432,8 +432,8 @@ func (s *Store) AddFunc(name string, fn engine.TableFunc) uint64 {
 // arena — pure memory reclamation after updates and deletes, invisible
 // to readers (old views hold their own arena slices) and to
 // persistence (visible row order is unchanged). The persister calls
-// this at every full base rewrite, so a long-lived interface's dead
-// versions are bounded by the delta-chain length. Returns the total
+// this at every save, so a long-lived interface's dead versions are
+// bounded by what one save interval supersedes. Returns the total
 // number of versions dropped.
 func (s *Store) Compact() int {
 	s.mu.Lock()

@@ -138,11 +138,6 @@ func segName(firstSeq uint64) string {
 // safe for concurrent use; per-interface appends serialize on the
 // log's lock (the callers already hold the ingestion feed lock, so in
 // practice one interface's appends arrive in order).
-//
-// A nil *Manager is the data dir without a write-ahead log: appends,
-// truncations, resets and removals succeed without effect, Replay
-// yields nothing and Status reports no log — so the persister's one
-// optional part is decided here, not at each of its call sites.
 type Manager struct {
 	dir  string
 	opts Options
@@ -161,12 +156,8 @@ func NewManager(dir string, opts Options) *Manager {
 func (m *Manager) Dir() string { return m.dir }
 
 // Log opens (or creates) the interface's log, replaying nothing. The
-// first open after a crash truncates a torn tail. A nil manager has no
-// log to open: it returns nil with no error.
+// first open after a crash truncates a torn tail.
 func (m *Manager) Log(id string) (*Log, error) {
-	if m == nil {
-		return nil, nil
-	}
 	if !store.ValidID(id) {
 		return nil, fmt.Errorf("wal: invalid interface id %q", id)
 	}
@@ -189,7 +180,7 @@ func (m *Manager) Log(id string) (*Log, error) {
 // Append records one publication for the interface (see Log.Append).
 func (m *Manager) Append(id string, r Record) error {
 	l, err := m.Log(id)
-	if l == nil {
+	if err != nil {
 		return err
 	}
 	return l.Append(r)
@@ -200,7 +191,7 @@ func (m *Manager) Append(id string, r Record) error {
 // written is a no-op.
 func (m *Manager) Truncate(id string, seq uint64) error {
 	l, err := m.Log(id)
-	if l == nil {
+	if err != nil {
 		return err
 	}
 	return l.Truncate(seq)
@@ -210,7 +201,7 @@ func (m *Manager) Truncate(id string, seq uint64) error {
 // order. A missing log replays nothing.
 func (m *Manager) Replay(id string, fromSeq uint64, fn func(Record) error) error {
 	l, err := m.Log(id)
-	if l == nil {
+	if err != nil {
 		return err
 	}
 	return l.Replay(fromSeq, fn)
@@ -221,7 +212,7 @@ func (m *Manager) Replay(id string, fromSeq uint64, fn func(Record) error) error
 // state wholesale, so the old tail no longer applies to it).
 func (m *Manager) Reset(id string, seq uint64) error {
 	l, err := m.Log(id)
-	if l == nil {
+	if err != nil {
 		return err
 	}
 	return l.Reset(seq)
@@ -230,9 +221,6 @@ func (m *Manager) Reset(id string, seq uint64) error {
 // Remove deletes the interface's log directory entirely (the
 // interface was deleted or dropped).
 func (m *Manager) Remove(id string) error {
-	if m == nil {
-		return nil
-	}
 	if !store.ValidID(id) {
 		return fmt.Errorf("wal: invalid interface id %q", id)
 	}
@@ -252,9 +240,6 @@ func (m *Manager) Remove(id string) error {
 // Status reports the interface log's health, false if it was never
 // opened in this process.
 func (m *Manager) Status(id string) (Status, bool) {
-	if m == nil {
-		return Status{}, false
-	}
 	m.mu.Lock()
 	l, ok := m.logs[id]
 	m.mu.Unlock()

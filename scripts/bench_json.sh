@@ -2,7 +2,7 @@
 # Benchmark the router-proxy overhead against direct serve on the
 # cached-plan path and record the result as BENCH_shard.json, then the
 # replication layer's ack coupling (replicated vs unreplicated append
-# ack, fan-out read) as BENCH_replica.json, WAL/snapshot costs as
+# ack, fan-out read) as BENCH_replica.json, WAL/checkpoint costs as
 # BENCH_wal.json, and cached-plan query latency percentiles + allocs
 # as BENCH_query.json, and instrumentation overhead (metrics on vs
 # off on the cached-plan path) as BENCH_obs.json, so the perf
@@ -70,9 +70,9 @@ cat "$REPLICA_OUT"
 
 WAL_OUT="${WAL_OUT:-BENCH_wal.json}"
 
-echo "== go test -bench AckedAppend|Snapshot -benchtime $BENCHTIME ./internal/ingest"
+echo "== go test -bench AckedAppend|SnapshotFull|Checkpoint -benchtime $BENCHTIME ./internal/ingest"
 raw=$(go test -run '^$' \
-    -bench 'BenchmarkAckedAppendNoWAL$|BenchmarkAckedAppendWALStrict$|BenchmarkAckedAppendWALGroup$|BenchmarkSnapshotFull$|BenchmarkSnapshotDifferential$' \
+    -bench 'BenchmarkAckedAppendNoWAL$|BenchmarkAckedAppendWALStrict$|BenchmarkAckedAppendWALGroup$|BenchmarkSnapshotFull$|BenchmarkCheckpoint$' \
     -benchtime "$BENCHTIME" ./internal/ingest)
 printf '%s\n' "$raw"
 
@@ -80,24 +80,24 @@ nowal=$(printf '%s\n' "$raw" | awk '/^BenchmarkAckedAppendNoWAL/ { print $3; exi
 strict=$(printf '%s\n' "$raw" | awk '/^BenchmarkAckedAppendWALStrict/ { print $3; exit }')
 group=$(printf '%s\n' "$raw" | awk '/^BenchmarkAckedAppendWALGroup/ { print $3; exit }')
 full=$(printf '%s\n' "$raw" | awk '/^BenchmarkSnapshotFull/ { print $3; exit }')
-diff=$(printf '%s\n' "$raw" | awk '/^BenchmarkSnapshotDifferential/ { print $3; exit }')
-if [ -z "$nowal" ] || [ -z "$strict" ] || [ -z "$group" ] || [ -z "$full" ] || [ -z "$diff" ]; then
+ckpt=$(printf '%s\n' "$raw" | awk '/^BenchmarkCheckpoint/ { print $3; exit }')
+if [ -z "$nowal" ] || [ -z "$strict" ] || [ -z "$group" ] || [ -z "$full" ] || [ -z "$ckpt" ]; then
     echo "FAIL: WAL benchmarks produced no numbers" >&2
     exit 1
 fi
 
-awk -v n="$nowal" -v s="$strict" -v g="$group" -v f="$full" -v d="$diff" \
+awk -v n="$nowal" -v s="$strict" -v g="$group" -v f="$full" -v c="$ckpt" \
     -v go_ver="$(go env GOVERSION)" 'BEGIN {
     printf "{\n"
-    printf "  \"benchmark\": \"WAL acked-append overhead (off / strict fsync / group commit), differential vs full snapshot at 1%% delta\",\n"
+    printf "  \"benchmark\": \"WAL acked-append overhead (off / strict fsync / group commit), checkpoint vs full snapshot at 1%% tails\",\n"
     printf "  \"go\": \"%s\",\n", go_ver
     printf "  \"acked_append_no_wal_ns_op\": %d,\n", n
     printf "  \"acked_append_wal_strict_ns_op\": %d,\n", s
     printf "  \"acked_append_wal_group_ns_op\": %d,\n", g
     printf "  \"wal_group_overhead_x\": %.3f,\n", g / n
     printf "  \"snapshot_full_ns_op\": %d,\n", f
-    printf "  \"snapshot_differential_ns_op\": %d,\n", d
-    printf "  \"differential_saving_x\": %.3f\n", f / d
+    printf "  \"checkpoint_ns_op\": %d,\n", c
+    printf "  \"checkpoint_saving_x\": %.3f\n", f / c
     printf "}\n"
 }' >"$WAL_OUT"
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# End-to-end smoke of the DML/MVCC path: start pi-serve with -wal,
+# End-to-end smoke of the DML/MVCC path: start pi-serve with -data-dir,
 # append marker rows, run acked UPDATE/DELETE mutations WITHOUT ever
 # snapshotting, SIGKILL the process, restart on the same data dir, and
 # verify every acked mutation replayed from the WAL tail — updated
@@ -47,12 +47,12 @@ mutate() { # BASE_URL SQL -> ack body
 
 start_server() {
     "$BIN_DIR/pi-serve" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
-        -token "$TOKEN" -data-dir "$DATA_DIR" -wal -wal-sync 0 >>"$LOG" 2>&1 &
+        -token "$TOKEN" -data-dir "$DATA_DIR" -wal-sync 0 >>"$LOG" 2>&1 &
     PID=$!
     wait_up "$ADDR" "pi-serve"
 }
 
-echo "== first life: pi-serve -wal on $ADDR"
+echo "== first life: pi-serve -data-dir on $ADDR"
 start_server
 
 echo "== marker rows the mutations will target"
@@ -111,12 +111,12 @@ B_DIR="$(mktemp -d)"
 
 "$BIN_DIR/pi-serve" -addr "$A_ADDR" -workloads olap -n 40 -rows 200 \
     -token "$TOKEN" -shard-addr "http://$A_ADDR" \
-    -data-dir "$A_DIR" -wal -wal-sync 0 >>"$LOG" 2>&1 &
+    -data-dir "$A_DIR" -wal-sync 0 >>"$LOG" 2>&1 &
 A_PID=$!
 start_standby() {
     "$BIN_DIR/pi-serve" -addr "$B_ADDR" -workloads '' \
         -token "$TOKEN" -shard-addr "http://$B_ADDR" \
-        -data-dir "$B_DIR" -wal -wal-sync 0 >>"$LOG" 2>&1 &
+        -data-dir "$B_DIR" -wal-sync 0 >>"$LOG" 2>&1 &
     B_PID=$!
 }
 start_standby

@@ -49,14 +49,14 @@ assert_moved() {
 echo "== start shard A (owner, wal, json request log)"
 "$BIN_DIR/pi-serve" -addr "$A_ADDR" -workloads olap -n 80 -rows 400 \
     -token "$TOKEN" -shard-addr "http://$A_ADDR" \
-    -data-dir "$A_DIR" -wal -wal-sync 0 \
+    -data-dir "$A_DIR" -wal-sync 0 \
     -log-format json -slow-threshold 0 -slow-sample 1 >>"$A_LOG" 2>&1 &
 A_PID=$!
 
 echo "== start shard B (empty standby, wal)"
 "$BIN_DIR/pi-serve" -addr "$B_ADDR" -workloads '' -n 80 -rows 400 \
     -token "$TOKEN" -shard-addr "http://$B_ADDR" \
-    -data-dir "$B_DIR" -wal -wal-sync 0 \
+    -data-dir "$B_DIR" -wal-sync 0 \
     -slow-threshold 0 -slow-sample 1 >>"$B_LOG" 2>&1 &
 B_PID=$!
 

@@ -8,7 +8,7 @@
 # a replacement follower on the surviving standby, and that health goes
 # degraded while the dead shard is down and back to healthy once a
 # replacement process rejoins the fleet. Finally bounce the synced
-# follower: every shard runs with -data-dir -wal, so the restarted
+# follower: every shard runs with -data-dir, so the restarted
 # follower restores its role and stream position from its manifest and
 # re-syncs through the owner's logged tail — the owner's full-seed
 # counter must not move.
@@ -48,14 +48,14 @@ append_row() { # -> response body (flushed, so the ack carries rowCount)
 start_standby() { # ADDR DATA_DIR -> pid on stdout
     "$BIN_DIR/pi-serve" -addr "$1" -workloads '' \
         -token "$TOKEN" -shard-addr "http://$1" \
-        -data-dir "$2" -wal -wal-sync 0 >>"$LOG" 2>&1 &
+        -data-dir "$2" -wal-sync 0 >>"$LOG" 2>&1 &
     echo $!
 }
 
-echo "== start owner shard A (olap) on $A_ADDR, empty standbys on $B_ADDR and $C_ADDR (all durable: -data-dir -wal)"
+echo "== start owner shard A (olap) on $A_ADDR, empty standbys on $B_ADDR and $C_ADDR (all durable: -data-dir)"
 "$BIN_DIR/pi-serve" -addr "$A_ADDR" -workloads olap -n 40 -rows 200 \
     -token "$TOKEN" -shard-addr "http://$A_ADDR" \
-    -data-dir "$A_DIR" -wal -wal-sync 0 >>"$LOG" 2>&1 &
+    -data-dir "$A_DIR" -wal-sync 0 >>"$LOG" 2>&1 &
 A_PID=$!
 B_PID=$(start_standby "$B_ADDR" "$B_DIR")
 C_PID=$(start_standby "$C_ADDR" "$C_DIR")

@@ -1,12 +1,12 @@
 #!/bin/sh
-# End-to-end smoke of the write-ahead log: start pi-serve with -wal,
-# stream acked row appends and log entries WITHOUT ever snapshotting,
-# SIGKILL the process, restart it on the same data dir, and verify
-# every acked write came back from the logged tail alone. Then prove
-# the differential save path: a snapshot after more appends writes a
-# delta (not a base rewrite), and a second SIGKILL restores through
-# base + delta + tail — after a boot without -wal has refused the dir
-# rather than drop the tail. Exits non-zero on any failure.
+# End-to-end smoke of the write-ahead log: start pi-serve with
+# -data-dir, stream acked row appends and log entries WITHOUT ever
+# snapshotting, SIGKILL the process, restart it on the same data dir,
+# and verify every acked write came back from the logged tail alone.
+# Then prove the checkpoint: a snapshot after a few appends writes no
+# new file (the log already holds them), and a second SIGKILL restores
+# through base + log — on a boot without the deprecated -wal flag,
+# which changes nothing. Exits non-zero on any failure.
 set -eu
 . "$(dirname "$0")/lib.sh"
 
@@ -40,7 +40,7 @@ append_rows() { # append_rows N -> ack body
 
 ONTIME_ROW='["AA","AA","CAP","NYP","CA","NY",1,1,1,10,12,8,500,1,0,0]'
 
-echo "== first life: pi-serve -wal on $ADDR"
+echo "== first life: pi-serve -data-dir -wal (deprecated, ignored) on $ADDR"
 start_server
 
 echo "== boot wrote the WAL anchor (base snapshot + manifest)"
@@ -86,44 +86,32 @@ epoch_after=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoc
 [ -n "$epoch_after" ] && [ "$epoch_after" -ge "$epoch_before" ] || {
     echo "epoch went backwards: $epoch_before -> $epoch_after" >&2; exit 1; }
 
-echo "== a snapshot now cuts a differential delta, not a base rewrite"
-base_before=$(wc -c <"$DATA_DIR/olap.snap")
+echo "== a snapshot now writes no new file: the log already holds the appends"
+files_before=$(ls "$DATA_DIR")
+BASE_COPY="$(mktemp)"
+cp "$DATA_DIR/olap.snap" "$BASE_COPY"
 body=$(curl -s -X POST "http://$ADDR/v1/snapshot" -H "Authorization: Bearer $TOKEN")
 case "$body" in
 *'"id":"olap"'*) ;;
 *) echo "snapshot result missing olap: $body" >&2; exit 1 ;;
 esac
-deltas=$(ls "$DATA_DIR" | grep -c '\.delta$' || true)
-[ "$deltas" -ge 1 ] || { echo "no delta file after differential save; dir: $(ls "$DATA_DIR")" >&2; exit 1; }
-base_after=$(wc -c <"$DATA_DIR/olap.snap")
-[ "$base_after" = "$base_before" ] || {
-    echo "differential save rewrote the base ($base_before -> $base_after bytes)" >&2; exit 1; }
+[ "$(json_int "$body" bytes)" = "0" ] || fail "the snapshot wrote a base: $body"
+[ "$(ls "$DATA_DIR")" = "$files_before" ] || fail "the snapshot changed the file set: $(ls "$DATA_DIR")"
+cmp -s "$DATA_DIR/olap.snap" "$BASE_COPY" || fail "the snapshot rewrote the base"
 
-echo "== third life: base + delta chain + fresh tail"
+echo "== third life: base + log, booted without -wal"
 body=$(append_rows 2)
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
-
-echo "== a boot without -wal must refuse: olap.wal/ holds acked writes no save covers"
 "$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
     -token "$TOKEN" -data-dir "$DATA_DIR" >>"$LOG" 2>&1 &
 PID=$!
-i=0
-while kill -0 "$PID" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 60 ] || { sleep 0.25; continue; }
-    fail "pi-serve without -wal kept running on a data dir whose WAL holds unsaved acked writes"
-done
-wait "$PID" && fail "pi-serve without -wal exited 0 on a data dir whose WAL holds unsaved acked writes"
-PID=""
-grep -q "$DATA_DIR/olap.wal holds" "$LOG" || fail "the refusal does not name the WAL directory"
-
-start_server
+wait_up "$ADDR" "pi-serve"
 body=$(append_rows 1)
 rowcount=$(json_int "$body" rowCount)
 [ "$rowcount" = "507" ] || {
-    echo "chain-restore rowCount=$rowcount, want 507: $body" >&2; exit 1; }
+    echo "base + log restore rowCount=$rowcount, want 507: $body" >&2; exit 1; }
 
 echo "== verify: queries work (SDK round-trip incl. auth)"
 "$BIN" -check -addr "$ADDR" -token "$TOKEN"
