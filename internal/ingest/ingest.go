@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -305,14 +306,19 @@ func (ing *Ingester) Store(id string) (*store.Store, error) {
 
 // ErrNoFeed reports an interface with no live feed (hosted without
 // ingestion, or already detached). Matched with errors.Is.
-var ErrNoFeed = errors.New("has no live feed (hosted without ingestion?)")
+var ErrNoFeed = errors.New("no live feed")
 
+// feed resolves an interface's live feed. A miss is also a structured
+// not_found: a write that raced a drop (Detach runs before the registry
+// entry goes) answers like one that arrived after it — which a shard
+// turns into moved once the tombstone says where the interface went.
 func (ing *Ingester) feed(id string) (*feed, error) {
 	ing.mu.RLock()
 	f, ok := ing.feeds[id]
 	ing.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
+		notFound := api.Errf(api.CodeNotFound, http.StatusNotFound, "ingest: interface %q has no feed here", id)
+		return nil, fmt.Errorf("%w: %w", notFound, ErrNoFeed)
 	}
 	return f, nil
 }

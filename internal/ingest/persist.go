@@ -223,7 +223,10 @@ func (p *Persister) saveLocked(snap *store.Snapshot) (api.SnapshotInterface, err
 		defer st.Compact()
 	}
 	m := p.manifests[snap.ID]
-	rs := p.replStateLocked(snap.ID)
+	var rs *store.ReplState
+	if p.replState != nil {
+		rs = p.replState(snap.ID)
+	}
 	if p.needsBaseLocked(snap, m) {
 		return p.writeBaseLocked(snap, rs)
 	}
@@ -274,15 +277,6 @@ func (p *Persister) writeBaseLocked(snap *store.Snapshot, rs *store.ReplState) (
 	}
 	_ = p.opts.WAL.Truncate(snap.ID, snap.Seq)
 	return snapshotRow(snap, bytes), nil
-}
-
-// replStateLocked fetches the live replication state for a manifest
-// write. Caller holds saveMu.
-func (p *Persister) replStateLocked(id string) *store.ReplState {
-	if p.replState == nil {
-		return nil
-	}
-	return p.replState(id)
 }
 
 func replStateEqual(a, b *store.ReplState) bool {
@@ -342,13 +336,10 @@ func (p *Persister) PersistReplState(id string) error {
 	return nil
 }
 
-// CatchUp returns the owner's logged publications with sequence in
-// (fromSeq, head], so a follower that restarted at fromSeq re-syncs
-// from the stream instead of taking a full snapshot seed. ok=false
-// means the log does not cover the range (there is none, it was
-// truncated past it, the follower is too far behind to be worth
-// shipping record by record, or it is unreadable) and the caller
-// should fall back to a seed.
+// CatchUp returns the logged publications with sequence in (fromSeq,
+// head] — what a follower at fromSeq lacks. ok=false means the log does
+// not cover the range (truncated past it, too long to ship record by
+// record, or unreadable) and only a base helps.
 func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
 	const maxCatchUp = 4096
 	var pubs []Publication
@@ -362,10 +353,10 @@ func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
 	if err != nil {
 		return nil, false
 	}
-	// The chain must start exactly one past the follower's position — a
-	// gap means truncation outran the follower and only a seed helps —
-	// and a log with nothing past it covers the range only when the
-	// feed has nothing past it either.
+	// The chain must start exactly one past the follower's position (a
+	// gap means truncation outran the follower), and a log with nothing
+	// past it covers the range only when the feed has nothing past it
+	// either.
 	if len(pubs) > 0 {
 		return pubs, pubs[0].Seq == fromSeq+1
 	}

@@ -43,10 +43,19 @@ func (p *peer) wrap(mw func(next http.Handler) http.Handler) {
 	p.mu.Unlock()
 }
 
-func newPeer(t *testing.T, hostIt bool) *peer {
+func newPeer(t *testing.T, hostIt bool) *peer { return startPeer(t, hostIt, nil) }
+
+// startPeer is newPeer with an optional persister constructor: a
+// durable peer journals its publishes, so it can catch followers up
+// from its log.
+func startPeer(t *testing.T, hostIt bool, persist func(*ingest.Ingester) *ingest.Persister) *peer {
 	t.Helper()
 	p := &peer{t: t, reg: api.NewRegistry(), demoted: map[string]string{}}
 	p.ing = ingest.New(p.reg, ingest.Options{BatchSize: 100, RowBatchSize: 100})
+	var per *ingest.Persister
+	if persist != nil {
+		per = persist(p.ing)
+	}
 	mux := http.NewServeMux()
 	p.handler = mux
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -62,7 +71,7 @@ func newPeer(t *testing.T, hostIt bool) *peer {
 		p.reg.Remove(id)
 	}
 	mgr, err := NewManager(Config{
-		Self: p.url, Ing: p.ing, Reg: p.reg, Drop: drop, ApplyTimeout: 5 * time.Second,
+		Self: p.url, Ing: p.ing, Reg: p.reg, Drop: drop, Persister: per,
 		Demote: func(id, to string) {
 			p.mu.Lock()
 			p.demoted[id] = to
@@ -102,16 +111,16 @@ func (p *peer) become(role string, term uint64, owner string, stale bool) {
 	p.t.Helper()
 	p.mgr.RestoreState(iface, &store.ReplState{Role: role, Term: term, Owner: owner}, 0)
 	if stale {
-		if err := p.mgr.Apply(p.event(term, owner, 7)); codeOf(err) != api.CodeReplicaOutOfSync {
+		if err := p.apply(term, owner, 7); codeOf(err) != api.CodeReplicaOutOfSync {
 			p.t.Fatalf("gap event = %v, want %s", err, api.CodeReplicaOutOfSync)
 		}
 	}
 }
 
-// event is a bare epoch bump at seq from the given owner and term; seq
-// 1 continues a fresh copy's stream (seq 0, epoch 1).
-func (p *peer) event(term uint64, owner string, seq uint64) Event {
-	return Event{ID: iface, Term: term, Owner: owner, Pub: ingest.Publication{Seq: seq, Epoch: seq + 1}}
+// apply streams a bare epoch bump at seq from the given owner and term
+// into the copy; seq 1 continues a fresh copy's stream (seq 0, epoch 1).
+func (p *peer) apply(term uint64, owner string, seq uint64) error {
+	return p.mgr.Apply(iface, term, owner, ingest.Publication{Seq: seq, Epoch: seq + 1})
 }
 
 func (p *peer) info() api.ReplicationInfo {
@@ -183,14 +192,14 @@ func TestStateMachine(t *testing.T) {
 	}{
 		// --- Apply (follower side of the stream).
 		{name: "apply/in order", role: api.RoleFollower, term: 2,
-			op: func(p *peer) error { return p.mgr.Apply(p.event(2, ownerA, 1)) },
+			op: func(p *peer) error { return p.apply(2, ownerA, 1) },
 			after: func(t *testing.T, p *peer) {
 				if i := p.info(); i.Seq != 1 || i.Stale {
 					t.Fatalf("after apply: %+v", i)
 				}
 			}},
 		{name: "apply/older term is fenced toward the known owner", role: api.RoleFollower, term: 2,
-			op:   func(p *peer) error { return p.mgr.Apply(p.event(1, ownerB, 1)) },
+			op:   func(p *peer) error { return p.apply(1, ownerB, 1) },
 			want: api.CodeNotOwner,
 			after: func(t *testing.T, p *peer) {
 				if i := p.info(); i.Seq != 0 || i.Term != 2 || i.Owner != ownerA {
@@ -198,17 +207,17 @@ func TestStateMachine(t *testing.T) {
 				}
 			}},
 		{name: "apply/newer term is adopted with its owner", role: api.RoleFollower, term: 2,
-			op: func(p *peer) error { return p.mgr.Apply(p.event(3, ownerB, 1)) },
+			op: func(p *peer) error { return p.apply(3, ownerB, 1) },
 			after: func(t *testing.T, p *peer) {
 				if i := p.info(); i.Term != 3 || i.Owner != ownerB || i.Seq != 1 {
 					t.Fatalf("after a newer-term event: %+v", i)
 				}
 			}},
 		{name: "apply/same term from a different owner is split brain", role: api.RoleFollower, term: 2,
-			op:   func(p *peer) error { return p.mgr.Apply(p.event(2, ownerB, 1)) },
+			op:   func(p *peer) error { return p.apply(2, ownerB, 1) },
 			want: api.CodeNotOwner},
 		{name: "apply/seq gap marks the follower stale", role: api.RoleFollower, term: 2,
-			op:   func(p *peer) error { return p.mgr.Apply(p.event(2, ownerA, 2)) },
+			op:   func(p *peer) error { return p.apply(2, ownerA, 2) },
 			want: api.CodeReplicaOutOfSync,
 			after: func(t *testing.T, p *peer) {
 				if i := p.info(); !i.Stale || i.Seq != 0 {
@@ -216,10 +225,10 @@ func TestStateMachine(t *testing.T) {
 				}
 			}},
 		{name: "apply/stale follower refuses even the right event", role: api.RoleFollower, term: 2, stale: true,
-			op:   func(p *peer) error { return p.mgr.Apply(p.event(2, ownerA, 1)) },
+			op:   func(p *peer) error { return p.apply(2, ownerA, 1) },
 			want: api.CodeReplicaOutOfSync},
 		{name: "apply/owner refuses a stream", role: api.RoleOwner, term: 2,
-			op:   func(p *peer) error { return p.mgr.Apply(p.event(3, ownerB, 1)) },
+			op:   func(p *peer) error { return p.apply(3, ownerB, 1) },
 			want: api.CodeNotOwner},
 
 		// --- Promote.

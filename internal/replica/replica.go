@@ -2,17 +2,17 @@
 // promotes one when the owner dies.
 //
 // The data plane rides the ingestion layer's publish hook: every
-// epoch-bumping publish on an owner (log re-mine, row append, or bare
-// epoch bump) is streamed synchronously to each in-sync follower as a
-// replication Event carrying the interface's monotone sequence number
-// — replicate-before-ack, so a write is only ever acknowledged after
-// the followers that define "in sync" have applied it. A follower is
-// therefore always a valid epoch-consistent snapshot of the owner: it
-// is seeded with the checksummed frame format .snap files use
-// (store.Encode/Decode), hosted at exactly the owner's
-// epoch and sequence, and each applied event bumps its epoch in
-// lockstep (the miner is deterministic, so re-applying the owner's
-// batches reproduces the owner's interface bit for bit).
+// epoch-bumping publish on an owner (log re-mine, row append, mutation
+// or bare epoch bump) is streamed synchronously to each in-sync
+// follower as one WAL record frame, term and owner in headers —
+// replicate-before-ack, so a write is only acknowledged after the
+// followers that define "in sync" have applied it. A follower enters
+// the stream one way (sync): the owner's logged records past its
+// position when the log covers them, else one base frame (store.Encode,
+// the format .snap files use), then what published meanwhile. So it is
+// always an epoch-consistent copy at the owner's sequence (the miner is
+// deterministic: re-applying the owner's publications reproduces its
+// interface bit for bit).
 //
 // The control plane is term-fenced: every promotion increments a
 // per-interface term, a follower rejects replication traffic from an
@@ -21,7 +21,7 @@
 // its un-replicated tail is discarded and its clients are redirected
 // with a structured moved/not_owner error. A follower that detects a
 // gap in its stream marks itself stale (reads answer replica_lagging)
-// until the owner re-seeds it. There is one owner-change protocol:
+// until the owner re-syncs it. There is one owner-change protocol:
 // a failover promotes a follower because the owner died, a migration
 // (Handoff) promotes one on purpose — after draining the live owner's
 // buffers into the stream, so the planned move loses no ack.
@@ -30,7 +30,7 @@
 // reached is marked out-of-sync and the ack proceeds on the owner —
 // the owner never blocks writes on a dead follower. The window where
 // an acked write exists only on the owner is bounded by the router's
-// refresh cadence (which re-targets and re-seeds the follower).
+// refresh cadence (which re-targets and re-syncs the follower).
 package replica
 
 import (
@@ -75,47 +75,44 @@ type Config struct {
 	// ClearTombstone is called after a seed hosts a copy here: an old
 	// moved tombstone no longer applies.
 	ClearTombstone func(id string)
-	// Adopt, when set, durably installs an accepted seed frame (base
-	// snapshot + manifest, WAL reset) before Follow acknowledges it —
-	// a restarted follower then rebuilds the copy and resumes the
-	// stream from its logged position instead of demanding a re-seed.
-	Adopt func(snap *store.Snapshot, rs *store.ReplState) error
-	// Persist, when set, flushes the interface's replication control
-	// state (role, term, owner, follower positions) to durable storage
-	// after a control-plane change, so a crash right after a failover
-	// remembers who won. Called without manager locks held.
-	Persist func(id string)
-	// CatchUp, when set, returns this owner's logged publications with
-	// sequence in (fromSeq, head] — the WAL tail a trailing follower
-	// needs. ok=false means the log does not cover the range and only
-	// a full seed helps.
-	CatchUp func(id string, fromSeq uint64) ([]ingest.Publication, bool)
-	// HTTPClient carries replication traffic. Defaults to a 2-minute
-	// budget (seeds move whole interfaces).
-	HTTPClient *http.Client
-	// ApplyTimeout bounds one streamed event send. Default 10s.
-	ApplyTimeout time.Duration
-	// MaxPending bounds the events buffered for a follower that is
-	// mid-seed; overflow marks it stale for a fresh re-seed instead of
-	// growing without bound. Default 4096.
-	MaxPending int
+	// Persister, when set, makes replication durable: an accepted base
+	// is installed (snapshot + manifest, log reset) before Follow
+	// acknowledges it, control-plane changes rewrite the manifest, and a
+	// trailing follower re-syncs from this owner's log instead of taking
+	// a base. nil is an in-memory shard.
+	Persister *ingest.Persister
 }
+
+const (
+	// transferTimeout bounds one base transfer (a whole interface).
+	transferTimeout = 2 * time.Minute
+	// applyTimeout bounds one streamed frame and every other peer call.
+	applyTimeout = 10 * time.Second
+	// maxPending bounds the publications buffered for a follower mid-sync;
+	// overflow marks it stale for a fresh sync instead of growing.
+	maxPending = 4096
+)
+
+// peerHTTP carries every replication call, bounded by the longest one.
+var peerHTTP = &http.Client{Timeout: transferTimeout}
 
 // follower modes, owner side.
 const (
-	fNew     = iota // targeted, not yet seeded
-	fSeeding        // a seed is in flight; live events buffer in pending
+	fSeeding = iota // a sync is in flight; live publications buffer in pending
 	fSynced         // streaming: has every acked publish up to seq
-	fStale          // fell out of the stream; needs a fresh seed
+	fStale          // fell out of the stream; needs a fresh sync
 )
 
 type follower struct {
 	addr    string
 	mode    int
 	seq     uint64
-	pending []Event // events published while the seed was in flight
+	pending []ingest.Publication // published while the sync was in flight
 	lastErr string
 }
+
+// fall drops the follower out of the stream; the next refresh re-syncs it.
+func (fo *follower) fall(why string) { fo.mode, fo.pending, fo.lastErr = fStale, nil, why }
 
 // ifaceState is one interface's replication state on this shard.
 // state.mu serializes the interface's control operations and its
@@ -132,10 +129,9 @@ type ifaceState struct {
 	pubSeq    uint64 // owner: last sequence number published to followers
 	followers map[string]*follower
 
-	// fullSeeds counts complete snapshot seeds shipped from this owner;
-	// catchUps counts followers re-synced from the WAL instead. The
-	// replica smoke test pins "a bounced follower does not force a full
-	// re-seed" on these.
+	// fullSeeds counts syncs that shipped a base, catchUps those served
+	// from the WAL alone; the replica smoke test pins "a bounced follower
+	// takes no base" on them.
 	fullSeeds uint64
 	catchUps  uint64
 }
@@ -152,7 +148,10 @@ type Manager struct {
 	states map[string]*ifaceState
 }
 
-// NewManager validates the config and returns a manager.
+// NewManager validates the config and returns a manager. A persister's
+// manifests then carry the live replication state, and what they
+// remembered is re-adopted: a restarted ex-owner answers from the term
+// it held, a restarted follower resumes at the seq its restore reached.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Ing == nil || cfg.Reg == nil {
 		return nil, fmt.Errorf("replica: manager needs an ingester and a registry")
@@ -160,16 +159,29 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("replica: manager needs the shard's advertised address")
 	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: 2 * time.Minute}
+	m := &Manager{cfg: cfg, states: map[string]*ifaceState{}}
+	if p := cfg.Persister; p != nil {
+		p.SetReplStateSource(m.replState)
+		for id, rs := range p.ReplStates() {
+			seq, _ := cfg.Ing.Seq(id)
+			m.RestoreState(id, rs, seq)
+		}
 	}
-	if cfg.ApplyTimeout <= 0 {
-		cfg.ApplyTimeout = 10 * time.Second
+	return m, nil
+}
+
+// replState reports an interface's control state for its manifest, nil
+// when untracked.
+func (m *Manager) replState(id string) *store.ReplState {
+	info := m.Info(id)
+	if info == nil {
+		return nil
 	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 4096
+	rs := &store.ReplState{Role: info.Role, Term: info.Term, Owner: info.Owner, Followers: map[string]uint64{}}
+	for _, fo := range info.Followers {
+		rs.Followers[fo.Addr] = fo.Seq
 	}
-	return &Manager{cfg: cfg, states: map[string]*ifaceState{}}, nil
+	return rs
 }
 
 // Hook returns the ingest.PublishHook to install on the node's
@@ -210,8 +222,8 @@ func (m *Manager) Forget(id string) {
 // Never call it holding s.mu or a feed lock: the callback reads the
 // live state back through Info, which takes both.
 func (m *Manager) persist(id string) {
-	if m.cfg.Persist != nil {
-		m.cfg.Persist(id)
+	if p := m.cfg.Persister; p != nil {
+		_ = p.PersistReplState(id)
 	}
 }
 
@@ -256,10 +268,10 @@ func (m *Manager) RoleOf(id string) (role, owner string, stale bool) {
 
 // client builds a wire client for a peer shard.
 func (m *Manager) client(addr string) *Client {
-	return NewClient(addr, m.cfg.Token, m.cfg.HTTPClient)
+	return NewClient(addr, m.cfg.Token, peerHTTP)
 }
 
-// --- owner side: publish fan-out and seeding.
+// --- owner side: publish fan-out and sync.
 
 // publish streams one owner publication to every follower. Called by
 // the ingestion hook under the feed lock: per-interface ordering is
@@ -279,20 +291,15 @@ func (m *Manager) publish(id string, p ingest.Publication) error {
 		return api.ErrNotOwner(id, owner)
 	}
 	s.pubSeq = p.Seq
-	ev := Event{ID: id, Term: s.term, Owner: m.cfg.Self, Pub: p}
 	var fenced *api.Error
 	for _, fo := range s.followers {
-		switch fo.mode {
-		case fSeeding:
-			if len(fo.pending) >= m.cfg.MaxPending {
-				fo.mode = fStale
-				fo.pending = nil
-				fo.lastErr = "seed outpaced by writes; re-seeding"
-				continue
-			}
-			fo.pending = append(fo.pending, ev)
-		case fSynced:
-			if err := m.sendEvent(fo, ev); err != nil {
+		switch {
+		case fo.mode == fSeeding && len(fo.pending) >= maxPending:
+			fo.fall("sync outpaced by writes; re-syncing")
+		case fo.mode == fSeeding:
+			fo.pending = append(fo.pending, p)
+		case fo.mode == fSynced && p.Seq > fo.seq: // a sync's log read may already have shipped it
+			if err := m.send(id, s, fo, p); err != nil {
 				if e := notOwnerErr(err); e != nil {
 					fenced = e
 				}
@@ -311,19 +318,17 @@ func (m *Manager) publish(id string, p ingest.Publication) error {
 	return nil
 }
 
-// sendEvent pushes one event to a synced follower, downgrading it on
-// failure. Caller holds s.mu. Returns the send error (the caller only
-// inspects it for fencing).
-func (m *Manager) sendEvent(fo *follower, ev Event) error {
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ApplyTimeout)
+// send pushes one publication to a follower under the current term,
+// downgrading it on failure. Caller holds s.mu. Returns the send error
+// (the caller only inspects it for fencing).
+func (m *Manager) send(id string, s *ifaceState, fo *follower, p ingest.Publication) error {
+	ctx, cancel := context.WithTimeout(context.Background(), applyTimeout)
 	defer cancel()
-	if err := m.client(fo.addr).Apply(ctx, ev); err != nil {
-		fo.mode = fStale
-		fo.pending = nil
-		fo.lastErr = err.Error()
+	if err := m.client(fo.addr).Apply(ctx, id, s.term, m.cfg.Self, p); err != nil {
+		fo.fall(err.Error())
 		return err
 	}
-	fo.seq = ev.Pub.Seq
+	fo.seq = p.Seq
 	fo.lastErr = ""
 	return nil
 }
@@ -352,9 +357,9 @@ func notOwnerErr(err error) *api.Error {
 }
 
 // SetTargets declares the follower set for an interface this shard
-// owns. New targets are seeded in the background; removed ones get a
-// best-effort unfollow; stale ones are re-seeded. The router calls
-// this on every refresh, so seeding retries ride the refresh cadence.
+// owns. New and stale targets are synced in the background; removed
+// ones get a best-effort unfollow. The router calls this on every
+// refresh, so sync retries ride the refresh cadence.
 func (m *Manager) SetTargets(id string, addrs []string) error {
 	if _, ok := m.cfg.Reg.Get(id); !ok {
 		return api.Errf(api.CodeNotFound, http.StatusNotFound, "unknown interface %q", id)
@@ -372,7 +377,7 @@ func (m *Manager) SetTargets(id string, addrs []string) error {
 			want[a] = true
 		}
 	}
-	var removed, seed []string
+	var removed, syncs []string
 	for addr := range s.followers {
 		if !want[addr] {
 			delete(s.followers, addr)
@@ -380,16 +385,16 @@ func (m *Manager) SetTargets(id string, addrs []string) error {
 		}
 	}
 	for addr := range want {
-		fo, ok := s.followers[addr]
-		if !ok {
-			fo = &follower{addr: addr, mode: fNew}
+		fo := s.followers[addr]
+		if fo == nil {
+			fo = &follower{addr: addr, mode: fStale}
 			s.followers[addr] = fo
 		}
-		if fo.mode == fNew || fo.mode == fStale {
+		if fo.mode == fStale {
 			fo.mode = fSeeding
 			fo.pending = nil
-			fo.lastErr = "" // from here on an error means THIS seed failed
-			seed = append(seed, addr)
+			fo.lastErr = "" // from here on an error means THIS sync failed
+			syncs = append(syncs, addr)
 		}
 	}
 	s.mu.Unlock()
@@ -398,157 +403,115 @@ func (m *Manager) SetTargets(id string, addrs []string) error {
 	}
 	for _, addr := range removed {
 		go func(addr string) {
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ApplyTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), applyTimeout)
 			defer cancel()
 			_ = m.client(addr).Unfollow(ctx, id)
 		}(addr)
 	}
-	for _, addr := range seed {
-		go m.seed(id, addr)
+	for _, addr := range syncs {
+		go m.sync(id, addr)
 	}
 	return nil
 }
 
-// seed ships a full snapshot frame to one follower and then drains
-// the events that published while the transfer was in flight, leaving
-// the follower synced. The capture happens under the feed lock, so
-// every publish is either inside the frame (seq ≤ frame seq) or in
-// the pending buffer (the follower was already in fSeeding before the
-// capture) — no event can fall between.
-func (m *Manager) seed(id, addr string) {
-	fail := func(msg string) {
-		s := m.lookup(id)
-		if s == nil {
-			return
-		}
-		s.mu.Lock()
-		if fo := s.followers[addr]; fo != nil && fo.mode == fSeeding {
-			fo.mode = fStale
-			fo.pending = nil
-			fo.lastErr = msg
-		}
-		s.mu.Unlock()
-	}
-	// A follower that already holds a consistent prefix of this stream
-	// (it restarted and replayed its WAL) re-syncs from the owner's log
-	// instead of taking the whole interface again.
-	if m.cfg.CatchUp != nil && m.catchUp(id, addr) {
-		return
-	}
-	if _, err := m.cfg.Ing.Flush(id); err != nil {
-		fail(fmt.Sprintf("seed flush: %v", err))
-		return
-	}
-	snap, err := m.cfg.Ing.Capture(id)
-	if err != nil {
-		fail(fmt.Sprintf("seed capture: %v", err))
-		return
-	}
-	frame, err := store.Encode(snap)
-	if err != nil {
-		fail(fmt.Sprintf("seed encode: %v", err))
-		return
-	}
+// sync brings one targeted follower into the stream. A follower that
+// holds a prefix of it (it restarted and replayed its own log) gets
+// this owner's logged records past its position; anything else — no
+// copy there, stale, ahead of this owner, or a position the log no
+// longer covers — gets one base frame and continues from the base's
+// seq. Either way one drain ships those records and then what published
+// meanwhile (the follower was already in fSeeding, so the hook buffered
+// it in pending), skipping what the follower holds, and marks it synced.
+func (m *Manager) sync(id, addr string) {
 	s := m.lookup(id)
 	if s == nil {
 		return
+	}
+	from, pubs, logged := m.logTail(id, addr)
+	if !logged {
+		seq, err := m.shipBase(id, addr, s)
+		if err != nil {
+			s.mu.Lock()
+			if fo := s.followers[addr]; fo != nil && fo.mode == fSeeding {
+				fo.fall(err.Error())
+			}
+			s.mu.Unlock()
+			return
+		}
+		from, pubs = seq, nil
+	}
+	// The drain holds s.mu, so the hook (which appends to pending under
+	// s.mu) cannot interleave half-way.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fo := s.followers[addr]
+	if fo == nil || fo.mode != fSeeding || s.role != api.RoleOwner {
+		return // re-targeted, demoted or superseded mid-sync
+	}
+	fo.seq = from
+	for _, p := range append(pubs, fo.pending...) {
+		if p.Seq <= fo.seq {
+			continue // already there
+		}
+		if err := m.send(id, s, fo, p); err != nil {
+			return // send downgraded it; the next refresh re-syncs
+		}
+	}
+	fo.pending = nil
+	fo.mode = fSynced
+	fo.lastErr = ""
+	if logged {
+		s.catchUps++
+	} else {
+		s.fullSeeds++
+	}
+}
+
+// logTail probes the follower's position and returns it with this
+// owner's logged publications in (position, head]; ok=false when only a
+// base helps.
+func (m *Manager) logTail(id, addr string) (from uint64, pubs []ingest.Publication, ok bool) {
+	if m.cfg.Persister == nil {
+		return 0, nil, false
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), applyTimeout)
+	st, err := m.client(addr).Status(ctx, id)
+	cancel()
+	if err != nil || st.Info.Role != api.RoleFollower || st.Info.Stale {
+		return 0, nil, false
+	}
+	if seq, err := m.cfg.Ing.Seq(id); err != nil || st.Info.Seq > seq {
+		return 0, nil, false
+	}
+	pubs, ok = m.cfg.Persister.CatchUp(id, st.Info.Seq)
+	return st.Info.Seq, pubs, ok
+}
+
+// shipBase captures the interface — buffered writes flushed first, under
+// the feed lock, so every publish is either inside the frame or in
+// pending — and hosts it on the follower through Follow. Returns the
+// base's seq.
+func (m *Manager) shipBase(id, addr string, s *ifaceState) (uint64, error) {
+	if _, err := m.cfg.Ing.Flush(id); err != nil {
+		return 0, fmt.Errorf("seed flush: %v", err)
+	}
+	snap, err := m.cfg.Ing.Capture(id)
+	if err != nil {
+		return 0, fmt.Errorf("seed capture: %v", err)
+	}
+	frame, err := store.Encode(snap)
+	if err != nil {
+		return 0, fmt.Errorf("seed encode: %v", err)
 	}
 	s.mu.Lock()
 	term := s.term
 	s.mu.Unlock()
-	budget := m.cfg.HTTPClient.Timeout
-	if budget <= 0 {
-		budget = 2 * time.Minute
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
 	defer cancel()
-	if _, err := m.client(addr).Follow(ctx, id, frame, term, m.cfg.Self); err != nil {
-		fail(fmt.Sprintf("seed transfer: %v", err))
-		return
+	if err := m.client(addr).Follow(ctx, id, frame, term, m.cfg.Self); err != nil {
+		return 0, fmt.Errorf("seed transfer: %v", err)
 	}
-	// Drain what published during the transfer, in order, then go
-	// synced. The drain holds s.mu, so the hook (which appends to
-	// pending under s.mu) cannot interleave half-way.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fo := s.followers[addr]
-	if fo == nil || fo.mode != fSeeding || s.role != api.RoleOwner {
-		return // re-targeted, demoted or superseded while seeding
-	}
-	fo.seq = snap.Seq
-	for _, ev := range fo.pending {
-		if ev.Pub.Seq <= snap.Seq {
-			continue // already inside the frame
-		}
-		if err := m.sendEvent(fo, ev); err != nil {
-			return // sendEvent already downgraded the follower
-		}
-	}
-	fo.pending = nil
-	fo.mode = fSynced
-	fo.lastErr = ""
-	s.fullSeeds++
-}
-
-// catchUp tries to re-sync one targeted follower from this owner's
-// WAL: probe the follower's position, ship the logged publications it
-// is missing as ordinary stream events, drain anything that published
-// meanwhile, and mark it synced. Returns false when only a full seed
-// can help (no copy there, stale, diverged, or the log does not cover
-// its position) — the caller then runs the seed path.
-func (m *Manager) catchUp(id, addr string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ApplyTimeout)
-	st, err := m.client(addr).Status(ctx, id)
-	cancel()
-	if err != nil {
-		return false
-	}
-	info := st.Info
-	if info.Role != api.RoleFollower || info.Stale {
-		return false
-	}
-	ourSeq, err := m.cfg.Ing.Seq(id)
-	if err != nil || info.Seq > ourSeq {
-		return false
-	}
-	pubs, ok := m.cfg.CatchUp(id, info.Seq)
-	if !ok {
-		return false
-	}
-	s := m.lookup(id)
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fo := s.followers[addr]
-	if fo == nil || fo.mode != fSeeding || s.role != api.RoleOwner {
-		return true // re-targeted, demoted or superseded; nothing to seed either
-	}
-	fo.seq = info.Seq
-	for _, pub := range pubs {
-		if pub.Seq <= fo.seq {
-			continue
-		}
-		if err := m.sendEvent(fo, Event{ID: id, Term: s.term, Owner: m.cfg.Self, Pub: pub}); err != nil {
-			return true // sendEvent downgraded it; the next refresh re-seeds
-		}
-	}
-	// Drain what published while the catch-up ran (the hook buffers
-	// into pending for fSeeding followers), exactly like seed's drain.
-	for _, ev := range fo.pending {
-		if ev.Pub.Seq <= fo.seq {
-			continue
-		}
-		if err := m.sendEvent(fo, ev); err != nil {
-			return true
-		}
-	}
-	fo.pending = nil
-	fo.mode = fSynced
-	fo.lastErr = ""
-	s.catchUps++
-	return true
+	return snap.Seq, nil
 }
 
 // Unhost tears the interface's replication down fleet-side before the
@@ -566,7 +529,7 @@ func (m *Manager) Unhost(id string) {
 	}
 	s.mu.Unlock()
 	for _, addr := range addrs {
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ApplyTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), applyTimeout)
 		_ = m.client(addr).Unfollow(ctx, id)
 		cancel()
 	}
@@ -575,10 +538,10 @@ func (m *Manager) Unhost(id string) {
 
 // --- follower side: seed intake, stream apply, fencing.
 
-// Follow hosts a seed frame as a follower copy at exactly the owner's
+// Follow hosts a base frame as a follower copy at exactly the owner's
 // epoch and sequence, replacing whatever copy was here. A local owner
-// at the same or newer term refuses the seed (term_mismatch) — a
-// newer-term seed legitimately supersedes it.
+// at the same or newer term refuses it (term_mismatch); an older one is
+// superseded.
 func (m *Manager) Follow(frame []byte, term uint64, owner string) (*StatusResponse, error) {
 	snap, err := store.Decode(frame)
 	if err != nil {
@@ -618,9 +581,9 @@ func (m *Manager) Follow(frame []byte, term uint64, owner string) (*StatusRespon
 	// reset, with the follower's control state inside — a restart
 	// rebuilds this copy and resumes the stream from its logged
 	// position instead of demanding another full seed.
-	if m.cfg.Adopt != nil {
+	if p := m.cfg.Persister; p != nil {
 		rs := &store.ReplState{Role: api.RoleFollower, Term: term, Owner: owner}
-		if err := m.cfg.Adopt(snap, rs); err != nil {
+		if err := p.Adopt(snap, rs); err != nil {
 			return nil, api.Errf(api.CodeWALFailed, http.StatusInternalServerError,
 				"follow %q: persist seed: %v", id, err)
 		}
@@ -631,62 +594,62 @@ func (m *Manager) Follow(frame []byte, term uint64, owner string) (*StatusRespon
 	return m.Status(id)
 }
 
-// Apply lands one streamed event on a follower copy. Term fencing
-// happens first: an event from an older term is rejected with
-// not_owner (carrying who this follower believes owns the interface),
-// a newer term is adopted (the sender won a promotion). A sequence
-// gap or a divergent apply marks the follower stale and answers
-// replica_out_of_sync, telling the owner to re-seed.
-func (m *Manager) Apply(ev Event) error {
-	s := m.lookup(ev.ID)
+// Apply lands one streamed publication from owner at term on a
+// follower copy. Term fencing happens first: an older term is rejected
+// with not_owner (carrying who this follower believes owns the
+// interface), a newer term is adopted (the sender won a promotion). A
+// sequence gap or a divergent apply marks the follower stale and
+// answers replica_out_of_sync, telling the owner to re-sync.
+func (m *Manager) Apply(id string, term uint64, owner string, p ingest.Publication) error {
+	s := m.lookup(id)
 	if s == nil {
 		return api.Errf(api.CodeNotFound, http.StatusNotFound,
-			"no follower copy of %q here", ev.ID)
+			"no follower copy of %q here", id)
 	}
 	s.mu.Lock()
 	if s.role != api.RoleFollower {
 		addr := m.cfg.Self
 		s.mu.Unlock()
-		return api.ErrNotOwner(ev.ID, addr)
+		return api.ErrNotOwner(id, addr)
 	}
 	termAdopted := false
 	switch {
-	case ev.Term < s.term:
-		owner := s.owner
+	case term < s.term:
+		cur := s.owner
 		s.mu.Unlock()
-		return api.ErrNotOwner(ev.ID, owner)
-	case ev.Term > s.term:
-		s.term = ev.Term
-		s.owner = ev.Owner
+		return api.ErrNotOwner(id, cur)
+	case term > s.term:
+		s.term = term
+		s.owner = owner
 		termAdopted = true
-	case ev.Owner != s.owner && s.owner != "":
+	case owner != s.owner && s.owner != "":
 		// Same term, different claimed owner: split brain. Refuse both.
-		owner := s.owner
+		cur := s.owner
 		s.mu.Unlock()
-		return api.ErrNotOwner(ev.ID, owner)
+		return api.ErrNotOwner(id, cur)
 	}
 	if s.stale {
-		owner := s.owner
+		cur := s.owner
 		s.mu.Unlock()
 		return api.Errf(api.CodeReplicaOutOfSync, http.StatusConflict,
-			"follower of %q is stale; re-seed it (owner %s)", ev.ID, owner)
+			"follower of %q is stale; re-sync it (owner %s)", id, cur)
 	}
 	s.mu.Unlock()
 	if termAdopted {
-		m.persist(ev.ID)
+		m.persist(id)
 	}
 
 	// The ingest apply takes the feed lock; state.mu must not be held
 	// across it (the publish hook takes the locks in the other order).
-	err := m.cfg.Ing.Apply(ev.ID, ev.Pub)
+	err := m.cfg.Ing.Apply(id, p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		s.stale = true
 		return api.Errf(api.CodeReplicaOutOfSync, http.StatusConflict,
-			"apply seq %d to follower of %q: %v", ev.Pub.Seq, ev.ID, err)
+			"apply seq %d to follower of %q: %v", p.Seq, id, err)
 	}
-	s.seq = ev.Pub.Seq
+	s.seq = p.Seq
 	return nil
 }
 
@@ -702,7 +665,7 @@ type PromoteTarget struct {
 // the failover CAS. The epoch is bumped through the replication
 // stream, so cursors minted against the ex-owner expire and surviving
 // followers bump in lockstep; targets not at this shard's sequence
-// are re-seeded in the background. Re-promoting an owner at the same
+// are re-synced in the background. Re-promoting an owner at the same
 // term is idempotent.
 func (m *Manager) Promote(id string, term uint64, targets []PromoteTarget) (*StatusResponse, error) {
 	s := m.lookup(id)
@@ -748,17 +711,16 @@ func (m *Manager) Promote(id string, term uint64, targets []PromoteTarget) (*Sta
 	s.owner = ""
 	s.stale = false
 	s.followers = map[string]*follower{}
-	var seedAddrs []string
+	var syncs []string
 	for _, t := range targets {
 		if t.Addr == "" || t.Addr == m.cfg.Self {
 			continue
 		}
-		fo := &follower{addr: t.Addr, seq: t.Seq}
+		fo := &follower{addr: t.Addr, seq: t.Seq} // fSeeding
 		if t.Seq == seq {
 			fo.mode = fSynced // survivor in lockstep: stream continues
 		} else {
-			fo.mode = fSeeding
-			seedAddrs = append(seedAddrs, t.Addr)
+			syncs = append(syncs, t.Addr)
 		}
 		s.followers[t.Addr] = fo
 	}
@@ -775,26 +737,23 @@ func (m *Manager) Promote(id string, term uint64, targets []PromoteTarget) (*Sta
 			return nil, api.FromErr(err)
 		}
 	}
-	for _, addr := range seedAddrs {
-		go m.seed(id, addr)
+	for _, addr := range syncs {
+		go m.sync(id, addr)
 	}
 	return m.Status(id)
 }
 
-// Handoff moves ownership of id to the synced follower at to — a
-// planned failover, and the only way an interface changes owner while
-// its owner is alive. Under the ingestion feed lock (ingest.Handoff) it
-// drains both write buffers through the stream, requires to to be in
-// sync at exactly the sequence the feed reached (replica_lagging
-// otherwise, nothing changed), and promotes it at term+1 with the
-// other in-sync followers as its targets. Only a successful promote
-// seals the feed — blocked and later submissions answer moved → to —
-// and then the local copy goes the way every lost claim goes
-// (Config.Demote: tombstone first, so reads flip from served straight
-// to moved). A promote whose response is lost leaves this shard an
+// Handoff moves ownership of id to the synced follower at to (a
+// normalized base URL) — a planned failover, the only way an interface
+// changes owner while its owner is alive. Under the feed lock
+// (ingest.Handoff) it drains both write buffers through the stream,
+// requires to in sync at exactly the feed's sequence (replica_lagging
+// otherwise, nothing changed) and promotes it at term+1 with the other
+// in-sync followers as targets. Only a successful promote seals the feed
+// (later submissions answer moved → to); then Config.Demote tombstones
+// and drops the copy. A lost promote response leaves this shard an
 // unsealed owner of the older term: the winner refuses its next
 // publish (not_owner), which fences it before that write is acked.
-// to is a normalized base URL, as it appears in the follower table.
 func (m *Manager) Handoff(id, to string) (*StatusResponse, error) {
 	if to == m.cfg.Self {
 		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
@@ -825,7 +784,7 @@ func (m *Manager) Handoff(id, to string) (*StatusResponse, error) {
 			}
 		}
 		s.mu.Unlock()
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ApplyTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), applyTimeout)
 		defer cancel()
 		st, err := m.client(to).Promote(ctx, id, term, others)
 		var refused *api.Error

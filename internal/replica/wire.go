@@ -3,7 +3,6 @@ package replica
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,14 +13,15 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/ingest"
+	"repro/internal/wal"
 	"repro/pi/client"
 )
 
 // The replication wire contract, mounted under the shard-admin
 // surface (/v1/shard/, same bearer-token guard):
 //
-//	POST /v1/shard/interfaces/{id}/follow    — seed frame (octet-stream + term/owner headers)
-//	POST /v1/shard/interfaces/{id}/apply     — one streamed event (gob)
+//	POST /v1/shard/interfaces/{id}/follow    — base frame (octet-stream + term/owner headers)
+//	POST /v1/shard/interfaces/{id}/apply     — one WAL record frame (octet-stream + term/owner headers)
 //	POST /v1/shard/interfaces/{id}/promote   — failover CAS: {term, targets}
 //	POST /v1/shard/interfaces/{id}/demote    — lost a term race: {to, term}
 //	POST /v1/shard/interfaces/{id}/handoff   — ?to=ADDR: planned failover onto a synced follower
@@ -30,48 +30,24 @@ import (
 //	GET  /v1/shard/interfaces/{id}/replica   — one interface's status
 //	GET  /v1/shard/replication               — every tracked interface's status
 //
-// Seed frames are the checksummed store.Encode format .snap files
-// use; streamed events are gob (they carry engine values, which
-// the snapshot payloads already gob-encode — one codec, one set of
-// compatibility rules).
+// Base frames are the checksummed store.Encode format .snap files use;
+// a streamed publication is exactly one WAL record frame
+// (wal.EncodeRecord: length, CRC, payload — the bytes the owner's log
+// holds for it), with the sender's term and owner in headers. Both
+// routes answer bad_request for a missing or malformed term and leave
+// the follower untouched; apply also refuses a body that is not exactly
+// one valid frame.
 const (
-	// termHeader / ownerHeader ride beside a binary seed frame.
+	// termHeader / ownerHeader ride beside every binary body.
 	termHeader  = "Pi-Replica-Term"
 	ownerHeader = "Pi-Replica-Owner"
-	// maxEventBody caps a streamed event (one flushed batch).
+	// maxEventBody caps a streamed publication (one flushed batch).
 	maxEventBody = 64 << 20
 	// maxSeedBody caps a seed frame (a full interface: log + dataset).
 	// 256 MiB is far above any fixture and far below "accidentally
 	// stream /dev/zero".
 	maxSeedBody = 256 << 20
 )
-
-// Event is one streamed replication publish on the wire: the owner's
-// identity and fencing term around the ingestion-layer publication.
-type Event struct {
-	ID    string
-	Term  uint64
-	Owner string
-	Pub   ingest.Publication
-}
-
-// EncodeEvent serializes an event for the apply endpoint.
-func EncodeEvent(ev Event) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
-		return nil, fmt.Errorf("replica: encode event: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEvent deserializes an apply body.
-func DecodeEvent(raw []byte) (Event, error) {
-	var ev Event
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&ev); err != nil {
-		return Event{}, fmt.Errorf("replica: decode event: %w", err)
-	}
-	return ev, nil
-}
 
 // TargetsRequest is the body of the targets endpoint.
 type TargetsRequest struct {
@@ -122,14 +98,28 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, e.Status, e)
 }
 
+// senderOf reads the term and owner a binary replication body rides
+// with; a missing or malformed term is a bad request.
+func senderOf(r *http.Request) (uint64, string, *api.Error) {
+	term, err := strconv.ParseUint(r.Header.Get(termHeader), 10, 64)
+	if err != nil {
+		return 0, "", api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+			"%s header: %v", termHeader, err)
+	}
+	return term, r.Header.Get(ownerHeader), nil
+}
+
 func (m *Manager) handleFollow(w http.ResponseWriter, r *http.Request) {
 	frame, aerr := readBody(w, r, maxSeedBody)
 	if aerr != nil {
 		writeErr(w, aerr)
 		return
 	}
-	term, _ := strconv.ParseUint(r.Header.Get(termHeader), 10, 64)
-	owner := r.Header.Get(ownerHeader)
+	term, owner, aerr := senderOf(r)
+	if aerr != nil {
+		writeErr(w, aerr)
+		return
+	}
 	st, err := m.Follow(frame, term, owner)
 	if err != nil {
 		writeErr(w, err)
@@ -144,21 +134,24 @@ func (m *Manager) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, aerr)
 		return
 	}
-	ev, err := DecodeEvent(raw)
+	term, owner, aerr := senderOf(r)
+	if aerr != nil {
+		writeErr(w, aerr)
+		return
+	}
+	p, n, err := wal.DecodeRecord(raw)
+	if err == nil && n != int64(len(raw)) {
+		err = fmt.Errorf("%d trailing bytes after the record", int64(len(raw))-n)
+	}
 	if err != nil {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "%v", err))
+		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "apply body: %v", err))
 		return
 	}
-	if id := r.PathValue("id"); id != ev.ID {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
-			"event is for %q, path says %q", ev.ID, id))
-		return
-	}
-	if err := m.Apply(ev); err != nil {
+	if err := m.Apply(r.PathValue("id"), term, owner, p); err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"seq": ev.Pub.Seq})
+	writeJSON(w, http.StatusOK, map[string]uint64{"seq": p.Seq})
 }
 
 func (m *Manager) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -259,7 +252,10 @@ func NewClient(base, token string, hc *http.Client) *Client {
 	return &Client{base: base, token: token, hc: hc}
 }
 
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+// jsonBody marks a JSON request body.
+var jsonBody = http.Header{"Content-Type": {"application/json"}}
+
+func (c *Client) do(ctx context.Context, method, path string, hdr http.Header, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -268,13 +264,11 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	if err != nil {
 		return fmt.Errorf("replica: build request: %w", err)
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	for k, v := range hdr {
+		req.Header[k] = v
 	}
-	// Replication responses are small JSON acks on a latency-critical
-	// path (the event ship rides inside the owner's write ack).
-	// Compressing them costs more than it saves — opt out of the
-	// transport's transparent gzip so the peer answers identity.
+	// Replication answers are small JSON acks inside the owner's write
+	// ack: gzip costs more than it saves, so ask for identity.
 	req.Header.Set("Accept-Encoding", "identity")
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
@@ -303,48 +297,36 @@ func ifacePath(id, op string) string {
 	return "/v1/shard/interfaces/" + url.PathEscape(id) + "/" + op
 }
 
-// Follow ships a seed frame for id.
-func (c *Client) Follow(ctx context.Context, id string, frame []byte, term uint64, owner string) (*StatusResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+ifacePath(id, "follow"),
-		bytes.NewReader(frame))
-	if err != nil {
-		return nil, fmt.Errorf("replica: build follow: %w", err)
+// post sends a binary replication body beside the sender's term and
+// owner.
+func (c *Client) post(ctx context.Context, id, op string, body []byte, term uint64, owner string, out any) error {
+	hdr := http.Header{
+		"Content-Type": {"application/octet-stream"},
+		termHeader:     {strconv.FormatUint(term, 10)},
+		ownerHeader:    {owner},
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(termHeader, strconv.FormatUint(term, 10))
-	req.Header.Set(ownerHeader, owner)
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica: follow %q at %s: %w", id, c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, client.DecodeError(resp)
-	}
-	var out StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("replica: decode follow response: %w", err)
-	}
-	return &out, nil
+	return c.do(ctx, http.MethodPost, ifacePath(id, op), hdr, body, out)
 }
 
-// Apply streams one event.
-func (c *Client) Apply(ctx context.Context, ev Event) error {
-	raw, err := EncodeEvent(ev)
+// Follow ships a base frame for id.
+func (c *Client) Follow(ctx context.Context, id string, frame []byte, term uint64, owner string) error {
+	return c.post(ctx, id, "follow", frame, term, owner, nil)
+}
+
+// Apply streams one publication as a WAL record frame.
+func (c *Client) Apply(ctx context.Context, id string, term uint64, owner string, p ingest.Publication) error {
+	frame, err := wal.EncodeRecord(p)
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, ifacePath(ev.ID, "apply"), "application/octet-stream", raw, nil)
+	return c.post(ctx, id, "apply", frame, term, owner, nil)
 }
 
 // Promote runs the failover CAS on a follower.
 func (c *Client) Promote(ctx context.Context, id string, term uint64, targets []PromoteTarget) (*StatusResponse, error) {
 	body, _ := json.Marshal(PromoteRequest{Term: term, Targets: targets})
 	var out StatusResponse
-	if err := c.do(ctx, http.MethodPost, ifacePath(id, "promote"), "application/json", body, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, ifacePath(id, "promote"), jsonBody, body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -353,7 +335,7 @@ func (c *Client) Promote(ctx context.Context, id string, term uint64, targets []
 // Demote asks a shard to give up a lost owner claim.
 func (c *Client) Demote(ctx context.Context, id, to string, term uint64) error {
 	body, _ := json.Marshal(DemoteRequest{To: to, Term: term})
-	return c.do(ctx, http.MethodPost, ifacePath(id, "demote"), "application/json", body, nil)
+	return c.do(ctx, http.MethodPost, ifacePath(id, "demote"), jsonBody, body, nil)
 }
 
 // Handoff asks the owner of id to hand it to its synced follower at
@@ -361,7 +343,7 @@ func (c *Client) Demote(ctx context.Context, id, to string, term uint64) error {
 func (c *Client) Handoff(ctx context.Context, id, to string) (*StatusResponse, error) {
 	var out StatusResponse
 	path := ifacePath(id, "handoff") + "?" + url.Values{"to": {to}}.Encode()
-	if err := c.do(ctx, http.MethodPost, path, "", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -369,14 +351,14 @@ func (c *Client) Handoff(ctx context.Context, id, to string) (*StatusResponse, e
 
 // Unfollow drops a follower copy.
 func (c *Client) Unfollow(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, ifacePath(id, "unfollow"), "application/json", []byte("{}"), nil)
+	return c.do(ctx, http.MethodPost, ifacePath(id, "unfollow"), jsonBody, []byte("{}"), nil)
 }
 
 // Targets declares the owner's follower set.
 func (c *Client) Targets(ctx context.Context, id string, addrs []string) (*StatusResponse, error) {
 	body, _ := json.Marshal(TargetsRequest{Targets: addrs})
 	var out StatusResponse
-	if err := c.do(ctx, http.MethodPost, ifacePath(id, "targets"), "application/json", body, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, ifacePath(id, "targets"), jsonBody, body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -385,7 +367,7 @@ func (c *Client) Targets(ctx context.Context, id string, addrs []string) (*Statu
 // Status fetches one interface's replication status.
 func (c *Client) Status(ctx context.Context, id string) (*StatusResponse, error) {
 	var out StatusResponse
-	if err := c.do(ctx, http.MethodGet, ifacePath(id, "replica"), "", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, ifacePath(id, "replica"), nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -394,7 +376,7 @@ func (c *Client) Status(ctx context.Context, id string) (*StatusResponse, error)
 // StatusAll fetches every tracked interface's status on a shard.
 func (c *Client) StatusAll(ctx context.Context) ([]StatusResponse, error) {
 	var out []StatusResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/shard/replication", "", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/shard/replication", nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil

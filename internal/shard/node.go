@@ -3,7 +3,7 @@
 //
 //   - Node: a shard — the full local service (internal/api.Service over
 //     its registry and ingester) plus the replication manager
-//     (internal/replica) that seeds, streams to and promotes the copies
+//     (internal/replica) that syncs, streams to and promotes the copies
 //     of its interfaces on other shards, and a load report. An
 //     interface this shard gave up (handed off, or fenced by a newer
 //     term) leaves a tombstone, so requests that still target this
@@ -17,7 +17,7 @@
 //     its replication factor, and changes owners by the one protocol
 //     the fleet has: promote a synced follower at term+1. A failover
 //     does it because the owner died; a migration does it on purpose —
-//     seed the target as a follower, stream until it is in sync, then
+//     sync the target as a follower, stream until it is in sync, then
 //     have the owner hand off — and flips the placement map. Default
 //     placement is rendezvous hashing with explicit pins on top.
 //
@@ -54,7 +54,7 @@ type NodeOptions struct {
 	// Funcs, when set, re-attaches table-valued functions — code a
 	// snapshot frame cannot carry — to every seeded interface's store.
 	Funcs func(id string, st *store.Store)
-	// Persister, when set, persists seeded interfaces under this
+	// Persister, when set, persists synced interfaces under this
 	// shard's data dir (and the service layer removes given-up ones),
 	// so a shard restart keeps serving what it held. It also makes
 	// tombstones durable: relocations are written to the data dir and
@@ -62,7 +62,7 @@ type NodeOptions struct {
 	// not_found — for interfaces it handed off.
 	Persister *ingest.Persister
 	// Token authenticates this node's outbound replication calls to
-	// peer shards (seeding followers, streaming events, promoting a
+	// peer shards (syncing followers, streaming publications, promoting a
 	// handoff target). Use the fleet's shared admin token.
 	Token string
 }
@@ -90,7 +90,7 @@ type Node struct {
 var _ api.Servicer = (*Node)(nil)
 
 // NewNode wraps the service and its ingester as a shard. The ingester
-// must be the one wired into the service: seeds, applies and handoffs
+// must be the one wired into the service: syncs, applies and handoffs
 // go through its live feeds.
 func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, error) {
 	addr, err := NormalizeAddr(opts.Addr)
@@ -102,7 +102,14 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		return nil, fmt.Errorf("shard: node needs an ingester (replication rides its feeds)")
 	}
 	n := &Node{Service: svc, ing: ing, opts: opts, moved: map[string]string{}}
-	cfg := replica.Config{
+	if p := opts.Persister; p != nil {
+		moved, err := loadTombstones(p.Dir())
+		if err != nil {
+			n.tombErr = err.Error()
+		}
+		n.moved = moved
+	}
+	n.mgr, err = replica.NewManager(replica.Config{
 		Self:           addr,
 		Token:          opts.Token,
 		Ing:            ing,
@@ -111,54 +118,14 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		Demote:         n.demoteLocal,
 		Drop:           n.dropLocal,
 		ClearTombstone: n.clearTombstone,
-	}
-	p := opts.Persister
-	if p != nil {
-		moved, err := loadTombstones(p.Dir())
-		if err != nil {
-			n.tombErr = err.Error()
-		}
-		n.moved = moved
-		// Persistence makes replication state crash-proof: seeds persist
-		// before they are acked, control-plane changes rewrite the
-		// manifest, and (with a WAL) trailing followers re-sync from the
-		// owner's log instead of taking a fresh seed.
-		cfg.Adopt = p.Adopt
-		cfg.Persist = func(id string) { _ = p.PersistReplState(id) }
-		cfg.CatchUp = p.CatchUp
-	}
-	mgr, err := replica.NewManager(cfg)
+		Persister:      opts.Persister,
+	})
 	if err != nil {
 		return nil, err
 	}
-	n.mgr = mgr
-	if p != nil {
-		p.SetReplStateSource(func(id string) *store.ReplState {
-			info := mgr.Info(id)
-			if info == nil {
-				return nil
-			}
-			rs := &store.ReplState{Role: info.Role, Term: info.Term, Owner: info.Owner}
-			if len(info.Followers) > 0 {
-				rs.Followers = make(map[string]uint64, len(info.Followers))
-				for _, fo := range info.Followers {
-					rs.Followers[fo.Addr] = fo.Seq
-				}
-			}
-			return rs
-		})
-		// Re-adopt what the manifests remembered: a restarted ex-owner
-		// answers from the term it held (not a blank slate a stale peer
-		// could out-fence), and a restarted follower resumes the stream
-		// at the sequence its restore reached.
-		for id, rs := range p.ReplStates() {
-			seq, _ := ing.Seq(id)
-			mgr.RestoreState(id, rs, seq)
-		}
-	}
 	// Every acked publish streams to followers before the ack leaves
 	// this process; interfaces with no followers pay one map lookup.
-	ing.SetPublishHook(mgr.Hook())
+	ing.SetPublishHook(n.mgr.Hook())
 	return n, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // This file binds a Node to its replication manager (internal/replica)
 // and owns the durable tombstone file. The manager gets three
 // callbacks into the node — demote (fence lost-term owners), drop
-// (tear down follower copies) and clear-tombstone (a seed supersedes
+// (tear down follower copies) and clear-tombstone (a base supersedes
 // an old relocation) — and the node installs the manager's publish
 // hook on its ingester, so every acked write streams to followers
 // before the ack leaves the process.

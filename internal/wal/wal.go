@@ -31,9 +31,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -390,28 +390,12 @@ func scanSegment(path string, tail bool) (lastSeq uint64, good int64, cut bool, 
 	}
 	off := int64(len(segMagic))
 	for off < int64(len(raw)) {
-		rest := raw[off:]
-		if len(rest) < recHeaderLen {
-			return bad(off, "short record header")
-		}
-		size := binary.BigEndian.Uint32(rest[0:4])
-		sum := binary.BigEndian.Uint32(rest[4:8])
-		if size == 0 || size > maxRecordSize {
-			return bad(off, "implausible record length")
-		}
-		if int64(len(rest)) < recHeaderLen+int64(size) {
-			return bad(off, "short record payload")
-		}
-		payload := rest[recHeaderLen : recHeaderLen+int64(size)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return bad(off, "record failed checksum")
-		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return bad(off, "record failed decode")
+		rec, n, err := DecodeRecord(raw[off:])
+		if err != nil {
+			return bad(off, err.Error())
 		}
 		lastSeq = rec.Seq
-		off += recHeaderLen + int64(size)
+		off += n
 	}
 	return lastSeq, off, false, nil
 }
@@ -471,7 +455,7 @@ func (l *Log) startSegmentLocked(firstSeq uint64) error {
 // publication was lost between the feed and the log, so acking it
 // would lie).
 func (l *Log) Append(r Record) error {
-	frame, err := encodeRecord(r)
+	frame, err := EncodeRecord(r)
 	if err != nil {
 		return err
 	}
@@ -728,9 +712,10 @@ func (l *Log) Reset(seq uint64) error {
 	return nil
 }
 
-// Replay streams every record with Seq > fromSeq, in order, to fn.
-// The scan reads the segment files directly (including the active
-// one), so it must not race appends — restore runs before serving.
+// Replay streams every record with Seq > fromSeq, in order, to fn. It
+// is safe on a live log: each segment is read only up to the size it
+// had under the lock, which always ends on a frame boundary, so a
+// concurrent Append's half-written frame is never seen.
 func (l *Log) Replay(fromSeq uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	segs := append(append([]segInfo{}, l.sealed...), l.activeSeg)
@@ -743,9 +728,12 @@ func (l *Log) Replay(fromSeq uint64, fn func(Record) error) error {
 		if len(raw) < len(segMagic) || !bytes.Equal(raw[:len(segMagic)], segMagic) {
 			return fmt.Errorf("wal: replay: %s is not a WAL segment", s.path)
 		}
+		if int64(len(raw)) > s.size {
+			raw = raw[:s.size]
+		}
 		off := int64(len(segMagic))
 		for off < int64(len(raw)) {
-			rec, n, err := decodeRecord(raw[off:])
+			rec, n, err := DecodeRecord(raw[off:])
 			if err != nil {
 				return fmt.Errorf("wal: replay %s at offset %d: %w", s.path, off, err)
 			}
@@ -803,9 +791,11 @@ func (l *Log) Close() error {
 	return syncErr
 }
 
-// encodeRecord frames one record: length, checksum, gob payload. A
-// fresh encoder per record keeps records independently decodable.
-func encodeRecord(r Record) ([]byte, error) {
+// EncodeRecord frames one record: length, checksum, gob payload. A
+// fresh encoder per record keeps records independently decodable. The
+// frame is both a log record and the body of a streamed replication
+// publication.
+func EncodeRecord(r Record) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&r); err != nil {
 		return nil, fmt.Errorf("wal: encode record seq %d: %w", r.Seq, err)
@@ -817,24 +807,28 @@ func encodeRecord(r Record) ([]byte, error) {
 	return frame, nil
 }
 
-// decodeRecord decodes one framed record from the head of raw,
-// returning the frame's total length.
-func decodeRecord(raw []byte) (Record, int64, error) {
+// DecodeRecord decodes one framed record from the head of raw,
+// returning the frame's total length. The error names what failed —
+// header, length, payload, checksum or gob — and doubles as the reason
+// an open gives for cutting a torn tail.
+func DecodeRecord(raw []byte) (Record, int64, error) {
 	var rec Record
 	if len(raw) < recHeaderLen {
-		return rec, 0, io.ErrUnexpectedEOF
+		return Record{}, 0, errors.New("short record header")
 	}
 	size := binary.BigEndian.Uint32(raw[0:4])
-	sum := binary.BigEndian.Uint32(raw[4:8])
-	if size == 0 || size > maxRecordSize || len(raw) < recHeaderLen+int(size) {
-		return rec, 0, io.ErrUnexpectedEOF
+	if size == 0 || size > maxRecordSize {
+		return Record{}, 0, errors.New("implausible record length")
+	}
+	if len(raw) < recHeaderLen+int(size) {
+		return Record{}, 0, errors.New("short record payload")
 	}
 	payload := raw[recHeaderLen : recHeaderLen+int(size)]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return rec, 0, fmt.Errorf("record failed checksum")
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[4:8]) {
+		return Record{}, 0, errors.New("record failed checksum")
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return rec, 0, fmt.Errorf("record failed decode: %w", err)
+		return Record{}, 0, fmt.Errorf("record failed decode: %w", err)
 	}
 	return rec, recHeaderLen + int64(size), nil
 }
