@@ -56,8 +56,9 @@
 // checkpoint: a new base is written, and the log truncated, only once
 // the log has outgrown a fixed fraction of the base. -wal-sync widens
 // fsyncs into a group-commit window; 0 syncs before every ack. -wal is
-// accepted and ignored (the log is always on). See README
-// "Durability".
+// accepted and ignored (the log is always on). A data dir in an older
+// on-disk format fails the boot; `pi upgrade DIR` converts it. See
+// README "Durability" and API.md "Compatibility".
 //
 // -check flips the binary into client mode: it probes a running
 // pi-serve at -addr through the pi/client SDK (health, list, a query
@@ -202,8 +203,7 @@ func main() {
 	// Every interface must have a base snapshot on disk before its first
 	// acked write is journaled: a log with no base to replay onto is
 	// unrecoverable, so freshly mined workloads are persisted once up
-	// front, before the listener opens. The same checkpoint folds a
-	// restored legacy delta chain into a base.
+	// front, before the listener opens.
 	if persister != nil {
 		if res, err := svc.Snapshot(); err != nil {
 			fatal(fmt.Errorf("initial snapshot: %w", err))

@@ -1,13 +1,19 @@
 // Command pi mines an interactive interface from a SQL query log and
-// compiles it to a standalone HTML page.
+// compiles it to a standalone HTML page, and converts pi-serve data
+// dirs written in an older on-disk format.
 //
 // Usage:
 //
 //	pi [-o out.html] [-title T] [-window N] [-nolca] [-allpairs] [-summary] logfile
+//	pi upgrade DIR
 //
 // The log format is one SELECT statement per line, optionally prefixed
 // with "client<TAB>". With "-" (or no argument) the log is read from
 // stdin.
+//
+// pi upgrade converts a pi-serve data dir in an older on-disk format to
+// the current one, in place; stop the server that owns DIR first. See
+// API.md "Compatibility".
 package main
 
 import (
@@ -19,10 +25,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/interaction"
 	"repro/internal/qlog"
+	"repro/internal/upgrade"
 	"repro/pi"
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "upgrade" {
+		if len(os.Args) != 3 {
+			fatal(fmt.Errorf("usage: pi upgrade DIR"))
+		}
+		ids, err := upgrade.Dir(os.Args[2])
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "pi: upgraded %d interface(s) in %s %v\n", len(ids), os.Args[2], ids)
+		return
+	}
 	out := flag.String("o", "interface.html", "output HTML file ('-' for stdout)")
 	title := flag.String("title", "Precision Interface", "page title")
 	window := flag.Int("window", 2, "sliding window size (0 = compare all pairs)")

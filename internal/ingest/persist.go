@@ -39,10 +39,10 @@ import (
 //   - Restore = base + log replayed through the same Apply followers
 //     use. The acked state comes back exactly; a torn final record
 //     (crash mid-append) was never acked and is truncated, not applied.
-//     A data dir holding only a bare .snap is promoted on first boot,
-//     and one written by a build that saved differentially (a v1
-//     manifest chaining .delta files) restores through the read-only
-//     legacy loader; the first save after either writes a new base.
+//     A bare .snap with no manifest (a crash between an interface's
+//     first checkpoint's base and its manifest) is promoted on boot. A
+//     data dir in an older on-disk format fails restore; `pi upgrade`
+//     converts it offline.
 //   - Replication control state (role, term, owner, follower
 //     positions) rides in the manifest, so a restarted shard answers
 //     ownership questions from the term it actually held.
@@ -211,8 +211,8 @@ func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 }
 
 // saveLocked checkpoints one capture: a new base when the manifest
-// asks for one (none yet, a legacy chain to fold, a capture behind the
-// base) or the log has outgrown checkpointFraction of the base;
+// asks for one (none yet, a capture behind the base) or the log has
+// outgrown checkpointFraction of the base;
 // otherwise only a changed replication state is written, and the log
 // keeps carrying everything past the base. Either way superseded MVCC
 // row versions (UPDATE/DELETE residue) fold out of the live store: the
@@ -242,7 +242,7 @@ func (p *Persister) saveLocked(snap *store.Snapshot) (api.SnapshotInterface, err
 // needsBaseLocked decides whether a save of snap writes a new base.
 // Caller holds saveMu.
 func (p *Persister) needsBaseLocked(snap *store.Snapshot, m *store.Manifest) bool {
-	if m == nil || m.FormatVersion != store.ManifestFormatVersion || len(m.Deltas) > 0 || snap.Seq < m.Seq {
+	if m == nil || snap.Seq < m.Seq {
 		return true
 	}
 	st, _ := p.opts.WAL.Status(snap.ID)
@@ -251,17 +251,15 @@ func (p *Persister) needsBaseLocked(snap *store.Snapshot, m *store.Manifest) boo
 }
 
 // writeBaseLocked writes a full base snapshot and a fresh manifest,
-// then drops what the base supersedes: legacy delta files and the log
-// segments at or below its seq. The manifest lands after the base, so
-// a crash between the two restores from the new base (see
-// store.RestoreChain). Caller holds saveMu.
+// then drops the log segments at or below the base's seq. The manifest
+// lands after the base, so a crash between the two restores from the
+// new base (see store.LoadBase). Caller holds saveMu.
 func (p *Persister) writeBaseLocked(snap *store.Snapshot, rs *store.ReplState) (api.SnapshotInterface, error) {
 	bytes, err := store.Save(p.dir, snap)
 	if err != nil {
 		return api.SnapshotInterface{}, err
 	}
-	old := p.manifests[snap.ID]
-	if rs == nil && old != nil {
+	if old := p.manifests[snap.ID]; rs == nil && old != nil {
 		rs = old.Replication
 	}
 	m := store.NewManifest(snap, rs)
@@ -269,12 +267,7 @@ func (p *Persister) writeBaseLocked(snap *store.Snapshot, rs *store.ReplState) (
 		return api.SnapshotInterface{}, err
 	}
 	p.manifests[snap.ID] = m
-	// Best-effort: a file left behind only costs disk and replay time.
-	if old != nil {
-		for _, name := range old.Deltas {
-			_ = os.Remove(filepath.Join(p.dir, name))
-		}
-	}
+	// Best-effort: a segment left behind only costs disk and replay time.
 	_ = p.opts.WAL.Truncate(snap.ID, snap.Seq)
 	return snapshotRow(snap, bytes), nil
 }
@@ -365,17 +358,16 @@ func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
 }
 
 // RemoveSnapshot deletes the interface's durable state — base
-// snapshot, manifest, any legacy delta files and log directory — so an unhosted
+// snapshot, manifest and log directory — so an unhosted
 // interface does not resurrect on the next boot; files that never
 // existed are fine. Implements api.Persister.
 func (p *Persister) RemoveSnapshot(id string) error {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()
-	if err := os.Remove(store.SnapFile(p.dir, id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
-	}
-	if err := store.RemoveManifest(p.dir, id); err != nil {
-		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
+	for _, path := range []string{store.SnapFile(p.dir, id), store.ManifestFile(p.dir, id)} {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
+		}
 	}
 	delete(p.manifests, id)
 	if err := p.opts.WAL.Remove(id); err != nil {
@@ -386,9 +378,10 @@ func (p *Persister) RemoveSnapshot(id string) error {
 
 // Restore re-hosts every interface the data dir holds onto the
 // ingester's registry. Returns what came back; a missing or empty dir
-// restores nothing (first boot). A snapshot, legacy delta or log record that
-// fails its checksum or decode is an error — serving silently without
-// an interface the operator expects is worse than failing loudly.
+// restores nothing (first boot). A snapshot or log record that fails
+// its checksum or decode, or a file in an older on-disk format, is an
+// error — serving silently without an interface the operator expects
+// is worse than failing loudly.
 // Runs once at boot, before the server serves. Implements
 // api.Persister.
 func (p *Persister) Restore() (*api.RestoreResult, error) {
@@ -422,23 +415,16 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 	}
 	var snap *store.Snapshot
 	if m != nil {
-		snap, err = store.RestoreChain(p.dir, m)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// A bare .snap (written before manifests existed, or a crash
-		// between a first save's base write and its manifest write).
-		// Host it and promote it to a manifest so the log is anchored
-		// from here on.
-		snap, err = store.Load(store.SnapFile(p.dir, id))
-		if err != nil {
-			return nil, err
-		}
+		snap, err = store.LoadBase(p.dir, m)
+	} else if snap, err = store.Load(store.SnapFile(p.dir, id)); err == nil {
+		// A bare .snap: a crash between the first checkpoint's base
+		// write and its manifest write. Promote it to a manifest so the
+		// log is anchored from here on.
 		m = store.NewManifest(snap, nil)
-		if err := store.SaveManifest(p.dir, m); err != nil {
-			return nil, err
-		}
+		err = store.SaveManifest(p.dir, m)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if _, err := p.ing.HostSnapshot(snap, p.opts.Funcs, snap.Epoch); err != nil {
 		return nil, fmt.Errorf("ingest: restore %q: %w", id, err)

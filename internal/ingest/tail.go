@@ -156,7 +156,7 @@ func (tl *tailer) pollFile(path string, ft *fileTail) {
 	} else if ft.quiet++; ft.quiet >= 2 {
 		// Quiescent for two polls: what we hold is complete — a final
 		// line without a trailing newline (the partial) and a statement
-		// the scanner still keeps open (legacy one-per-line logs never
+		// the scanner still keeps open (one-statement-per-line logs never
 		// ';'-terminate their last line). Feed and flush both.
 		if len(newPartial) > 0 {
 			ft.sc.Line(string(newPartial))

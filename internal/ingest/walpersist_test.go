@@ -276,17 +276,23 @@ func TestWALOrphanLogFailsRestore(t *testing.T) {
 	}
 }
 
-// TestWALLegacySnapPromoted: a bare .snap written before manifests
-// existed (or by a crash between base write and manifest write) still restores,
-// gains a manifest, and anchors the replayed tail.
-func TestWALLegacySnapPromoted(t *testing.T) {
+// TestWALCrashBeforeFirstManifestPromotesBase: a crash between an
+// interface's first checkpoint's base write and its manifest write
+// leaves a bare .snap. It still restores, gains a manifest, and anchors
+// the replayed tail.
+func TestWALCrashBeforeFirstManifestPromotesBase(t *testing.T) {
 	dir := t.TempDir()
 	reg1 := api.NewRegistry()
 	ing1 := New(reg1, Options{})
-	if _, err := ing1.Host("live", "legacy", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
+	if _, err := ing1.Host("live", "bare", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPersister(dir, ing1, PersistOptions{}).SaveAll(); err != nil {
+	p1 := NewPersister(dir, ing1, PersistOptions{})
+	if _, err := p1.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	p1.Close()
+	if err := os.Remove(store.ManifestFile(dir, "live")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +309,7 @@ func TestWALLegacySnapPromoted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if man == nil {
-		t.Fatal("legacy snapshot was not promoted to a manifest")
+		t.Fatal("bare snapshot was not promoted to a manifest")
 	}
 	// And the promoted interface journals from here on.
 	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(950, 45)}, true); err != nil {

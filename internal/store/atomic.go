@@ -45,6 +45,22 @@ func AtomicWrite(dir, name string, data []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: publish %s: %w", name, err)
 	}
-	syncDir(dir)
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs dir so the creates, renames and removes inside it
+// survive a crash. Until it succeeds a synced file may still vanish
+// with its directory entry, so every durable write in the data dir
+// (AtomicWrite, the write-ahead log's segment create and truncate)
+// fails when it fails.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: sync dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("store: sync dir: %w", err)
+	}
 	return nil
 }

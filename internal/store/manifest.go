@@ -22,13 +22,8 @@ type Manifest struct {
 	ID            string `json:"id"`
 	// Base is the base snapshot's file name inside the data dir.
 	Base string `json:"base"`
-	// Deltas are the legacy delta files chained onto the base, in apply
-	// order. Only format 1 dirs have them; no save adds one, and the
-	// first save after a restore folds them into a new base.
-	Deltas []string `json:"deltas,omitempty"`
-	// Seq/Epoch/DataEpoch are the position the base (plus any legacy
-	// deltas) reconstructs to; log records with seq > Seq complete the
-	// acked state.
+	// Seq/Epoch/DataEpoch are the position the base reconstructs to;
+	// log records with seq > Seq complete the acked state.
 	Seq       uint64 `json:"seq"`
 	Epoch     uint64 `json:"epoch"`
 	DataEpoch uint64 `json:"dataEpoch"`
@@ -53,10 +48,14 @@ type ReplState struct {
 	Followers map[string]uint64 `json:"followers,omitempty"`
 }
 
-// ManifestFormatVersion is the manifest format this build writes.
-// Format 1 (base + delta chain) is still read; builds that only know
-// format 1 refuse a format 2 manifest instead of misreading it.
+// ManifestFormatVersion is the one manifest format this build reads
+// and writes. A data dir in an older format fails restore with
+// upgradeHint; `pi upgrade` converts it.
 const ManifestFormatVersion = 2
+
+// upgradeHint ends every error that refuses an on-disk format this
+// build does not read.
+const upgradeHint = "convert the data dir with `pi upgrade DIR` first"
 
 const manifestSuffix = ".manifest.json"
 
@@ -80,8 +79,10 @@ func SaveManifest(dir string, m *Manifest) error {
 }
 
 // LoadManifest reads one interface's manifest; a missing file returns
-// (nil, nil) — the data dir holds at most a bare .snap for it, which
-// the restore path promotes (NewManifest).
+// (nil, nil). The data dir then holds at most a bare .snap for it: a
+// crash between the interface's first checkpoint's base write and its
+// manifest write leaves exactly that, and the restore path promotes it
+// (NewManifest).
 func LoadManifest(dir, id string) (*Manifest, error) {
 	raw, err := os.ReadFile(ManifestFile(dir, id))
 	if os.IsNotExist(err) {
@@ -93,65 +94,30 @@ func LoadManifest(dir, id string) (*Manifest, error) {
 	return decodeManifest(id, raw)
 }
 
-// decodeManifest parses one manifest file's bytes, accepting the current
-// format and the legacy delta-chain format.
+// decodeManifest parses one manifest file's bytes in the current format.
 func decodeManifest(id string, raw []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("store: decode manifest %q: %w", id, err)
 	}
-	if m.FormatVersion != 1 && m.FormatVersion != ManifestFormatVersion {
-		return nil, fmt.Errorf("store: manifest %q has format %d, this build reads 1 and %d",
-			id, m.FormatVersion, ManifestFormatVersion)
+	if m.FormatVersion != ManifestFormatVersion {
+		return nil, fmt.Errorf("store: manifest %q has format %d, this build reads %d; %s",
+			id, m.FormatVersion, ManifestFormatVersion, upgradeHint)
 	}
 	return &m, nil
 }
 
-// RemoveManifest deletes the manifest and every legacy delta it
-// references; files that never existed are fine. The base snapshot is
-// the caller's business (RemoveSnapshot already owns it).
-func RemoveManifest(dir, id string) error {
-	m, err := LoadManifest(dir, id)
-	if err != nil {
-		return err
-	}
-	if m != nil {
-		for _, name := range m.Deltas {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("store: remove delta of %q: %w", id, err)
-			}
-		}
-	}
-	if err := os.Remove(ManifestFile(dir, id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: remove manifest %q: %w", id, err)
-	}
-	return nil
-}
-
-// RestoreChain loads the base and folds in every legacy delta the
-// manifest lists, returning the state the log replays onto. Deltas the
-// base already covers are skipped, and a base past the manifest's seq
-// is fine: both are a crash between a checkpoint's base write and its
-// manifest write. A base short of it means a file was lost.
-func RestoreChain(dir string, m *Manifest) (*Snapshot, error) {
+// LoadBase loads the base snapshot the manifest names: the state the
+// log replays onto. A base past the manifest's position is fine: a
+// crash between a checkpoint's base write and its manifest write leaves
+// exactly that. A base short of it means a file was lost.
+func LoadBase(dir string, m *Manifest) (*Snapshot, error) {
 	snap, err := Load(filepath.Join(dir, m.Base))
 	if err != nil {
-		return nil, fmt.Errorf("store: restore chain %q: %w", m.ID, err)
-	}
-	for _, name := range m.Deltas {
-		d, err := LoadDelta(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("store: restore chain %q: %w", m.ID, err)
-		}
-		if d.ToSeq <= snap.Seq {
-			continue
-		}
-		if err := d.Apply(snap); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("store: load base of %q: %w", m.ID, err)
 	}
 	if snap.Seq < m.Seq || (snap.Seq == m.Seq && snap.Epoch != m.Epoch) {
-		return nil, fmt.Errorf("store: restore chain %q: base+deltas reach seq %d epoch %d, manifest says seq %d epoch %d",
+		return nil, fmt.Errorf("store: base of %q is at seq %d epoch %d, manifest says seq %d epoch %d",
 			m.ID, snap.Seq, snap.Epoch, m.Seq, m.Epoch)
 	}
 	return snap, nil

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,61 +168,3 @@ func TestMutateRaceHammer(t *testing.T) {
 type errRowSet int
 
 func (e errRowSet) Error() string { return "pinned snapshot changed under concurrent mutations" }
-
-// captureSnap captures a live store as a persistence Snapshot, the way
-// the ingest persister does before writing a base.
-func captureSnap(s *Store, seq uint64) *Snapshot {
-	return &Snapshot{
-		ID:        "iface",
-		Epoch:     seq,
-		DataEpoch: s.Epoch(),
-		Seq:       seq,
-		Tables:    s.CaptureTables(),
-	}
-}
-
-// TestReplaceDeltaApply: a legacy Replace delta — the full visible
-// table the differential saver wrote for a table that absorbed
-// UPDATE/DELETE mutations — round-trips through its frame and Apply
-// onto the previous base, and the merged snapshot restores to a store
-// whose row identities keep accepting mutations.
-func TestReplaceDeltaApply(t *testing.T) {
-	s := mutFixture(t, 6)
-	base := captureSnap(s, 1)
-	ids := base.Tables[0].RowIDs
-
-	if _, err := s.MutateRows("m",
-		[]RowUpdate{{RowID: ids[0], Vals: []engine.Value{engine.Num(-5), engine.Num(1)}}},
-		[]uint64{ids[5]}); err != nil {
-		t.Fatal(err)
-	}
-	live := captureSnap(s, 2)
-	td := live.Tables[0]
-	frame, err := encodeFrame(deltaMagic, &Delta{
-		FormatVersion: DeltaFormatVersion, ID: "iface", FromSeq: 1, ToSeq: 2,
-		Epoch: live.Epoch, DataEpoch: live.DataEpoch,
-		Tables: []TableDelta{{Name: td.Name, Cols: td.Cols, Rows: td.Rows, RowIDs: td.RowIDs,
-			NextRowID: td.NextRowID, MutGen: td.MutGen, Replace: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDelta(frame)
-	if err != nil {
-		t.Fatalf("DecodeDelta: %v", err)
-	}
-	if err := back.Apply(base); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if !reflect.DeepEqual(base.Tables, live.Tables) {
-		t.Fatalf("merged tables diverge from the live capture:\nmerged %+v\nlive   %+v", base.Tables, live.Tables)
-	}
-
-	restored, err := base.Restore()
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if _, err := restored.MutateRows("m", nil, []uint64{ids[0]}); err != nil {
-		t.Fatalf("restored store rejects a mutation by preserved rowid: %v", err)
-	}
-}

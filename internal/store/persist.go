@@ -37,9 +37,7 @@ type Snapshot struct {
 	DataEpoch uint64
 	// Seq is the interface's replication sequence number at save time:
 	// the count of epoch-bumping publishes streamed (or streamable) to
-	// follower replicas. Zero on snapshots written before replication
-	// existed — gob leaves absent fields at their zero value, so the
-	// format version does not change.
+	// follower replicas.
 	Seq uint64
 	// Log is the accumulated query log (initial + ingested entries).
 	Log []qlog.Entry
@@ -50,10 +48,8 @@ type Snapshot struct {
 // TableData is one serialized table. RowIDs, NextRowID and MutGen
 // carry the MVCC identity state: each row's stable rowid (aligned with
 // Rows), the next id the table would assign, and how many mutation
-// publishes the table has absorbed. All three gob-decode to zero on
-// snapshots written before MVCC existed; Restore detects the
-// misalignment and assigns fresh sequential rowids, so old files keep
-// loading.
+// publishes the table has absorbed. Restore refuses a table whose
+// RowIDs do not line up with its Rows.
 type TableData struct {
 	Name string
 	Cols []string
@@ -149,10 +145,11 @@ func encodeFrame(magic []byte, v any) ([]byte, error) {
 	return append(frame, payload.Bytes()...), nil
 }
 
-// decodeFrame verifies one encodeFrame frame — magic, length, checksum
-// — and gob-decodes its payload into v; what names the artifact in
-// errors. Snapshots and legacy deltas share it.
-func decodeFrame(raw, magic []byte, what string, v any) error {
+// DecodeFrame verifies one frame in the layout Encode writes — magic,
+// length, checksum — and gob-decodes its payload into v; what names
+// the artifact in errors. Snapshots use it, and so does the upgrade
+// tool for the older artifacts framed the same way.
+func DecodeFrame(raw, magic []byte, what string, v any) error {
 	if len(raw) < len(magic)+12 {
 		return fmt.Errorf("store: %s is truncated (%d bytes)", what, len(raw))
 	}
@@ -181,7 +178,7 @@ func decodeFrame(raw, magic []byte, what string, v any) error {
 // an error, never a silently wrong snapshot.
 func Decode(raw []byte) (*Snapshot, error) {
 	var snap Snapshot
-	if err := decodeFrame(raw, fileMagic, "snapshot", &snap); err != nil {
+	if err := DecodeFrame(raw, fileMagic, "snapshot", &snap); err != nil {
 		return nil, err
 	}
 	if snap.FormatVersion != FormatVersion {
@@ -209,15 +206,6 @@ func Save(dir string, snap *Snapshot) (int64, error) {
 	return int64(len(frame)), nil
 }
 
-// syncDir fsyncs the directory so the rename itself is durable; a
-// failure here is not fatal (the data file is already synced).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
 // Load reads and verifies one snapshot file (see Decode). A truncated,
 // corrupted or foreign file is an error, never a silently wrong
 // snapshot.
@@ -234,8 +222,7 @@ func Load(path string) (*Snapshot, error) {
 }
 
 // Restore rebuilds a store from the snapshot's tables: each table's
-// rows load as-is, keeping their saved rowids (legacy snapshots
-// without rowids get fresh sequential ones), and the store resumes at
+// rows load as-is, keeping their saved rowids, and the store resumes at
 // the saved data epoch so restored writers continue the sequence
 // rather than restarting at 1. Function values are not part of a
 // snapshot; callers re-attach them with AddFunc.

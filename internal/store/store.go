@@ -209,8 +209,7 @@ func New() *Store { return FromDB(engine.NewDB()) }
 
 // seed builds a store directly from persisted table state (rows with
 // their saved rowids plus the rowid allocator and mutation generation)
-// at the given epoch — the restore path. ids may be nil per table for
-// legacy snapshots, which assign fresh sequential rowids.
+// at the given epoch — the restore path.
 func seed(tables []TableData, epoch uint64) (*Store, error) {
 	if epoch == 0 {
 		epoch = 1
@@ -218,11 +217,11 @@ func seed(tables []TableData, epoch uint64) (*Store, error) {
 	s := &Store{tables: map[string]*mvcc.Table{}}
 	views := map[string]*mvcc.View{}
 	for _, td := range tables {
-		ids := td.RowIDs
-		if len(ids) != len(td.Rows) {
-			ids = nil // legacy snapshot without rowids
+		if len(td.RowIDs) != len(td.Rows) {
+			return nil, fmt.Errorf("store: restore table %q: %d rows but %d rowids; %s",
+				td.Name, len(td.Rows), len(td.RowIDs), upgradeHint)
 		}
-		wt, err := mvcc.Seed(td.Name, td.Cols, td.Rows, ids, td.NextRowID, td.MutGen, epoch)
+		wt, err := mvcc.Seed(td.Name, td.Cols, td.Rows, td.RowIDs, td.NextRowID, td.MutGen, epoch)
 		if err != nil {
 			return nil, fmt.Errorf("store: restore table %q: %w", td.Name, err)
 		}

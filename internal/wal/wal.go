@@ -441,9 +441,13 @@ func (l *Log) startSegmentLocked(firstSeq uint64) error {
 		os.Remove(path)
 		return fmt.Errorf("wal: sync segment header: %w", err)
 	}
+	if err := store.SyncDir(l.dir); err != nil {
+		f.Close()
+		os.Remove(path)
+		return fmt.Errorf("wal: create segment: %w", err)
+	}
 	l.active = f
 	l.activeSeg = segInfo{path: path, firstSeq: firstSeq, size: int64(len(segMagic))}
-	syncDir(l.dir)
 	return nil
 }
 
@@ -678,7 +682,9 @@ func (l *Log) Truncate(seq uint64) error {
 			return fmt.Errorf("wal: drop segment: %w", err)
 		}
 	}
-	syncDir(l.dir)
+	if err := store.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
+	}
 	return nil
 }
 
@@ -831,13 +837,4 @@ func DecodeRecord(raw []byte) (Record, int64, error) {
 		return Record{}, 0, fmt.Errorf("record failed decode: %w", err)
 	}
 	return rec, recHeaderLen + int64(size), nil
-}
-
-// syncDir fsyncs a directory so renames/creates/removes inside it are
-// durable; failure is not fatal (the files themselves are synced).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }

@@ -7,19 +7,23 @@
 # the SDK — all without the first process's workload generator state.
 # Along the way it pins the on-disk layout (base + manifest + olap.wal/,
 # a snapshot after a small append that writes nothing because the log
-# already holds it) and that a dir holding only a bare .snap, as older
-# builds wrote, still boots. Exits non-zero on any failure.
+# already holds it), that a dir holding only a bare .snap (a crash
+# between the first checkpoint's base write and its manifest write)
+# still boots, and that a dir in an older on-disk format fails the boot
+# until `pi upgrade` converts it. Exits non-zero on any failure.
 set -eu
 . "$(dirname "$0")/lib.sh"
 
 ADDR="${ADDR:-127.0.0.1:8095}"
 TOKEN="${TOKEN:-persist-secret}"
 BIN="$(mktemp -d)/pi-serve"
+PI="$(dirname "$BIN")/pi"
 DATA_DIR="$(mktemp -d)"
 LOG="$(mktemp)"
 
 echo "== build"
 go build -o "$BIN" ./cmd/pi-serve
+go build -o "$PI" ./cmd/pi
 
 start_server() {
     "$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
@@ -32,9 +36,9 @@ ONTIME_ROW='["AA","AA","CAP","NYP","CA","NY",1,1,1,10,12,8,500,1,0,0]'
 
 echo "== first life: start pi-serve -data-dir on $ADDR"
 start_server
-# Keep the boot's base as it is now: the shape of a data dir written
-# before manifests existed, which the last step of this script boots
-# from.
+# Keep the boot's base as it is now: the shape a crash between the
+# first checkpoint's base write and its manifest write leaves, which a
+# later step of this script boots from.
 BARE_DIR="$(mktemp -d)"
 cp "$DATA_DIR/olap.snap" "$BARE_DIR/olap.snap"
 
@@ -115,7 +119,7 @@ wait_exit "$PID" "pi-serve"
 PID=""
 grep -q "final snapshot" "$LOG" || { echo "no final snapshot on shutdown; log:" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "== a data dir holding only a bare .snap is upgraded on first boot"
+echo "== a data dir holding only a bare .snap (crash before the first manifest) gains one on boot"
 DATA_DIR="$BARE_DIR"
 start_server
 grep -q "restored olap.*from $BARE_DIR" "$LOG" || fail "server did not restore the bare snapshot"
@@ -127,6 +131,24 @@ body=$(curl -s -X POST "http://$ADDR/v1/interfaces/olap/rows?flush=1" \
 epoch_bare=$(json_int "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" epoch)
 [ "$epoch_bare" -ge 2 ] || fail "bare-snapshot boot at epoch $epoch_bare after an append to an epoch-1 base"
 "$BIN" -check -addr "$ADDR" -token "$TOKEN"
+kill -TERM "$PID"
+wait_exit "$PID" "pi-serve"
+PID=""
+
+echo "== a data dir in an older on-disk format fails the boot until pi upgrade converts it"
+OLD_DIR="$(mktemp -d)"
+cp -R internal/ingest/testdata/legacy/wal/. "$OLD_DIR"
+rc=0
+timeout 60 "$BIN" -addr "$ADDR" -workloads '' -data-dir "$OLD_DIR" >>"$LOG" 2>&1 || rc=$?
+[ "$rc" = 1 ] || fail "boot of an un-upgraded data dir exited $rc, want 1"
+grep -q 'pi upgrade' "$LOG" || fail "the boot refusal does not name pi upgrade"
+"$PI" upgrade "$OLD_DIR" || fail "pi upgrade $OLD_DIR failed"
+"$BIN" -addr "$ADDR" -workloads '' -token "$TOKEN" -data-dir "$OLD_DIR" >>"$LOG" 2>&1 &
+PID=$!
+wait_up "$ADDR" "pi-serve"
+body=$(curl -s -X POST "http://$ADDR/v1/snapshot" -H "Authorization: Bearer $TOKEN")
+[ "$(json_int "$body" epoch)" = "7" ] && [ "$(json_int "$body" rows)" = "53" ] ||
+    fail "the upgraded dir restored $body, want epoch 7 and 53 rows (testdata/legacy/wal.want)"
 kill -TERM "$PID"
 wait_exit "$PID" "pi-serve"
 PID=""
