@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzUpgrade$$' -fuzztime 10s ./internal/upgrade
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzCompare$$' -fuzztime 10s ./internal/treediff
 
 # The gating benchmark (BENCHMARK.json, bench/README.md): one workload
 # against freshly built binaries, e.g. make bench WORKLOAD=ingest_live.

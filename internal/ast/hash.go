@@ -1,8 +1,8 @@
 package ast
 
 import (
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Hash is a 64-bit structural hash of a subtree. Equal subtrees have
@@ -11,43 +11,78 @@ import (
 // correctness matters).
 type Hash uint64
 
-// HashOf computes the structural hash of a subtree. A nil subtree
-// (an absent/removed side of a diff) hashes to a fixed sentinel.
-func HashOf(n *Node) Hash {
-	h := fnv.New64a()
-	writeHash(n, h)
-	return Hash(h.Sum64())
+// FNV-1a parameters (the same 64-bit constants as hash/fnv).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// nilHash is the fixed sentinel of a nil subtree (an absent/removed side
+// of a diff).
+var nilHash = Hash(fnvByte(fnvByte(fnvOffset, 0xff), 0x00))
+
+func fnvByte(h uint64, b byte) uint64 {
+	return (h ^ uint64(b)) * fnvPrime
 }
 
-type hasher interface {
-	Write(p []byte) (int, error)
-}
-
-func writeHash(n *Node, h hasher) {
-	if n == nil {
-		h.Write([]byte{0xff, 0x00})
-		return
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	h.Write([]byte{0x01})
-	h.Write([]byte(n.Type))
-	h.Write([]byte{0x02})
+	return h
+}
+
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * fnvPrime
+		w >>= 8
+	}
+	return h
+}
+
+// HashOf returns the structural hash of a subtree. It is compositional:
+// FNV-1a over the node type, its attributes in key order, then each
+// child's own hash. The result is memoized on the node, so a subtree is
+// hashed once however many trees share it; HashOf allocates nothing.
+func HashOf(n *Node) Hash {
+	if n != nil {
+		if h := n.hash.Load(); h != 0 {
+			return Hash(h)
+		}
+	}
+	return computeHash(n)
+}
+
+// computeHash is HashOf's slow path, kept out of line so the memoized
+// lookup inlines into callers.
+func computeHash(n *Node) Hash {
+	if n == nil {
+		return nilHash
+	}
+	h := fnvByte(fnvOffset, 0x01)
+	h = fnvString(h, n.Type)
+	h = fnvByte(h, 0x02)
 	if len(n.Attrs) > 0 {
-		keys := make([]string, 0, len(n.Attrs))
+		var buf [4]string
+		keys := buf[:0]
 		for k := range n.Attrs {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
-			h.Write([]byte(k))
-			h.Write([]byte{0x03})
-			h.Write([]byte(n.Attrs[k]))
-			h.Write([]byte{0x04})
+			h = fnvString(h, k)
+			h = fnvByte(h, 0x03)
+			h = fnvString(h, n.Attrs[k])
+			h = fnvByte(h, 0x04)
 		}
 	}
 	for _, c := range n.Children {
-		writeHash(c, h)
+		h = fnvWord(h, uint64(HashOf(c)))
 	}
-	h.Write([]byte{0x05})
+	h = fnvByte(h, 0x05)
+	// A hash that happens to be 0 is simply recomputed on every call.
+	n.hash.Store(h)
+	return Hash(h)
 }
 
 // Set is a set of subtrees keyed by structural hash with collision
@@ -92,24 +127,26 @@ func (s *Set) Len() int { return s.size }
 
 // Values returns the distinct subtrees in insertion-independent but
 // deterministic order (sorted by rendered string) for stable output.
+// Each member is rendered once, not once per comparison.
 func (s *Set) Values() []*Node {
-	out := make([]*Node, 0, s.size)
+	type keyed struct {
+		key string
+		n   *Node
+	}
+	ks := make([]keyed, 0, s.size)
 	for _, b := range s.buckets {
-		out = append(out, b...)
+		for _, n := range b {
+			key := ""
+			if n != nil {
+				key = n.String()
+			}
+			ks = append(ks, keyed{key, n})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return nodeLess(out[i], out[j])
-	})
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]*Node, len(ks))
+	for i, k := range ks {
+		out[i] = k.n
+	}
 	return out
-}
-
-func nodeLess(a, b *Node) bool {
-	as, bs := "", ""
-	if a != nil {
-		as = a.String()
-	}
-	if b != nil {
-		bs = b.String()
-	}
-	return as < bs
 }

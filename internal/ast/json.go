@@ -57,6 +57,7 @@ func (n *Node) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*n = *d
+	n.Type, n.Attrs, n.Children = d.Type, d.Attrs, d.Children
+	n.hash.Store(0)
 	return nil
 }

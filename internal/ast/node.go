@@ -11,15 +11,27 @@ package ast
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Node is a single AST node: a type, attribute-value pairs, and an
 // ordered list of children. Nodes are treated as immutable once built;
 // all transformations copy (see ReplaceAt and Clone).
+//
+// A node must not be mutated once it has been hashed or shared: HashOf
+// memoizes each subtree's hash on the node, and trees share untouched
+// subtrees by pointer, so an in-place edit leaves a stale hash behind
+// (and edits every tree that shares the node). Build a tree completely
+// before handing it out; to edit one, Clone it (the copy carries no
+// cached hash) or use ReplaceAt, InsertAt or DeleteAt.
 type Node struct {
 	Type     string
 	Attrs    map[string]string
 	Children []*Node
+
+	// hash memoizes HashOf (0 = not computed yet). It is written once,
+	// atomically, so concurrent readers of a shared tree stay race-free.
+	hash atomic.Uint64
 }
 
 // New returns a node of the given type with the given children.
@@ -102,18 +114,23 @@ func (n *Node) Clone() *Node {
 }
 
 // Equal reports deep structural equality of two subtrees, including
-// attributes. Two nil nodes are equal.
+// attributes. Two nil nodes are equal. Identical pointers are equal
+// without a walk, and two nodes whose memoized hashes (see HashOf) are
+// both present and differ are unequal without one; otherwise, including
+// on a hash match, the trees are compared node by node. Equal never
+// computes a hash itself.
 func Equal(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+	if a == b {
+		return true
 	}
-	if a.Type != b.Type || len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
+	if a == nil || b == nil {
 		return false
 	}
-	for k, v := range a.Attrs {
-		if b.Attrs[k] != v {
-			return false
-		}
+	if ha, hb := a.hash.Load(), b.hash.Load(); ha != 0 && hb != 0 && ha != hb {
+		return false
+	}
+	if a.Type != b.Type || len(a.Children) != len(b.Children) || !attrsEqual(a.Attrs, b.Attrs) {
+		return false
 	}
 	for i := range a.Children {
 		if !Equal(a.Children[i], b.Children[i]) {
@@ -130,11 +147,25 @@ func LabelEqual(a, b *Node) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if a.Type != b.Type || len(a.Attrs) != len(b.Attrs) {
+	return a.Type == b.Type && attrsEqual(a.Attrs, b.Attrs)
+}
+
+// attrsEqual reports whether two attribute maps hold the same keys with
+// the same values.
+func attrsEqual(a, b map[string]string) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for k, v := range a.Attrs {
-		if b.Attrs[k] != v {
+	if len(a) == 1 {
+		// The common leaf shape (see Leaf): compare without starting a
+		// map iteration.
+		if v, ok := a["value"]; ok {
+			w, ok := b["value"]
+			return ok && v == w
+		}
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
 			return false
 		}
 	}
@@ -228,13 +259,7 @@ func (n *Node) ReplaceAt(p Path, sub *Node) *Node {
 	if idx < 0 || idx >= len(n.Children) {
 		return nil
 	}
-	c := &Node{Type: n.Type}
-	if len(n.Attrs) > 0 {
-		c.Attrs = make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			c.Attrs[k] = v
-		}
-	}
+	c := n.shallowCopy()
 	c.Children = make([]*Node, len(n.Children))
 	copy(c.Children, n.Children)
 	rep := n.Children[idx].ReplaceAt(p[1:], sub)

@@ -98,20 +98,6 @@ func (p Path) Clone() Path {
 	return c
 }
 
-// CommonPrefix returns the longest common prefix of p and q — the path
-// of the least common ancestor of the two nodes.
-func CommonPrefix(p, q Path) Path {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
-	i := 0
-	for i < n && p[i] == q[i] {
-		i++
-	}
-	return p[:i].Clone()
-}
-
 // Compare orders paths first by pre-order position (lexicographic on
 // segments) and then by length, giving a stable total order for
 // deterministic output.

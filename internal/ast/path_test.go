@@ -73,16 +73,6 @@ func TestPathPrefix(t *testing.T) {
 	}
 }
 
-func TestCommonPrefix(t *testing.T) {
-	got := CommonPrefix(Path{0, 1, 0}, Path{0, 1, 2, 3})
-	if !got.Equal(Path{0, 1}) {
-		t.Fatalf("CommonPrefix = %v", got)
-	}
-	if got := CommonPrefix(Path{1}, Path{2}); len(got) != 0 {
-		t.Fatalf("disjoint paths share only the root, got %v", got)
-	}
-}
-
 func TestPathChildParent(t *testing.T) {
 	p := Path{0, 1}
 	c := p.Child(3)

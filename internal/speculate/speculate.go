@@ -154,34 +154,58 @@ func Verify(iface *core.Interface, catalog *schema.Catalog, maxPairs int) Report
 	return rep
 }
 
-// Precomputed caches executed results for closure queries.
+// Precomputed caches executed results for closure queries, keyed by
+// structural hash and verified with ast.Equal, so two queries whose
+// hashes collide keep their own results.
 type Precomputed struct {
-	results map[ast.Hash]*engine.Table
+	hash    func(*ast.Node) ast.Hash
+	buckets map[ast.Hash][]precomputed
+	n       int
 	// Failed counts closure queries the engine rejected.
 	Failed int
 }
 
+type precomputed struct {
+	q   *ast.Node
+	res *engine.Table
+}
+
 // Get returns the cached result for a query, if present.
 func (p *Precomputed) Get(q *ast.Node) (*engine.Table, bool) {
-	t, ok := p.results[ast.HashOf(q)]
-	return t, ok
+	for _, e := range p.buckets[p.hash(q)] {
+		if ast.Equal(e.q, q) {
+			return e.res, true
+		}
+	}
+	return nil, false
 }
 
 // Len returns the number of cached results.
-func (p *Precomputed) Len() int { return len(p.results) }
+func (p *Precomputed) Len() int { return p.n }
 
 // Precompute executes up to max closure queries against the database
 // and caches their results — the §4.5 "pre-compute results for
 // performance purposes" path. Invalid queries are counted, not fatal.
 func Precompute(iface *core.Interface, cat engine.Catalog, max int) *Precomputed {
-	p := &Precomputed{results: map[ast.Hash]*engine.Table{}}
+	return precompute(iface, cat, max, ast.HashOf)
+}
+
+// precompute is Precompute keyed by the given hash, which a test
+// degrades to force collisions.
+func precompute(iface *core.Interface, cat engine.Catalog, max int, hash func(*ast.Node) ast.Hash) *Precomputed {
+	p := &Precomputed{hash: hash, buckets: map[ast.Hash][]precomputed{}}
 	iface.EnumerateClosure(max, func(q *ast.Node) bool {
+		if _, ok := p.Get(q); ok {
+			return true
+		}
 		res, err := engine.Exec(cat, q)
 		if err != nil {
 			p.Failed++
 			return true
 		}
-		p.results[ast.HashOf(q)] = res
+		h := hash(q)
+		p.buckets[h] = append(p.buckets[h], precomputed{q, res})
+		p.n++
 		return true
 	})
 	return p

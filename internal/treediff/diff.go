@@ -129,29 +129,58 @@ func CompareLCA(left, right *ast.Node) Result {
 }
 
 // pruneLCA keeps the ancestors whose path is the longest common prefix
-// of at least one pair of distinct leaf-diff paths.
+// of at least one pair of distinct leaf-diff paths. It filters ancestors
+// in place.
 func pruneLCA(leaves, ancestors []Diff) []Diff {
 	if len(leaves) < 2 {
 		return nil
 	}
-	keep := make(map[string]bool)
-	for i := range leaves {
-		for j := i + 1; j < len(leaves); j++ {
-			keep[ast.CommonPrefix(leaves[i].Path, leaves[j].Path).String()] = true
-		}
-	}
-	var out []Diff
+	out := ancestors[:0]
 	for _, a := range ancestors {
-		if keep[a.Path.String()] {
+		if isLCA(a.Path, leaves) {
 			out = append(out, a)
 		}
 	}
+	if len(out) == 0 {
+		return nil
+	}
 	return out
+}
+
+// isLCA reports whether p is the longest common prefix of some pair of
+// leaf paths: two leaves under p that part ways at p itself, either
+// because one of them ends there or because they continue into
+// different children.
+func isLCA(p ast.Path, leaves []Diff) bool {
+	// first is the child of p the first leaf under p continues into, -1
+	// when that leaf is at p itself.
+	first, seen := 0, false
+	for _, l := range leaves {
+		if !p.IsPrefixOf(l.Path) {
+			continue
+		}
+		next := -1
+		if len(l.Path) > len(p) {
+			next = l.Path[len(p)]
+		}
+		if !seen {
+			first, seen = next, true
+			continue
+		}
+		if next == -1 || next != first {
+			return true
+		}
+	}
+	return false
 }
 
 type comparer struct {
 	leaves    []Diff
 	ancestors []Diff
+	// dp and eq are alignChildren's tables, one flat buffer each, grown
+	// as needed and reused at every level of the walk.
+	dp []int16
+	eq []bool
 }
 
 // rec walks label-equal node pairs; it returns true when any diff was
@@ -167,10 +196,11 @@ func (c *comparer) rec(a, b *ast.Node, p ast.Path) bool {
 		return true
 	}
 	// Labels equal, children differ: align the child lists.
-	pairs := alignChildren(a.Children, b.Children)
 	changed := false
-	for _, pr := range pairs {
+	for _, pr := range c.alignChildren(a.Children, b.Children) {
 		switch {
+		case pr.equal:
+			// An LCS anchor: the subtrees are already known equal.
 		case pr.a >= 0 && pr.b >= 0:
 			if c.rec(a.Children[pr.a], b.Children[pr.b], p.Child(pr.a)) {
 				changed = true
@@ -193,77 +223,80 @@ func (c *comparer) rec(a, b *ast.Node, p ast.Path) bool {
 
 // pair is one aligned step: indices into the two child lists (-1 for a
 // gap). For insertions (a == -1), ins is the index in the left list
-// before which the right child is inserted.
-type pair struct{ a, b, ins int }
+// before which the right child is inserted. equal marks an LCS anchor.
+type pair struct {
+	a, b, ins int
+	equal     bool
+}
 
 // alignChildren aligns two ordered child lists. Deep-equal children are
 // anchored with a longest-common-subsequence pass; within each gap,
 // children are paired in order (the ordered-matching backtracking step),
 // and any excess becomes deletions or insertions.
-func alignChildren(as, bs []*ast.Node) []pair {
+func (c *comparer) alignChildren(as, bs []*ast.Node) []pair {
 	n, m := len(as), len(bs)
-	// LCS on deep equality, hashes as a fast pre-filter.
-	ha := make([]ast.Hash, n)
-	hb := make([]ast.Hash, m)
-	for i, x := range as {
-		ha[i] = ast.HashOf(x)
+	// LCS on deep equality, memoized hashes as a fast pre-filter. dp is
+	// the (n+1)x(m+1) suffix table, row-major; eq[i*m+j] records that
+	// as[i] and bs[j] are equal.
+	w := m + 1
+	if need := (n + 1) * w; cap(c.dp) < need {
+		c.dp = make([]int16, need)
 	}
-	for j, y := range bs {
-		hb[j] = ast.HashOf(y)
+	if need := n * m; cap(c.eq) < need {
+		c.eq = make([]bool, need)
 	}
-	dp := make([][]int16, n+1)
-	for i := range dp {
-		dp[i] = make([]int16, m+1)
+	dp, eq := c.dp[:(n+1)*w], c.eq[:n*m]
+	for j := 0; j <= m; j++ {
+		dp[n*w+j] = 0
 	}
 	for i := n - 1; i >= 0; i-- {
+		dp[i*w+m] = 0
+		ha := ast.HashOf(as[i])
 		for j := m - 1; j >= 0; j-- {
-			if ha[i] == hb[j] && ast.Equal(as[i], bs[j]) {
-				dp[i][j] = dp[i+1][j+1] + 1
-			} else if dp[i+1][j] >= dp[i][j+1] {
-				dp[i][j] = dp[i+1][j]
-			} else {
-				dp[i][j] = dp[i][j+1]
+			e := ha == ast.HashOf(bs[j]) && ast.Equal(as[i], bs[j])
+			eq[i*m+j] = e
+			switch down, right := dp[(i+1)*w+j], dp[i*w+j+1]; {
+			case e:
+				dp[i*w+j] = dp[(i+1)*w+j+1] + 1
+			case down >= right:
+				dp[i*w+j] = down
+			default:
+				dp[i*w+j] = right
 			}
 		}
 	}
-	var out []pair
-	i, j := 0, 0
-	var gapA, gapB []int
-	flush := func(insAt int) {
+	// Between two anchors the unmatched children form one contiguous run
+	// on each side, as[ga:i] and bs[gb:j]; flush pairs them in order.
+	out := make([]pair, 0, max(n, m))
+	i, j, ga, gb := 0, 0, 0, 0
+	flush := func() {
 		k := 0
-		for ; k < len(gapA) && k < len(gapB); k++ {
-			out = append(out, pair{a: gapA[k], b: gapB[k]})
+		for ; ga+k < i && gb+k < j; k++ {
+			out = append(out, pair{a: ga + k, b: gb + k})
 		}
-		for ; k < len(gapA); k++ {
-			out = append(out, pair{a: gapA[k], b: -1})
+		for ; ga+k < i; k++ {
+			out = append(out, pair{a: ga + k, b: -1})
 		}
-		for ; k < len(gapB); k++ {
-			out = append(out, pair{a: -1, b: gapB[k], ins: insAt})
+		for ; gb+k < j; k++ {
+			out = append(out, pair{a: -1, b: gb + k, ins: i})
 		}
-		gapA, gapB = gapA[:0], gapB[:0]
 	}
 	for i < n && j < m {
-		if ha[i] == hb[j] && ast.Equal(as[i], bs[j]) {
-			flush(i)
-			out = append(out, pair{a: i, b: j})
+		if eq[i*m+j] {
+			flush()
+			out = append(out, pair{a: i, b: j, equal: true})
 			i++
 			j++
+			ga, gb = i, j
 			continue
 		}
-		if dp[i+1][j] >= dp[i][j+1] {
-			gapA = append(gapA, i)
+		if dp[(i+1)*w+j] >= dp[i*w+j+1] {
 			i++
 		} else {
-			gapB = append(gapB, j)
 			j++
 		}
 	}
-	for ; i < n; i++ {
-		gapA = append(gapA, i)
-	}
-	for ; j < m; j++ {
-		gapB = append(gapB, j)
-	}
-	flush(n)
+	i, j = n, m
+	flush()
 	return out
 }
