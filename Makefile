@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz bench microbench bench-json perf-gate ingest-demo api-smoke persist-smoke shard-smoke replica-smoke wal-smoke dml-smoke obs-smoke
+.PHONY: check fmt-check vet build test race fuzz loc bench microbench bench-json perf-gate ingest-demo api-smoke persist-smoke shard-smoke replica-smoke wal-smoke dml-smoke obs-smoke
 
 check: fmt-check vet build race
 
@@ -29,6 +29,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUpgrade$$' -fuzztime 10s ./internal/upgrade
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzCompare$$' -fuzztime 10s ./internal/treediff
+
+# Non-test Go line counts: the whole repo, and the serving scoreboard
+# (the packages behind pi-serve and pi-router) that ROADMAP tracks.
+SERVING = internal/api internal/ingest internal/replica internal/server internal/shard internal/store internal/wal
+loc:
+	@printf 'repo    %6d\n' "$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'serving %6d\n' "$$(find $(SERVING) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # The gating benchmark (BENCHMARK.json, bench/README.md): one workload
 # against freshly built binaries, e.g. make bench WORKLOAD=ingest_live.

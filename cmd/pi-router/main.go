@@ -12,7 +12,9 @@
 //	pi-router -shards http://HOST:PORT,http://HOST:PORT,...
 //	          [-addr :8100] [-token T | -token-file F]
 //	          [-pin id=addr[,id=addr...]] [-refresh-every 15s]
-//	          [-timeout 30s] [-replicas N] [-read-fanout] [-failover]
+//	          [-replicas N] [-read-fanout] [-failover]
+//	          [-pprof-addr ADDR] [-log-format text|json]
+//	          [-slow-threshold 250ms] [-slow-sample N]
 //
 // Endpoints: the full /v1 interface surface (proxied), plus the
 // router-admin surface:
@@ -64,38 +66,44 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
 
+// config is pi-router's flag set: the flags it shares with pi-serve
+// plus its own.
+type config struct {
+	*server.Flags
+	shards, pins         string
+	refreshEvery         time.Duration
+	replicas             int
+	readFanout, failover bool
+}
+
+// newConfig declares pi-router's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	c := &config{Flags: server.NewFlags(fs, ":8100")}
+	fs.StringVar(&c.shards, "shards", "", "comma-separated shard base URLs (required)")
+	fs.StringVar(&c.pins, "pin", "", "comma-separated id=addr placement pins")
+	fs.DurationVar(&c.refreshEvery, "refresh-every", 15*time.Second, "placement re-discovery interval (0 disables)")
+	fs.IntVar(&c.replicas, "replicas", 1, "copies per interface incl. the owner (>1 keeps warm followers on other shards)")
+	fs.BoolVar(&c.readFanout, "read-fanout", false, "spread read-only operations across in-sync replicas")
+	fs.BoolVar(&c.failover, "failover", false, "auto-promote the best follower when an owner shard dies")
+	return c
+}
+
 func main() {
-	addr := flag.String("addr", ":8100", "listen address")
-	shards := flag.String("shards", "", "comma-separated shard base URLs (required)")
-	pins := flag.String("pin", "", "comma-separated id=addr placement pins")
-	token := flag.String("token", "", "bearer token: required from clients on mutating endpoints AND presented to shards")
-	tokenFile := flag.String("token-file", "", "file holding the bearer token (overrides -token)")
-	refreshEvery := flag.Duration("refresh-every", 15*time.Second, "placement re-discovery interval (0 disables)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-proxied-operation budget")
-	replicas := flag.Int("replicas", 1, "copies per interface incl. the owner (>1 keeps warm followers on other shards)")
-	readFanout := flag.Bool("read-fanout", false, "spread read-only operations across in-sync replicas")
-	failover := flag.Bool("failover", false, "auto-promote the best follower when an owner shard dies")
-	pprofAddr := flag.String("pprof-addr", "", "private listen address for net/http/pprof, e.g. localhost:6061 (empty = disabled; keep it off public interfaces)")
-	logFormat := flag.String("log-format", server.LogText, "request-log line shape: text or json (one JSON object per line)")
-	slowThresh := flag.Duration("slow-threshold", 250*time.Millisecond, "routed queries at or above this duration are recorded in GET /v1/debug/slow")
-	slowSample := flag.Int("slow-sample", 0, "also record every Nth routed query regardless of duration (0 = threshold only)")
-	slowCap := flag.Int("slow-ring", 256, "slow-query ring capacity (newest entries win)")
+	c := newConfig(flag.CommandLine)
 	flag.Parse()
 
-	tok, err := server.ResolveToken(*token, *tokenFile)
+	tok, err := c.Token()
 	if err != nil {
 		fatal(err)
 	}
-
-	server.StartPprof(*pprofAddr, log.Printf)
+	ring := c.Start()
 
 	var addrs []string
-	for _, a := range strings.Split(*shards, ",") {
+	for _, a := range strings.Split(c.shards, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			addrs = append(addrs, a)
 		}
@@ -105,7 +113,7 @@ func main() {
 	}
 
 	pinMap := map[string]string{}
-	for _, spec := range strings.Split(*pins, ",") {
+	for _, spec := range strings.Split(c.pins, ",") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" {
 			continue
@@ -119,19 +127,19 @@ func main() {
 
 	rt, err := shard.NewRouter(addrs, shard.RouterOptions{
 		Token:      tok,
-		Timeout:    *timeout,
 		Pins:       pinMap,
-		Replicas:   *replicas,
-		ReadFanout: *readFanout,
-		Failover:   *failover,
+		Replicas:   c.replicas,
+		ReadFanout: c.readFanout,
+		Failover:   c.failover,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if *replicas > 1 {
+	if c.replicas > 1 {
 		log.Printf("replication: %d copies per interface (read fan-out %v, failover %v)",
-			*replicas, *readFanout, *failover)
+			c.replicas, c.readFanout, c.failover)
 	}
+	rt.SetSlowRing(ring)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -142,9 +150,9 @@ func main() {
 	}
 	log.Printf("routing %d interface(s) across %d shard(s)", len(rt.Placement()), len(shardRows))
 
-	if *refreshEvery > 0 {
+	if c.refreshEvery > 0 {
 		go func() {
-			t := time.NewTicker(*refreshEvery)
+			t := time.NewTicker(c.refreshEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -157,42 +165,10 @@ func main() {
 		}()
 	}
 
-	// Observability: process gauges, the Prometheus exposition at
-	// GET /v1/metrics, and the router-side slow-query ring.
-	obs.Default.RegisterProcess()
-	ring := obs.NewSlowRing(*slowCap, *slowThresh, *slowSample)
-	rt.SetSlowRing(ring)
-	reqLog := log.Default()
-	if *logFormat == server.LogJSON {
-		// JSON lines must not carry the default date/time prefix.
-		reqLog = log.New(os.Stderr, "", 0)
-	}
-	auth := server.AuthConfig{Token: tok}
-	opts := []server.Option{
-		server.WithLogger(reqLog),
-		server.WithLogFormat(*logFormat),
-		server.WithMetrics(obs.Default),
-		server.WithSlowRing(ring),
-		server.WithAdmin("/v1/router/", rt.AdminHandler(auth)),
-	}
-	if tok != "" {
-		opts = append(opts, server.WithAuth(auth))
-	}
-	hs := server.New(rt, opts...).HTTPServer(*addr)
-
-	log.Printf("pi-router serving on %s over shards %s (auth %v)", *addr, strings.Join(rt.Shards(), ", "), tok != "")
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case err := <-errc:
+	log.Printf("pi-router serving on %s over shards %s (auth %v)", c.Addr, strings.Join(rt.Shards(), ", "), tok != "")
+	admin := server.WithAdmin("/v1/router/", rt.AdminHandler(server.AuthConfig{Token: tok}))
+	if err := c.Serve(ctx, rt, tok, admin); err != nil {
 		fatal(err)
-	case <-ctx.Done():
-		log.Printf("signal received, shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			fatal(fmt.Errorf("shutdown: %w", err))
-		}
 	}
 }
 

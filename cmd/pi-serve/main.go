@@ -7,11 +7,11 @@
 // Usage:
 //
 //	pi-serve [-addr :8080] [-workloads olap,adhoc,sdss] [-n 150] [-rows 2000]
-//	         [-seed 7] [-cache 256] [-batch 8] [-flush-every 2s]
-//	         [-tail id=path[,id=path...]] [-token T | -token-file F]
-//	         [-data-dir DIR] [-snapshot-every 30s]
-//	         [-wal-sync 2ms] [-wal-segment-bytes N]
-//	         [-shard-addr http://HOST:PORT]
+//	         [-seed 7] [-batch 8] [-tail id=path[,id=path...]]
+//	         [-token T | -token-file F] [-data-dir DIR] [-snapshot-every 30s]
+//	         [-wal-sync 2ms] [-shard-addr http://HOST:PORT]
+//	         [-pprof-addr ADDR] [-log-format text|json]
+//	         [-slow-threshold 250ms] [-slow-sample N]
 //	pi-serve -check [-addr :8080] [-token T | -token-file F]
 //
 // Endpoints:
@@ -91,7 +91,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ingest"
-	"repro/internal/obs"
 	"repro/internal/qlog"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -101,48 +100,54 @@ import (
 	"repro/pi/client"
 )
 
+// config is pi-serve's flag set: the flags it shares with pi-router
+// plus its own.
+type config struct {
+	*server.Flags
+	workloads, tails, dataDir, shardAddr string
+	n, rows, batch                       int
+	seed                                 int64
+	snapEvery, walSync                   time.Duration
+	check                                bool
+}
+
+// newConfig declares pi-serve's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	c := &config{Flags: server.NewFlags(fs, ":8080")}
+	fs.StringVar(&c.workloads, "workloads", "olap,adhoc,sdss", "comma-separated workloads to mine and host")
+	fs.IntVar(&c.n, "n", 150, "queries per mined log")
+	fs.IntVar(&c.rows, "rows", 2000, "rows per synthetic dataset table")
+	fs.Int64Var(&c.seed, "seed", 7, "workload generator seed")
+	fs.IntVar(&c.batch, "batch", 8, "ingested entries per incremental re-mine")
+	fs.StringVar(&c.tails, "tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
+	fs.StringVar(&c.dataDir, "data-dir", "", "directory for durable state: per interface a base snapshot, a manifest and a write-ahead log every ack is journaled to before it returns (enables restore-on-boot and POST /v1/snapshot)")
+	fs.DurationVar(&c.snapEvery, "snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
+	fs.Bool("wal", false, "deprecated and ignored: under -data-dir the write-ahead log is always on")
+	fs.DurationVar(&c.walSync, "wal-sync", 0, "group-commit window for WAL fsyncs under -data-dir (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
+	fs.StringVar(&c.shardAddr, "shard-addr", "", "advertised base URL for shard mode, e.g. http://10.0.0.5:8081 (enables the /v1/shard admin surface)")
+	fs.BoolVar(&c.check, "check", false, "probe a running pi-serve at -addr via the Go SDK and exit")
+	return c
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address (serve) or target address (-check)")
-	workloads := flag.String("workloads", "olap,adhoc,sdss", "comma-separated workloads to mine and host")
-	n := flag.Int("n", 150, "queries per mined log")
-	rows := flag.Int("rows", 2000, "rows per synthetic dataset table")
-	seed := flag.Int64("seed", 7, "workload generator seed")
-	cache := flag.Int("cache", api.DefaultCacheSize, "per-interface result/plan-cache entries (0 disables)")
-	batch := flag.Int("batch", 8, "ingested entries per incremental re-mine")
-	flushEvery := flag.Duration("flush-every", 2*time.Second, "background flush interval for partial batches")
-	tails := flag.String("tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
-	dataDir := flag.String("data-dir", "", "directory for durable state: per interface a base snapshot, a manifest and a write-ahead log every ack is journaled to before it returns (enables restore-on-boot and POST /v1/snapshot)")
-	snapEvery := flag.Duration("snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
-	flag.Bool("wal", false, "deprecated and ignored: under -data-dir the write-ahead log is always on")
-	walSync := flag.Duration("wal-sync", 0, "group-commit window for WAL fsyncs under -data-dir (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
-	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 4MiB)")
-	token := flag.String("token", "", "bearer token required on query/log endpoints (empty = open)")
-	tokenFile := flag.String("token-file", "", "file holding the bearer token (overrides -token)")
-	shardAddr := flag.String("shard-addr", "", "advertised base URL for shard mode, e.g. http://10.0.0.5:8081 (enables the /v1/shard admin surface)")
-	pprofAddr := flag.String("pprof-addr", "", "private listen address for net/http/pprof, e.g. localhost:6060 (empty = disabled; keep it off public interfaces)")
-	logFormat := flag.String("log-format", server.LogText, "request-log line shape: text or json (one JSON object per line)")
-	slowThresh := flag.Duration("slow-threshold", 250*time.Millisecond, "queries at or above this duration are recorded in GET /v1/debug/slow")
-	slowSample := flag.Int("slow-sample", 0, "also record every Nth query regardless of duration (0 = threshold only)")
-	slowCap := flag.Int("slow-ring", 256, "slow-query ring capacity (newest entries win)")
-	check := flag.Bool("check", false, "probe a running pi-serve at -addr via the Go SDK and exit")
+	c := newConfig(flag.CommandLine)
 	flag.Parse()
 
-	tok, err := server.ResolveToken(*token, *tokenFile)
+	tok, err := c.Token()
 	if err != nil {
 		fatal(err)
 	}
 
-	if *check {
-		if err := runCheck(*addr, tok); err != nil {
+	if c.check {
+		if err := runCheck(c.Addr, tok); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	server.StartPprof(*pprofAddr, log.Printf)
-
-	reg := api.NewRegistryWithCache(*cache)
-	ing := ingest.New(reg, ingest.Options{BatchSize: *batch, FlushInterval: *flushEvery})
+	ring := c.Start()
+	reg := api.NewRegistry()
+	ing := ingest.New(reg, ingest.Options{BatchSize: c.batch})
 
 	// With a data dir, the service restores saved interfaces before
 	// anything is mined; workloads that came back from disk are not
@@ -151,29 +156,29 @@ func main() {
 	// consulted).
 	var svc *api.Service
 	var persister *ingest.Persister
-	if *dataDir != "" {
-		persister = ingest.NewPersister(*dataDir, ing, ingest.PersistOptions{
+	if c.dataDir != "" {
+		persister = ingest.NewPersister(c.dataDir, ing, ingest.PersistOptions{
 			Funcs: attachWorkloadFuncs,
-			WAL:   wal.NewManager(*dataDir, wal.Options{SegmentBytes: *walSegBytes, SyncInterval: *walSync}),
+			WAL:   wal.NewManager(c.dataDir, wal.Options{SyncInterval: c.walSync}),
 		})
 		var restored *api.RestoreResult
 		var rerr error
 		svc, restored, rerr = api.NewPersistentService(reg, persister)
 		if rerr != nil {
-			fatal(fmt.Errorf("restore from %s: %w", *dataDir, rerr))
+			fatal(fmt.Errorf("restore from %s: %w", c.dataDir, rerr))
 		}
 		for _, row := range restored.Interfaces {
 			log.Printf("restored %-6s epoch %d, %d log entries, %d dataset rows from %s",
-				row.ID, row.Epoch, row.LogEntries, row.Rows, *dataDir)
+				row.ID, row.Epoch, row.LogEntries, row.Rows, c.dataDir)
 		}
 	} else {
 		svc = api.NewService(reg)
 	}
-	if *snapEvery > 0 && persister == nil {
+	if c.snapEvery > 0 && persister == nil {
 		fatal(fmt.Errorf("-snapshot-every needs -data-dir"))
 	}
 
-	for _, name := range strings.Split(*workloads, ",") {
+	for _, name := range strings.Split(c.workloads, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -181,7 +186,7 @@ func main() {
 		if _, ok := reg.Get(name); ok {
 			continue // restored from the data dir
 		}
-		logq, db, title, err := buildWorkload(name, *n, *rows, *seed)
+		logq, db, title, err := buildWorkload(name, c.n, c.rows, c.seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -196,7 +201,7 @@ func main() {
 	// A shard may legitimately boot empty (-workloads ''): a fresh
 	// process joining a fleet hosts nothing until the router migrates
 	// an interface onto it or seeds it as a follower replica.
-	if reg.Len() == 0 && *shardAddr == "" {
+	if reg.Len() == 0 && c.shardAddr == "" {
 		fatal(fmt.Errorf("no workloads hosted"))
 	}
 
@@ -209,15 +214,15 @@ func main() {
 			fatal(fmt.Errorf("initial snapshot: %w", err))
 		} else if len(res.Interfaces) > 0 {
 			log.Printf("wal: initial snapshot of %d interface(s) to %s (sync window %s)",
-				len(res.Interfaces), res.Dir, walSync.String())
+				len(res.Interfaces), res.Dir, c.walSync)
 		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if persister != nil && *snapEvery > 0 {
+	if persister != nil && c.snapEvery > 0 {
 		go func() {
-			t := time.NewTicker(*snapEvery)
+			t := time.NewTicker(c.snapEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -236,7 +241,7 @@ func main() {
 	}
 	svc.SetIngestor(ing)
 	go ing.Run(ctx)
-	for _, spec := range strings.Split(*tails, ",") {
+	for _, spec := range strings.Split(c.tails, ",") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" {
 			continue
@@ -253,33 +258,15 @@ func main() {
 		}(id, path)
 	}
 
-	// Observability: process gauges, the Prometheus exposition at
-	// GET /v1/metrics, and the slow-query ring at GET /v1/debug/slow.
-	obs.Default.RegisterProcess()
-	ring := obs.NewSlowRing(*slowCap, *slowThresh, *slowSample)
 	svc.SetSlowRing(ring)
-	reqLog := log.Default()
-	if *logFormat == server.LogJSON {
-		// JSON lines must not carry the default date/time prefix.
-		reqLog = log.New(os.Stderr, "", 0)
-	}
-	opts := []server.Option{
-		server.WithLogger(reqLog),
-		server.WithLogFormat(*logFormat),
-		server.WithMetrics(obs.Default),
-		server.WithSlowRing(ring),
-	}
-	auth := server.AuthConfig{Token: tok}
-	if tok != "" {
-		opts = append(opts, server.WithAuth(auth))
-	}
 	// In shard mode the server fronts a shard.Node instead of the bare
 	// service: identical v1 surface, plus moved tombstones and the
 	// /v1/shard admin surface a router migrates interfaces through.
 	var servicer api.Servicer = svc
-	if *shardAddr != "" {
+	var admin []server.Option
+	if c.shardAddr != "" {
 		node, err := shard.NewNode(svc, ing, shard.NodeOptions{
-			Addr:      *shardAddr,
+			Addr:      c.shardAddr,
 			Funcs:     attachWorkloadFuncs,
 			Persister: persister,
 			Token:     tok,
@@ -288,37 +275,24 @@ func main() {
 			fatal(err)
 		}
 		servicer = node
-		opts = append(opts, server.WithAdmin("/v1/shard/", node.AdminHandler(auth)))
+		admin = append(admin, server.WithAdmin("/v1/shard/", node.AdminHandler(server.AuthConfig{Token: tok})))
 		log.Printf("shard mode: advertising %s, admin surface at /v1/shard/ (auth %v)", node.Addr(), tok != "")
 	}
-	hs := server.New(servicer, opts...).HTTPServer(*addr)
 
-	log.Printf("serving %d interface(s) on %s (auth %v)", reg.Len(), *addr, tok != "")
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case err := <-errc:
+	log.Printf("serving %d interface(s) on %s (auth %v)", reg.Len(), c.Addr, tok != "")
+	if err := c.Serve(ctx, servicer, tok, admin...); err != nil {
 		fatal(err)
-	case <-ctx.Done():
-		// Graceful shutdown: stop accepting, drain in-flight requests,
-		// give stragglers a bounded grace period.
-		log.Printf("signal received, shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			fatal(fmt.Errorf("shutdown: %w", err))
+	}
+	// A final checkpoint, then the log's close, which syncs anything an
+	// fsync window left open.
+	if persister != nil {
+		if res, err := svc.Snapshot(); err != nil {
+			log.Printf("final snapshot: %v", err)
+		} else {
+			log.Printf("final snapshot: %d interface(s) persisted to %s", len(res.Interfaces), res.Dir)
 		}
-		// A final checkpoint, then the log's close, which syncs anything
-		// an fsync window left open.
-		if persister != nil {
-			if res, err := svc.Snapshot(); err != nil {
-				log.Printf("final snapshot: %v", err)
-			} else {
-				log.Printf("final snapshot: %d interface(s) persisted to %s", len(res.Interfaces), res.Dir)
-			}
-			if err := persister.Close(); err != nil {
-				log.Printf("wal close: %v", err)
-			}
+		if err := persister.Close(); err != nil {
+			log.Printf("wal close: %v", err)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // TestMetricsOverhead pins the issue's overhead budget as an
 // executable check: the cached-plan query path with instrumentation
 // live must stay within 1.1x of the same path with metrics disabled.
-// The budget holds because the hot path pays only one atomic tick 7 of
-// 8 times (the 1:8 sampler) and every per-interface counter is a lazy
+// The budget holds because the hot path pays only one atomic tick 31 of
+// 32 times (the 1:32 sampler) and every per-interface counter is a lazy
 // scrape-time closure.
 //
 // Measured as min-of-rounds on both sides (the minimum is the stable

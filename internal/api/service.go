@@ -112,7 +112,7 @@ func (s *Service) SetIngestor(ing Ingestor) { s.ing = ing }
 // over the ring's threshold (or hit by its sampler) are recorded with
 // a per-stage timing breakdown. Call before serving begins. A nil (or
 // absent) ring keeps the query path on its cheapest configuration —
-// per-stage clocks are only read while a ring is armed or the 1:8
+// per-stage clocks are only read while a ring is armed or the 1:32
 // latency sampler fires.
 func (s *Service) SetSlowRing(r *obs.SlowRing) { s.slow = r }
 
@@ -218,7 +218,8 @@ func (s *Service) Page(id string) (string, error) {
 	defer st.pageMu.Unlock()
 	if st.page == "" {
 		base := s.opts.PageBase + "/" + h.ID
-		compiled, err := htmlgen.CompileServedLive(st.iface, h.Title, base+"/query", base+"/epoch", st.epoch)
+		compiled, err := htmlgen.Compile(st.iface, htmlgen.Page{Title: h.Title,
+			QueryEndpoint: base + "/query", EpochEndpoint: base + "/epoch", Epoch: st.epoch})
 		if err != nil {
 			return "", errInternal(fmt.Errorf("compile page for %q: %w", h.ID, err))
 		}
@@ -250,7 +251,7 @@ func (s *Service) Query(id string, req QueryRequest) (*QueryResponse, error) {
 // reaches the slow-query ring — the Servicer seam itself stays
 // context-free.
 // It is also the instrumented wrapper around the query proper: latency
-// lands in the per-interface histogram (sampled 1:8 when the slow ring
+// lands in the per-interface histogram (sampled 1:32 when the slow ring
 // is not armed, so the untimed path pays one atomic tick and no clock
 // reads), and slow or sampled queries are recorded with their
 // bind/exec/serialize breakdown. The stage scratch is pooled: the warm

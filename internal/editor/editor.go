@@ -171,5 +171,5 @@ func (s *Session) Compile(title string) (string, error) {
 		}
 		visible.Widgets = append(visible.Widgets, s.iface.Widgets[c.Widget])
 	}
-	return htmlgen.Compile(visible, title)
+	return htmlgen.Compile(visible, htmlgen.Page{Title: title})
 }

@@ -26,9 +26,16 @@ type Dependency struct {
 	ActiveOptions []int
 }
 
-// Served configures the live-page variants of Compile: where the
-// page's exec() hook POSTs widget bindings, which epoch endpoint it
-// polls for hot swaps, and an optional bearer token.
+// Page configures one compiled page. The zero Page but a Title is the
+// static §5.3 compilation, whose exec() hook is a stub.
+//
+// With a QueryEndpoint the hook is live: every interaction POSTs the
+// current widget bindings there (the serving layer's
+// POST /v1/interfaces/{id}/query) and renders the returned rows. With
+// an EpochEndpoint as well (GET, returning {"epoch": n}) the page,
+// stamped with the Epoch it was compiled at, polls for hot swaps and
+// reloads itself when the epoch bumps, picking up the widened widget
+// domains under the same URL.
 //
 // Auth: a page served from an open GET endpoint must NOT embed the
 // token (anyone who can fetch the page would learn it) — leave Token
@@ -36,71 +43,31 @@ type Dependency struct {
 // or query string (#token=... / ?token=...), so operators hand out
 // tokenized links while the page itself stays secret-free. Set Token
 // only when compiling a page for a trusted destination.
-type Served struct {
-	QueryEndpoint string       // where exec() POSTs widget bindings (required)
-	EpochEndpoint string       // epoch polling URL ("" disables the reload loop)
-	Epoch         uint64       // epoch the page was compiled at
-	Token         string       // optional bearer token embedded in the page
-	Deps          []Dependency // widget dependencies
+type Page struct {
+	Title string
+	// Deps disables a dependent widget's controls while its controlling
+	// widget is in a non-supporting state (§4.5 / Figure 5d: "the
+	// slider is only active when the TOP clause is enabled").
+	Deps          []Dependency
+	QueryEndpoint string // where exec() POSTs widget bindings ("" = stub hook)
+	EpochEndpoint string // epoch polling URL ("" disables the reload loop)
+	Epoch         uint64 // epoch the page was compiled at
+	Token         string // optional bearer token embedded in the page
 }
 
-// Compile renders the interface as a self-contained HTML document.
-func Compile(iface *core.Interface, title string) (string, error) {
-	return compile(iface, title, Served{})
-}
-
-// CompileWithDeps additionally embeds widget dependencies (§4.5 /
-// Figure 5d: "the slider is only active when the TOP clause is
-// enabled"): the page disables a dependent widget's controls while its
-// controlling widget is in a non-supporting state.
-func CompileWithDeps(iface *core.Interface, title string, deps []Dependency) (string, error) {
-	return compile(iface, title, Served{Deps: deps})
-}
-
-// CompileServedPage renders the interface as a page whose exec() hook
-// is live: every interaction POSTs the current widget bindings to
-// cfg.QueryEndpoint (the serving layer's POST /v1/interfaces/{id}/query)
-// with the bearer token attached when one is known, and renders the
-// returned rows. With an EpochEndpoint the page also polls for hot
-// swaps and reloads itself when the epoch bumps.
-func CompileServedPage(iface *core.Interface, title string, cfg Served) (string, error) {
-	if cfg.QueryEndpoint == "" {
+// Compile renders the interface as a self-contained HTML document. A
+// page that polls an epoch or carries a token must have a query
+// endpoint.
+func Compile(iface *core.Interface, p Page) (string, error) {
+	if p.QueryEndpoint == "" && (p.EpochEndpoint != "" || p.Token != "") {
 		return "", fmt.Errorf("htmlgen: served page needs a query endpoint")
 	}
-	return compile(iface, title, cfg)
-}
-
-// CompileServed is CompileServedPage with only a query endpoint — the
-// interaction hook that turns the static §5.3 compilation into a
-// working dashboard.
-func CompileServed(iface *core.Interface, title, endpoint string) (string, error) {
-	return CompileServedPage(iface, title, Served{QueryEndpoint: endpoint})
-}
-
-// CompileServedWithDeps is CompileServed plus widget dependencies.
-func CompileServedWithDeps(iface *core.Interface, title, endpoint string, deps []Dependency) (string, error) {
-	return CompileServedPage(iface, title, Served{QueryEndpoint: endpoint, Deps: deps})
-}
-
-// CompileServedLive is CompileServed for an interface that evolves
-// under live log ingestion: the page is stamped with the epoch it was
-// compiled at and polls the given epoch endpoint (GET, returning
-// {"epoch": n}); when the server hot-swaps a re-mined interface the
-// epoch bumps and the page reloads itself, picking up the widened
-// widget domains while keeping the same URL.
-func CompileServedLive(iface *core.Interface, title, endpoint, epochEndpoint string, epoch uint64) (string, error) {
-	return CompileServedPage(iface, title, Served{
-		QueryEndpoint: endpoint, EpochEndpoint: epochEndpoint, Epoch: epoch,
-	})
-}
-
-func compile(iface *core.Interface, title string, cfg Served) (string, error) {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(title))
+	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(p.Title))
 	b.WriteString(styleBlock)
 	b.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(title))
+	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(p.Title))
 	b.WriteString("<div id=\"widgets\">\n")
 	for i, w := range iface.Widgets {
 		ctrl, err := renderWidget(i, w)
@@ -112,7 +79,7 @@ func compile(iface *core.Interface, title string, cfg Served) (string, error) {
 	b.WriteString("</div>\n")
 	b.WriteString("<pre id=\"sql\"></pre>\n<div id=\"result\"></div>\n")
 
-	state, err := pageState(iface, cfg)
+	state, err := pageState(iface, p)
 	if err != nil {
 		return "", err
 	}
@@ -124,7 +91,7 @@ func compile(iface *core.Interface, title string, cfg Served) (string, error) {
 // pageState serializes the initial query AST, each widget's path and
 // domain (as both AST JSON and rendered SQL fragments), and the widget
 // dependencies for the page script.
-func pageState(iface *core.Interface, cfg Served) (string, error) {
+func pageState(iface *core.Interface, cfg Page) (string, error) {
 	type option struct {
 		Label string          `json:"label"`
 		AST   json.RawMessage `json:"ast"`

@@ -1,7 +1,9 @@
 package htmlgen
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -30,7 +32,7 @@ func TestCompileContainsWidgetsAndState(t *testing.T) {
 		"SELECT a FROM t WHERE x = 4 AND name = 'p'",
 		"SELECT a FROM t WHERE x = 7 AND name = 'q'",
 	)
-	page, err := Compile(iface, "Test Interface")
+	page, err := Compile(iface, Page{Title: "Test Interface"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestCompileEscapesHTML(t *testing.T) {
 		"SELECT a FROM t WHERE name = 'b'",
 		"SELECT a FROM t WHERE name = 'c'",
 	)
-	page, err := Compile(iface, "<script>bad</script>")
+	page, err := Compile(iface, Page{Title: "<script>bad</script>"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestCompileEveryWidgetKind(t *testing.T) {
 	}
 	for _, c := range cases {
 		iface := buildIface(t, c.log...)
-		page, err := Compile(iface, "SDSS")
+		page, err := Compile(iface, Page{Title: "SDSS"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +109,7 @@ func TestCompileEveryWidgetKind(t *testing.T) {
 
 func TestEmptyInterfaceCompiles(t *testing.T) {
 	iface := buildIface(t, "SELECT a FROM t")
-	page, err := Compile(iface, "Empty")
+	page, err := Compile(iface, Page{Title: "Empty"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,9 @@ func TestCompileServedLiveEmbedsEpochPolling(t *testing.T) {
 	iface := buildIface(t,
 		"SELECT a FROM t WHERE x = 1",
 		"SELECT a FROM t WHERE x = 2")
-	page, err := CompileServedLive(iface, "Live", "/interfaces/x/query", "/interfaces/x/epoch", 3)
+	page, err := Compile(iface, Page{
+		Title: "Live", QueryEndpoint: "/interfaces/x/query", EpochEndpoint: "/interfaces/x/epoch", Epoch: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +139,7 @@ func TestCompileServedLiveEmbedsEpochPolling(t *testing.T) {
 		}
 	}
 	// A plain served page neither embeds an epoch nor polls.
-	static, err := CompileServed(iface, "Static", "/interfaces/x/query")
+	static, err := Compile(iface, Page{Title: "Static", QueryEndpoint: "/interfaces/x/query"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +156,8 @@ func TestServedPageToken(t *testing.T) {
 	iface := buildIface(t,
 		"SELECT a FROM t WHERE x = 1",
 		"SELECT a FROM t WHERE x = 2")
-	trusted, err := CompileServedPage(iface, "Trusted", Served{
-		QueryEndpoint: "/v1/interfaces/x/query", Token: "sesame",
+	trusted, err := Compile(iface, Page{
+		Title: "Trusted", QueryEndpoint: "/v1/interfaces/x/query", Token: "sesame",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +170,7 @@ func TestServedPageToken(t *testing.T) {
 			t.Errorf("trusted page missing %s", frag)
 		}
 	}
-	open, err := CompileServedPage(iface, "Open", Served{QueryEndpoint: "/v1/interfaces/x/query"})
+	open, err := Compile(iface, Page{Title: "Open", QueryEndpoint: "/v1/interfaces/x/query"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,51 @@ func TestServedPageToken(t *testing.T) {
 			t.Errorf("open page cannot pick a token from the URL: missing %s", frag)
 		}
 	}
-	if _, err := CompileServedPage(iface, "Bad", Served{}); err == nil {
-		t.Error("served page without a query endpoint accepted")
+	for _, bad := range []Page{{Title: "Bad", Token: "sesame"}, {Title: "Bad", EpochEndpoint: "/v1/interfaces/x/epoch"}} {
+		if _, err := Compile(iface, bad); err == nil {
+			t.Errorf("served page without a query endpoint accepted: %+v", bad)
+		}
+	}
+}
+
+// TestCompileGolden pins every page shape byte for byte: each case's
+// SHA-256 was recorded from the six entry points the page compiler had
+// before they became one Compile (static, deps, served, served+deps,
+// served-live, served with token), so folding them changed no output.
+func TestCompileGolden(t *testing.T) {
+	iface := buildIface(t,
+		"SELECT a, COUNT(b) FROM t WHERE x = 1 AND name = 'p' GROUP BY a",
+		"SELECT a, COUNT(b) FROM t WHERE x = 2 AND name = 'q' GROUP BY a",
+		"SELECT a, COUNT(b) FROM t WHERE x = 9 AND name = 'r' GROUP BY c",
+		"SELECT a, COUNT(b) FROM t WHERE x = 4 AND name = 'p' GROUP BY a",
+	)
+	deps := []Dependency{{Widget: 1, On: 0, ActiveOptions: []int{0, 2}}}
+	const q, e = "/v1/interfaces/g/query", "/v1/interfaces/g/epoch"
+	const title = "Golden <page>"
+	cases := []struct {
+		name, sha256 string
+		page         Page
+	}{
+		{"static", "0844fead3568508c12a3ffb8b98818bc52a8235b38d3f9ab363ed357a754af5c",
+			Page{Title: title}},
+		{"deps", "bd26241a53dc387128c5ccf2dc40bacbf98cc53add644d1ddc00003c860c8b5e",
+			Page{Title: title, Deps: deps}},
+		{"served", "5c17eefac7e443276d7817f3b51a5ccac8065fc1191e6f2e4947c51e2d4cefb6",
+			Page{Title: title, QueryEndpoint: q}},
+		{"served+deps", "61e67d5c97e336810f3bd06bb1268942c99fab0500531514d8606579ea19d6a2",
+			Page{Title: title, QueryEndpoint: q, Deps: deps}},
+		{"served-live", "cb304f54a488a6151f2fc0e9cdd8deb5dbab7e486da118002a6b4f96a4d66921",
+			Page{Title: title, QueryEndpoint: q, EpochEndpoint: e, Epoch: 7}},
+		{"token", "2fca459f52e4ce1b9ef0ce66efb67973448a011a734cf3e52ed247e721cc1fc1",
+			Page{Title: title, QueryEndpoint: q, Token: "sesame"}},
+	}
+	for _, c := range cases {
+		page, err := Compile(iface, c.page)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(page))); got != c.sha256 {
+			t.Errorf("%s page sha256 = %s, want %s", c.name, got, c.sha256)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 // users keep querying — the "logs as the system API" premise applied
 // to a log that is still being written.
 //
-// Entry points: HTTP (the server's POST /v1/interfaces/{id}/log routes
-// to Submit), direct calls (pi.Ingest) and file tailing (Tail, which
+// Entry points: Submit (called directly, or by the server's
+// POST /v1/interfaces/{id}/log) and file tailing (Tail, which
 // follows a growing log file the way tail -f does). An Ingester
 // implements api.Ingestor, so wiring it into a server enables the
 // write endpoints and the /healthz ingest rows.

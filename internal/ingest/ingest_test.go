@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -226,6 +227,33 @@ func postQuery(t *testing.T, base, body string) *api.QueryResponse {
 		t.Fatal(err)
 	}
 	return &out
+}
+
+// TestIngestWidensServedQuery drives the live path over HTTP: a widget
+// value outside the mined domain is rejected, and once an ingested
+// entry widens the domain (BatchSize 1 swaps immediately) the same
+// request answers at the new epoch with the value bound into its SQL.
+func TestIngestWidensServedQuery(t *testing.T) {
+	_, ing, h := newIngester(t, Options{BatchSize: 1})
+	ts := httptest.NewServer(serveWith(t, ing, h))
+	defer ts.Close()
+
+	body := `{"widgets":[{"path":"` + h.Iface().Widgets[0].Path.String() + `","number":50}]}`
+	resp, err := http.Post(ts.URL+"/v1/interfaces/live/query", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("out-of-domain query status = %d, want 422", resp.StatusCode)
+	}
+	if ack, err := ing.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 50")}); err != nil || !ack.Flushed || ack.Epoch != 2 {
+		t.Fatalf("ingest ack = %+v, %v", ack, err)
+	}
+	out := postQuery(t, ts.URL, body)
+	if out.Epoch != 2 || !strings.Contains(out.SQL, "50") {
+		t.Fatalf("post-ingest answer = %+v", out)
+	}
 }
 
 // TestIngestEndpointTextAndJSON drives POST /v1/interfaces/{id}/log in

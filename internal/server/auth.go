@@ -2,9 +2,7 @@ package server
 
 import (
 	"crypto/subtle"
-	"fmt"
 	"net/http"
-	"os"
 	"strings"
 
 	"repro/internal/api"
@@ -24,9 +22,6 @@ type AuthConfig struct {
 	Token           string
 	InterfaceTokens map[string]string
 }
-
-// Enabled reports whether any token is configured.
-func (a AuthConfig) Enabled() bool { return a.Token != "" || len(a.InterfaceTokens) > 0 }
 
 // tokenFor returns the effective token for the interface ("" = open).
 func (a AuthConfig) tokenFor(id string) string {
@@ -57,28 +52,6 @@ func (a AuthConfig) Check(id string, r *http.Request) *api.Error {
 			"token is not valid for interface %q", id)
 	}
 	return nil
-}
-
-// ResolveToken loads the effective bearer token from the conventional
-// -token / -token-file flag pair every serving binary exposes: the
-// file (when named) must exist, be non-empty and not conflict with an
-// inline token.
-func ResolveToken(token, tokenFile string) (string, error) {
-	if tokenFile == "" {
-		return token, nil
-	}
-	if token != "" {
-		return "", fmt.Errorf("-token and -token-file are mutually exclusive")
-	}
-	b, err := os.ReadFile(tokenFile)
-	if err != nil {
-		return "", fmt.Errorf("read -token-file: %w", err)
-	}
-	tok := strings.TrimSpace(string(b))
-	if tok == "" {
-		return "", fmt.Errorf("-token-file %s is empty", tokenFile)
-	}
-	return tok, nil
 }
 
 // bearerToken extracts the token from "Authorization: Bearer <tok>".

@@ -169,13 +169,6 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 	}
 }
 
-// ListenAndServe serves the API on addr with the configured timeouts
-// until the listener fails or Shutdown is called on the returned
-// error's server. For graceful shutdown, use HTTPServer directly.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.HTTPServer(addr).ListenAndServe()
-}
-
 // --- handlers: decode, call the service, encode.
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -18,6 +18,24 @@ func mixedLog() *qlog.Log {
 	)
 }
 
+// TestClusterLogSeparatesTwoAnalyses: two interleaved analyses, two
+// statements each, come back as exactly two clusters.
+func TestClusterLogSeparatesTwoAnalyses(t *testing.T) {
+	log := qlog.FromSQL(
+		"SELECT * FROM SpecLineIndex WHERE specObjId = 0x400",
+		"SELECT COUNT(Delay), DestState FROM ontime WHERE Month = 9 GROUP BY DestState",
+		"SELECT * FROM SpecLineIndex WHERE specObjId = 0x10",
+		"SELECT COUNT(Delay), OriginState FROM ontime WHERE Month = 3 GROUP BY OriginState",
+	)
+	clusters, err := ClusterLog(log, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clusters) != 2 {
+		t.Fatalf("clusters = %d, want the two analyses separated", len(clusters))
+	}
+}
+
 func TestClusterSeparatesAnalyses(t *testing.T) {
 	log := mixedLog()
 	clusters, err := ClusterLog(log, DefaultOptions())

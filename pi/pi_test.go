@@ -1,9 +1,6 @@
 package pi
 
 import (
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -47,16 +44,6 @@ func TestParseRenderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadLog(t *testing.T) {
-	log, err := ReadLog(strings.NewReader("c1\tSELECT a FROM t\nSELECT b FROM t\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.Len() != 2 || log.Entries[0].Client != "c1" {
-		t.Fatalf("log = %+v", log.Entries)
-	}
-}
-
 func TestDependenciesAndCompile(t *testing.T) {
 	iface, err := Generate(LogFromSQL(
 		"SELECT g.objID FROM Galaxy g",
@@ -78,43 +65,6 @@ func TestDependenciesAndCompile(t *testing.T) {
 	}
 }
 
-func TestVerifyAndSchema(t *testing.T) {
-	log := LogFromSQL(
-		"SELECT tempNo FROM SpecLineIndex WHERE specObjId = 0x10",
-		"SELECT ew FROM SpecLineIndex WHERE specObjId = 0x10",
-		"SELECT tempNo FROM SpecLineIndex WHERE specObjId = 0x10",
-		"SELECT tempNo FROM XCRedshift WHERE specObjId = 0x10",
-		"SELECT tempNo FROM XCRedshift WHERE specObjId = 0x90")
-	iface, err := Generate(log, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := log.Parse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Verify(iface, InferSchema(queries), 0)
-	if rep.Checked == 0 {
-		t.Fatal("verification did not run")
-	}
-}
-
-func TestClusterFacade(t *testing.T) {
-	log := LogFromSQL(
-		"SELECT * FROM SpecLineIndex WHERE specObjId = 0x400",
-		"SELECT COUNT(Delay), DestState FROM ontime WHERE Month = 9 GROUP BY DestState",
-		"SELECT * FROM SpecLineIndex WHERE specObjId = 0x10",
-		"SELECT COUNT(Delay), OriginState FROM ontime WHERE Month = 3 GROUP BY OriginState",
-	)
-	clusters, err := Cluster(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %d, want the two analyses separated", len(clusters))
-	}
-}
-
 func TestQueryDistance(t *testing.T) {
 	a, _ := ParseSQL("SELECT a FROM t WHERE x = 1")
 	b, _ := ParseSQL("SELECT a FROM t WHERE x = 2")
@@ -124,24 +74,6 @@ func TestQueryDistance(t *testing.T) {
 	}
 	if QueryDistance(a, c) <= QueryDistance(a, b) {
 		t.Fatal("unrelated queries should be farther apart")
-	}
-}
-
-func TestEditorFacade(t *testing.T) {
-	iface, err := Generate(sdssLog(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ed := NewEditor(iface)
-	if err := ed.SetLabel(0, "Object id"); err != nil {
-		t.Fatal(err)
-	}
-	page, err := ed.Compile("Edited")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(page, "Object id") {
-		t.Fatal("edited label missing")
 	}
 }
 
@@ -157,70 +89,5 @@ func TestExecFacade(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Num != 7 {
 		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-// TestLiveIngestFacade drives the live path end to end through the
-// facade: host with a feed, serve, ingest over HTTP, watch the epoch
-// bump and the widened domain answer a query the original mine could
-// not express.
-func TestLiveIngestFacade(t *testing.T) {
-	logq := LogFromSQL(
-		"SELECT a FROM t WHERE x = 1",
-		"SELECT a FROM t WHERE x = 2",
-		"SELECT a FROM t WHERE x = 3",
-	)
-	db := NewDB()
-	tbl := NewTable("t", "a", "x")
-	for i := 1; i <= 60; i++ {
-		tbl.MustAddRow(Num(float64(i)), Num(float64(i)))
-	}
-	db.AddTable(tbl)
-
-	reg := NewRegistry()
-	ing := NewIngester(reg, IngestOptions{BatchSize: 1})
-	h, err := HostLive(ing, "live", "Live demo", logq, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Epoch() != 1 {
-		t.Fatalf("epoch = %d", h.Epoch())
-	}
-	ts := httptest.NewServer(ServeLiveHandler(reg, ing))
-	defer ts.Close()
-
-	// 50 is outside the mined [1,3] domain: a query for it must fail.
-	body := `{"widgets":[{"path":"` + h.Iface().Widgets[0].Path.String() + `","number":50}]}`
-	resp, err := http.Post(ts.URL+"/v1/interfaces/live/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("out-of-domain query status = %d, want 422", resp.StatusCode)
-	}
-
-	// Ingest an entry that widens the domain to 50 (BatchSize 1 swaps
-	// immediately), then the same query succeeds at epoch 2.
-	if ack, err := Ingest(ing, "live", "SELECT a FROM t WHERE x = 50"); err != nil || !ack.Flushed || ack.Epoch != 2 {
-		t.Fatalf("ingest ack = %+v, %v", ack, err)
-	}
-	resp, err = http.Post(ts.URL+"/v1/interfaces/live/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-ingest query status = %d", resp.StatusCode)
-	}
-	var out struct {
-		SQL   string `json:"sql"`
-		Epoch uint64 `json:"epoch"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Epoch != 2 || !strings.Contains(out.SQL, "50") {
-		t.Fatalf("post-ingest answer = %+v", out)
 	}
 }
