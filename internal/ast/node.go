@@ -24,6 +24,10 @@ import (
 // (and edits every tree that shares the node). Build a tree completely
 // before handing it out; to edit one, Clone it (the copy carries no
 // cached hash) or use ReplaceAt, InsertAt or DeleteAt.
+//
+// Trees mined by one core.Miner share every equal subtree (see
+// Interner), so pointer equality means structural equality within a
+// miner.
 type Node struct {
 	Type     string
 	Attrs    map[string]string

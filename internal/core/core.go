@@ -63,12 +63,6 @@ func Generate(log *qlog.Log, opts Options) (*Interface, error) {
 	return m.iface, nil
 }
 
-// GenerateFromASTs builds an interface from already-parsed queries (in
-// log order; the earliest query becomes q0, per §4.4).
-func GenerateFromASTs(queries []*ast.Node, opts Options) *Interface {
-	return mine(queries, opts).iface
-}
-
 // Cost is the interface cost C_I (§4.4).
 func (i *Interface) Cost() float64 { return mapper.TotalCost(i.Widgets) }
 

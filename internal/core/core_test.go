@@ -291,6 +291,11 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(qlog.FromSQL("DROP TABLE x"), DefaultOptions()); err == nil {
 		t.Fatal("unparsable statement must error")
 	}
+	log := qlog.FromSQL("SELECT a FROM t", "DROP TABLE x")
+	log.Entries[1].Client = "c1"
+	if _, err := Generate(log, DefaultOptions()); err == nil || !strings.HasPrefix(err.Error(), `qlog: entry 1 (client "c1"): `) {
+		t.Fatalf("error %v does not name the entry and its client", err)
+	}
 }
 
 func TestSingleQueryLog(t *testing.T) {

@@ -36,6 +36,10 @@ type AppendStats struct {
 // batch mining is an append onto an empty miner. Appending K entries
 // costs O(K·window) tree comparisons plus a re-merge.
 //
+// The miner hash-conses every query it parses (ast.Interner): trees
+// mined by one Miner share every equal subtree, so pointer equality
+// means structural equality within a miner.
+//
 // A Miner is not safe for concurrent use. Callers (internal/ingest)
 // serialize Append and hand the returned immutable *Interface to the
 // serving layer.
@@ -45,20 +49,10 @@ type Miner struct {
 	graph *interaction.Graph
 	state *mapper.State
 	iface *Interface
+	// intern holds the canonical node of every subtree mined so far.
+	intern *ast.Interner
 
 	comparisons int
-}
-
-// mine is the constructor behind Generate, GenerateFromASTs and
-// NewMiner: an empty miner extended by the parsed queries (in log
-// order; the earliest becomes q0, per §4.4).
-func mine(queries []*ast.Node, opts Options) *Miner {
-	if opts.Library == nil {
-		opts.Library = widgets.DefaultLibrary()
-	}
-	m := &Miner{opts: opts, graph: &interaction.Graph{}, state: mapper.NewState(opts.Library)}
-	m.extend(queries)
-	return m
 }
 
 // extend mines the new queries into the graph (§4.2, §6), adds the new
@@ -93,19 +87,29 @@ func (m *Miner) extend(queries []*ast.Node) {
 	}
 }
 
-// NewMiner parses and mines the initial log and returns a miner ready
-// for appends.
+// NewMiner parses and mines the initial log (in log order; the earliest
+// query becomes q0, per §4.4) and returns a miner ready for appends.
+// Entries are parsed and interned one at a time, so each throwaway
+// parse tree dies young.
 func NewMiner(log *qlog.Log, opts Options) (*Miner, error) {
 	if log.Len() == 0 {
 		return nil, fmt.Errorf("core: empty query log")
 	}
+	if opts.Library == nil {
+		opts.Library = widgets.DefaultLibrary()
+	}
+	m := &Miner{opts: opts, graph: &interaction.Graph{}, state: mapper.NewState(opts.Library), intern: ast.NewInterner()}
 	start := time.Now()
-	queries, err := log.Parse()
-	if err != nil {
-		return nil, err
+	queries := make([]*ast.Node, log.Len())
+	for i := range queries {
+		n, err := log.ParseEntry(i)
+		if err != nil {
+			return nil, err
+		}
+		queries[i] = m.intern.Intern(n)
 	}
 	parseTime := time.Since(start)
-	m := mine(queries, opts)
+	m.extend(queries)
 	m.log = log.Slice(0, log.Len()) // private copy, Seq rebased
 	m.iface.Stats.ParseTime = parseTime
 	return m, nil
@@ -136,7 +140,7 @@ func (m *Miner) Append(entries []qlog.Entry) (*Interface, AppendStats, error) {
 			st.LastParseError = fmt.Sprintf("entry %q: %v", truncateSQL(e.SQL), err)
 			continue
 		}
-		queries = append(queries, n)
+		queries = append(queries, m.intern.Intern(n))
 		m.log.Append(e.SQL, e.Client)
 	}
 	st.Added = len(queries)

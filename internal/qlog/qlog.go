@@ -78,14 +78,25 @@ func (l *Log) Slice(from, to int) *Log {
 // that does not parse.
 func (l *Log) Parse() ([]*ast.Node, error) {
 	out := make([]*ast.Node, len(l.Entries))
-	for i, e := range l.Entries {
-		n, err := sqlparser.Parse(e.SQL)
+	for i := range l.Entries {
+		n, err := l.ParseEntry(i)
 		if err != nil {
-			return nil, fmt.Errorf("qlog: entry %d (client %q): %w", i, e.Client, err)
+			return nil, err
 		}
 		out[i] = n
 	}
 	return out, nil
+}
+
+// ParseEntry parses entry i into an AST; the error names the entry and
+// its client.
+func (l *Log) ParseEntry(i int) (*ast.Node, error) {
+	e := l.Entries[i]
+	n, err := sqlparser.Parse(e.SQL)
+	if err != nil {
+		return nil, fmt.Errorf("qlog: entry %d (client %q): %w", i, e.Client, err)
+	}
+	return n, nil
 }
 
 // PartitionByClient splits the log into per-client logs, preserving

@@ -51,20 +51,18 @@ type tedTree struct {
 
 func newTedTree(root *ast.Node) *tedTree {
 	t := &tedTree{}
-	lmCache := map[*ast.Node]int{}
+	// A subtree's leftmost leaf is the first node post-order visits in
+	// it, so its index is known on entry. It is kept per position, not
+	// per node: one pointer may occur at several positions of a tree
+	// whose equal subtrees are shared.
 	var walk func(n *ast.Node)
 	walk = func(n *ast.Node) {
+		lm := len(t.nodes)
 		for _, c := range n.Children {
 			walk(c)
 		}
-		idx := len(t.nodes)
 		t.nodes = append(t.nodes, n)
-		if len(n.Children) > 0 {
-			lmCache[n] = lmCache[n.Children[0]]
-		} else {
-			lmCache[n] = idx
-		}
-		t.lmld = append(t.lmld, lmCache[n])
+		t.lmld = append(t.lmld, lm)
 	}
 	walk(root)
 	// Key roots: nodes with no left sibling on the path — i.e. for each

@@ -141,3 +141,47 @@ func TestDistanceSeparatesAnalyses(t *testing.T) {
 		t.Fatalf("within-analysis distance %v !< cross-analysis %v", within, across)
 	}
 }
+
+// One pointer occurring twice among siblings, as in a hash-consed tree,
+// must not confuse the leftmost-leaf indexing: a tree is at distance 0
+// from its deep copy and from itself.
+func TestEditDistanceSharedSiblings(t *testing.T) {
+	f := ast.New("F", ast.Leaf("L", "a"), ast.Leaf("L", "b"))
+	p := ast.New("P", f, f, ast.Leaf("L", "z"))
+	if d := EditDistance(p, p.Clone()); d != 0 {
+		t.Fatalf("d(P(F, F, z), its clone) = %d, want 0", d)
+	}
+	if d := EditDistance(p, p); d != 0 {
+		t.Fatalf("d(P(F, F, z), itself) = %d, want 0", d)
+	}
+}
+
+// A tree whose equal subtrees are shared by pointer and its deep Clone
+// are the same tree to EditDistance, against any third tree.
+func TestEditDistanceSharedEqualsClone(t *testing.T) {
+	cols := []string{"a", "b"}
+	gen := func(r *rand.Rand) *ast.Node {
+		c := func() string { return cols[r.Intn(len(cols))] }
+		sql := "SELECT " + c() + ", " + c() + ", COUNT(" + c() + ") FROM t WHERE " + c() + " = " + c()
+		if r.Intn(2) == 0 {
+			sql += " AND " + c() + " = 1"
+		}
+		return sqlparser.MustParse(sql + " GROUP BY " + c() + ", " + c())
+	}
+	r := rand.New(rand.NewSource(3))
+	in := ast.NewInterner()
+	for i := 0; i < 200; i++ {
+		a, b := gen(r), gen(r)
+		ca, cb := a.Clone(), b.Clone()
+		sa, sb := in.Intern(a), in.Intern(b)
+		if got, want := EditDistance(sa, cb), EditDistance(ca, cb); got != want {
+			t.Fatalf("d(shared a, b) = %d, d(clone a, b) = %d\na=%s\nb=%s", got, want, ca, cb)
+		}
+		if got, want := EditDistance(sa, sb), EditDistance(ca, cb); got != want {
+			t.Fatalf("d(shared a, shared b) = %d, d(clone a, clone b) = %d\na=%s\nb=%s", got, want, ca, cb)
+		}
+		if d := EditDistance(sa, ca); d != 0 {
+			t.Fatalf("d(shared a, its clone) = %d, want 0\na=%s", d, ca)
+		}
+	}
+}
