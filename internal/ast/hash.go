@@ -122,6 +122,18 @@ func (s *Set) Contains(n *Node) bool {
 	return false
 }
 
+// Clone returns a set with the same members in O(distinct members).
+// Adding to either set afterwards leaves the other unchanged: the
+// clone's buckets are capped at their length, so an append to one side
+// never writes into a slot the other can read.
+func (s *Set) Clone() *Set {
+	c := &Set{buckets: make(map[Hash][]*Node, len(s.buckets)), size: s.size}
+	for h, b := range s.buckets {
+		c.buckets[h] = b[:len(b):len(b)]
+	}
+	return c
+}
+
 // Len returns the number of distinct subtrees in the set.
 func (s *Set) Len() int { return s.size }
 

@@ -26,3 +26,31 @@ func TestGenerateAllocBudget(t *testing.T) {
 	}
 	t.Logf("Generate allocates %.0f times (ceiling %d)", allocs, generateAllocCeiling)
 }
+
+// appendAllocCeiling bounds the heap allocations of one 8-entry
+// Miner.Append onto a 2,000-entry SDSS lookup client, the ingest_live
+// shape. Measured: 1,425 while every append re-added its
+// touched partitions whole and each merge step built its pair sets in
+// maps, 696 once partition domains only grow and merging goes by edge
+// key; the ceiling is the latter plus 10%.
+const appendAllocCeiling = 766
+
+func TestAppendAllocBudget(t *testing.T) {
+	const base, per, runs = 2000, 8, 10
+	log := workload.SDSSClient(workload.Lookup, 1, base+(runs+1)*per)
+	m, err := NewMiner(log.Slice(0, base), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := base
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, _, err := m.Append(log.Entries[at : at+per]); err != nil {
+			t.Fatal(err)
+		}
+		at += per
+	})
+	if allocs > appendAllocCeiling {
+		t.Fatalf("an %d-entry Append allocates %.0f times, ceiling %d", per, allocs, appendAllocCeiling)
+	}
+	t.Logf("an %d-entry Append allocates %.0f times (ceiling %d)", per, allocs, appendAllocCeiling)
+}

@@ -34,7 +34,10 @@ type AppendStats struct {
 // NewMiner's, each Append's — is the result of extend on that state, so
 // a miner grown by appends equals batch-mining the grown log because
 // batch mining is an append onto an empty miner. Appending K entries
-// costs O(K·window) tree comparisons plus a re-merge.
+// costs O(K·window) tree comparisons, O(K) adds to partition domains
+// that only grow, and a re-merge that scans the edge-ordered diff
+// records linearly with no hashing of pairs (mapper.State); the merge
+// is the part still linear in the log.
 //
 // The miner hash-conses every query it parses (ast.Interner): trees
 // mined by one Miner share every equal subtree, so pointer equality
@@ -61,11 +64,12 @@ type Miner struct {
 func (m *Miner) extend(queries []*ast.Node) {
 	t0 := time.Now()
 	prevEdges := len(m.graph.Edges)
-	m.comparisons += interaction.MineAppend(m.graph, queries, m.opts.Miner).Comparisons
+	st := interaction.MineAppend(m.graph, queries, m.opts.Miner)
+	m.comparisons += st.Comparisons
 	mineTime := time.Since(t0)
 
 	t1 := time.Now()
-	var diffs []interaction.DiffRecord
+	diffs := make([]interaction.DiffRecord, 0, st.DiffRecords)
 	for _, e := range m.graph.Edges[prevEdges:] {
 		diffs = append(diffs, e.Diffs...)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -115,12 +117,20 @@ func TestReadersDuringAppend(t *testing.T) {
 				k := 0
 				for _, w := range prev.Widgets {
 					for _, v := range w.Domain.Values() {
+						if k == len(hashes) {
+							errs <- "a domain of an earlier interface grew"
+							return
+						}
 						if ast.HashOf(v) != hashes[k] {
 							errs <- "a domain value of an earlier interface changed"
 							return
 						}
 						k++
 					}
+				}
+				if k != len(hashes) {
+					errs <- "a domain of an earlier interface shrank"
+					return
 				}
 			}
 		}(g)
@@ -131,5 +141,97 @@ func TestReadersDuringAppend(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// domainPrint renders what a reader can see of each widget's domain:
+// Len, Values, Range, HasAbsent, IsNumericRange, and the widget's
+// record count.
+func domainPrint(i *Interface) []string {
+	out := make([]string, len(i.Widgets))
+	for k, w := range i.Widgets {
+		d := w.Domain
+		lo, hi := d.Range()
+		s := fmt.Sprintf("%s len=%d range=[%g,%g] absent=%v numeric=%v records=%d:",
+			w.Path, d.Len(), lo, hi, d.HasAbsent(), d.IsNumericRange(), len(w.D))
+		for _, v := range d.Values() {
+			if v == nil {
+				s += " <absent>"
+				continue
+			}
+			s += " " + v.String()
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// TestEarlierInterfaceUnchangedByAppend: the mapper grows each
+// partition's domain in place, so every interface handed out must hold
+// its own copy. After 40 appends of 8 that widen domains, every earlier
+// interface still shows what it showed when it was returned, and under
+// -race a reader walking the first one while the appends run shares no
+// memory with the growing domains.
+func TestEarlierInterfaceUnchangedByAppend(t *testing.T) {
+	const base, appends, per = 300, 40, 8
+	logs := []struct {
+		name string
+		log  *qlog.Log
+	}{
+		{"sdss-lookup", workload.SDSSClient(workload.Lookup, 1, base+appends*per)},
+		{"sdss-full", workload.SDSSFullLog(base+appends*per, 1)},
+		{"olap", workload.OLAPLog(base+appends*per, 7)},
+	}
+	for _, l := range logs {
+		log := l.log
+		t.Run(l.name, func(t *testing.T) {
+			m, err := NewMiner(log.Slice(0, base), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := m.Interface()
+			firstPrint := domainPrint(first)
+
+			done := make(chan struct{})
+			changed := make(chan bool, 1)
+			go func() {
+				for {
+					select {
+					case <-done:
+						changed <- false
+						return
+					default:
+					}
+					if !slices.Equal(domainPrint(first), firstPrint) {
+						changed <- true
+						return
+					}
+				}
+			}()
+
+			ifaces := []*Interface{first}
+			prints := [][]string{firstPrint}
+			for i := 0; i < appends; i++ {
+				at := base + i*per
+				iface, _, err := m.Append(log.Entries[at : at+per])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ifaces = append(ifaces, iface)
+				prints = append(prints, domainPrint(iface))
+			}
+			close(done)
+			if <-changed {
+				t.Fatal("the first interface's domains changed while appends ran")
+			}
+			for k, iface := range ifaces {
+				if got := domainPrint(iface); !slices.Equal(got, prints[k]) {
+					t.Fatalf("interface %d changed after later appends:\nnow:  %q\nthen: %q", k, got, prints[k])
+				}
+			}
+			if slices.Equal(prints[0], prints[len(prints)-1]) {
+				t.Fatal("the appends widened no domain; the test checks nothing")
+			}
+		})
 	}
 }

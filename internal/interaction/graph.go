@@ -44,7 +44,7 @@ type Graph struct {
 
 // Diffs returns all diff records across all edges (the diffs table).
 func (g *Graph) Diffs() []DiffRecord {
-	var out []DiffRecord
+	out := make([]DiffRecord, 0, g.NumDiffs())
 	for _, e := range g.Edges {
 		out = append(out, e.Diffs...)
 	}

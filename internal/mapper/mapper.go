@@ -8,6 +8,7 @@ package mapper
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/interaction"
@@ -22,8 +23,10 @@ type MappedWidget struct {
 	D []interaction.DiffRecord
 }
 
-// rebuild re-instantiates the widget for the current w.D via pickWidget
-// and returns nil when w.D is empty (the widget disappears).
+// rebuild instantiates a widget over d via pickWidget, building its
+// domain from scratch, and returns nil when d is empty (the widget
+// disappears). Merging uses it for what remains of a widget once the
+// shared records are taken out.
 func rebuild(lib widgets.Library, path ast.Path, d []interaction.DiffRecord) *MappedWidget {
 	if len(d) == 0 {
 		return nil
@@ -70,19 +73,32 @@ func initialize(g *interaction.Graph, lib widgets.Library) []*MappedWidget {
 }
 
 // State is the mapper's retained partition state: the (path,
-// kind)-partitioned diffs table plus the widget instantiated for each
-// partition. It keeps the partitions across AddDiffs calls so only
-// partitions touched by new diff records are re-instantiated (merging
-// still runs over the full widget set). Batch mapping is the same
-// State given the whole diffs table in one call (Map), so Widgets()
-// after any sequence of appends equals Map over the accumulated
-// records.
+// kind)-partitioned diffs table, one Domain per partition that only
+// grows, and the widget instantiated for each partition. AddDiffs costs
+// O(K) domain adds for K new records plus, per partition that gained a
+// member, one domain copy in O(distinct members). Merging still runs
+// over the full widget set, so its cost is linear in the log, but it
+// scans edge-ordered records and builds no pair sets; only the domains
+// of what a merge step leaves of a widget are built anew. Batch mapping
+// is the same State given the whole diffs table in one call (Map), so
+// Widgets() after any sequence of appends equals Map over the
+// accumulated records.
 //
 // A State is not safe for concurrent use; it belongs to one miner.
 type State struct {
 	lib   widgets.Library
-	parts map[string][]interaction.DiffRecord
+	parts map[string]*partition
 	built map[string]*MappedWidget // pre-merge widget per partition
+	key   []byte                   // AddDiffs' key buffer
+}
+
+// partition is one (path, kind) slice of the diffs table and the domain
+// of both sides of its records.
+type partition struct {
+	key   string // "<path>|<kind>", the State's map key
+	recs  []interaction.DiffRecord
+	dom   *widgets.Domain
+	dirty bool // touched by the AddDiffs call in progress
 }
 
 // NewState returns an empty mapping state over the widget library.
@@ -92,28 +108,69 @@ func NewState(lib widgets.Library) *State {
 	}
 	return &State{
 		lib:   lib,
-		parts: map[string][]interaction.DiffRecord{},
+		parts: map[string]*partition{},
 		built: map[string]*MappedWidget{},
 	}
 }
 
-// AddDiffs appends new diff records to the partition state and
-// re-instantiates only the touched partitions.
+// AddDiffs appends new diff records to the partition state: it adds
+// only the new records' sides to their partitions' domains and
+// re-instantiates only the touched partitions. A touched partition's
+// widget gets a copy of the domain, so every widget handed out earlier
+// keeps its domain.
+//
+// Precondition: ds continues edge order. Across all AddDiffs calls the
+// records arrive ascending by (Q2, Q1) — the order MineAppend emits
+// them in, since it adds edges with j ascending, then i ascending, and
+// an append only adds larger j. Every partition, and every subsequence
+// of one, is then in edge order too, which mergeStep relies on to merge
+// by edge key instead of by map.
 func (s *State) AddDiffs(ds []interaction.DiffRecord) {
-	dirty := map[string]bool{}
+	var touched []*partition
 	for _, d := range ds {
-		key := d.Path.String() + "|" + d.Kind().String()
-		s.parts[key] = append(s.parts[key], d)
-		dirty[key] = true
+		s.key = appendKey(s.key[:0], d)
+		p := s.parts[string(s.key)]
+		if p == nil {
+			p = &partition{key: string(s.key), dom: widgets.NewDomain()}
+			s.parts[p.key] = p
+		}
+		if !p.dirty {
+			p.dirty = true
+			touched = append(touched, p)
+		}
+		p.recs = append(p.recs, d)
+		p.dom.Add(d.Left)
+		p.dom.Add(d.Right)
 	}
-	for key := range dirty {
-		recs := s.parts[key]
-		if w := rebuild(s.lib, recs[0].Path, recs); w != nil {
-			s.built[key] = w
+	for _, p := range touched {
+		p.dirty = false
+		if prev := s.built[p.key]; prev != nil && prev.Domain.Len() == p.dom.Len() {
+			// No new member: the domain, hence the picked widget, is unchanged.
+			s.built[p.key] = &MappedWidget{Widget: prev.Widget, D: p.recs}
+			continue
+		}
+		if w := s.lib.Pick(p.recs[0].Path, p.dom.Clone()); w != nil {
+			s.built[p.key] = &MappedWidget{Widget: w, D: p.recs}
 		} else {
-			delete(s.built, key)
+			delete(s.built, p.key)
 		}
 	}
+}
+
+// appendKey appends d's partition key, "<path>|<kind>" as Path.String
+// and Kind.String render them.
+func appendKey(b []byte, d interaction.DiffRecord) []byte {
+	if len(d.Path) == 0 {
+		b = append(b, '/')
+	}
+	for i, v := range d.Path {
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	b = append(b, '|')
+	return append(b, d.Kind().String()...)
 }
 
 // initialWidgets assembles the pre-merge widget list in sorted
@@ -205,43 +262,16 @@ func merge(ws []*MappedWidget, lib widgets.Library) []*MappedWidget {
 // intersection is a coarser proxy that degenerates under all-pairs
 // mining, where root-level ancestors touch every vertex and the
 // intersection becomes the whole graph.
+//
+// Every widget's records are in edge order (State.AddDiffs), so the
+// overlap is a sorted intersection and each side's remaining records
+// come from one pass: no sorting and no maps.
 func mergeStep(wa *MappedWidget, wd []*MappedWidget, lib widgets.Library) ([]*MappedWidget, bool) {
-	pairsA := map[[2]int]bool{}
-	for _, d := range wa.D {
-		pairsA[[2]int{d.Q1, d.Q2}] = true
-	}
-	pairsD := map[[2]int]bool{}
-	for _, w := range wd {
-		for _, d := range w.D {
-			pairsD[[2]int{d.Q1, d.Q2}] = true
-		}
-	}
-	shared := map[[2]int]bool{}
-	for p := range pairsA {
-		if pairsD[p] {
-			shared[p] = true
-		}
-	}
+	shared := sharedEdges(wa.D, wd)
 	if len(shared) == 0 {
 		return nil, false
 	}
-
-	// Lines 7-8: the overlapping diff records.
-	inInter := func(d interaction.DiffRecord) bool { return shared[[2]int{d.Q1, d.Q2}] }
-	ga := filter(wa.D, inInter)
-	if len(ga) == 0 {
-		return nil, false
-	}
-	anyGd := false
-	for _, w := range wd {
-		if len(filter(w.D, inInter)) > 0 {
-			anyGd = true
-			break
-		}
-	}
-	if !anyGd {
-		return nil, false
-	}
+	// Lines 7-10's checks for an empty side are dead: shared ⊆ edges(wa) ∩ edges(wd).
 
 	// Lines 11-17: cost reduction of each option.
 	costOf := func(w *MappedWidget) float64 {
@@ -253,12 +283,10 @@ func mergeStep(wa *MappedWidget, wd []*MappedWidget, lib widgets.Library) ([]*Ma
 	var sd float64
 	descWithout := make([]*MappedWidget, len(wd))
 	for i, w := range wd {
-		remaining := filter(w.D, func(d interaction.DiffRecord) bool { return !inInter(d) })
-		descWithout[i] = rebuild(lib, w.Path, remaining)
+		descWithout[i] = without(w, shared, lib)
 		sd += costOf(w) - costOf(descWithout[i])
 	}
-	ancRemaining := filter(wa.D, func(d interaction.DiffRecord) bool { return !inInter(d) })
-	ancWithout := rebuild(lib, wa.Path, ancRemaining)
+	ancWithout := without(wa, shared, lib)
 	sa := costOf(wa) - costOf(ancWithout)
 
 	// Lines 19-25: keep the option with the larger reduction. Nothing
@@ -283,14 +311,108 @@ func mergeStep(wa *MappedWidget, wd []*MappedWidget, lib widgets.Library) ([]*Ma
 	return out, true
 }
 
-func filter(ds []interaction.DiffRecord, keep func(interaction.DiffRecord) bool) []interaction.DiffRecord {
-	var out []interaction.DiffRecord
-	for _, d := range ds {
-		if keep(d) {
-			out = append(out, d)
+// edgeKey orders diff records by edge, (Q2, Q1): the order MineAppend
+// emits them in.
+func edgeKey(d interaction.DiffRecord) uint64 {
+	return uint64(d.Q2)<<32 | uint64(uint32(d.Q1))
+}
+
+// sharedEdges returns the edges, ascending and without repeats, that a
+// has records for and so does at least one descendant: one sorted
+// intersection of a's keys with a k-way merge of the descendants'.
+func sharedEdges(a []interaction.DiffRecord, wd []*MappedWidget) []uint64 {
+	h := make(edgeHeap, 0, len(wd))
+	for _, w := range wd {
+		if len(w.D) > 0 {
+			h = append(h, w.D)
 		}
 	}
-	return out
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	var shared []uint64
+	for i := 0; i < len(a) && len(h) > 0; {
+		ka, kd := edgeKey(a[i]), edgeKey(h[0][0])
+		switch {
+		case ka < kd:
+			i++
+		case kd < ka:
+			h.next()
+		default:
+			if n := len(shared); n == 0 || shared[n-1] != ka {
+				shared = append(shared, ka)
+			}
+			i++
+		}
+	}
+	return shared
+}
+
+// edgeHeap is a min-heap of record lists by their first record's edge.
+type edgeHeap [][]interaction.DiffRecord
+
+// next drops the smallest list's first record.
+func (h *edgeHeap) next() {
+	s := *h
+	if s[0] = s[0][1:]; len(s[0]) == 0 {
+		s[0] = s[len(s)-1]
+		s = s[:len(s)-1]
+		*h = s
+	}
+	s.down(0)
+}
+
+func (h edgeHeap) down(i int) {
+	for {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && edgeKey(h[c][0]) < edgeKey(h[m][0]) {
+				m = c
+			}
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// without returns w over its records outside the shared edges: w itself
+// when it has none of them, nil when nothing remains. Both w.D and
+// shared are in edge order, so one pass counts what remains and a
+// second copies it.
+func without(w *MappedWidget, shared []uint64, lib widgets.Library) *MappedWidget {
+	n, c := 0, edgeCursor{shared: shared}
+	for _, d := range w.D {
+		if !c.has(edgeKey(d)) {
+			n++
+		}
+	}
+	if n == len(w.D) {
+		return w
+	}
+	rest, c := make([]interaction.DiffRecord, 0, n), edgeCursor{shared: shared}
+	for _, d := range w.D {
+		if !c.has(edgeKey(d)) {
+			rest = append(rest, d)
+		}
+	}
+	return rebuild(lib, w.Path, rest)
+}
+
+// edgeCursor answers membership in an ascending edge list for keys
+// asked in ascending order, in one pass over the list.
+type edgeCursor struct {
+	shared []uint64
+	j      int
+}
+
+func (c *edgeCursor) has(k uint64) bool {
+	for c.j < len(c.shared) && c.shared[c.j] < k {
+		c.j++
+	}
+	return c.j < len(c.shared) && c.shared[c.j] == k
 }
 
 // TotalCost is the interface cost C_I = Σ c(w) (§4.4).

@@ -34,6 +34,14 @@ func NewDomain() *Domain {
 	return &Domain{set: ast.NewSet(), kind: ast.KindNumber, numeric: true, allColl: true}
 }
 
+// Clone returns an independent copy in O(distinct members): adding to
+// either domain afterwards leaves the other unchanged.
+func (d *Domain) Clone() *Domain {
+	c := *d
+	c.set = d.set.Clone()
+	return &c
+}
+
 // Add inserts a subtree (nil allowed: the absent option). It updates the
 // domain's kind: number if all members are numeric terminals, string if
 // all are string-castable terminals, tree otherwise.

@@ -128,6 +128,25 @@ func TestDomainDeduplicates(t *testing.T) {
 	}
 }
 
+// TestDomainCloneIsIndependent: a clone answers like its source, and
+// adding to either afterwards leaves the other as it was.
+func TestDomainCloneIsIndependent(t *testing.T) {
+	d := numDomain("3", "7")
+	c := d.Clone()
+	d.Add(ast.Leaf(ast.TypeNumExpr, "40"))
+	d.Add(nil)
+	if lo, hi := c.Range(); c.Len() != 2 || lo != 3 || hi != 7 || c.HasAbsent() || !c.IsNumericRange() {
+		t.Fatalf("clone changed with its source: len=%d range=[%g,%g] absent=%v", c.Len(), lo, hi, c.HasAbsent())
+	}
+	c.Add(ast.Leaf(ast.TypeStrExpr, "x"))
+	if d.Len() != 4 || d.Contains(ast.Leaf(ast.TypeStrExpr, "x")) || !c.Contains(ast.Leaf(ast.TypeStrExpr, "x")) {
+		t.Fatalf("source changed with its clone: len=%d", d.Len())
+	}
+	if c.Kind() != ast.KindString || d.Kind() != ast.KindTree {
+		t.Fatalf("kinds %v / %v, want str / tree", c.Kind(), d.Kind())
+	}
+}
+
 // TestPickSelections pins the widget-type selections that the paper's
 // figures depend on.
 func TestPickSelections(t *testing.T) {
