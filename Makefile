@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompare$$' -fuzztime 10s ./internal/treediff
 	$(GO) test -run '^$$' -fuzz '^FuzzIntern$$' -fuzztime 10s ./internal/ast
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/mapper
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanKey$$' -fuzztime 10s ./internal/api
 
 # Non-test Go line counts: the whole repo, and the serving scoreboard
 # (the packages behind pi-serve and pi-router) that ROADMAP tracks.

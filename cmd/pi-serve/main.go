@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pi-serve [-addr :8080] [-workloads olap,adhoc,sdss] [-n 150] [-rows 2000]
-//	         [-seed 7] [-batch 8] [-tail id=path[,id=path...]]
+//	         [-seed 7] [-tail id=path[,id=path...]]
 //	         [-token T | -token-file F] [-data-dir DIR] [-snapshot-every 30s]
 //	         [-wal-sync 2ms] [-shard-addr http://HOST:PORT]
 //	         [-pprof-addr ADDR] [-log-format text|json]
@@ -21,8 +21,8 @@
 //	GET  /v1/interfaces/{id}/page   the live HTML dashboard (reloads on epoch bump)
 //	GET  /v1/interfaces/{id}/epoch  the interface's current epoch
 //	POST /v1/interfaces/{id}/query  bind widget state, execute, return rows (auth)
-//	POST /v1/interfaces/{id}/log    ingest new query-log entries (auth)
-//	POST /v1/interfaces/{id}/rows   append dataset rows to one table (auth)
+//	POST /v1/interfaces/{id}/log    ingest new query-log entries; acks after the re-mine (auth)
+//	POST /v1/interfaces/{id}/rows   append dataset rows to one table; acks after the publish (auth)
 //	DELETE /v1/interfaces/{id}      unhost an interface (auth)
 //	POST /v1/snapshot               persist every interface to the data dir (auth)
 //	GET  /v1/healthz                build info, uptime, epochs, cache hit rates
@@ -58,7 +58,9 @@
 // fsyncs into a group-commit window; 0 syncs before every ack. -wal is
 // accepted and ignored (the log is always on). A data dir in an older
 // on-disk format fails the boot; `pi upgrade DIR` converts it. See
-// README "Durability" and API.md "Compatibility".
+// README "Durability" and API.md "Compatibility". -batch is accepted
+// and ignored too: every write publishes before its ack, so there is
+// no batch to size.
 //
 // -check flips the binary into client mode: it probes a running
 // pi-serve at -addr through the pi/client SDK (health, list, a query
@@ -105,7 +107,7 @@ import (
 type config struct {
 	*server.Flags
 	workloads, tails, dataDir, shardAddr string
-	n, rows, batch                       int
+	n, rows                              int
 	seed                                 int64
 	snapEvery, walSync                   time.Duration
 	check                                bool
@@ -118,7 +120,7 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.n, "n", 150, "queries per mined log")
 	fs.IntVar(&c.rows, "rows", 2000, "rows per synthetic dataset table")
 	fs.Int64Var(&c.seed, "seed", 7, "workload generator seed")
-	fs.IntVar(&c.batch, "batch", 8, "ingested entries per incremental re-mine")
+	fs.Int("batch", 8, "deprecated and ignored: every ingested write re-mines and publishes before its ack")
 	fs.StringVar(&c.tails, "tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
 	fs.StringVar(&c.dataDir, "data-dir", "", "directory for durable state: per interface a base snapshot, a manifest and a write-ahead log every ack is journaled to before it returns (enables restore-on-boot and POST /v1/snapshot)")
 	fs.DurationVar(&c.snapEvery, "snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
@@ -147,7 +149,7 @@ func main() {
 
 	ring := c.Start()
 	reg := api.NewRegistry()
-	ing := ingest.New(reg, ingest.Options{BatchSize: c.batch})
+	ing := ingest.New(reg, ingest.Options{})
 
 	// With a data dir, the service restores saved interfaces before
 	// anything is mined; workloads that came back from disk are not
@@ -240,7 +242,6 @@ func main() {
 		}()
 	}
 	svc.SetIngestor(ing)
-	go ing.Run(ctx)
 	for _, spec := range strings.Split(c.tails, ",") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" {

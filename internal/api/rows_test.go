@@ -17,7 +17,6 @@ type fakeRowIngestor struct {
 	lastID    string
 	lastTable string
 	lastRows  [][]engine.Value
-	lastFlush bool
 	fail      bool
 }
 
@@ -25,14 +24,12 @@ func (f *fakeRowIngestor) Submit(id string, entries []qlog.Entry) (IngestAck, er
 	return IngestAck{Accepted: len(entries)}, nil
 }
 
-func (f *fakeRowIngestor) Flush(id string) (uint64, error) { return 1, nil }
-
-func (f *fakeRowIngestor) SubmitRows(id, table string, rows [][]engine.Value, flush bool) (RowsAck, error) {
-	f.lastID, f.lastTable, f.lastRows, f.lastFlush = id, table, rows, flush
+func (f *fakeRowIngestor) SubmitRows(id, table string, rows [][]engine.Value) (RowsAck, error) {
+	f.lastID, f.lastTable, f.lastRows = id, table, rows
 	if f.fail {
 		return RowsAck{}, errors.New("store says no")
 	}
-	return RowsAck{Table: table, Accepted: len(rows), Flushed: flush, Epoch: 2, DataEpoch: 2, RowCount: 7}, nil
+	return RowsAck{Table: table, Accepted: len(rows), Flushed: true, Epoch: 2, DataEpoch: 2, RowCount: 7}, nil
 }
 
 func (f *fakeRowIngestor) IngestStatus(id string) (IngestStatus, bool) {
@@ -110,8 +107,8 @@ func TestServiceAppendRowsValidationAndConversion(t *testing.T) {
 	if ack.Accepted != 1 || !ack.Flushed || ack.RowCount != 7 {
 		t.Fatalf("ack = %+v", ack)
 	}
-	if ri.lastID != "olap" || ri.lastTable != "ontime" || !ri.lastFlush {
-		t.Fatalf("ingestor saw %q %q flush=%v", ri.lastID, ri.lastTable, ri.lastFlush)
+	if ri.lastID != "olap" || ri.lastTable != "ontime" {
+		t.Fatalf("ingestor saw %q %q", ri.lastID, ri.lastTable)
 	}
 	want := []engine.Value{engine.Num(1.5), engine.Str("AA"), engine.Boolean(true), engine.Null()}
 	if len(ri.lastRows) != 1 || fmt.Sprint(ri.lastRows[0]) != fmt.Sprint(want) {

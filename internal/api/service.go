@@ -36,10 +36,6 @@ type ServiceOptions struct {
 	DefaultRowLimit int
 	// MaxRowLimit is the hard per-response row cap. 0 means MaxRowLimit.
 	MaxRowLimit int
-	// PageBase is the URL prefix compiled pages use to reach the query
-	// and epoch endpoints ("" means "/v1/interfaces"). Transports that
-	// mount the API elsewhere set it to match.
-	PageBase string
 	// DisableColumnar turns off the vectorized execution kernels: every
 	// query runs the row-at-a-time path. The columnar path is selected
 	// per plan and produces byte-identical results, so this exists for
@@ -56,9 +52,6 @@ func (o ServiceOptions) withDefaults() ServiceOptions {
 	}
 	if o.MaxRowLimit < o.DefaultRowLimit {
 		o.DefaultRowLimit = o.MaxRowLimit
-	}
-	if o.PageBase == "" {
-		o.PageBase = "/v1/interfaces"
 	}
 	return o
 }
@@ -200,7 +193,7 @@ func (s *Service) Epoch(id string) (*EpochResponse, error) {
 }
 
 // Page returns the compiled live HTML page for the interface, wired to
-// the configured PageBase endpoints. The page is compiled lazily once
+// the /v1/interfaces/{id} query and epoch endpoints. The page is compiled lazily once
 // per epoch and cached in the epoch snapshot.
 func (s *Service) Page(id string) (string, error) {
 	h, apiErr := s.hosted(id)
@@ -217,7 +210,7 @@ func (s *Service) Page(id string) (string, error) {
 	st.pageMu.Lock()
 	defer st.pageMu.Unlock()
 	if st.page == "" {
-		base := s.opts.PageBase + "/" + h.ID
+		base := "/v1/interfaces/" + h.ID
 		compiled, err := htmlgen.Compile(st.iface, htmlgen.Page{Title: h.Title,
 			QueryEndpoint: base + "/query", EpochEndpoint: base + "/epoch", Epoch: st.epoch})
 		if err != nil {
@@ -495,10 +488,10 @@ func (s *Service) IngestReady(id string) error {
 	return nil
 }
 
-// IngestLog submits query-log entries to the live ingester. With flush
-// set, buffered entries are re-mined before returning, so the ack's
-// epoch reflects the submitted entries.
-func (s *Service) IngestLog(id string, entries []qlog.Entry, flush bool) (*IngestAck, error) {
+// IngestLog submits query-log entries to the live ingester, which
+// re-mines and publishes them before it returns, so the ack's epoch
+// reflects the submitted entries. flush is ignored (see Servicer).
+func (s *Service) IngestLog(id string, entries []qlog.Entry, _ bool) (*IngestAck, error) {
 	if err := s.IngestReady(id); err != nil {
 		return nil, err
 	}
@@ -513,23 +506,16 @@ func (s *Service) IngestLog(id string, entries []qlog.Entry, flush bool) (*Inges
 	if err != nil {
 		return nil, errOr(err, CodeIngestFailed, http.StatusUnprocessableEntity)
 	}
-	if flush && ack.Buffered > 0 {
-		if _, err := s.ing.Flush(h.ID); err != nil {
-			return nil, errOr(err, CodeIngestFailed, http.StatusUnprocessableEntity)
-		}
-		ack.Flushed = true
-		ack.Buffered = 0
-	}
 	ack.Epoch = h.Epoch()
 	return &ack, nil
 }
 
 // AppendRows submits new dataset rows for one table of the
-// interface's store. Rows buffer in the ingestion layer and are
-// published copy-on-write under a bumped epoch when a batch fills (or
-// immediately with flush set), so queries accepted after the ack with
-// Flushed=true can never be answered from a pre-append cache.
-func (s *Service) AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, error) {
+// interface's store. The ingestion layer publishes them copy-on-write
+// under a bumped epoch before it returns, so queries accepted after
+// the ack can never be answered from a pre-append cache. flush is
+// ignored (see Servicer).
+func (s *Service) AppendRows(id string, req RowsRequest, _ bool) (*RowsAck, error) {
 	h, apiErr := s.hosted(id)
 	if apiErr != nil {
 		return nil, apiErr
@@ -548,7 +534,7 @@ func (s *Service) AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, 
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	ack, err := s.ing.SubmitRows(h.ID, req.Table, rows, flush)
+	ack, err := s.ing.SubmitRows(h.ID, req.Table, rows)
 	if err != nil {
 		return nil, errOr(err, CodeRowsRejected, http.StatusUnprocessableEntity)
 	}
@@ -559,7 +545,7 @@ func (s *Service) AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, 
 // interface's store and publishes the result as a versioned mutation
 // under a bumped epoch — post-mutation queries can never be answered
 // from a pre-mutation cache. The statement's predicate runs against
-// the snapshot current at submission (after buffered appends flush),
+// the snapshot current at submission,
 // and the resulting rowid-keyed mutation set — not the predicate — is
 // what journals and replicates, so every copy of the interface lands
 // on byte-identical rows.

@@ -33,9 +33,11 @@ type Servicer interface {
 	// IngestReady reports whether IngestLog can accept entries for the
 	// interface (cheap pre-check before decoding a large body).
 	IngestReady(id string) error
-	// IngestLog submits query-log entries for incremental re-mining.
+	// IngestLog submits query-log entries for incremental re-mining;
+	// AppendRows submits new dataset rows for one table. Both publish
+	// before they ack. flush is ignored (every write publishes), kept
+	// only so callers written against the buffered feed still compile.
 	IngestLog(id string, entries []qlog.Entry, flush bool) (*IngestAck, error)
-	// AppendRows submits new dataset rows for one table.
 	AppendRows(id string, req RowsRequest, flush bool) (*RowsAck, error)
 	// MutateRows evaluates one UPDATE or DELETE statement against the
 	// interface's store and publishes the result as a versioned

@@ -122,12 +122,12 @@ type RowsRequest struct {
 // the storage layer's version counter; Epoch is the interface's
 // serving epoch (bumped when the appended rows were hot-swapped in, so
 // post-append queries never see pre-append cached results). RowCount
-// is the table's total rows after any flush this call performed.
+// is the table's total rows after the call's publish.
 type RowsAck struct {
 	Table     string `json:"table"`
-	Accepted  int    `json:"accepted"`           // rows buffered by this call
-	Buffered  int    `json:"buffered"`           // rows still waiting after the call
-	Flushed   bool   `json:"flushed"`            // whether the store published a new version
+	Accepted  int    `json:"accepted"`           // rows this call published
+	Buffered  int    `json:"buffered"`           // always 0: nothing waits after an ack; kept for wire compatibility
+	Flushed   bool   `json:"flushed"`            // always true on success: the ack follows the publish; kept for wire compatibility
 	Epoch     uint64 `json:"epoch"`              // interface epoch after the call
 	DataEpoch uint64 `json:"dataEpoch"`          // store version after the call
 	RowCount  int    `json:"rowCount,omitempty"` // table rows visible to queries
@@ -136,8 +136,8 @@ type RowsAck struct {
 // MutateRequest is the body of MutateRows: one UPDATE or DELETE
 // statement evaluated against the interface's current snapshot. When
 // IfEpoch is nonzero the mutation is conditional — it is rejected with
-// mutation_conflict unless the store's data epoch still equals IfEpoch
-// after buffered appends flush, giving clients optimistic concurrency
+// mutation_conflict unless the store's data epoch still equals IfEpoch,
+// giving clients optimistic concurrency
 // over read-modify-write cycles.
 type MutateRequest struct {
 	SQL     string `json:"sql"`
@@ -186,16 +186,14 @@ type RestoreResult struct {
 // implements it; the service stays decoupled from the mining machinery
 // and the versioned store.
 type Ingestor interface {
-	// Submit buffers query-log entries (and may flush when a batch
-	// fills); Flush forces buffered entries through re-mining and
-	// returns the resulting epoch.
+	// Submit re-mines query-log entries into the interface and
+	// publishes the result before it returns: the ack's epoch serves
+	// them.
 	Submit(id string, entries []qlog.Entry) (IngestAck, error)
-	Flush(id string) (uint64, error)
-	// SubmitRows buffers (and, when a batch fills or flush is set,
-	// publishes) new dataset rows under the same hot-swap discipline as
-	// interface re-mining — the bumped epoch makes every pre-append
-	// cached result unreachable.
-	SubmitRows(id, table string, rows [][]engine.Value, flush bool) (RowsAck, error)
+	// SubmitRows publishes new dataset rows before it returns, under
+	// the same hot-swap discipline as interface re-mining — the bumped
+	// epoch makes every pre-append cached result unreachable.
+	SubmitRows(id, table string, rows [][]engine.Value) (RowsAck, error)
 	// SubmitMutation evaluates one UPDATE or DELETE statement against
 	// the interface's current snapshot and publishes the resulting
 	// row-version changes under a bumped epoch.
@@ -246,13 +244,13 @@ type WALInfo struct {
 
 // IngestStatus is one interface's ingestion counters.
 type IngestStatus struct {
-	Buffered     int    `json:"buffered"`
+	Buffered     int    `json:"buffered"` // always 0: nothing waits after an ack; kept for wire compatibility
 	Accepted     uint64 `json:"accepted"`
 	Dropped      uint64 `json:"dropped"`
 	Flushes      uint64 `json:"flushes"`
 	FullRemines  uint64 `json:"fullRemines"` // always 0: the miner has no fallback; survives only until a benchmark PR can drop it
 	RowsAppended uint64 `json:"rowsAppended,omitempty"`
-	RowsBuffered int    `json:"rowsBuffered,omitempty"`
+	RowsBuffered int    `json:"rowsBuffered,omitempty"` // always 0, as Buffered
 	RowFlushes   uint64 `json:"rowFlushes,omitempty"`
 	RowsMutated  uint64 `json:"rowsMutated,omitempty"`
 	Mutations    uint64 `json:"mutations,omitempty"`
@@ -261,9 +259,9 @@ type IngestStatus struct {
 
 // IngestAck reports what happened to a Submit call.
 type IngestAck struct {
-	Accepted int    `json:"accepted"` // entries buffered by this call
-	Buffered int    `json:"buffered"` // entries still waiting after the call
-	Flushed  bool   `json:"flushed"`  // whether a re-mine ran
+	Accepted int    `json:"accepted"` // entries this call landed
+	Buffered int    `json:"buffered"` // always 0: nothing waits after an ack; kept for wire compatibility
+	Flushed  bool   `json:"flushed"`  // always true: the ack follows the re-mine; kept for wire compatibility
 	Dropped  int    `json:"dropped,omitempty"`
 	Epoch    uint64 `json:"epoch"` // interface epoch after the call
 }

@@ -54,7 +54,7 @@ func newCopies(t *testing.T) *copies {
 	t.Helper()
 	c := &copies{dir: t.TempDir()}
 	host := func() *Ingester {
-		ing := New(api.NewRegistry(), Options{BatchSize: 100, RowBatchSize: 100})
+		ing := New(api.NewRegistry(), Options{})
 		if _, err := ing.Host("live", "live test", fixtureLog(4), equivDB(t), core.DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +140,6 @@ func TestOwnerFollowerReplayEquivalent(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := owner.Flush("live"); err != nil {
-					t.Fatal(err)
-				}
 			},
 			wantPubs: 1,
 			kind:     func(p Publication) bool { return len(p.Entries) == 2 },
@@ -150,10 +147,18 @@ func TestOwnerFollowerReplayEquivalent(t *testing.T) {
 		{
 			name: "rows across two tables",
 			write: func(t *testing.T, owner *Ingester) {
-				if _, err := owner.SubmitRows("live", "t", [][]engine.Value{numRow(700, 70), {engine.Null(), engine.Num(71)}}, false); err != nil {
+				// No rows request spans tables; an older owner's WAL or
+				// stream can, so publish one directly.
+				f, err := owner.feed("live")
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := owner.SubmitRows("live", "u", [][]engine.Value{numRow(4)}, true); err != nil {
+				f.mu.Lock()
+				defer f.mu.Unlock()
+				if _, err := owner.publishLocked(f, Publication{Rows: []TableRows{
+					{Table: "t", Rows: [][]engine.Value{numRow(700, 70), {engine.Null(), engine.Num(71)}}},
+					{Table: "u", Rows: [][]engine.Value{numRow(4)}},
+				}}); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -242,7 +247,7 @@ func TestOwnerFollowerReplayEquivalent(t *testing.T) {
 // epoch — is refused as diverged before anything changes.
 func TestApplyRefusesOutOfLockstep(t *testing.T) {
 	c := newCopies(t)
-	if _, err := c.owner.SubmitRows("live", "u", [][]engine.Value{numRow(9)}, true); err != nil {
+	if _, err := c.owner.SubmitRows("live", "u", [][]engine.Value{numRow(9)}); err != nil {
 		t.Fatal(err)
 	}
 	good := c.pubs[0]

@@ -9,29 +9,29 @@ import (
 	"repro/internal/qlog"
 )
 
-// TestSealedFeedRejectsInFlightWriters: Handoff drains the buffers and
-// runs its commit under the feed lock. A refused commit leaves the feed
+// TestSealedFeedRejectsInFlightWriters: Handoff runs its commit under
+// the feed lock, at the sequence number every acked write reached. A refused commit leaves the feed
 // exactly as writable as it was; a successful one seals it, so a writer
 // that was parked on the lock while the commit ran — and every writer
 // after it — is refused with the moved error, never acknowledged into a
 // copy that no longer owns the interface.
 func TestSealedFeedRejectsInFlightWriters(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100, RowBatchSize: 100})
+	_, ing, h := newIngester(t, Options{})
 	moved := api.ErrMoved("live", "http://new-owner")
 	row := [][]engine.Value{{engine.Num(1), engine.Num(1)}}
 
-	// Buffered acks are drained into the stream before commit sees the
-	// sequence number, whatever commit then decides.
+	// Every ack is in the stream before commit sees the sequence number,
+	// whatever commit then decides.
 	if _, err := ing.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 7")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing.SubmitRows("live", "t", row, false); err != nil {
+	if _, err := ing.SubmitRows("live", "t", row); err != nil {
 		t.Fatal(err)
 	}
 	refused := errors.New("target is lagging")
 	err := ing.Handoff("live", moved, func(seq uint64) error {
 		if seq != 2 {
-			t.Errorf("commit saw seq %d, want 2 (a row publish and a log publish drained first)", seq)
+			t.Errorf("commit saw seq %d, want 2 (a log publish and a row publish)", seq)
 		}
 		return refused
 	})
@@ -39,7 +39,7 @@ func TestSealedFeedRejectsInFlightWriters(t *testing.T) {
 		t.Fatalf("refused handoff = %v, want the commit's error", err)
 	}
 	if h.Epoch() != 3 {
-		t.Fatalf("epoch %d after the drain, want 3", h.Epoch())
+		t.Fatalf("epoch %d after two acked writes, want 3", h.Epoch())
 	}
 	if _, err := ing.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 8")}); err != nil {
 		t.Fatalf("submit after a refused handoff: %v", err)
@@ -58,7 +58,7 @@ func TestSealedFeedRejectsInFlightWriters(t *testing.T) {
 	}()
 	<-inCommit
 	go func() {
-		_, err := ing.SubmitRows("live", "t", row, true)
+		_, err := ing.SubmitRows("live", "t", row)
 		write <- err
 	}()
 	close(release)
@@ -69,7 +69,7 @@ func TestSealedFeedRejectsInFlightWriters(t *testing.T) {
 		t.Fatalf("in-flight write = %v, want the moved error", err)
 	}
 	if h.Epoch() != 4 {
-		t.Fatalf("epoch %d after the handoff, want 4 (only the drained entry published)", h.Epoch())
+		t.Fatalf("epoch %d after the handoff, want 4 (only the entry acked before it published)", h.Epoch())
 	}
 
 	// Sealed: every path that could change the copy answers moved.

@@ -1,6 +1,6 @@
 // Package ingest is the streaming half of the pipeline: it accepts
 // query-log entries for interfaces that are already being served,
-// buffers them per interface, re-mines incrementally (via core.Miner,
+// re-mines incrementally on every submission (via core.Miner,
 // which reuses the interaction graph and the mapper's partition state
 // so an append costs O(K·window) tree comparisons instead of a full
 // O(n·window) re-mine) and hot-swaps the result into the serving
@@ -31,68 +31,39 @@ import (
 	"repro/internal/store"
 )
 
-// Options configure buffering and flushing.
+// Options configure an Ingester. There is nothing left to configure:
+// every submission lands, journals and replicates one publication
+// before it returns, so no batch fills and no buffer waits for a
+// timer. BatchSize and FlushInterval are accepted and ignored, kept
+// only so callers written against the buffered feed still compile.
 type Options struct {
-	// BatchSize is the buffered-entry count that triggers an inline
-	// flush (re-mine + swap) during Submit. Default 8.
-	BatchSize int
-	// MaxBuffer bounds the per-interface buffer. A submission that
-	// would overflow it flushes inline (backpressure through mining
-	// latency instead of unbounded memory — or data loss). Default 4096.
-	MaxBuffer int
-	// FlushInterval is the background cadence at which Run flushes
-	// buffers that never filled a batch. Default 2s.
-	FlushInterval time.Duration
-	// RowBatchSize is the buffered dataset-row count that triggers an
-	// inline store publish + hot swap during SubmitRows. Default 256.
-	RowBatchSize int
-	// MaxRowBuffer caps one table's row buffer. A submission that would
-	// overflow the cap drains the buffer inline first (backpressure
-	// through publish latency); one that cannot fit even into a drained
-	// buffer is rejected with a structured error instead of growing
-	// memory without bound. Default 65536.
-	MaxRowBuffer int
+	BatchSize     int           // ignored
+	FlushInterval time.Duration // ignored
 }
 
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 8
-	}
-	if o.MaxBuffer <= 0 {
-		o.MaxBuffer = 4096
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Second
-	}
-	if o.RowBatchSize <= 0 {
-		o.RowBatchSize = 256
-	}
-	if o.MaxRowBuffer <= 0 {
-		o.MaxRowBuffer = 65536
-	}
-	return o
-}
+// Input bounds. A submission larger than maxPublishEntries lands as
+// several publications of at most that many entries, in order; a rows
+// request larger than maxRowsPerRequest is rejected whole, so one
+// request can never grow a publication without bound.
+const (
+	maxPublishEntries = 4096
+	maxRowsPerRequest = 65536
+)
 
 // feed is one interface's ingestion state: the retained miner, the
-// entry buffer and the counters. feed.mu serializes mining and
+// store and the counters. feed.mu serializes mining and
 // swapping for the interface; query traffic never takes it.
 type feed struct {
 	hosted *api.Hosted
 	mu     sync.Mutex
 	miner  *core.Miner
 	store  *store.Store
-	buf    []qlog.Entry
 
 	// sealed is non-nil once the feed handed its interface off (Handoff):
 	// every submission that acquires mu after the seal is refused with it
 	// — the moved error naming the new owner — instead of being
 	// acknowledged into a copy that is about to be dropped.
 	sealed error
-
-	// rowBuf holds dataset rows waiting for the next store publish,
-	// keyed by the submitted table name; rowBuffered is their total.
-	rowBuf      map[string][][]engine.Value
-	rowBuffered int
 
 	// seq counts the feed's epoch-bumping publishes — the per-interface
 	// monotone sequence number the replication stream rides on
@@ -112,8 +83,7 @@ type feed struct {
 // Ingester routes submitted log entries to per-interface feeds. It is
 // safe for concurrent use.
 type Ingester struct {
-	reg  *api.Registry
-	opts Options
+	reg *api.Registry
 
 	mu    sync.RWMutex
 	feeds map[string]*feed
@@ -127,9 +97,10 @@ type Ingester struct {
 	journal Journal
 }
 
-// New returns an ingester over the registry.
-func New(reg *api.Registry, opts Options) *Ingester {
-	return &Ingester{reg: reg, opts: opts.withDefaults(), feeds: make(map[string]*feed)}
+// New returns an ingester over the registry. opts is ignored (see
+// Options).
+func New(reg *api.Registry, _ Options) *Ingester {
+	return &Ingester{reg: reg, feeds: make(map[string]*feed)}
 }
 
 // Host mines the log, registers the interface for serving AND attaches
@@ -170,7 +141,7 @@ func (ing *Ingester) host(id, title string, m *core.Miner, st *store.Store, epoc
 	if err != nil {
 		return nil, err
 	}
-	f := &feed{hosted: h, miner: m, store: st, rowBuf: map[string][][]engine.Value{}, seq: seq}
+	f := &feed{hosted: h, miner: m, store: st, seq: seq}
 	ing.mu.Lock()
 	ing.feeds[id] = f
 	ing.mu.Unlock()
@@ -231,8 +202,7 @@ func (ing *Ingester) HostSnapshot(snap *store.Snapshot, funcs func(id string, st
 // (accumulated log, published tables, epochs). The capture shares only
 // immutable data — a log copy and published table versions — so
 // callers can serialize it without blocking ingestion or serving.
-// Buffered-but-unflushed entries are not included; callers that need
-// them flush first.
+// Every acked write is in it: acks follow their publish.
 func (ing *Ingester) Capture(id string) (*store.Snapshot, error) {
 	f, err := ing.feed(id)
 	if err != nil {
@@ -251,30 +221,39 @@ func (ing *Ingester) Capture(id string) (*store.Snapshot, error) {
 	}, nil
 }
 
-// Detach removes the interface's live feed, so further submissions are
-// rejected instead of evolving an interface that is no longer hosted.
-// Entries still buffered in the feed are discarded with it — callers
-// that care flush first. Implements api.Ingestor (the DeleteInterface
-// path).
+// Detach removes the interface's live feed and seals it, so further
+// submissions are rejected instead of evolving an interface that is no
+// longer hosted — including one that resolved the feed before the
+// removal and was waiting for its lock, which would otherwise publish
+// into the detached copy and ack a write nothing serves. Implements
+// api.Ingestor (the DeleteInterface path).
 func (ing *Ingester) Detach(id string) {
 	ing.mu.Lock()
+	f, ok := ing.feeds[id]
 	delete(ing.feeds, id)
 	ing.mu.Unlock()
+	if !ok {
+		return
+	}
+	f.mu.Lock()
+	if f.sealed == nil {
+		f.sealed = errNoFeed(id)
+	}
+	f.mu.Unlock()
 }
 
 // Handoff is the owner's half of a planned ownership change
-// (replica.Manager.Handoff): it drains the feed's buffers and, still
-// holding the feed lock, runs commit with the sequence number the
-// feed reached. Every write path publishes under that lock, so a
-// write either landed before commit ran — it is part of the stream
-// commit hands over, buffered flushed:false acks included — or it
-// waits behind it. Only when commit succeeds is the feed sealed with
+// (replica.Manager.Handoff): holding the feed lock, it runs commit
+// with the sequence number the feed reached. Every write path
+// publishes under that lock before it acks, so a write either landed
+// before commit ran — it is part of the stream commit hands over — or
+// it waits behind it. Only when commit succeeds is the feed sealed with
 // the moved error: waiting and later submissions are refused with it
 // (the request was not processed, the client re-issues it at the new
 // owner), never acknowledged into a copy that no longer owns the
 // interface. On any error nothing is sealed and the feed keeps taking
 // writes. commit runs under the feed lock: it must not re-enter this
-// feed (Seq, Flush, Capture).
+// feed (Seq, Capture).
 func (ing *Ingester) Handoff(id string, moved error, commit func(seq uint64) error) error {
 	f, err := ing.feed(id)
 	if err != nil {
@@ -284,9 +263,6 @@ func (ing *Ingester) Handoff(id string, moved error, commit func(seq uint64) err
 	defer f.mu.Unlock()
 	if f.sealed != nil {
 		return f.sealed
-	}
-	if err := ing.flushBothLocked(f); err != nil {
-		return err
 	}
 	if err := commit(f.seq); err != nil {
 		return err
@@ -317,18 +293,23 @@ func (ing *Ingester) feed(id string) (*feed, error) {
 	f, ok := ing.feeds[id]
 	ing.mu.RUnlock()
 	if !ok {
-		notFound := api.Errf(api.CodeNotFound, http.StatusNotFound, "ingest: interface %q has no feed here", id)
-		return nil, fmt.Errorf("%w: %w", notFound, ErrNoFeed)
+		return nil, errNoFeed(id)
 	}
 	return f, nil
 }
 
-// Submit buffers entries for the interface and flushes inline when the
-// batch threshold is reached. A submission larger than the remaining
-// buffer flushes mid-way and keeps going, so no entry is ever silently
-// discarded: Submit either accepts everything (Accepted == len(entries))
-// or returns the re-mining error that stopped it, with Accepted telling
-// how far it got. Implements api.Ingestor.
+func errNoFeed(id string) error {
+	notFound := api.Errf(api.CodeNotFound, http.StatusNotFound, "ingest: interface %q has no feed here", id)
+	return fmt.Errorf("%w: %w", notFound, ErrNoFeed)
+}
+
+// Submit re-mines the entries into the interface and publishes the
+// result — hot swap, journal, replication — before it returns, so the
+// ack's epoch already serves them. A submission larger than
+// maxPublishEntries lands as consecutive publications; one that fails
+// stops there, with Accepted telling how many entries landed before
+// the error. Entries that fail to parse are counted as Dropped; a
+// batch of nothing else bumps no epoch. Implements api.Ingestor.
 func (ing *Ingester) Submit(id string, entries []qlog.Entry) (api.IngestAck, error) {
 	f, err := ing.feed(id)
 	if err != nil {
@@ -340,96 +321,29 @@ func (ing *Ingester) Submit(id string, entries []qlog.Entry) (api.IngestAck, err
 		return api.IngestAck{}, f.sealed
 	}
 	dropped := f.dropped
-	var ack api.IngestAck
-	for len(entries) > 0 && err == nil {
-		// A full buffer (flushes must have been failing, or MaxBuffer <
-		// BatchSize) drains before it accepts more.
-		room := ing.opts.MaxBuffer - len(f.buf)
-		if room > 0 {
-			take := min(room, len(entries))
-			f.buf = append(f.buf, entries[:take]...)
-			entries = entries[take:]
-			f.accepted += uint64(take)
-			ack.Accepted += take
+	ack := api.IngestAck{Flushed: true}
+	for len(entries) > 0 {
+		batch := entries[:min(maxPublishEntries, len(entries))]
+		entries = entries[len(batch):]
+		landed, perr := ing.publishLocked(f, Publication{Entries: batch})
+		if landed || perr == nil {
+			f.accepted += uint64(len(batch))
+			ack.Accepted += len(batch)
 		}
-		if room <= 0 || len(f.buf) >= ing.opts.BatchSize {
-			ack.Flushed = true
-			err = ing.flushLocked(f)
+		if perr != nil {
+			err = perr
+			break
 		}
 	}
 	ack.Dropped = int(f.dropped - dropped)
-	ack.Buffered = len(f.buf)
 	ack.Epoch = f.hosted.Epoch()
 	return ack, err
 }
 
-// Flush re-mines any buffered entries and publishes any buffered rows
-// for the interface immediately, returning the current epoch.
-// Implements api.Ingestor.
-func (ing *Ingester) Flush(id string) (uint64, error) {
-	f, err := ing.feed(id)
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	err = ing.flushBothLocked(f)
-	return f.hosted.Epoch(), err
-}
-
-// flushBothLocked publishes buffered rows, then buffered log entries.
-// Caller holds f.mu.
-func (ing *Ingester) flushBothLocked(f *feed) error {
-	if err := ing.flushRowsLocked(f); err != nil {
-		return err
-	}
-	return ing.flushLocked(f)
-}
-
-// flushLocked re-mines the buffered entries and hot-swaps the updated
-// interface. Caller holds f.mu. A batch the feed did not take stays
-// buffered, so a later flush retries it instead of silently losing it;
-// one whose every entry failed to parse is dropped (and counted).
-func (ing *Ingester) flushLocked(f *feed) error {
-	if len(f.buf) == 0 {
-		return nil
-	}
-	landed, err := ing.publishLocked(f, Publication{Entries: f.buf})
-	if landed || err == nil {
-		f.buf = nil
-	}
-	return err
-}
-
-// FlushAll flushes every feed; errors are recorded in the feeds'
-// status rather than returned (the background loop has nobody to tell).
-func (ing *Ingester) FlushAll() {
-	ing.mu.RLock()
-	ids := make([]string, 0, len(ing.feeds))
-	for id := range ing.feeds {
-		ids = append(ids, id)
-	}
-	ing.mu.RUnlock()
-	for _, id := range ids {
-		_, _ = ing.Flush(id)
-	}
-}
-
-// Run flushes straggler buffers on the configured interval until ctx
-// is done — Submit already flushes full batches inline; Run exists so
-// a trickle of entries below BatchSize still lands.
-func (ing *Ingester) Run(ctx context.Context) {
-	t := time.NewTicker(ing.opts.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			ing.FlushAll()
-		}
-	}
-}
+// Run blocks until ctx is done. Every submission publishes before it
+// returns, so a background flush loop has nothing to do; Run is kept
+// only so callers that start one still compile.
+func (ing *Ingester) Run(ctx context.Context) { <-ctx.Done() }
 
 // IngestStatus implements api.Ingestor for /healthz.
 func (ing *Ingester) IngestStatus(id string) (api.IngestStatus, bool) {
@@ -442,12 +356,10 @@ func (ing *Ingester) IngestStatus(id string) (api.IngestStatus, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return api.IngestStatus{
-		Buffered:     len(f.buf),
 		Accepted:     f.accepted,
 		Dropped:      f.dropped,
 		Flushes:      f.flushes,
 		RowsAppended: f.rowsAppended,
-		RowsBuffered: f.rowBuffered,
 		RowFlushes:   f.rowFlushes,
 		RowsMutated:  f.rowsMutated,
 		Mutations:    f.mutations,
@@ -456,8 +368,7 @@ func (ing *Ingester) IngestStatus(id string) (api.IngestStatus, bool) {
 }
 
 // MinedLen returns how many log entries the interface's miner holds
-// (initial log plus mined appends; buffered entries not yet flushed are
-// excluded).
+// (initial log plus mined appends).
 func (ing *Ingester) MinedLen(id string) (int, error) {
 	f, err := ing.feed(id)
 	if err != nil {

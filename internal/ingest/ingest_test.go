@@ -57,8 +57,11 @@ func newIngester(t *testing.T, opts Options) (*api.Registry, *Ingester, *api.Hos
 	return reg, ing, h
 }
 
-func TestSubmitBuffersUntilBatch(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 3})
+// TestSubmitPublishesBeforeAck: every submission re-mines and hot
+// swaps before it returns — however small — so its ack carries the
+// epoch that serves it and nothing waits behind it.
+func TestSubmitPublishesBeforeAck(t *testing.T) {
+	_, ing, h := newIngester(t, Options{})
 	if h.Epoch() != 1 {
 		t.Fatalf("initial epoch = %d", h.Epoch())
 	}
@@ -66,10 +69,10 @@ func TestSubmitBuffersUntilBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Flushed || ack.Buffered != 1 || ack.Epoch != 1 {
-		t.Fatalf("ack = %+v, want buffered unflushed at epoch 1", ack)
+	if !ack.Flushed || ack.Buffered != 0 || ack.Accepted != 1 || ack.Epoch != 2 || h.Epoch() != 2 {
+		t.Fatalf("ack = %+v, want published at epoch 2", ack)
 	}
-	// Filling the batch flushes inline: re-mine + hot swap.
+	// A multi-entry submission is one publication: one epoch bump.
 	ack, err = ing.Submit("live", []qlog.Entry{
 		entry("SELECT a FROM t WHERE x = 31"),
 		entry("SELECT a FROM t WHERE x = 32"),
@@ -77,8 +80,8 @@ func TestSubmitBuffersUntilBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ack.Flushed || ack.Buffered != 0 || ack.Epoch != 2 {
-		t.Fatalf("ack = %+v, want flushed at epoch 2", ack)
+	if !ack.Flushed || ack.Buffered != 0 || ack.Accepted != 2 || ack.Epoch != 3 {
+		t.Fatalf("ack = %+v, want published at epoch 3", ack)
 	}
 	// The served interface widened: 32 is now inside the mined domain.
 	found := false
@@ -97,20 +100,19 @@ func TestSubmitBuffersUntilBatch(t *testing.T) {
 	}
 }
 
-func TestFlushOnDemandAndStatus(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100})
-	if _, err := ing.Submit("live", []qlog.Entry{
+// TestSubmitStatus: the feed's counters after a submission with one
+// unparseable entry — accepted, dropped, one re-mine, nothing waiting.
+func TestSubmitStatus(t *testing.T) {
+	_, ing, h := newIngester(t, Options{})
+	ack, err := ing.Submit("live", []qlog.Entry{
 		entry("SELECT a FROM t WHERE x = 40"),
 		entry("not sql at all ((("),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	epoch, err := ing.Flush("live")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 2 || h.Epoch() != 2 {
-		t.Fatalf("epoch = %d/%d, want 2", epoch, h.Epoch())
+	if ack.Epoch != 2 || h.Epoch() != 2 || ack.Dropped != 1 {
+		t.Fatalf("ack = %+v epoch=%d, want epoch 2 with one dropped", ack, h.Epoch())
 	}
 	st, ok := ing.IngestStatus("live")
 	if !ok {
@@ -122,14 +124,10 @@ func TestFlushOnDemandAndStatus(t *testing.T) {
 	if st.LastError == "" {
 		t.Fatal("dropped entry left no error trace")
 	}
-	// Flushing an empty buffer is a no-op: no epoch bump, caches kept.
-	if epoch, err = ing.Flush("live"); err != nil || epoch != 2 {
-		t.Fatalf("idle flush: epoch %d, %v", epoch, err)
-	}
 }
 
 func TestAllDroppedKeepsEpoch(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 1})
+	_, ing, h := newIngester(t, Options{})
 	ack, err := ing.Submit("live", []qlog.Entry{entry("garbage ~~~")})
 	if err != nil {
 		t.Fatal(err)
@@ -147,30 +145,32 @@ func TestSubmitUnknownFeed(t *testing.T) {
 	}
 }
 
-// TestBufferOverflowFlushesThrough: a submission larger than the
-// buffer must not lose entries — it flushes mid-way and accepts
-// everything.
-func TestBufferOverflowFlushesThrough(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100, MaxBuffer: 2})
-	var entries []qlog.Entry
-	for i := 0; i < 5; i++ {
-		entries = append(entries, entry(fmt.Sprintf("SELECT a FROM t WHERE x = %d", 20+i)))
+// TestLargeSubmissionLandsInBoundedPublications: a submission over
+// maxPublishEntries is not refused and not truncated — it lands, in
+// order, as consecutive publications of at most that many entries.
+func TestLargeSubmissionLandsInBoundedPublications(t *testing.T) {
+	_, ing, h := newIngester(t, Options{})
+	var sizes []int
+	ing.SetPublishHook(func(_ string, p Publication) error {
+		sizes = append(sizes, len(p.Entries))
+		return nil
+	})
+	entries := make([]qlog.Entry, maxPublishEntries+3)
+	for i := range entries {
+		entries[i] = entry(fmt.Sprintf("SELECT a FROM t WHERE x = %d", 100+i))
 	}
 	ack, err := ing.Submit("live", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Accepted != 5 || !ack.Flushed {
-		t.Fatalf("ack = %+v, want all 5 accepted via mid-way flushes", ack)
+	if ack.Accepted != len(entries) || ack.Epoch != 3 || h.Epoch() != 3 {
+		t.Fatalf("ack = %+v, want all %d accepted at epoch 3", ack, len(entries))
 	}
-	// 4 seed entries + everything flushed so far (the last partial
-	// buffer may still be pending).
-	mined, _ := ing.MinedLen("live")
-	if mined+ack.Buffered != 9 {
-		t.Fatalf("mined %d + buffered %d, want 9 total", mined, ack.Buffered)
+	if len(sizes) != 2 || sizes[0] != maxPublishEntries || sizes[1] != 3 {
+		t.Fatalf("publication sizes = %v, want [%d 3]", sizes, maxPublishEntries)
 	}
-	if h.Epoch() < 2 {
-		t.Fatalf("epoch = %d, want bumped by overflow flushes", h.Epoch())
+	if mined, _ := ing.MinedLen("live"); mined != 4+len(entries) {
+		t.Fatalf("mined %d, want %d", mined, 4+len(entries))
 	}
 }
 
@@ -178,7 +178,7 @@ func TestBufferOverflowFlushesThrough(t *testing.T) {
 // cached before ingestion must never be replayed after the hot swap —
 // the post-swap query reports the new epoch and a cache miss.
 func TestNoStaleCacheAcrossSwap(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 1})
+	_, ing, h := newIngester(t, Options{})
 	ts := httptest.NewServer(serveWith(nil, ing, h))
 	defer ts.Close()
 
@@ -231,10 +231,10 @@ func postQuery(t *testing.T, base, body string) *api.QueryResponse {
 
 // TestIngestWidensServedQuery drives the live path over HTTP: a widget
 // value outside the mined domain is rejected, and once an ingested
-// entry widens the domain (BatchSize 1 swaps immediately) the same
+// entry widens the domain (its ack follows the swap) the same
 // request answers at the new epoch with the value bound into its SQL.
 func TestIngestWidensServedQuery(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 1})
+	_, ing, h := newIngester(t, Options{})
 	ts := httptest.NewServer(serveWith(t, ing, h))
 	defer ts.Close()
 
@@ -260,7 +260,7 @@ func TestIngestWidensServedQuery(t *testing.T) {
 // both body formats, including a multi-line statement, and checks
 // /healthz reports the feed.
 func TestIngestEndpointTextAndJSON(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100})
+	_, ing, h := newIngester(t, Options{})
 	ts := httptest.NewServer(serveWith(t, ing, h))
 	defer ts.Close()
 
@@ -337,7 +337,7 @@ func TestIngestEndpointWithoutIngestorIs501(t *testing.T) {
 // least as new as the epoch observed before the request was sent — a
 // post-swap query served from a pre-swap cache would violate that.
 func TestHotSwapUnderConcurrentQueries(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 1})
+	_, ing, h := newIngester(t, Options{})
 	ts := httptest.NewServer(serveWith(t, ing, h))
 	defer ts.Close()
 
@@ -379,8 +379,7 @@ func TestHotSwapUnderConcurrentQueries(t *testing.T) {
 		}(g)
 	}
 
-	// Meanwhile: ingest entries one by one; BatchSize 1 swaps on every
-	// submit.
+	// Meanwhile: ingest entries one by one; every submit swaps.
 	for i := 0; i < 25; i++ {
 		if _, err := ing.Submit("live", []qlog.Entry{
 			entry(fmt.Sprintf("SELECT a FROM t WHERE x = %d", 100+i)),
@@ -406,7 +405,7 @@ func TestTailFollowsFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("SELECT a FROM t WHERE x = 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, ing, h := newIngester(t, Options{BatchSize: 1, FlushInterval: 10 * time.Millisecond})
+	_, ing, h := newIngester(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

@@ -6,7 +6,7 @@ import (
 
 // Ingest metric families. All lazy: each hosted feed registers
 // closures that read its existing counters under the feed mutex at
-// scrape time, so Submit/Flush/AppendRows/Mutate carry zero metric
+// scrape time, so Submit/SubmitRows/SubmitMutation carry zero metric
 // bookkeeping and the exposed numbers are exactly what /v1/debug
 // reports. A re-hosted interface re-registers, replacing the closure;
 // a deleted one freezes at its final values.
@@ -14,9 +14,9 @@ var (
 	mxAccepted = obs.Default.CounterVec("pi_ingest_accepted_total",
 		"Query-log entries accepted into the interface's feed.", "iface")
 	mxDropped = obs.Default.CounterVec("pi_ingest_dropped_total",
-		"Query-log entries dropped (buffer overflow with failing flushes).", "iface")
+		"Query-log entries dropped because they failed to parse.", "iface")
 	mxFlushes = obs.Default.CounterVec("pi_ingest_flushes_total",
-		"Feed flushes that re-mined buffered entries and bumped the epoch.", "iface")
+		"Log publications that re-mined submitted entries and bumped the epoch.", "iface")
 	mxRowsAppended = obs.Default.CounterVec("pi_ingest_rows_appended_total",
 		"Dataset rows appended through the ingestion surface.", "iface")
 	mxMutations = obs.Default.CounterVec("pi_ingest_mutations_total",

@@ -18,10 +18,10 @@ import (
 // carries — so the owner, its WAL replay and every follower land on
 // byte-identical rows no matter when they apply.
 //
-// Ordering under the feed lock: buffered row appends flush first
-// (acked appends must be visible to the predicate), then the optional
-// ifEpoch check runs against the post-flush snapshot, then the
-// statement parses, plans and evaluates against that same snapshot.
+// Ordering under the feed lock: the optional ifEpoch check runs
+// against the current snapshot — which holds every acked append, since
+// acks follow their publish — then the statement parses, plans and
+// evaluates against that same snapshot.
 // A mutation that matches zero rows acks without publishing — no
 // epoch bump, nothing journaled. One that matches publishes in
 // O(rows-touched) through the same publishLocked every write path
@@ -39,9 +39,6 @@ func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateA
 	ack := api.MutateAck{}
 	if f.sealed != nil {
 		return ack, f.sealed
-	}
-	if err := ing.flushRowsLocked(f); err != nil {
-		return ack, err
 	}
 	snap := f.store.Snapshot()
 	ack.Epoch = f.hosted.Epoch()

@@ -39,7 +39,7 @@ func tableVals(t *testing.T, ing *Ingester, id, table string) map[float64]float6
 // SQL: parse, plan against the snapshot, resolve matched rows to
 // rowids, publish, swap, count.
 func TestSubmitMutationUpdateDelete(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100})
+	_, ing, h := newIngester(t, Options{})
 	epoch0 := h.Epoch()
 	seq0, _ := ing.Seq("live")
 
@@ -90,7 +90,7 @@ func TestSubmitMutationUpdateDelete(t *testing.T) {
 // code and publishes nothing; a predicate matching zero rows acks
 // without bumping anything; non-DML statements are rejected.
 func TestSubmitMutationConflictAndZeroMatch(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100})
+	_, ing, h := newIngester(t, Options{})
 	st, _ := ing.Store("live")
 	cur := st.Epoch()
 	seq0, _ := ing.Seq("live")
@@ -131,7 +131,7 @@ func TestSubmitMutationConflictAndZeroMatch(t *testing.T) {
 // hook as resolved rowid sets, and a follower applying them in order
 // lands on byte-identical rows and identities.
 func TestSubmitMutationReplicatesToFollower(t *testing.T) {
-	_, owner, _ := newIngester(t, Options{BatchSize: 100})
+	_, owner, _ := newIngester(t, Options{})
 	follower := New(api.NewRegistry(), Options{})
 	if _, err := follower.Host("live", "live test", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)

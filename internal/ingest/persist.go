@@ -174,14 +174,12 @@ func (p *Persister) WALStatus(id string) (*api.WALInfo, bool) {
 	return info, true
 }
 
-// SaveAll persists every live feed. Buffered log entries and rows are
-// flushed first, so the snapshot reflects everything acknowledged to
-// clients. Implements api.Persister.
+// SaveAll persists every live feed; every acked write is in the
+// capture, since acks follow their publish. Implements api.Persister.
 func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()
 	start := time.Now()
-	p.ing.FlushAll()
 
 	p.ing.mu.RLock()
 	ids := make([]string, 0, len(p.ing.feeds))

@@ -27,7 +27,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 
 	// --- first life.
 	reg1 := api.NewRegistry()
-	ing1 := New(reg1, Options{BatchSize: 2, RowBatchSize: 2})
+	ing1 := New(reg1, Options{})
 	h1, err := ing1.Host("live", "round trip", fixtureLog(4), fixtureDB(t), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30), numRow(778, 31)}, true); err != nil {
+	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30), numRow(778, 31)}); err != nil {
 		t.Fatal(err)
 	}
 	p1 := NewPersister(dir, ing1, PersistOptions{})
@@ -110,13 +110,10 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 	if _, err := ing2.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 40")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing2.Flush("live"); err != nil {
-		t.Fatal(err)
-	}
 	if got, _ := ing2.MinedLen("live"); got != savedMined+1 {
 		t.Fatalf("post-restore ingestion mined %d, want %d", got, savedMined+1)
 	}
-	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(900, 40)}, true); err != nil {
+	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(900, 40)}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := st2.RowCount("t"); n != 53 {
@@ -192,40 +189,6 @@ func TestRestoreFailsLoudlyOnCorruption(t *testing.T) {
 	}
 }
 
-// TestSaveAllFlushesBuffered: entries and rows acknowledged but still
-// buffered must be part of the snapshot.
-func TestSaveAllFlushesBuffered(t *testing.T) {
-	dir := t.TempDir()
-	reg := api.NewRegistry()
-	ing := New(reg, Options{BatchSize: 1000, RowBatchSize: 1000})
-	if _, err := ing.Host("live", "buf", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ing.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 44")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(1, 1)}, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPersister(dir, ing, PersistOptions{}).SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := store.Load(store.SnapFile(dir, "live"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Log) != 5 {
-		t.Fatalf("snapshot log = %d entries, want 5 (buffered entry flushed)", len(snap.Log))
-	}
-	rows := 0
-	for _, td := range snap.Tables {
-		rows += len(td.Rows)
-	}
-	if rows != 51 {
-		t.Fatalf("snapshot rows = %d, want 51 (buffered row flushed)", rows)
-	}
-}
-
 // TestTailGlob: a glob pattern follows files that existed at start
 // (from their end) and picks up files created afterwards (from their
 // beginning).
@@ -237,7 +200,7 @@ func TestTailGlob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ing, h := newIngester(t, Options{BatchSize: 1, FlushInterval: 10 * time.Millisecond})
+	_, ing, h := newIngester(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -365,7 +328,7 @@ func growTable(t *testing.T, ing *Ingester, n int) {
 	for i := range rows {
 		rows[i] = numRow(float64(i), float64(1000+i))
 	}
-	if _, err := ing.SubmitRows("live", "t", rows, true); err != nil {
+	if _, err := ing.SubmitRows("live", "t", rows); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -377,7 +340,7 @@ func growTable(t *testing.T, ing *Ingester, n int) {
 // dir restores every one of them.
 func TestDefaultPersisterJournalsAcks(t *testing.T) {
 	dir := t.TempDir()
-	_, ing1, _ := newIngester(t, Options{BatchSize: 2})
+	_, ing1, _ := newIngester(t, Options{})
 	p1 := NewPersister(dir, ing1, PersistOptions{})
 	if _, err := p1.SaveAll(); err != nil {
 		t.Fatal(err)
@@ -388,7 +351,7 @@ func TestDefaultPersisterJournalsAcks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30)}, true); err != nil {
+	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30)}); err != nil {
 		t.Fatal(err)
 	}
 	if ack, err := ing1.SubmitMutation("live", "UPDATE t SET a = -1 WHERE x <= 2", 0); err != nil || ack.Updated != 2 {

@@ -14,10 +14,9 @@ import (
 // replaying its WAL tail — lands through land: the same lines apply
 // the publication's content to the miner and the store, hot-swap the
 // hosted interface, advance the sequence number and journal it. The
-// owner's four paths (flushLocked, flushRowsLocked, SubmitMutation,
-// PublishBump) reach it through publishLocked after their own
-// buffering, validation and DML evaluation; everything else reaches it
-// through Apply, which first checks that the publication continues
+// owner's four paths (Submit, SubmitRows, SubmitMutation, PublishBump)
+// reach it through publishLocked after their own bounds checks and DML
+// evaluation; everything else reaches it through Apply, which first checks that the publication continues
 // this feed's stream. Because all of it runs under the per-feed lock,
 // publications carry per-interface monotone sequence numbers for free.
 
@@ -191,8 +190,7 @@ func (ing *Ingester) PublishBump(id string) (uint64, uint64, error) {
 // replaying its WAL tail — expected at exactly (p.Seq, p.Epoch). The
 // lockstep checks run before anything changes: a sequence gap or an
 // epoch the next swap would not reach returns ErrReplicaDiverged with
-// the feed untouched. It bypasses the submission buffers and the
-// publish hook — replication is one hop deep, never chained — and the
+// the feed untouched. It bypasses the publish hook — replication is one hop deep, never chained — and the
 // journal's re-offer of a replayed record is a sequence-idempotent
 // no-op.
 func (ing *Ingester) Apply(id string, p Publication) error {

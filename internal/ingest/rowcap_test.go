@@ -17,20 +17,23 @@ func rowsN(n int) [][]engine.Value {
 	return out
 }
 
-// TestRowBufferCapRejectsOversizeBatch: one submission larger than
-// MaxRowBuffer must be rejected with a structured error, not buffered
-// without bound.
+// TestRowBufferCapRejectsOversizeBatch: one request over
+// maxRowsPerRequest rows must be rejected with a structured error, not
+// published as one unbounded publication.
 func TestRowBufferCapRejectsOversizeBatch(t *testing.T) {
-	_, ing, _ := newIngester(t, Options{RowBatchSize: 1000, MaxRowBuffer: 8})
-	_, err := ing.SubmitRows("live", "t", rowsN(9), false)
+	_, ing, h := newIngester(t, Options{})
+	_, err := ing.SubmitRows("live", "t", rowsN(maxRowsPerRequest+1))
 	if err == nil {
 		t.Fatal("oversize batch accepted")
 	}
-	if !strings.Contains(err.Error(), "row-buffer cap") {
+	if !strings.Contains(err.Error(), "rows per request") {
 		t.Fatalf("error does not name the cap: %v", err)
 	}
+	if h.Epoch() != 1 {
+		t.Fatalf("rejected batch bumped the epoch to %d", h.Epoch())
+	}
 	// The rejection had no side effects: a valid batch still lands.
-	ack, err := ing.SubmitRows("live", "t", rowsN(3), true)
+	ack, err := ing.SubmitRows("live", "t", rowsN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,39 +42,14 @@ func TestRowBufferCapRejectsOversizeBatch(t *testing.T) {
 	}
 }
 
-// TestRowBufferCapDrainsBeforeRejecting: a submission that overflows a
-// non-empty buffer triggers an inline publish (backpressure), not a
-// rejection, as long as the rows fit a drained buffer.
-func TestRowBufferCapDrainsBeforeRejecting(t *testing.T) {
-	_, ing, h := newIngester(t, Options{RowBatchSize: 1000, MaxRowBuffer: 8})
-	before := h.Epoch()
-	if _, err := ing.SubmitRows("live", "t", rowsN(6), false); err != nil {
-		t.Fatal(err)
-	}
-	// 6 buffered + 6 more would exceed 8: the buffer publishes inline,
-	// then the new rows buffer.
-	ack, err := ing.SubmitRows("live", "t", rowsN(6), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Buffered != 6 {
-		t.Fatalf("buffered = %d, want 6 (old rows published, new rows buffered)", ack.Buffered)
-	}
-	if h.Epoch() <= before {
-		t.Fatal("inline drain did not publish (no epoch bump)")
-	}
-	if ack.RowCount != 56 { // 50 seed rows + 6 published
-		t.Fatalf("rowCount = %d, want 56", ack.RowCount)
-	}
-}
-
-// TestServiceMapsRowCapToRowsRejected: the structured contract — a
-// capped buffer surfaces as rows_rejected through the service layer.
+// TestServiceMapsRowCapToRowsRejected: the structured contract — an
+// oversize rows request surfaces as rows_rejected through the service
+// layer.
 func TestServiceMapsRowCapToRowsRejected(t *testing.T) {
-	reg, ing, _ := newIngester(t, Options{RowBatchSize: 1000, MaxRowBuffer: 4})
+	reg, ing, _ := newIngester(t, Options{})
 	svc := api.NewService(reg)
 	svc.SetIngestor(ing)
-	rows := make([][]any, 5)
+	rows := make([][]any, maxRowsPerRequest+1)
 	for i := range rows {
 		rows[i] = []any{float64(2000 + i), float64(200 + i)}
 	}

@@ -8,24 +8,19 @@ import (
 	"repro/internal/engine"
 )
 
-// SubmitRows buffers new dataset rows for one table of the
-// interface's store and publishes them when the row batch fills (or
-// immediately with flush set). Publishing is copy-on-write in the
+// SubmitRows appends new dataset rows to one table of the interface's
+// store and publishes them before it returns: copy-on-write in the
 // store followed by a hot swap of the hosted interface onto the fresh
 // snapshot under a bumped epoch — the same discipline Submit applies
-// to interface updates, so a query accepted after the swap can never
-// be answered from a cache that predates the appended rows.
+// to interface updates, so a query accepted after the ack can never be
+// answered from a cache that predates the appended rows.
 //
-// Rows are validated against the table's column count before they are
-// buffered, so SubmitRows either accepts the whole batch or rejects it
-// without side effects. The per-table buffer is capped at
-// Options.MaxRowBuffer: a submission that would overflow it drains the
-// buffer inline first, and one that cannot fit even then (a single
-// batch larger than the cap, or a drain that failed) is rejected with
-// an error the service layer surfaces as rows_rejected — bounded
-// memory, never silent loss. The caller must not mutate rows
-// afterwards. Implements api.Ingestor.
-func (ing *Ingester) SubmitRows(id, table string, rows [][]engine.Value, flush bool) (api.RowsAck, error) {
+// Rows are validated against the table's column count before anything
+// lands, so SubmitRows either publishes the whole batch or rejects it
+// without side effects. A request over maxRowsPerRequest rows is
+// rejected with an error the service layer surfaces as rows_rejected.
+// The caller must not mutate rows afterwards. Implements api.Ingestor.
+func (ing *Ingester) SubmitRows(id, table string, rows [][]engine.Value) (api.RowsAck, error) {
 	f, err := ing.feed(id)
 	if err != nil {
 		return api.RowsAck{}, err
@@ -36,84 +31,24 @@ func (ing *Ingester) SubmitRows(id, table string, rows [][]engine.Value, flush b
 	if f.sealed != nil {
 		return ack, f.sealed
 	}
-	if err := f.store.ValidateRows(table, rows); err != nil {
+	if len(rows) > maxRowsPerRequest {
+		err := fmt.Errorf("ingest: %d rows exceed the cap of %d rows per request for table %q; submit smaller batches",
+			len(rows), maxRowsPerRequest, table)
 		f.lastError = err.Error()
 		return ack, err
 	}
-	key := strings.ToLower(table)
-	if len(f.rowBuf[key])+len(rows) > ing.opts.MaxRowBuffer {
-		if ferr := ing.flushRowsLocked(f); ferr != nil {
-			err := fmt.Errorf("ingest: row buffer for table %q is full (%d buffered, cap %d) and draining it failed: %w",
-				table, len(f.rowBuf[key]), ing.opts.MaxRowBuffer, ferr)
-			f.lastError = err.Error()
-			return ack, err
-		}
-		if len(f.rowBuf[key])+len(rows) > ing.opts.MaxRowBuffer {
-			err := fmt.Errorf("ingest: %d rows exceed table %q's row-buffer cap of %d; submit smaller batches",
-				len(rows), table, ing.opts.MaxRowBuffer)
-			f.lastError = err.Error()
-			return ack, err
-		}
-	}
-	f.rowBuf[key] = append(f.rowBuf[key], rows...)
-	f.rowBuffered += len(rows)
-	ack.Accepted = len(rows)
-
-	if flush || f.rowBuffered >= ing.opts.RowBatchSize || f.rowBuffered >= ing.opts.MaxRowBuffer {
-		if err := ing.flushRowsLocked(f); err != nil {
-			ack.Buffered = f.rowBuffered
-			ack.Epoch = f.hosted.Epoch()
-			ack.DataEpoch = f.store.Epoch()
-			return ack, err
-		}
+	landed, err := ing.publishLocked(f, Publication{Rows: []TableRows{{Table: strings.ToLower(table), Rows: rows}}})
+	if landed {
+		ack.Accepted = len(rows)
 		ack.Flushed = true
 	}
-	ack.Buffered = f.rowBuffered
 	ack.Epoch = f.hosted.Epoch()
 	ack.DataEpoch = f.store.Epoch()
+	if err != nil {
+		return ack, err
+	}
 	if n, ok := f.store.RowCount(table); ok {
 		ack.RowCount = n
 	}
 	return ack, nil
-}
-
-// FlushRows publishes any buffered rows for the interface and returns
-// the interface epoch.
-func (ing *Ingester) FlushRows(id string) (uint64, error) {
-	f, err := ing.feed(id)
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := ing.flushRowsLocked(f); err != nil {
-		return f.hosted.Epoch(), err
-	}
-	return f.hosted.Epoch(), nil
-}
-
-// flushRowsLocked publishes every buffered row batch as one
-// publication: the store appends them and the hosted interface
-// hot-swaps onto the resulting snapshot. Caller holds f.mu. One swap
-// covers all tables flushed together, so a flush costs a single epoch
-// bump regardless of how many tables grew. A publication the feed did
-// not take (validation at submit time makes that unreachable short of
-// a table being replaced under the buffer) leaves every batch buffered
-// for retry.
-func (ing *Ingester) flushRowsLocked(f *feed) error {
-	if f.rowBuffered == 0 {
-		return nil
-	}
-	rows := make([]TableRows, 0, len(f.rowBuf))
-	for table, batch := range f.rowBuf {
-		if len(batch) > 0 {
-			rows = append(rows, TableRows{Table: table, Rows: batch})
-		}
-	}
-	landed, err := ing.publishLocked(f, Publication{Rows: rows})
-	if landed {
-		f.rowBuf = map[string][][]engine.Value{}
-		f.rowBuffered = 0
-	}
-	return err
 }

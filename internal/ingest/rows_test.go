@@ -16,11 +16,11 @@ func numRow(vals ...float64) []engine.Value {
 	return out
 }
 
-// TestSubmitRowsBuffersAndFlushes: rows buffer below the batch size,
-// publish when it fills, and the hot swap bumps the interface epoch so
-// pre-append caches are unreachable.
-func TestSubmitRowsBuffersAndFlushes(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100, RowBatchSize: 3})
+// TestSubmitRowsPublishesBeforeAck: every rows request publishes
+// before it returns — store version and interface epoch both advance —
+// so pre-append caches are unreachable from the ack on.
+func TestSubmitRowsPublishesBeforeAck(t *testing.T) {
+	_, ing, h := newIngester(t, Options{})
 	svc := api.NewService(ing.reg)
 	svc.SetIngestor(ing)
 
@@ -33,27 +33,22 @@ func TestSubmitRowsBuffersAndFlushes(t *testing.T) {
 		t.Fatalf("expected cache hit before append, got %+v (%v)", resp, err)
 	}
 
-	ack, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(990, 1)}, false)
+	ack, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(990, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Flushed || ack.Buffered != 1 || ack.Epoch != 1 || ack.Accepted != 1 {
-		t.Fatalf("buffered ack = %+v", ack)
+	if !ack.Flushed || ack.Buffered != 0 || ack.Accepted != 1 || ack.Epoch != 2 || ack.DataEpoch != 2 || ack.RowCount != 51 {
+		t.Fatalf("first ack = %+v", ack)
 	}
-	// Filling the row batch publishes inline: store version + interface
-	// epoch both advance.
-	ack, err = ing.SubmitRows("live", "t", [][]engine.Value{numRow(991, 1), numRow(992, 1)}, false)
+	ack, err = ing.SubmitRows("live", "t", [][]engine.Value{numRow(991, 1), numRow(992, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ack.Flushed || ack.Buffered != 0 || ack.Epoch != 2 || ack.DataEpoch != 2 {
-		t.Fatalf("flushed ack = %+v", ack)
+	if !ack.Flushed || ack.Buffered != 0 || ack.Accepted != 2 || ack.Epoch != 3 || ack.DataEpoch != 3 || ack.RowCount != 53 {
+		t.Fatalf("second ack = %+v", ack)
 	}
-	if ack.RowCount != 53 {
-		t.Fatalf("row count = %d, want 53", ack.RowCount)
-	}
-	if h.Epoch() != 2 {
-		t.Fatalf("interface epoch = %d, want 2", h.Epoch())
+	if h.Epoch() != 3 {
+		t.Fatalf("interface epoch = %d, want 3", h.Epoch())
 	}
 
 	after, err := svc.Query("live", api.QueryRequest{})
@@ -63,8 +58,8 @@ func TestSubmitRowsBuffersAndFlushes(t *testing.T) {
 	if after.Cache != "miss" {
 		t.Fatal("post-append query answered from a pre-append cache")
 	}
-	if after.Epoch != 2 {
-		t.Fatalf("post-append query epoch = %d, want 2", after.Epoch)
+	if after.Epoch != 3 {
+		t.Fatalf("post-append query epoch = %d, want 3", after.Epoch)
 	}
 	// The initial query is "SELECT a FROM t WHERE x = 1" shaped; the
 	// three appended rows all have x=1, so the result must have grown.
@@ -74,48 +69,18 @@ func TestSubmitRowsBuffersAndFlushes(t *testing.T) {
 }
 
 func TestSubmitRowsValidatesBeforeBuffering(t *testing.T) {
-	_, ing, h := newIngester(t, Options{RowBatchSize: 2})
-	if _, err := ing.SubmitRows("live", "missing", [][]engine.Value{numRow(1)}, true); err == nil {
+	_, ing, h := newIngester(t, Options{})
+	if _, err := ing.SubmitRows("live", "missing", [][]engine.Value{numRow(1)}); err == nil {
 		t.Fatal("rows for unknown table accepted")
 	}
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(1, 2, 3)}, true); err == nil {
+	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(1, 2, 3)}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	if h.Epoch() != 1 {
 		t.Fatalf("rejected rows bumped epoch to %d", h.Epoch())
 	}
-	if _, err := ing.SubmitRows("nope", "t", [][]engine.Value{numRow(1, 2)}, true); err == nil {
+	if _, err := ing.SubmitRows("nope", "t", [][]engine.Value{numRow(1, 2)}); err == nil {
 		t.Fatal("rows for unknown interface accepted")
-	}
-}
-
-// TestFlushAlsoPublishesRows: the shared flush path (background loop,
-// pre-snapshot) drains both log entries and buffered rows.
-func TestFlushAlsoPublishesRows(t *testing.T) {
-	_, ing, h := newIngester(t, Options{BatchSize: 100, RowBatchSize: 100})
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(1000, 60)}, false); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := ing.IngestStatus("live")
-	if st.RowsBuffered != 1 {
-		t.Fatalf("rows buffered = %d, want 1", st.RowsBuffered)
-	}
-	if _, err := ing.Flush("live"); err != nil {
-		t.Fatal(err)
-	}
-	if h.Epoch() != 2 {
-		t.Fatalf("flush did not swap: epoch %d", h.Epoch())
-	}
-	st, _ = ing.IngestStatus("live")
-	if st.RowsBuffered != 0 || st.RowsAppended != 1 {
-		t.Fatalf("status after flush = %+v", st)
-	}
-	sto, err := ing.Store("live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := sto.RowCount("t"); n != 51 {
-		t.Fatalf("table rows = %d, want 51", n)
 	}
 }
 
@@ -123,7 +88,7 @@ func TestFlushAlsoPublishesRows(t *testing.T) {
 // the storage contract: queries race row appends (and the hot swaps
 // they trigger) without torn results — run under -race.
 func TestConcurrentQueriesDuringRowAppends(t *testing.T) {
-	_, ing, _ := newIngester(t, Options{RowBatchSize: 1})
+	_, ing, _ := newIngester(t, Options{})
 	svc := api.NewService(ing.reg)
 	svc.SetIngestor(ing)
 
@@ -153,7 +118,7 @@ func TestConcurrentQueriesDuringRowAppends(t *testing.T) {
 		}()
 	}
 	for i := 0; i < appends; i++ {
-		if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(float64(2000+i), 1)}, false); err != nil {
+		if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(float64(2000+i), 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

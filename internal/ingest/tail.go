@@ -34,9 +34,9 @@ import (
 // the glob drops its held state. Tail blocks until ctx is done; run it
 // in a goroutine.
 //
-// The poll interval doubles as the liveness budget: entries appear in
-// the served interface after at most interval (poll) + FlushInterval
-// (background flush) once a batch hasn't filled earlier.
+// The poll interval doubles as the liveness budget: each poll submits
+// what it read as one publication, so entries appear in the served
+// interface one interval after a complete statement is written.
 func (ing *Ingester) Tail(ctx context.Context, id, pathOrGlob string, interval time.Duration) error {
 	if _, err := ing.feed(id); err != nil {
 		return err

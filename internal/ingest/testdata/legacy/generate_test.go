@@ -42,7 +42,7 @@ func TestGenerateLegacyFixture(t *testing.T) {
 		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
 		}
-		_, ing, _ := newIngester(t, Options{BatchSize: 2, RowBatchSize: 2})
+		_, ing, _ := newIngester(t, Options{BatchSize: 2})
 		var opts PersistOptions
 		var m *wal.Manager
 		if variant == "wal" {

@@ -39,7 +39,7 @@ func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()
 	t.Helper()
 	dir := t.TempDir()
 	reg := api.NewRegistry()
-	ing := New(reg, Options{BatchSize: 2, RowBatchSize: 1})
+	ing := New(reg, Options{})
 	if _, err := ing.Host("live", "perf", fixtureLog(4), bigDB(t, 20000), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func appendTail(t testing.TB, ing *Ingester, first, n int) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, numRow(float64(first+i), float64(i%97)))
 	}
-	if _, err := ing.SubmitRows("live", "t", rows, true); err != nil {
+	if _, err := ing.SubmitRows("live", "t", rows); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,7 +192,7 @@ func benchAcks(b *testing.B, walOpts *wal.Options) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(float64(3000000+i), 5)}, true); err != nil {
+		if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(float64(3000000+i), 5)}); err != nil {
 			b.Fatal(err)
 		}
 	}

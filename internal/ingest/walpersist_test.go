@@ -17,7 +17,7 @@ import (
 func newWALPersister(t *testing.T, dir string, opts PersistOptions) (*api.Registry, *Ingester, *Persister, *wal.Manager) {
 	t.Helper()
 	reg := api.NewRegistry()
-	ing := New(reg, Options{BatchSize: 2, RowBatchSize: 2})
+	ing := New(reg, Options{})
 	if _, err := ing.Host("live", "wal test", fixtureLog(4), fixtureDB(t), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWALKillRestoreRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30), numRow(778, 31)}, true); err != nil {
+	if _, err := ing1.SubmitRows("live", "t", [][]engine.Value{numRow(777, 30), numRow(778, 31)}); err != nil {
 		t.Fatal(err)
 	}
 	wantSeq, err := ing1.Seq("live")
@@ -94,7 +94,7 @@ func TestWALKillRestoreRoundTrip(t *testing.T) {
 
 	// Restored process keeps journaling: another acked write, another
 	// cold restore, still exact.
-	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(900, 40)}, true); err != nil {
+	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(900, 40)}); err != nil {
 		t.Fatal(err)
 	}
 	m2.Close()
@@ -192,7 +192,7 @@ func TestWALCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, _ := ing.Seq("live")
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(811, 62), numRow(812, 63)}, true); err != nil {
+	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(811, 62), numRow(812, 63)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ing.Submit("live", []qlog.Entry{
@@ -244,7 +244,7 @@ func TestWALStatusLag(t *testing.T) {
 	if !ok || info.Lag != 0 {
 		t.Fatalf("post-save WAL status = %+v, ok=%v", info, ok)
 	}
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(821, 64), numRow(822, 65)}, true); err != nil {
+	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(821, 64), numRow(822, 65)}); err != nil {
 		t.Fatal(err)
 	}
 	info, ok = p.WALStatus("live")
@@ -312,7 +312,7 @@ func TestWALCrashBeforeFirstManifestPromotesBase(t *testing.T) {
 		t.Fatal("bare snapshot was not promoted to a manifest")
 	}
 	// And the promoted interface journals from here on.
-	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(950, 45)}, true); err != nil {
+	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(950, 45)}); err != nil {
 		t.Fatal(err)
 	}
 	if st, ok := m.Status("live"); !ok || st.LastSeq == 0 {
@@ -329,7 +329,7 @@ func TestWALRemoveSnapshotDropsLog(t *testing.T) {
 	if _, err := p.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(840, 66)}, true); err != nil {
+	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(840, 66)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RemoveSnapshot("live"); err != nil {

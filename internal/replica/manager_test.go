@@ -51,7 +51,7 @@ func newPeer(t *testing.T, hostIt bool) *peer { return startPeer(t, hostIt, nil)
 func startPeer(t *testing.T, hostIt bool, persist func(*ingest.Ingester) *ingest.Persister) *peer {
 	t.Helper()
 	p := &peer{t: t, reg: api.NewRegistry(), demoted: map[string]string{}}
-	p.ing = ingest.New(p.reg, ingest.Options{BatchSize: 100, RowBatchSize: 100})
+	p.ing = ingest.New(p.reg, ingest.Options{})
 	var per *ingest.Persister
 	if persist != nil {
 		per = persist(p.ing)
@@ -132,13 +132,10 @@ func (p *peer) info() api.ReplicationInfo {
 	return *info
 }
 
-// write acks one buffered log entry and publishes it — the probe for
-// "the feed still accepts writes".
+// write publishes and acks one log entry — the probe for "the feed
+// still accepts writes".
 func (p *peer) write() error {
-	if _, err := p.ing.Submit(iface, []qlog.Entry{{SQL: "SELECT a FROM t WHERE x = 9"}}); err != nil {
-		return err
-	}
-	_, err := p.ing.Flush(iface)
+	_, err := p.ing.Submit(iface, []qlog.Entry{{SQL: "SELECT a FROM t WHERE x = 9"}})
 	return err
 }
 
@@ -357,7 +354,7 @@ func TestStateMachine(t *testing.T) {
 			op: func(p *peer) error {
 				q := newPeer(p.t, false)
 				p.follow(q)
-				// A buffered ack must ride the handoff's drain.
+				// An ack given just before the handoff is in the new owner's copy.
 				if _, err := p.ing.Submit(iface, []qlog.Entry{{SQL: "SELECT a FROM t WHERE x = 9"}}); err != nil {
 					return err
 				}
@@ -367,10 +364,10 @@ func TestStateMachine(t *testing.T) {
 				}
 				if qi := q.info(); st.Info.Role != api.RoleOwner || st.Info.Term != 3 ||
 					qi.Role != api.RoleOwner || qi.Term != 3 || qi.Seq != 2 {
-					p.t.Fatalf("new owner = %+v (handoff reported %+v), want owner at term 3, seq 2 (drain + fence bump)", qi, st.Info)
+					p.t.Fatalf("new owner = %+v (handoff reported %+v), want owner at term 3, seq 2 (the acked write + fence bump)", qi, st.Info)
 				}
 				if n, _ := q.ing.MinedLen(iface); n != 5 {
-					p.t.Fatalf("new owner mined %d entries, want 5 (the buffered ack included)", n)
+					p.t.Fatalf("new owner mined %d entries, want 5 (the acked entry included)", n)
 				}
 				if to := p.awaitDemoted(); to != q.url {
 					p.t.Fatalf("Config.Demote ran toward %q, want %q", to, q.url)

@@ -23,8 +23,8 @@
 // gap in its stream marks itself stale (reads answer replica_lagging)
 // until the owner re-syncs it. There is one owner-change protocol:
 // a failover promotes a follower because the owner died, a migration
-// (Handoff) promotes one on purpose — after draining the live owner's
-// buffers into the stream, so the planned move loses no ack.
+// (Handoff) promotes one on purpose. Either way no ack is lost: an
+// owner acks a write only after publishing it into the stream.
 //
 // Availability over strict durability: a follower that cannot be
 // reached is marked out-of-sync and the ack proceeds on the owner —
@@ -487,14 +487,10 @@ func (m *Manager) logTail(id, addr string) (from uint64, pubs []ingest.Publicati
 	return st.Info.Seq, pubs, ok
 }
 
-// shipBase captures the interface — buffered writes flushed first, under
-// the feed lock, so every publish is either inside the frame or in
-// pending — and hosts it on the follower through Follow. Returns the
-// base's seq.
+// shipBase captures the interface — under the feed lock, so every
+// publish is either inside the frame or in pending — and hosts it on
+// the follower through Follow. Returns the base's seq.
 func (m *Manager) shipBase(id, addr string, s *ifaceState) (uint64, error) {
-	if _, err := m.cfg.Ing.Flush(id); err != nil {
-		return 0, fmt.Errorf("seed flush: %v", err)
-	}
 	snap, err := m.cfg.Ing.Capture(id)
 	if err != nil {
 		return 0, fmt.Errorf("seed capture: %v", err)
@@ -644,6 +640,17 @@ func (m *Manager) Apply(id string, term uint64, owner string, p ingest.Publicati
 	err := m.cfg.Ing.Apply(id, p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err != nil && (s.role != api.RoleFollower || s.term != term) {
+		// Promoted (or re-termed) while this apply waited for the feed:
+		// the promotion's fence bump took the slot, and the sender is a
+		// deposed owner that must fail its ack, not a lagging follower's
+		// source — answering out-of-sync would let it ack anyway.
+		cur := s.owner
+		if s.role == api.RoleOwner {
+			cur = m.cfg.Self
+		}
+		return api.ErrNotOwner(id, cur)
+	}
 	if err != nil {
 		s.stale = true
 		return api.Errf(api.CodeReplicaOutOfSync, http.StatusConflict,
@@ -746,8 +753,7 @@ func (m *Manager) Promote(id string, term uint64, targets []PromoteTarget) (*Sta
 // Handoff moves ownership of id to the synced follower at to (a
 // normalized base URL) — a planned failover, the only way an interface
 // changes owner while its owner is alive. Under the feed lock
-// (ingest.Handoff) it drains both write buffers through the stream,
-// requires to in sync at exactly the feed's sequence (replica_lagging
+// (ingest.Handoff) it requires to in sync at exactly the feed's sequence (replica_lagging
 // otherwise, nothing changed) and promotes it at term+1 with the other
 // in-sync followers as targets. Only a successful promote seals the feed
 // (later submissions answer moved → to); then Config.Demote tombstones

@@ -32,9 +32,6 @@ func (p *peer) writeN(n int) {
 		if _, err := p.ing.Submit(iface, []qlog.Entry{{SQL: sql}}); err != nil {
 			p.t.Fatal(err)
 		}
-		if _, err := p.ing.Flush(iface); err != nil {
-			p.t.Fatal(err)
-		}
 	}
 }
 

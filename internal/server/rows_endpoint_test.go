@@ -21,7 +21,7 @@ import (
 func liveServer(t *testing.T, opts ...Option) (*httptest.Server, *api.Hosted, *api.Service) {
 	t.Helper()
 	reg := api.NewRegistry()
-	ing := ingest.New(reg, ingest.Options{RowBatchSize: 2})
+	ing := ingest.New(reg, ingest.Options{})
 	l := &qlog.Log{}
 	for _, sql := range []string{
 		"SELECT carrier FROM ontime WHERE month = 1",

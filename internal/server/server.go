@@ -238,6 +238,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleLog ingests query-log entries; the ack follows the re-mine and
+// hot swap. ?flush is accepted and ignored: every write publishes
+// before its ack.
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	// Cheap checks first: don't parse up to 8 MiB of log body just to
 	// answer 404 or 501.
@@ -259,8 +262,9 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRows appends dataset rows to one table of the interface's
-// store; ?flush=1 publishes (and hot-swaps) immediately so the ack's
-// epoch and row count reflect the submitted rows.
+// store; the ack follows the publish (and hot swap), so its epoch and
+// row count reflect the submitted rows. ?flush is ignored, as on the
+// log route.
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	var req api.RowsRequest
 	if apiErr := decodeJSON(w, r, maxLogBody, &req); apiErr != nil {

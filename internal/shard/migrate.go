@@ -28,7 +28,7 @@ type MigrateResult struct {
 //     one): seeded from a snapshot frame, then fed every publish until
 //     the owner reports it in sync — writes keep landing meanwhile;
 //  2. the owner hands off (replica.Manager.Handoff): under its feed
-//     lock it drains buffered writes into the stream, promotes the
+//     lock — every acked write already in the stream — it promotes the
 //     target at term+1 and, only once that succeeded, seals its feed,
 //     leaves a moved tombstone and drops its copy. The promotion bumps
 //     the epoch, so cursors minted by the source expire instead of

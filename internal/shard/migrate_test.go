@@ -20,12 +20,9 @@ import (
 	"repro/internal/store"
 )
 
-// tableRows flushes the interface on sh and counts one table's rows.
+// tableRows counts one table's rows in the interface on sh.
 func tableRows(t testing.TB, sh *testShard, id, table string) int {
 	t.Helper()
-	if _, err := sh.ing.Flush(id); err != nil {
-		t.Fatal(err)
-	}
 	st, err := sh.ing.Store(id)
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +37,9 @@ func tableRows(t testing.TB, sh *testShard, id, table string) int {
 // TestMigrateUnderLoadNoLostAcks is the planned-move twin of
 // TestFailoverUnderLoadNoLostAcks: two writers append rows and a reader
 // queries through the router while the interface is migrated back and
-// forth. Every ack — published (flush:true) or only buffered
-// (flush:false) — must be a row on the new owner when Migrate returns,
+// forth. Every ack, sent with flush:true or flush:false (which the
+// server ignores: both publish before the ack), must be a row on the
+// new owner when Migrate returns,
 // no write and no read may fail, the old owner must answer moved, and
 // a cursor minted before the move must expire.
 func TestMigrateUnderLoadNoLostAcks(t *testing.T) {
@@ -141,7 +139,7 @@ func TestMigratedCopyByteIdentical(t *testing.T) {
 	if _, err := rt.IngestLog("two", []qlog.Entry{{SQL: "SELECT dest, count(*) FROM ontime WHERE carrier = 'AA' GROUP BY dest"}}, true); err != nil {
 		t.Fatal(err)
 	}
-	// One publication spanning both tables: buffer one, flush with the other.
+	// One row publication per table (flush is ignored either way).
 	if _, err := rt.AppendRows("two", api.RowsRequest{Table: "u", Rows: [][]any{{2.0}, {3.0}}}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +181,7 @@ func TestMigrateLostPromoteResponse(t *testing.T) {
 	startRows := tableRows(t, a, "olap", "ontime")
 	acked := 0
 	for i := 0; i < 6; i++ {
-		// Published and merely buffered acks alike.
+		// With and without ?flush alike: both publish before the ack.
 		if _, err := rt.AppendRows("olap", api.RowsRequest{Table: "ontime", Rows: [][]any{ontimeRow(i)}}, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}

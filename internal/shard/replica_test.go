@@ -273,6 +273,55 @@ func TestPromoteFencesExOwner(t *testing.T) {
 	}
 }
 
+// TestForcedFailoverLosesNoAcks: FailoverInterface promotes the
+// follower of a live owner while two closed-loop writers append with
+// flush=false. The ex-owner keeps serving until its next publish is
+// fenced, so an ack it gave without publishing would die with it;
+// every ack must instead be a row on the promoted owner.
+func TestForcedFailoverLosesNoAcks(t *testing.T) {
+	shards, rt := startReplicatedFleet(t, 2, RouterOptions{Replicas: 2, Failover: true})
+	owner := shards[0]
+	waitSynced(t, owner, "olap", 1)
+	rt.Refresh(context.Background()) // pick up the now-synced follower set
+	startRows := tableRows(t, owner, "olap", "ontime")
+
+	var acked atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := api.RowsRequest{Table: "ontime", Rows: [][]any{ontimeRow(w*100000 + i)}}
+				if _, err := rt.AppendRows("olap", req, false); err == nil {
+					acked.Add(1)
+				}
+			}
+		}(w)
+	}
+	time.Sleep(20 * time.Millisecond)
+	newOwner, apiErr := rt.FailoverInterface("olap")
+	time.Sleep(20 * time.Millisecond) // writes keep flowing onto the new owner
+	close(stop)
+	wg.Wait()
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if newOwner == owner.ts.URL {
+		t.Fatalf("failover kept the owner %q", newOwner)
+	}
+	got := tableRows(t, shardByAddr(t, shards, newOwner), "olap", "ontime") - startRows
+	if want := int(acked.Load()); want == 0 || got < want {
+		t.Fatalf("acked-then-lost: the promoted owner gained %d rows, %d were acked", got, want)
+	}
+}
+
 // TestReadFanoutRoundRobinAndFallback: fan-out alternates reads
 // between the synced follower and the owner, and a follower failure
 // falls back to the owner instead of surfacing an error.

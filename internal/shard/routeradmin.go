@@ -113,7 +113,7 @@ type FailoverResult struct {
 //	POST /v1/router/migrate     — {"id": ..., "to": ...}: move one interface live
 //	POST /v1/router/rebalance   — move every interface to its pinned/hashed home
 //	GET  /v1/router/replication — per-interface replica sets (owner, term, followers)
-//	POST /v1/router/failover    — {"id": ...}: force-promote the best follower (drops the live owner's flushed:false acks; migrate does not)
+//	POST /v1/router/failover    — {"id": ...}: force-promote the best follower
 //
 // Every route is guarded by the auth config's default token.
 func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {

@@ -451,10 +451,10 @@ func (rt *Router) claimOwnerChange(id string) (release func(), busy <-chan struc
 // if its current owner were dead — the manual big red button for an
 // owner that is misbehaving rather than gone. The ex-owner, if it is
 // actually alive, is fenced by its next publish or by the next refresh
-// observing the new term; writes it acked into its buffers
-// (flushed:false) and had not yet published die with it. Moving a
-// healthy owner is Migrate's job: its handoff drains those buffers
-// first.
+// observing the new term. Every ack it gave followed a publish the
+// promoted follower applied, so no acked write is lost, but writes
+// that reach it before it is fenced fail; moving a healthy owner
+// without failing a write is Migrate's job.
 func (rt *Router) FailoverInterface(id string) (string, *api.Error) {
 	rt.mu.RLock()
 	cur := rt.place[id]

@@ -478,9 +478,6 @@ func TestAdminSurfaceRequiresToken(t *testing.T) {
 // frameOf captures the interface's current state on sh as a seed frame.
 func frameOf(t testing.TB, sh *testShard, id string) ([]byte, *store.Snapshot) {
 	t.Helper()
-	if _, err := sh.ing.Flush(id); err != nil {
-		t.Fatal(err)
-	}
 	snap, err := sh.ing.Capture(id)
 	if err != nil {
 		t.Fatal(err)

@@ -168,9 +168,11 @@ func (c *Client) QueryAll(ctx context.Context, id string, req api.QueryRequest, 
 	return &out, nil
 }
 
-// IngestLog submits query-log entries to a live-hosted interface. With
-// flush set the server re-mines before acking, so the returned epoch
-// reflects the entries.
+// IngestLog submits query-log entries to a live-hosted interface. The
+// server re-mines before acking, so the returned epoch reflects the
+// entries. flush is ignored by current servers (every write publishes
+// before its ack); it is still sent as ?flush=1 so an older server
+// that buffered unflushed writes publishes these before acking.
 func (c *Client) IngestLog(ctx context.Context, id string, entries []api.LogEntry, flush bool) (*api.IngestAck, error) {
 	p := "/v1/interfaces/" + url.PathEscape(id) + "/log"
 	if flush {
@@ -197,9 +199,10 @@ func (c *Client) IngestSQL(ctx context.Context, id string, flush bool, sqls ...s
 
 // AppendRows streams new dataset rows into one table of a hosted
 // interface's versioned store. Values must be JSON scalars (number,
-// string, bool, null) positionally matching the table's columns. With
-// flush set the rows are published — and the interface hot-swapped
-// onto the new data epoch — before the ack returns. Like IngestLog,
+// string, bool, null) positionally matching the table's columns. The
+// rows are published — and the interface hot-swapped onto the new data
+// epoch — before the ack returns; flush is handled as in IngestLog.
+// Like IngestLog,
 // the call is not idempotent and is never retried: replaying a lost
 // response would append the rows twice.
 func (c *Client) AppendRows(ctx context.Context, id, table string, rows [][]any, flush bool) (*api.RowsAck, error) {

@@ -33,7 +33,7 @@ func liveFixture(t *testing.T) (*api.Service, *memPersister) {
 	db := engine.NewDB()
 	db.AddTable(tbl)
 	reg := api.NewRegistry()
-	ing := ingest.New(reg, ingest.Options{RowBatchSize: 100})
+	ing := ingest.New(reg, ingest.Options{})
 	if _, err := ing.Host("tiny", "tiny live", l, db, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}

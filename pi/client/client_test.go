@@ -61,8 +61,6 @@ func (s *stubIngestor) Submit(id string, entries []qlog.Entry) (api.IngestAck, e
 	return api.IngestAck{Accepted: len(entries)}, nil
 }
 
-func (s *stubIngestor) Flush(id string) (uint64, error) { return 1, nil }
-
 // TestClientRoundTrip drives every SDK operation against a real
 // transport with auth enabled — the second consumer of the contract
 // next to the server's own tests.

@@ -14,8 +14,8 @@ say() { printf '\n=== %s\n' "$*"; }
 
 go build -o "$BIN" ./cmd/pi-serve
 
-say "starting pi-serve on $ADDR (olap workload, batch=2)"
-"$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 -batch 2 >"$LOG" 2>&1 &
+say "starting pi-serve on $ADDR (olap workload)"
+"$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 >"$LOG" 2>&1 &
 PID=$!
 wait_up "$ADDR" "pi-serve"
 
@@ -26,7 +26,7 @@ say "initial query (epoch 1, cache miss)"
 curl -fsS -X POST "$BASE/v1/interfaces/olap/query" \
 	-H 'Content-Type: application/json' -d '{"widgets":[]}' | head -c 400; echo
 
-say "ingesting 3 new log entries (text format, forced flush)"
+say "ingesting 3 new log entries (text format; the ack follows the re-mine)"
 curl -fsS -X POST "$BASE/v1/interfaces/olap/log?flush=1" --data-binary @- <<'SQL'
 SELECT DestState, COUNT(Delay) FROM ontime WHERE Day = 28 GROUP BY DestState
 SELECT DestState, COUNT(Delay)
