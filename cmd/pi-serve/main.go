@@ -9,7 +9,7 @@
 //	pi-serve [-addr :8080] [-workloads olap,adhoc,sdss] [-n 150] [-rows 2000]
 //	         [-seed 7] [-tail id=path[,id=path...]]
 //	         [-token T | -token-file F] [-data-dir DIR] [-snapshot-every 30s]
-//	         [-wal-sync 2ms] [-shard-addr http://HOST:PORT]
+//	         [-shard-addr http://HOST:PORT]
 //	         [-pprof-addr ADDR] [-log-format text|json]
 //	         [-slow-threshold 250ms] [-slow-sample N]
 //	pi-serve -check [-addr :8080] [-token T | -token-file F]
@@ -54,13 +54,14 @@
 // a SIGKILL loses nothing that was acknowledged. POST /v1/snapshot,
 // every -snapshot-every interval (when set) and graceful shutdown
 // checkpoint: a new base is written, and the log truncated, only once
-// the log has outgrown a fixed fraction of the base. -wal-sync widens
-// fsyncs into a group-commit window; 0 syncs before every ack. -wal is
-// accepted and ignored (the log is always on). A data dir in an older
-// on-disk format fails the boot; `pi upgrade DIR` converts it. See
-// README "Durability" and API.md "Compatibility". -batch is accepted
-// and ignored too: every write publishes before its ack, so there is
-// no batch to size.
+// the log has outgrown a fixed fraction of the base. Every ack is
+// fsynced before it returns, so an acked write survives SIGKILL and
+// power loss alike; -wal-sync accepts only 0 (any other value fails
+// the boot) and -wal is accepted and ignored (the log is always on). A
+// data dir in an older on-disk format fails the boot; `pi upgrade DIR`
+// converts it. See README "Durability" and API.md "Compatibility".
+// -batch is accepted and ignored too: every write publishes before its
+// ack, so there is no batch to size.
 //
 // -check flips the binary into client mode: it probes a running
 // pi-serve at -addr through the pi/client SDK (health, list, a query
@@ -97,7 +98,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/store"
-	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/pi/client"
 )
@@ -125,10 +125,21 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.dataDir, "data-dir", "", "directory for durable state: per interface a base snapshot, a manifest and a write-ahead log every ack is journaled to before it returns (enables restore-on-boot and POST /v1/snapshot)")
 	fs.DurationVar(&c.snapEvery, "snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
 	fs.Bool("wal", false, "deprecated and ignored: under -data-dir the write-ahead log is always on")
-	fs.DurationVar(&c.walSync, "wal-sync", 0, "group-commit window for WAL fsyncs under -data-dir (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
+	fs.DurationVar(&c.walSync, "wal-sync", 0, "deprecated: must be 0; every acked write is fsynced before its ack returns")
 	fs.StringVar(&c.shardAddr, "shard-addr", "", "advertised base URL for shard mode, e.g. http://10.0.0.5:8081 (enables the /v1/shard admin surface)")
 	fs.BoolVar(&c.check, "check", false, "probe a running pi-serve at -addr via the Go SDK and exit")
 	return c
+}
+
+// validate refuses flag values pi-serve cannot honour.
+func (c *config) validate() error {
+	if c.walSync != 0 {
+		return fmt.Errorf("-wal-sync %s: the interval fsync mode is removed; every ack is fsynced before it returns, so only -wal-sync 0 is accepted", c.walSync)
+	}
+	if c.snapEvery > 0 && c.dataDir == "" {
+		return errors.New("-snapshot-every needs -data-dir")
+	}
+	return nil
 }
 
 func main() {
@@ -146,6 +157,9 @@ func main() {
 		}
 		return
 	}
+	if err := c.validate(); err != nil {
+		fatal(err)
+	}
 
 	ring := c.Start()
 	reg := api.NewRegistry()
@@ -159,10 +173,7 @@ func main() {
 	var svc *api.Service
 	var persister *ingest.Persister
 	if c.dataDir != "" {
-		persister = ingest.NewPersister(c.dataDir, ing, ingest.PersistOptions{
-			Funcs: attachWorkloadFuncs,
-			WAL:   wal.NewManager(c.dataDir, wal.Options{SyncInterval: c.walSync}),
-		})
+		persister = ingest.NewPersister(c.dataDir, ing, ingest.PersistOptions{Funcs: attachWorkloadFuncs})
 		var restored *api.RestoreResult
 		var rerr error
 		svc, restored, rerr = api.NewPersistentService(reg, persister)
@@ -175,9 +186,6 @@ func main() {
 		}
 	} else {
 		svc = api.NewService(reg)
-	}
-	if c.snapEvery > 0 && persister == nil {
-		fatal(fmt.Errorf("-snapshot-every needs -data-dir"))
 	}
 
 	for _, name := range strings.Split(c.workloads, ",") {
@@ -215,8 +223,8 @@ func main() {
 		if res, err := svc.Snapshot(); err != nil {
 			fatal(fmt.Errorf("initial snapshot: %w", err))
 		} else if len(res.Interfaces) > 0 {
-			log.Printf("wal: initial snapshot of %d interface(s) to %s (sync window %s)",
-				len(res.Interfaces), res.Dir, c.walSync)
+			log.Printf("wal: initial snapshot of %d interface(s) to %s",
+				len(res.Interfaces), res.Dir)
 		}
 	}
 
@@ -284,8 +292,7 @@ func main() {
 	if err := c.Serve(ctx, servicer, tok, admin...); err != nil {
 		fatal(err)
 	}
-	// A final checkpoint, then the log's close, which syncs anything an
-	// fsync window left open.
+	// A final checkpoint, then the log's close.
 	if persister != nil {
 		if res, err := svc.Snapshot(); err != nil {
 			log.Printf("final snapshot: %v", err)

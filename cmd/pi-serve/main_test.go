@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +67,25 @@ func TestFlagCount(t *testing.T) {
 	fs.VisitAll(func(*flag.Flag) { n++ })
 	if n != 19 {
 		t.Fatalf("pi-serve declares %d flags, want 19", n)
+	}
+}
+
+// TestValidateRefusesWALSyncWindow: every ack is fsynced before it
+// returns, so -wal-sync still parses for old callers but only 0 boots;
+// any other value is refused with an error naming the removed mode.
+func TestValidateRefusesWALSyncWindow(t *testing.T) {
+	for v, boots := range map[string]bool{"0": true, "0s": true, "2ms": false, "1ns": false} {
+		fs := flag.NewFlagSet("pi-serve", flag.ContinueOnError)
+		c := newConfig(fs)
+		if err := fs.Parse([]string{"-data-dir", "/tmp/d", "-wal-sync", v}); err != nil {
+			t.Fatal(err)
+		}
+		err := c.validate()
+		if boots && err != nil {
+			t.Errorf("-wal-sync %s refused: %v", v, err)
+		}
+		if !boots && (err == nil || !strings.Contains(err.Error(), "interval fsync mode is removed; every ack is fsynced before it returns")) {
+			t.Errorf("-wal-sync %s: validate = %v, want the removed-mode error", v, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/ast"
@@ -19,12 +18,8 @@ import (
 // Hash collisions are guarded by comparing the canonical SQL rendering
 // of the query; a colliding entry is treated as a miss and overwritten.
 type Cache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List // front = most recently used
-	items  map[ast.Hash]*list.Element
-	hits   uint64
-	misses uint64
+	mu  sync.Mutex
+	lru lru[ast.Hash, cacheEntry]
 }
 
 // CachedResult is what the result cache hands the query path: the
@@ -38,7 +33,6 @@ type CachedResult struct {
 }
 
 type cacheEntry struct {
-	key ast.Hash
 	sql string // canonical rendering, verified on hit
 	res *CachedResult
 }
@@ -46,11 +40,7 @@ type cacheEntry struct {
 // NewCache returns an LRU holding at most capacity results. A capacity
 // of 0 or less disables caching (every lookup misses, nothing is kept).
 func NewCache(capacity int) *Cache {
-	return &Cache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[ast.Hash]*list.Element),
-	}
+	return &Cache{lru: newLRU[ast.Hash, cacheEntry](capacity)}
 }
 
 // Get returns the cached result for the query hash, verifying the
@@ -59,15 +49,10 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Get(key ast.Hash, sql string) (*CachedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.sql == sql {
-			c.ll.MoveToFront(el)
-			c.hits++
-			return e.res, true
-		}
+	if el, ok := c.lru.items[key]; ok && c.lru.value(el).sql == sql {
+		return c.lru.hit(el).res, true
 	}
-	c.misses++
+	c.lru.misses++
 	return nil, false
 }
 
@@ -79,22 +64,9 @@ func (c *Cache) Get(key ast.Hash, sql string) (*CachedResult, bool) {
 // The caller must not mutate res after handing it over.
 func (c *Cache) Put(key ast.Hash, sql string, res *engine.Table) *CachedResult {
 	cr := &CachedResult{Res: res, Rows: rowsJSON(res, 0, len(res.Rows))}
-	if c.cap <= 0 {
-		return cr
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value = &cacheEntry{key: key, sql: sql, res: cr}
-		c.ll.MoveToFront(el)
-		return cr
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, sql: sql, res: cr})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
-	}
+	c.lru.put(key, cacheEntry{sql: sql, res: cr})
 	return cr
 }
 
@@ -111,5 +83,5 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Size: c.ll.Len(), Capacity: c.cap}
+	return c.lru.stats()
 }

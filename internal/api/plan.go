@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"container/list"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,79 +33,51 @@ type Plan struct {
 // one epoch snapshot, so an interface swap starts with an empty plan
 // cache and stale bindings can never leak across epochs.
 type PlanCache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List
-	items  map[string]*list.Element
-	hits   uint64
-	misses uint64
-}
-
-type planEntry struct {
-	key  string
-	plan *Plan
+	mu  sync.Mutex
+	lru lru[string, *Plan]
 }
 
 // NewPlanCache returns an LRU holding at most capacity plans (<= 0
 // disables caching).
 func NewPlanCache(capacity int) *PlanCache {
-	return &PlanCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	return &PlanCache{lru: newLRU[string, *Plan](capacity)}
 }
 
 // Get returns the cached plan for the widget-state key.
 func (c *PlanCache) Get(key string) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*planEntry).plan, true
-	}
-	c.misses++
-	return nil, false
+	return c.lru.get(key)
 }
 
 // GetBytes is Get for a key assembled in a reusable byte buffer
 // (AppendPlanKey). The string conversion inside the map index is
 // recognized by the compiler and does not allocate, so a plan-cache
-// hit costs zero heap — the point of building the key as bytes.
+// hit costs zero heap — the point of building the key as bytes. That
+// holds for an index on a concrete map[string] type, which is why the
+// lookup is here and not in a generic lru method.
 func (c *PlanCache) GetBytes(key []byte) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[string(key)]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*planEntry).plan, true
+	if el, ok := c.lru.items[string(key)]; ok {
+		return c.lru.hit(el), true
 	}
-	c.misses++
+	c.lru.misses++
 	return nil, false
 }
 
 // Put stores a plan, evicting the least recently used entry when full.
 func (c *PlanCache) Put(key string, p *Plan) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value = &planEntry{key: key, plan: p}
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&planEntry{key: key, plan: p})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*planEntry).key)
-	}
+	c.lru.put(key, p)
 }
 
 // Stats returns a snapshot of the hit/miss counters and occupancy.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Size: c.ll.Len(), Capacity: c.cap}
+	return c.lru.stats()
 }
 
 // PlanKey renders a widget-binding set as a canonical string: bindings

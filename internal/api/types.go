@@ -230,7 +230,9 @@ type WALInfo struct {
 	Segments int   `json:"segments"`
 	Bytes    int64 `json:"bytes"`
 	// LastSeq is the newest logged publication; SyncedSeq is the newest
-	// one known fsynced (they converge at every group commit).
+	// one fsynced. Every ack waits for its fsync, so the two are equal
+	// once in-flight writes return; a failed fsync leaves SyncedSeq
+	// behind, and the writes past it answered wal_failed.
 	LastSeq   uint64 `json:"lastSeq"`
 	SyncedSeq uint64 `json:"syncedSeq"`
 	// Lag counts acked publications the base snapshot does not cover —

@@ -228,14 +228,6 @@ func (db *DB) WithTable(t *Table) *DB {
 	return cp
 }
 
-// WithFunc is WithTable for table-valued functions: a new DB with fn
-// registered, sharing everything else with the receiver.
-func (db *DB) WithFunc(name string, fn TableFunc) *DB {
-	cp := db.clone()
-	cp.funcs[strings.ToLower(name)] = fn
-	return cp
-}
-
 // Render returns the table as an aligned ASCII grid — the render()
 // fallback of §3.3 ("renders a table").
 func (t *Table) Render() string {

@@ -61,8 +61,7 @@ type PersistOptions struct {
 	// UDF to the restored Galaxy table here).
 	Funcs func(id string, st *store.Store)
 	// WAL is the write-ahead log the persister journals into. When nil,
-	// NewPersister opens one under the data dir with default options
-	// (fsync before every ack).
+	// NewPersister opens one under the data dir with default options.
 	WAL *wal.Manager
 }
 

@@ -1,20 +1,12 @@
 package ingest
 
 import (
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // bigDB builds a dataset large enough that a full base rewrite
@@ -32,10 +24,10 @@ func bigDB(t testing.TB, rows int) *engine.DB {
 	return db
 }
 
-// hostPerf hosts a 20k-row interface. With walOpts set, a persister
-// journals every ack into a log with those options; with nil, the
-// ingester has no journal at all — the no-durability baseline.
-func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()) {
+// hostPerf hosts a 20k-row interface. With journal set, a persister
+// journals every ack into the default log; without, the ingester has
+// no journal at all — the no-durability baseline.
+func hostPerf(t testing.TB, journal bool) (*Ingester, *Persister, func()) {
 	t.Helper()
 	dir := t.TempDir()
 	reg := api.NewRegistry()
@@ -43,10 +35,10 @@ func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()
 	if _, err := ing.Host("live", "perf", fixtureLog(4), bigDB(t, 20000), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if walOpts == nil {
+	if !journal {
 		return ing, nil, func() {}
 	}
-	p := NewPersister(dir, ing, PersistOptions{WAL: wal.NewManager(dir, *walOpts)})
+	p := NewPersister(dir, ing, PersistOptions{})
 	return ing, p, func() { p.Close() }
 }
 
@@ -69,7 +61,7 @@ func appendTail(t testing.TB, ing *Ingester, first, n int) {
 // truncates the log. (Bytes, not wall time: bytes are deterministic
 // under CI noise.)
 func TestDifferentialSnapshotCheaper(t *testing.T) {
-	ing, p, cleanup := hostPerf(t, &wal.Options{})
+	ing, p, cleanup := hostPerf(t, true)
 	defer cleanup()
 
 	res, err := p.SaveAll()
@@ -115,75 +107,10 @@ func TestDifferentialSnapshotCheaper(t *testing.T) {
 	}
 }
 
-// TestWALAckOverheadBounded pins the ack path clients see: with group
-// commit, an acked row append over HTTP must cost at most 1.5x the
-// WAL-off round trip — the journal adds one buffered write under the
-// feed lock, not an fsync. Wall-time comparisons wobble under CI
-// load, so the pin takes the best of several attempts.
-func TestWALAckOverheadBounded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing pin; skipped in -short")
-	}
-	const rounds = 150
-	timeAcks := func(ing *Ingester, seed int) time.Duration {
-		svc := api.NewService(ing.reg)
-		svc.SetIngestor(ing)
-		ts := httptest.NewServer(server.New(svc).Handler())
-		defer ts.Close()
-		url := ts.URL + "/v1/interfaces/live/rows?flush=1"
-		// Warm the connection and the handler path off the clock.
-		postPerfRow(t, url, seed)
-		start := time.Now()
-		for i := 1; i <= rounds; i++ {
-			postPerfRow(t, url, seed+i)
-		}
-		return time.Since(start)
-	}
-
-	var best float64 = -1
-	for attempt := 0; attempt < 5; attempt++ {
-		ingOff, _, cleanOff := hostPerf(t, nil)
-		off := timeAcks(ingOff, 2000000)
-		cleanOff()
-
-		ingWAL, pWAL, cleanWAL := hostPerf(t, &wal.Options{SyncInterval: 2 * time.Millisecond})
-		if _, err := pWAL.SaveAll(); err != nil { // anchor the log with a base
-			t.Fatal(err)
-		}
-		on := timeAcks(ingWAL, 2100000)
-		cleanWAL()
-
-		ratio := float64(on) / float64(off)
-		if best < 0 || ratio < best {
-			best = ratio
-		}
-		t.Logf("attempt %d: no-wal %v, wal(group) %v per %d acks, ratio %.2fx", attempt, off, on, rounds, ratio)
-		if ratio <= 1.5 {
-			return
-		}
-	}
-	t.Fatalf("acked append with group-commit WAL is %.2fx the WAL-off cost (pinned bound 1.5x)", best)
-}
-
-// postPerfRow drives one acked append through the rows endpoint.
-func postPerfRow(t *testing.T, url string, n int) {
-	t.Helper()
-	body := fmt.Sprintf(`{"table":"t","rows":[[%d,3]]}`, n)
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("append returned %d", resp.StatusCode)
-	}
-}
-
 // Benchmarks feeding scripts/bench_json.sh -> BENCH_wal.json.
 
-func benchAcks(b *testing.B, walOpts *wal.Options) {
-	ing, p, cleanup := hostPerf(b, walOpts)
+func benchAcks(b *testing.B, journal bool) {
+	ing, p, cleanup := hostPerf(b, journal)
 	defer cleanup()
 	if p != nil {
 		if _, err := p.SaveAll(); err != nil {
@@ -198,16 +125,13 @@ func benchAcks(b *testing.B, walOpts *wal.Options) {
 	}
 }
 
-func BenchmarkAckedAppendNoWAL(b *testing.B) { benchAcks(b, nil) }
+func BenchmarkAckedAppendNoWAL(b *testing.B) { benchAcks(b, false) }
 func BenchmarkAckedAppendWALStrict(b *testing.B) {
-	benchAcks(b, &wal.Options{})
-}
-func BenchmarkAckedAppendWALGroup(b *testing.B) {
-	benchAcks(b, &wal.Options{SyncInterval: 2 * time.Millisecond})
+	benchAcks(b, true)
 }
 
 func BenchmarkSnapshotFull(b *testing.B) {
-	ing, _, cleanup := hostPerf(b, nil)
+	ing, _, cleanup := hostPerf(b, false)
 	defer cleanup()
 	snap, err := ing.Capture("live")
 	if err != nil {
@@ -226,7 +150,7 @@ func BenchmarkSnapshotFull(b *testing.B) {
 // holds the tail, so most saves write no base; the base rewrites the
 // checkpoint fraction triggers are amortized into the per-op cost.
 func BenchmarkCheckpoint(b *testing.B) {
-	ing, p, cleanup := hostPerf(b, &wal.Options{})
+	ing, p, cleanup := hostPerf(b, true)
 	defer cleanup()
 	if _, err := p.SaveAll(); err != nil {
 		b.Fatal(err)

@@ -111,9 +111,6 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the sum of observations in exposed units.
-func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) / h.scale }
-
 // LatencyBuckets spans 250ns to 2.5s: the low end covers the cached
 // in-process query path, the high end covers a cross-shard proxy stall.
 var LatencyBuckets = []float64{

@@ -12,10 +12,10 @@ import (
 // beside.
 var (
 	mxAppendDur = obs.Default.HistogramVec("pi_wal_append_seconds",
-		"Latency of one WAL append, including the group-commit wait in strict mode.",
+		"Latency of one WAL append, including the group-commit wait.",
 		obs.LatencyBuckets).With()
 	mxFsyncDur = obs.Default.HistogramVec("pi_wal_fsync_seconds",
-		"Latency of one WAL fsync (group-commit leader, background flusher or segment seal).",
+		"Latency of one WAL fsync (group-commit leader, segment seal or truncation).",
 		obs.LatencyBuckets).With()
 	mxBatch = obs.Default.UnitHistogramVec("pi_wal_commit_batch_size",
 		"Records made durable per fsync (group-commit batch size).",

@@ -106,7 +106,7 @@ func reframe(raw []byte) []byte {
 // records and never a half-written frame, even with frames large
 // enough that a write is visible on disk before it completes.
 func TestReplayRacesAppend(t *testing.T) {
-	m := NewManager(t.TempDir(), Options{SegmentBytes: 256 << 10, SyncInterval: 1 << 30})
+	m := NewManager(t.TempDir(), Options{SegmentBytes: 256 << 10})
 	t.Cleanup(func() { m.Close() })
 	const n = 60
 	if err := m.Append("olap", rowRecord(1, 2000)); err != nil {

@@ -18,13 +18,12 @@
 // before it is intact by construction. Corruption anywhere except the
 // tail of the newest segment is a loud error, never a silent skip.
 //
-// Appends are group-committed: with SyncInterval zero (strict mode)
-// every Append blocks until an fsync covers its record, but
-// concurrent appenders share one fsync — a leader syncs whatever has
-// been written and every waiter whose record it covered returns.
-// With a positive SyncInterval the fsync is amortized in the
-// background (bounded by SyncBatch), trading the tail of an interval
-// for write latency — the ack then means "on the OS, fsync pending".
+// Appends are group-committed: every Append blocks until an fsync
+// covers its record, but concurrent appenders share one fsync — a
+// leader syncs whatever has been written and every waiter whose record
+// it covered returns. An acked record is therefore always synced: a
+// log's SyncedSeq equals its LastSeq whenever no Append is in flight.
+// A failed fsync poisons the log (see Log).
 package wal
 
 import (
@@ -79,21 +78,11 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this
 	// size. Default 4 MiB.
 	SegmentBytes int64
-	// SyncInterval selects the commit mode: zero means strict (every
-	// Append waits for a group-committed fsync), positive means the
-	// fsync runs in the background at this cadence.
-	SyncInterval time.Duration
-	// SyncBatch, in interval mode, forces an early fsync once this many
-	// records are waiting on one. Default 64.
-	SyncBatch int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncBatch <= 0 {
-		o.SyncBatch = 64
 	}
 	return o
 }
@@ -106,9 +95,9 @@ type Status struct {
 	Bytes int64 `json:"bytes"`
 	// LastSeq is the newest recorded sequence number.
 	LastSeq uint64 `json:"lastSeq"`
-	// SyncedSeq is the newest sequence number an fsync covers; in
-	// interval mode LastSeq-SyncedSeq is the window an OS crash could
-	// lose.
+	// SyncedSeq is the newest sequence number an fsync covers. Every
+	// Append waits for it, so it equals LastSeq by construction once
+	// in-flight appends return.
 	SyncedSeq uint64 `json:"syncedSeq"`
 	// Appends and Syncs count records written and fsyncs issued since
 	// open — their ratio is the group-commit amortization.
@@ -151,9 +140,6 @@ type Manager struct {
 func NewManager(dir string, opts Options) *Manager {
 	return &Manager{dir: dir, opts: opts.withDefaults(), logs: map[string]*Log{}}
 }
-
-// Dir returns the data directory.
-func (m *Manager) Dir() string { return m.dir }
 
 // Log opens (or creates) the interface's log, replaying nothing. The
 // first open after a crash truncates a torn tail.
@@ -253,10 +239,7 @@ func (m *Manager) Status(id string) (Status, bool) {
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	m.closed = true
-	logs := make([]*Log, 0, len(m.logs))
-	for _, l := range m.logs {
-		logs = append(logs, l)
-	}
+	logs := m.logs
 	m.logs = map[string]*Log{}
 	m.mu.Unlock()
 	var first error
@@ -276,13 +259,22 @@ type segInfo struct {
 	size     int64
 }
 
+// fsync makes a segment durable; a variable so tests can fail it.
+var fsync = (*os.File).Sync
+
 // Log is one interface's segmented record log.
+//
+// A failed fsync poisons the log: the kernel may have dropped the pages
+// it failed to write, and a retried fsync can then succeed without them
+// (Rebello et al., USENIX ATC '20). So the first error is kept, and
+// every waiter that fsync covered and every later Append, Truncate,
+// Reset and Close return it. Only a reopen — a restart — clears it.
 type Log struct {
 	dir  string
 	opts Options
 
 	mu        sync.Mutex
-	cond      *sync.Cond // broadcast when syncedSeq advances
+	cond      *sync.Cond // broadcast when syncedSeq advances or err is set
 	sealed    []segInfo  // read-only predecessors of the active segment
 	active    *os.File
 	activeSeg segInfo
@@ -291,11 +283,9 @@ type Log struct {
 	syncing   bool   // a group-commit leader is mid-fsync
 	appends   uint64
 	syncs     uint64
-	truncated bool // open cut a torn tail
+	truncated bool  // open cut a torn tail
+	err       error // the first failed fsync; the log is poisoned
 	closed    bool
-
-	stop chan struct{} // interval mode: flusher shutdown
-	kick chan struct{} // interval mode: SyncBatch overflow signal
 }
 
 // openLog opens the segment directory, scanning every segment to
@@ -353,12 +343,6 @@ func openLog(dir string, opts Options) (*Log, error) {
 		l.active = f
 	} else if err := l.startSegmentLocked(1); err != nil {
 		return nil, err
-	}
-
-	if opts.SyncInterval > 0 {
-		l.stop = make(chan struct{})
-		l.kick = make(chan struct{}, 1)
-		go l.flushLoop()
 	}
 	return l, nil
 }
@@ -451,13 +435,12 @@ func (l *Log) startSegmentLocked(firstSeq uint64) error {
 	return nil
 }
 
-// Append records one publication and — in strict mode — blocks until
-// an fsync covers it. Records must arrive in sequence order; a record
-// at or below the last recorded seq is acknowledged without a write
-// (idempotent: the restore path re-drives acked publications through
-// the same code path that logged them), and a gap is an error (a
-// publication was lost between the feed and the log, so acking it
-// would lie).
+// Append records one publication and blocks until an fsync covers it.
+// Records must arrive in sequence order; a record at or below the last
+// recorded seq is acknowledged without a write (idempotent: the restore
+// path re-drives acked publications through the same code path that
+// logged them), and a gap is an error (a publication was lost between
+// the feed and the log, so acking it would lie).
 func (l *Log) Append(r Record) error {
 	frame, err := EncodeRecord(r)
 	if err != nil {
@@ -465,29 +448,25 @@ func (l *Log) Append(r Record) error {
 	}
 	start := time.Now()
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log is closed")
+	defer l.mu.Unlock()
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if r.Seq <= l.lastSeq {
-		l.mu.Unlock()
 		return nil
 	}
 	if l.lastSeq != 0 && r.Seq != l.lastSeq+1 {
-		l.mu.Unlock()
 		return fmt.Errorf("wal: append seq %d does not follow logged seq %d", r.Seq, l.lastSeq)
 	}
 	// Rotate a full active segment before the write, sealing it durably.
 	if l.activeSeg.size >= l.opts.SegmentBytes && l.activeSeg.lastSeq > 0 {
 		if err := l.rotateLocked(r.Seq); err != nil {
-			l.mu.Unlock()
 			return err
 		}
 	}
 	if _, err := l.active.Write(frame); err != nil {
 		// The write may have landed partially; the tail scan on the next
 		// open truncates it. Nothing was acked on it.
-		l.mu.Unlock()
 		return fmt.Errorf("wal: append seq %d: %w", r.Seq, err)
 	}
 	l.activeSeg.size += int64(len(frame))
@@ -500,25 +479,31 @@ func (l *Log) Append(r Record) error {
 	l.lastSeq = r.Seq
 	l.appends++
 	mxAppends.Inc()
-
-	if l.opts.SyncInterval > 0 {
-		// Interval mode: the ack means "written to the OS"; the flusher
-		// (or a SyncBatch overflow) makes it durable shortly.
-		pending := l.lastSeq - l.syncedSeq
-		l.mu.Unlock()
-		mxAppendDur.Observe(time.Since(start))
-		if pending >= uint64(l.opts.SyncBatch) {
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
-		}
-		return nil
-	}
 	err = l.waitSyncedLocked(r.Seq)
-	l.mu.Unlock()
 	mxAppendDur.Observe(time.Since(start))
 	return err
+}
+
+// usableLocked reports why the log takes no more writes: it is
+// poisoned or closed. Caller holds l.mu.
+func (l *Log) usableLocked() error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.closed {
+		return errors.New("wal: log is closed")
+	}
+	return nil
+}
+
+// poisonLocked keeps the log's first fsync error (see Log) and wakes
+// every waiter to return it. Caller holds l.mu.
+func (l *Log) poisonLocked(err error) error {
+	if l.err == nil {
+		l.err = err
+	}
+	l.cond.Broadcast()
+	return l.err
 }
 
 // waitSyncedLocked blocks until an fsync covers seq, electing this
@@ -526,6 +511,9 @@ func (l *Log) Append(r Record) error {
 // Caller holds l.mu; returns with it held.
 func (l *Log) waitSyncedLocked(seq uint64) error {
 	for l.syncedSeq < seq {
+		if l.err != nil {
+			return l.err
+		}
 		if l.closed {
 			return fmt.Errorf("wal: log closed before seq %d was synced", seq)
 		}
@@ -541,13 +529,12 @@ func (l *Log) waitSyncedLocked(seq uint64) error {
 		f := l.active
 		l.mu.Unlock()
 		fstart := time.Now()
-		err := f.Sync()
+		err := fsync(f)
 		mxFsyncDur.Observe(time.Since(fstart))
 		l.mu.Lock()
 		l.syncing = false
 		if err != nil {
-			l.cond.Broadcast()
-			return fmt.Errorf("wal: fsync: %w", err)
+			return l.poisonLocked(fmt.Errorf("wal: fsync: %w", err))
 		}
 		l.syncs++
 		mxSyncs.Inc()
@@ -560,22 +547,25 @@ func (l *Log) waitSyncedLocked(seq uint64) error {
 	return nil
 }
 
-// excludeSyncLocked waits out any in-flight fsync (group-commit
-// leader or background flusher) so the caller can safely close or
-// replace the active file. Caller holds l.mu.
-func (l *Log) excludeSyncLocked() {
+// excludeSyncLocked waits out an in-flight group-commit fsync so the
+// caller can safely close or replace the active file, and returns the
+// poison that fsync may have left. Caller holds l.mu.
+func (l *Log) excludeSyncLocked() error {
 	for l.syncing {
 		l.cond.Wait()
 	}
+	return l.err
 }
 
 // rotateLocked seals the active segment (fsync + close, so sealed
 // segments are always fully durable) and starts a fresh one whose
 // first record will be nextSeq. Caller holds l.mu.
 func (l *Log) rotateLocked(nextSeq uint64) error {
-	l.excludeSyncLocked()
-	if err := l.active.Sync(); err != nil {
-		return fmt.Errorf("wal: seal segment: %w", err)
+	if err := l.excludeSyncLocked(); err != nil {
+		return err
+	}
+	if err := fsync(l.active); err != nil {
+		return l.poisonLocked(fmt.Errorf("wal: seal segment: %w", err))
 	}
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: seal segment: %w", err)
@@ -590,60 +580,6 @@ func (l *Log) rotateLocked(nextSeq uint64) error {
 	return l.startSegmentLocked(nextSeq)
 }
 
-// flushLoop is the interval-mode background fsync: every
-// SyncInterval, or sooner when SyncBatch records pile up, it syncs
-// the active segment and advances syncedSeq.
-func (l *Log) flushLoop() {
-	t := time.NewTicker(l.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-		case <-l.kick:
-		}
-		l.mu.Lock()
-		if l.closed || l.syncing || l.syncedSeq >= l.lastSeq {
-			l.mu.Unlock()
-			continue
-		}
-		l.syncing = true
-		covered := l.lastSeq
-		batch := covered - l.syncedSeq
-		f := l.active
-		l.mu.Unlock()
-		fstart := time.Now()
-		err := f.Sync()
-		mxFsyncDur.Observe(time.Since(fstart))
-		l.mu.Lock()
-		l.syncing = false
-		if err == nil {
-			l.syncs++
-			mxSyncs.Inc()
-			mxBatch.ObserveN(int64(batch))
-			if covered > l.syncedSeq {
-				l.syncedSeq = covered
-			}
-		}
-		// An fsync error retries on the next tick; strict durability was
-		// not promised in interval mode.
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
-}
-
-// Sync forces an fsync covering everything appended so far — the
-// shutdown path in interval mode.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.waitSyncedLocked(l.lastSeq)
-}
-
 // Truncate deletes segments whose records a snapshot at seq has made
 // redundant: sealed segments entirely at or below seq go away, and an
 // active segment entirely covered is replaced by a fresh empty one.
@@ -652,8 +588,8 @@ func (l *Log) Sync() error {
 func (l *Log) Truncate(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	var keep []segInfo
 	for _, s := range l.sealed {
@@ -667,9 +603,11 @@ func (l *Log) Truncate(seq uint64) error {
 	}
 	l.sealed = keep
 	if l.activeSeg.lastSeq > 0 && l.activeSeg.lastSeq <= seq {
-		l.excludeSyncLocked()
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
+		if err := l.excludeSyncLocked(); err != nil {
+			return err
+		}
+		if err := fsync(l.active); err != nil {
+			return l.poisonLocked(fmt.Errorf("wal: truncate: %w", err))
 		}
 		if err := l.active.Close(); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
@@ -694,8 +632,8 @@ func (l *Log) Truncate(seq uint64) error {
 func (l *Log) Reset(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	for _, s := range l.sealed {
 		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
@@ -703,7 +641,9 @@ func (l *Log) Reset(seq uint64) error {
 		}
 	}
 	l.sealed = nil
-	l.excludeSyncLocked()
+	if err := l.excludeSyncLocked(); err != nil {
+		return err
+	}
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
@@ -712,10 +652,7 @@ func (l *Log) Reset(seq uint64) error {
 	}
 	l.lastSeq = seq
 	l.syncedSeq = seq
-	if err := l.startSegmentLocked(seq + 1); err != nil {
-		return err
-	}
-	return nil
+	return l.startSegmentLocked(seq + 1)
 }
 
 // Replay streams every record with Seq > fromSeq, in order, to fn. It
@@ -774,27 +711,26 @@ func (l *Log) Status() Status {
 	return st
 }
 
-// Close syncs outstanding records and closes the active segment.
+// Close syncs outstanding records and closes the active segment. A
+// poisoned log closes too, and returns its poison.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
-		return nil
+		return l.err
 	}
-	syncErr := l.waitSyncedLocked(l.lastSeq)
-	l.excludeSyncLocked()
+	// Once every record is synced no leader is mid-fsync; a poisoned
+	// log has none either, so the active file is safe to close.
+	err := l.waitSyncedLocked(l.lastSeq)
+	if err == nil {
+		err = l.err
+	}
 	l.closed = true
 	l.cond.Broadcast()
-	f := l.active
-	stop := l.stop
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
+	if cerr := l.active.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("wal: close: %w", cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close: %w", err)
-	}
-	return syncErr
+	return err
 }
 
 // EncodeRecord frames one record: length, checksum, gob payload. A

@@ -1,11 +1,12 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/qlog"
@@ -257,27 +258,66 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	}
 }
 
-func TestIntervalModeSyncsInBackground(t *testing.T) {
-	dir := t.TempDir()
-	m := NewManager(dir, Options{SyncInterval: 10 * time.Millisecond, SyncBatch: 1000})
-	for seq := uint64(1); seq <= 10; seq++ {
-		if err := m.Append("olap", rowRecord(seq, 1)); err != nil {
-			t.Fatalf("append: %v", err)
+// TestFailedFsyncPoisonsLog: once a group-commit fsync fails, no
+// record it covered may be acked by a later, retried fsync — the kernel
+// may have dropped the very pages that failed to write. Seq 1's leader
+// holds its fsync while seqs 2 and 3 queue behind it; the next leader's
+// fsync (covering 2 and 3) fails. Both waiters, a later Append and
+// Close must all return that error.
+func TestFailedFsyncPoisonsLog(t *testing.T) {
+	m := NewManager(t.TempDir(), Options{})
+	l, err := m.Log("olap")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	injected := errors.New("injected EIO")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls int
+	fsync = func(f *os.File) error {
+		calls++ // only ever one leader at a time
+		switch calls {
+		case 1:
+			close(entered)
+			<-release
+		case 2:
+			return injected
+		}
+		return f.Sync()
+	}
+	t.Cleanup(func() { fsync = (*os.File).Sync })
+
+	errs := make(map[uint64]chan error)
+	appendAsync := func(seq uint64) {
+		ch := make(chan error, 1)
+		errs[seq] = ch
+		go func() { ch <- l.Append(rowRecord(seq, 1)) }()
+	}
+	appendAsync(1)
+	<-entered
+	for seq := uint64(2); seq <= 3; seq++ {
+		appendAsync(seq)
+		for l.Status().LastSeq != seq { // written, now waiting on the leader
+			runtime.Gosched()
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, _ := m.Status("olap")
-		if st.SyncedSeq == 10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background flusher never caught up: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	close(release)
+
+	if err := <-errs[1]; err != nil {
+		t.Fatalf("seq 1, synced before the failure: %v", err)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	for seq := uint64(2); seq <= 3; seq++ {
+		if err := <-errs[seq]; !errors.Is(err, injected) {
+			t.Errorf("seq %d, covered by the failed fsync, returned %v; want the fsync error", seq, err)
+		}
+	}
+	if err := l.Append(rowRecord(4, 1)); !errors.Is(err, injected) {
+		t.Errorf("append after the failure returned %v; want the fsync error", err)
+	}
+	if st := l.Status(); st.SyncedSeq != 1 || st.LastSeq != 3 {
+		t.Errorf("positions after the failure = %+v; want synced 1, last 3", st)
+	}
+	if err := m.Close(); !errors.Is(err, injected) {
+		t.Errorf("close returned %v; want the fsync error", err)
 	}
 }
 

@@ -72,29 +72,26 @@ WAL_OUT="${WAL_OUT:-BENCH_wal.json}"
 
 echo "== go test -bench AckedAppend|SnapshotFull|Checkpoint -benchtime $BENCHTIME ./internal/ingest"
 raw=$(go test -run '^$' \
-    -bench 'BenchmarkAckedAppendNoWAL$|BenchmarkAckedAppendWALStrict$|BenchmarkAckedAppendWALGroup$|BenchmarkSnapshotFull$|BenchmarkCheckpoint$' \
+    -bench 'BenchmarkAckedAppendNoWAL$|BenchmarkAckedAppendWALStrict$|BenchmarkSnapshotFull$|BenchmarkCheckpoint$' \
     -benchtime "$BENCHTIME" ./internal/ingest)
 printf '%s\n' "$raw"
 
 nowal=$(printf '%s\n' "$raw" | awk '/^BenchmarkAckedAppendNoWAL/ { print $3; exit }')
 strict=$(printf '%s\n' "$raw" | awk '/^BenchmarkAckedAppendWALStrict/ { print $3; exit }')
-group=$(printf '%s\n' "$raw" | awk '/^BenchmarkAckedAppendWALGroup/ { print $3; exit }')
 full=$(printf '%s\n' "$raw" | awk '/^BenchmarkSnapshotFull/ { print $3; exit }')
 ckpt=$(printf '%s\n' "$raw" | awk '/^BenchmarkCheckpoint/ { print $3; exit }')
-if [ -z "$nowal" ] || [ -z "$strict" ] || [ -z "$group" ] || [ -z "$full" ] || [ -z "$ckpt" ]; then
+if [ -z "$nowal" ] || [ -z "$strict" ] || [ -z "$full" ] || [ -z "$ckpt" ]; then
     echo "FAIL: WAL benchmarks produced no numbers" >&2
     exit 1
 fi
 
-awk -v n="$nowal" -v s="$strict" -v g="$group" -v f="$full" -v c="$ckpt" \
+awk -v n="$nowal" -v s="$strict" -v f="$full" -v c="$ckpt" \
     -v go_ver="$(go env GOVERSION)" 'BEGIN {
     printf "{\n"
-    printf "  \"benchmark\": \"WAL acked-append overhead (off / strict fsync / group commit), checkpoint vs full snapshot at 1%% tails\",\n"
+    printf "  \"benchmark\": \"WAL acked-append overhead (off / fsync before every ack), checkpoint vs full snapshot at 1%% tails\",\n"
     printf "  \"go\": \"%s\",\n", go_ver
     printf "  \"acked_append_no_wal_ns_op\": %d,\n", n
     printf "  \"acked_append_wal_strict_ns_op\": %d,\n", s
-    printf "  \"acked_append_wal_group_ns_op\": %d,\n", g
-    printf "  \"wal_group_overhead_x\": %.3f,\n", g / n
     printf "  \"snapshot_full_ns_op\": %d,\n", f
     printf "  \"checkpoint_ns_op\": %d,\n", c
     printf "  \"checkpoint_saving_x\": %.3f\n", f / c
