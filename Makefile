@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntern$$' -fuzztime 10s ./internal/ast
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/mapper
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanKey$$' -fuzztime 10s ./internal/api
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnarMatchesRow$$' -fuzztime 10s ./internal/engine
 
 # Non-test Go line counts: the whole repo, and the serving scoreboard
 # (the packages behind pi-serve and pi-router) that ROADMAP tracks.

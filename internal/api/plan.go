@@ -22,9 +22,8 @@ type Plan struct {
 	SQL   string
 	Hash  ast.Hash
 	// Col is the columnar compilation of Query when its shape is one
-	// the vectorized kernels support (nil otherwise, or when the
-	// service was built with DisableColumnar). Compiled once per plan,
-	// so the per-request execution choice is a nil check.
+	// the vectorized kernels support (nil otherwise). Compiled once per
+	// plan, so the per-request execution choice is a nil check.
 	Col *engine.ColPlan
 }
 

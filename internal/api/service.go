@@ -17,7 +17,7 @@ import (
 	"repro/internal/qlog"
 )
 
-// Default pagination bounds (see ServiceOptions).
+// Pagination bounds.
 const (
 	// DefaultRowLimit is the page size used when a query request does
 	// not ask for one.
@@ -29,33 +29,6 @@ const (
 	MaxRowLimit = 10000
 )
 
-// ServiceOptions tune a Service.
-type ServiceOptions struct {
-	// DefaultRowLimit is the page size for query requests with Limit 0.
-	// 0 means DefaultRowLimit.
-	DefaultRowLimit int
-	// MaxRowLimit is the hard per-response row cap. 0 means MaxRowLimit.
-	MaxRowLimit int
-	// DisableColumnar turns off the vectorized execution kernels: every
-	// query runs the row-at-a-time path. The columnar path is selected
-	// per plan and produces byte-identical results, so this exists for
-	// A/B comparison and as an escape hatch, not as a semantic switch.
-	DisableColumnar bool
-}
-
-func (o ServiceOptions) withDefaults() ServiceOptions {
-	if o.DefaultRowLimit <= 0 {
-		o.DefaultRowLimit = DefaultRowLimit
-	}
-	if o.MaxRowLimit <= 0 {
-		o.MaxRowLimit = MaxRowLimit
-	}
-	if o.MaxRowLimit < o.DefaultRowLimit {
-		o.DefaultRowLimit = o.MaxRowLimit
-	}
-	return o
-}
-
 // Service is the transport-agnostic operation surface over a registry
 // of hosted interfaces (and, optionally, a live ingester). Every
 // operation validates its input, returns typed results and reports
@@ -65,19 +38,14 @@ type Service struct {
 	reg   *Registry
 	ing   Ingestor
 	per   Persister
-	opts  ServiceOptions
 	start time.Time
 	slow  *obs.SlowRing
 }
 
 // NewService builds a service over the registry. Interfaces may still
 // be added to the registry after the service is built.
-func NewService(reg *Registry, opts ...ServiceOptions) *Service {
-	var o ServiceOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return &Service{reg: reg, opts: o.withDefaults(), start: time.Now()}
+func NewService(reg *Registry) *Service {
+	return &Service{reg: reg, start: time.Now()}
 }
 
 // NewPersistentService is NewService with durable storage wired in:
@@ -86,8 +54,8 @@ func NewService(reg *Registry, opts ...ServiceOptions) *Service {
 // and enables the Snapshot operation. A restore failure is returned as
 // a CodeRestoreFailed *Error — a data dir that exists but cannot be
 // read is a deployment fault, not something to silently serve past.
-func NewPersistentService(reg *Registry, p Persister, opts ...ServiceOptions) (*Service, *RestoreResult, error) {
-	s := NewService(reg, opts...)
+func NewPersistentService(reg *Registry, p Persister) (*Service, *RestoreResult, error) {
+	s := NewService(reg)
 	res, err := p.Restore()
 	if err != nil {
 		return nil, nil, Errf(CodeRestoreFailed, http.StatusInternalServerError, "restore: %v", err)
@@ -307,7 +275,7 @@ func (s *Service) QueryIntoCtx(ctx context.Context, id string, req QueryRequest,
 func (s *Service) queryInto(h *Hosted, req QueryRequest, resp *QueryResponse, qs *queryStages) error {
 	st := h.load()
 
-	limit, apiErr := s.pageLimit(req.Limit)
+	limit, apiErr := pageLimit(req.Limit)
 	if apiErr != nil {
 		return apiErr
 	}
@@ -326,10 +294,8 @@ func (s *Service) queryInto(h *Hosted, req QueryRequest, resp *QueryResponse, qs
 			return bindToError(err)
 		}
 		plan = &Plan{Query: q, SQL: ast.SQL(q), Hash: ast.HashOf(q)}
-		if !s.opts.DisableColumnar {
-			if col, ok := engine.CompileColumnar(q); ok {
-				plan.Col = col
-			}
+		if col, ok := engine.CompileColumnar(q); ok {
+			plan.Col = col
 		}
 		st.plans.Put(string(sc.buf), plan)
 	}
@@ -415,15 +381,16 @@ func (s *Service) exec(st *epochState, plan *Plan) (*engine.Table, error) {
 	return engine.Exec(st.db, plan.Query)
 }
 
-// pageLimit resolves the requested page size against the service caps.
-func (s *Service) pageLimit(limit int) (int, *Error) {
+// pageLimit resolves the requested page size against the pagination
+// bounds.
+func pageLimit(limit int) (int, *Error) {
 	switch {
 	case limit < 0:
 		return 0, errBadRequest("limit must be non-negative, got %d", limit)
 	case limit == 0:
-		return s.opts.DefaultRowLimit, nil
-	case limit > s.opts.MaxRowLimit:
-		return s.opts.MaxRowLimit, nil
+		return DefaultRowLimit, nil
+	case limit > MaxRowLimit:
+		return MaxRowLimit, nil
 	}
 	return limit, nil
 }

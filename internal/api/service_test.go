@@ -35,7 +35,7 @@ func minedOLAP(t testing.TB) (*core.Interface, *engine.DB) {
 	return fixture.iface, fixture.db
 }
 
-func newTestService(t testing.TB, opts ...ServiceOptions) (*Service, *Hosted) {
+func newTestService(t testing.TB) (*Service, *Hosted) {
 	t.Helper()
 	iface, db := minedOLAP(t)
 	reg := NewRegistry()
@@ -43,7 +43,30 @@ func newTestService(t testing.TB, opts ...ServiceOptions) (*Service, *Hosted) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewService(reg, opts...), h
+	return NewService(reg), h
+}
+
+// newScanService hosts "rows" over a table of n rows: an interface
+// mined from two range scans of t, whose initial query selects every
+// row (or all but one).
+func newScanService(t testing.TB, n int) (*Service, *Hosted) {
+	t.Helper()
+	iface, err := core.Generate(qlog.FromSQL("SELECT a FROM t WHERE x > 0", "SELECT a FROM t WHERE x > 1"), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := engine.NewTable("t", "a", "x")
+	for i := 1; i <= n; i++ {
+		tbl.MustAddRow(engine.Num(float64(i)), engine.Num(float64(i)))
+	}
+	db := engine.NewDB()
+	db.AddTable(tbl)
+	reg := NewRegistry()
+	h, err := reg.Add("rows", "range scans", iface, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewService(reg), h
 }
 
 // sliderWidget returns a mined numeric-range widget to exercise
@@ -135,13 +158,13 @@ func TestServiceQueryCounterCountsOnlyAccepted(t *testing.T) {
 }
 
 func TestServiceQueryPagination(t *testing.T) {
-	svc, _ := newTestService(t)
-	full, err := svc.Query("olap", QueryRequest{})
+	svc, _ := newScanService(t, 8)
+	full, err := svc.Query("rows", QueryRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.RowCount < 3 {
-		t.Skipf("fixture initial query returns %d rows; need >= 3", full.RowCount)
+		t.Fatalf("fixture initial query returns %d rows; need >= 3", full.RowCount)
 	}
 	total := full.RowCount
 
@@ -150,7 +173,7 @@ func TestServiceQueryPagination(t *testing.T) {
 	cursor := ""
 	pages := 0
 	for {
-		resp, err := svc.Query("olap", QueryRequest{Limit: 2, Cursor: cursor})
+		resp, err := svc.Query("rows", QueryRequest{Limit: 2, Cursor: cursor})
 		if err != nil {
 			t.Fatalf("page %d: %v", pages, err)
 		}
@@ -182,30 +205,27 @@ func TestServiceQueryPagination(t *testing.T) {
 }
 
 func TestServiceQueryPaginationDefaultsAndCaps(t *testing.T) {
-	svc, _ := newTestService(t, ServiceOptions{DefaultRowLimit: 2, MaxRowLimit: 3})
-	resp, err := svc.Query("olap", QueryRequest{})
+	svc, _ := newScanService(t, MaxRowLimit+2)
+	resp, err := svc.Query("rows", QueryRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Rows) > 2 {
-		t.Fatalf("default limit not applied: %d rows", len(resp.Rows))
-	}
-	if resp.RowCount > 2 && !resp.Truncated {
-		t.Fatal("truncation not reported under the default cap")
+	if len(resp.Rows) != DefaultRowLimit || !resp.Truncated {
+		t.Fatalf("default limit: %d of %d rows, truncated=%v", len(resp.Rows), resp.RowCount, resp.Truncated)
 	}
 	// An absurd requested limit is clamped to the hard cap.
-	resp, err = svc.Query("olap", QueryRequest{Limit: 1 << 30})
+	resp, err = svc.Query("rows", QueryRequest{Limit: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Rows) > 3 {
-		t.Fatalf("hard cap not applied: %d rows", len(resp.Rows))
+	if len(resp.Rows) != MaxRowLimit || !resp.Truncated {
+		t.Fatalf("hard cap: %d of %d rows, truncated=%v", len(resp.Rows), resp.RowCount, resp.Truncated)
 	}
 	// Negative limits are rejected, malformed cursors too.
-	if _, err := svc.Query("olap", QueryRequest{Limit: -1}); errCode(t, err) != CodeBadRequest {
+	if _, err := svc.Query("rows", QueryRequest{Limit: -1}); errCode(t, err) != CodeBadRequest {
 		t.Fatalf("negative limit code = %v", err)
 	}
-	if _, err := svc.Query("olap", QueryRequest{Cursor: "junk"}); errCode(t, err) != CodeBadRequest {
+	if _, err := svc.Query("rows", QueryRequest{Cursor: "junk"}); errCode(t, err) != CodeBadRequest {
 		t.Fatalf("malformed cursor code = %v", err)
 	}
 }
@@ -213,18 +233,18 @@ func TestServiceQueryPaginationDefaultsAndCaps(t *testing.T) {
 // TestServiceCursorExpiresAcrossEpochs: a cursor minted before a hot
 // swap must not splice rows from two different result sets.
 func TestServiceCursorExpiresAcrossEpochs(t *testing.T) {
-	svc, h := newTestService(t, ServiceOptions{DefaultRowLimit: 1})
-	first, err := svc.Query("olap", QueryRequest{})
+	svc, h := newScanService(t, 3)
+	first, err := svc.Query("rows", QueryRequest{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Truncated {
-		t.Skip("fixture initial query fits one row; cannot mint a cursor")
+		t.Fatal("a 1-row page of a 3-row scan is not truncated")
 	}
 	if _, err := h.Swap(h.Iface(), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err = svc.Query("olap", QueryRequest{Cursor: first.NextCursor})
+	_, err = svc.Query("rows", QueryRequest{Cursor: first.NextCursor})
 	if errCode(t, err) != CodeCursorExpired {
 		t.Fatalf("stale cursor code = %v", err)
 	}
@@ -233,20 +253,22 @@ func TestServiceCursorExpiresAcrossEpochs(t *testing.T) {
 // TestServiceCursorBoundToQuery: a cursor minted for one widget state
 // must not page through a different query's result at the same epoch.
 func TestServiceCursorBoundToQuery(t *testing.T) {
-	svc, h := newTestService(t, ServiceOptions{DefaultRowLimit: 1})
-	first, err := svc.Query("olap", QueryRequest{})
+	svc, h := newScanService(t, 3)
+	first, err := svc.Query("rows", QueryRequest{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Truncated {
-		t.Skip("fixture initial query fits one row; cannot mint a cursor")
+		t.Fatal("a 1-row page of a 3-row scan is not truncated")
 	}
 	w := sliderWidget(t, h.Iface())
-	lo, _ := w.Domain.Range()
-	_, err = svc.Query("olap", QueryRequest{
-		Widgets: []WidgetBinding{{Path: w.Path.String(), Number: &lo}},
-		Cursor:  first.NextCursor,
-	})
+	lo, hi := w.Domain.Range()
+	mid := (lo + hi) / 2 // neither mined query's literal
+	state := []WidgetBinding{{Path: w.Path.String(), Number: &mid}}
+	if _, err := svc.Query("rows", QueryRequest{Widgets: state}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = svc.Query("rows", QueryRequest{Widgets: state, Cursor: first.NextCursor})
 	if errCode(t, err) != CodeBadRequest {
 		t.Fatalf("cross-query cursor code = %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/engine"
 	"repro/internal/sqlparser"
 )
 
@@ -105,22 +106,19 @@ func TestQueryIntoCachedPathAllocs(t *testing.T) {
 }
 
 // TestQueryColumnarMatchesRowPath runs the mined OLAP interface's
-// widget states through two services over the same data — one with
-// the vectorized kernels, one forced onto the row interpreter — and
-// requires byte-identical responses. This is the service-level half
-// of the identity guarantee (the engine-level corpus test covers raw
-// SQL): whatever the planner selects, the wire format cannot tell.
+// widget states through a service, which runs the vectorized kernels
+// whenever a plan compiles to their shape, and requires every answer
+// to equal the row interpreter's (engine.Exec) on the same bound
+// query. This is the service-level half of the identity guarantee
+// (the engine-level corpus test covers raw SQL): whatever the planner
+// selects, the wire format cannot tell.
 func TestQueryColumnarMatchesRowPath(t *testing.T) {
 	iface, db := minedOLAP(t)
-	newSvc := func(opts ServiceOptions) *Service {
-		reg := NewRegistry()
-		if _, err := reg.Add("olap", "t", iface, db); err != nil {
-			t.Fatal(err)
-		}
-		return NewService(reg, opts)
+	reg := NewRegistry()
+	if _, err := reg.Add("olap", "t", iface, db); err != nil {
+		t.Fatal(err)
 	}
-	vec := newSvc(ServiceOptions{})
-	row := newSvc(ServiceOptions{DisableColumnar: true})
+	svc := NewService(reg)
 
 	reqs := []QueryRequest{{}} // the initial query
 	for _, w := range iface.Widgets {
@@ -138,29 +136,37 @@ func TestQueryColumnarMatchesRowPath(t *testing.T) {
 		}
 	}
 
-	ran := 0
+	ran, columnar := 0, 0
 	for _, req := range reqs {
-		a, errA := vec.Query("olap", req)
-		b, errB := row.Query("olap", req)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("req %+v: columnar err=%v, row err=%v", req, errA, errB)
-		}
-		if errA != nil {
-			if errA.Error() != errB.Error() {
-				t.Fatalf("req %+v: error text diverged: %q vs %q", req, errA, errB)
+		got, err := svc.Query("olap", req)
+		q, bindErr := Bind(iface, req.Widgets)
+		if bindErr != nil {
+			if err == nil {
+				t.Fatalf("req %+v: service answered a state Bind rejects: %v", req, bindErr)
 			}
 			continue
 		}
-		// CacheStats legitimately differ (two independent services);
-		// everything the client derives data from must not.
-		a.CacheStats, b.CacheStats = CacheStats{}, CacheStats{}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("req %+v:\ncolumnar: %s\nrow:      %s", req, dumpResp(a), dumpResp(b))
+		if _, ok := engine.CompileColumnar(q); ok {
+			columnar++
+		}
+		want, wantErr := engine.Exec(db, q)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("req %+v: service err=%v, row err=%v", req, err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != "exec: "+wantErr.Error() {
+				t.Fatalf("req %+v: error text diverged: %q vs %q", req, err, wantErr)
+			}
+			continue
+		}
+		wantRows := rowsJSON(want, 0, len(want.Rows))
+		if got.RowCount != len(want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Rows, wantRows) {
+			t.Fatalf("req %+v:\nservice: %s\nrow:     cols=%v rows=%d first=%v", req, dumpResp(got), want.Cols, len(wantRows), wantRows[:min(1, len(wantRows))])
 		}
 		ran++
 	}
-	if ran == 0 {
-		t.Fatal("no request executed on both paths")
+	if ran == 0 || columnar == 0 {
+		t.Fatalf("%d requests executed, %d of them columnar; want some of each", ran, columnar)
 	}
 }
 

@@ -185,7 +185,7 @@ func (ct *ColumnarTable) project(p *ColPlan, alias string, sel []int32, selAll b
 		firstPos = append(firstPos, first)
 		sizes = append(sizes, 0)
 		for k := range aggs {
-			aggs[k].grow()
+			aggs[k].st = append(aggs[k].st, aggState{})
 		}
 		return gid
 	}
@@ -226,7 +226,7 @@ func (ct *ColumnarTable) project(p *ColPlan, alias string, sel []int32, selAll b
 	if len(groupCols) == 0 && sizes[0] == 0 {
 		for k := range p.projs {
 			if p.projs[k].kind == projAgg {
-				return nil, nil, fmt.Errorf("engine: aggregate %s outside grouping context", aggName(p.projs[k].agg))
+				return nil, nil, fmt.Errorf("engine: aggregate %s outside grouping context", p.projs[k].agg)
 			}
 		}
 	}
@@ -246,7 +246,7 @@ func (ct *ColumnarTable) project(p *ColPlan, alias string, sel []int32, selAll b
 				}
 				continue
 			}
-			v, err := aggs[k].finalize(int32(gid), sizes[gid])
+			v, err := aggs[k].st[gid].result(pj.agg, sizes[gid])
 			if err != nil {
 				return nil, nil, err
 			}
@@ -255,22 +255,6 @@ func (ct *ColumnarTable) project(p *ColPlan, alias string, sel []int32, selAll b
 		out = append(out, row)
 	}
 	return outCols, out, nil
-}
-
-func aggName(k aggKind) string {
-	switch k {
-	case aggCountStar, aggCount:
-		return "count"
-	case aggSum:
-		return "sum"
-	case aggAvg:
-		return "avg"
-	case aggMin:
-		return "min"
-	case aggMax:
-		return "max"
-	}
-	return "?"
 }
 
 // groupKeyer maps row positions of one group-by column to small dense
@@ -317,36 +301,16 @@ func (k *groupKeyer) id(i int32) int32 {
 	return id
 }
 
-// aggAcc folds one aggregate projection across all groups. Errors
-// (sum/avg over a non-numeric value) are recorded per group rather
-// than aborting the scan, then surfaced in (group, projection) order
-// by finalize — the order the row path would have hit them in.
+// aggAcc folds one aggregate projection across all groups, one
+// aggState per group. Errors (sum/avg over a non-numeric value) stay
+// in their group's state rather than aborting the scan; result then
+// surfaces them in (group, projection) order, the order the row path
+// would have hit them in.
 type aggAcc struct {
 	kind aggKind
 	ci   int
 	ct   *ColumnarTable
-
-	sums []float64
-	cnts []int64
-	best []Value
-	has  []bool
-	errs []error
-}
-
-func (a *aggAcc) grow() {
-	switch a.kind {
-	case aggNone, aggCountStar:
-	case aggCount:
-		a.cnts = append(a.cnts, 0)
-	case aggSum, aggAvg:
-		a.sums = append(a.sums, 0)
-		a.cnts = append(a.cnts, 0)
-		a.has = append(a.has, false)
-		a.errs = append(a.errs, nil)
-	case aggMin, aggMax:
-		a.best = append(a.best, Value{})
-		a.has = append(a.has, false)
-	}
+	st   []aggState
 }
 
 func (a *aggAcc) add(gid, i int32) {
@@ -355,92 +319,24 @@ func (a *aggAcc) add(gid, i int32) {
 		return
 	}
 	col := &a.ct.cols[a.ci]
-	// Fast non-null numeric read for ColNum; everything else boxes.
+	// Unboxed fold for count/sum/avg over a ColNum column, whose
+	// values are all numbers (count ignores sum).
 	if col.Kind == ColNum && (a.kind == aggSum || a.kind == aggAvg || a.kind == aggCount) {
-		if col.Nulls != nil && col.Nulls[i] {
-			return
-		}
-		switch a.kind {
-		case aggCount:
-			a.cnts[gid]++
-		default:
-			if a.errs[gid] == nil {
-				a.sums[gid] += col.Nums[i]
-				a.cnts[gid]++
-				a.has[gid] = true
-			}
+		if col.Nulls == nil || !col.Nulls[i] {
+			a.st[gid].sum += col.Nums[i]
+			a.st[gid].n++
 		}
 		return
 	}
-	v := a.ct.valueAt(a.ci, i)
-	if v.IsNull() {
-		return
-	}
-	switch a.kind {
-	case aggCount:
-		a.cnts[gid]++
-	case aggSum, aggAvg:
-		if a.errs[gid] != nil {
-			return
-		}
-		f, ok := v.AsNumber()
-		if !ok {
-			name := "sum"
-			if a.kind == aggAvg {
-				name = "avg"
-			}
-			a.errs[gid] = fmt.Errorf("engine: %s over non-numeric value %s", name, v)
-			return
-		}
-		a.sums[gid] += f
-		a.cnts[gid]++
-		a.has[gid] = true
-	case aggMin, aggMax:
-		if !a.has[gid] {
-			a.best[gid] = v
-			a.has[gid] = true
-			return
-		}
-		cmp := Compare(v, a.best[gid])
-		if (a.kind == aggMin && cmp < 0) || (a.kind == aggMax && cmp > 0) {
-			a.best[gid] = v
-		}
-	}
-}
-
-func (a *aggAcc) finalize(gid int32, size int64) (Value, error) {
-	switch a.kind {
-	case aggCountStar:
-		return Num(float64(size)), nil
-	case aggCount:
-		return Num(float64(a.cnts[gid])), nil
-	case aggSum, aggAvg:
-		if a.errs[gid] != nil {
-			return Value{}, a.errs[gid]
-		}
-		if !a.has[gid] {
-			return Null(), nil
-		}
-		if a.kind == aggAvg {
-			return Num(a.sums[gid] / float64(a.cnts[gid])), nil
-		}
-		return Num(a.sums[gid]), nil
-	case aggMin, aggMax:
-		if !a.has[gid] {
-			return Null(), nil
-		}
-		return a.best[gid], nil
-	}
-	return Value{}, fmt.Errorf("engine: columnar finalize of non-aggregate")
+	a.st[gid].add(a.kind, a.ct.valueAt(a.ci, i))
 }
 
 // predEval compiles one predicate against one column into a per-row
 // closure. String columns evaluate the predicate once per dictionary
-// entry (through the real Equal/Compare/Like, so cross-kind coercion
-// like "5" = 5 is preserved) and then test codes; numeric columns get
+// entry (through predValue, so cross-kind coercion like "5" = 5 is
+// preserved) and then test codes; numeric columns get
 // branch-light float compares when the literal is numeric; everything
-// else falls through to boxing each value into the shared predValue,
-// which mirrors evalBinary exactly.
+// else falls through to boxing each value into predValue.
 func (ct *ColumnarTable) predEval(pr *colPred, ci int) (func(i int32) bool, bool) {
 	col := &ct.cols[ci]
 	switch col.Kind {
@@ -467,29 +363,12 @@ func (ct *ColumnarTable) predEval(pr *colPred, ci int) (func(i int32) bool, bool
 			return func(i int32) bool { return !notNull(i) }, true
 		case "is not":
 			return notNull, true
-		case "=", "<>", "<", "<=", ">", ">=":
+		case "=", "<>", "!=", "<", "<=", ">", ">=":
 			if pr.lit.Kind == KindNumber {
 				lf := pr.lit.Num
 				op := pr.op
 				return func(i int32) bool {
-					if !notNull(i) {
-						return false
-					}
-					cmp := cmpFloat(nums[i], lf)
-					switch op {
-					case "=":
-						return cmp == 0
-					case "<>":
-						return cmp != 0
-					case "<":
-						return cmp < 0
-					case "<=":
-						return cmp <= 0
-					case ">":
-						return cmp > 0
-					default:
-						return cmp >= 0
-					}
+					return notNull(i) && cmpHolds(op, cmpFloat(nums[i], lf))
 				}, true
 			}
 		case "between":
@@ -516,61 +395,17 @@ func (ct *ColumnarTable) predEval(pr *colPred, ci int) (func(i int32) bool, bool
 	}
 }
 
-// cmpFloat mirrors Compare on two numbers: NaN compares equal to
-// everything there (both < and > fail), so it must here too.
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// predValue evaluates one compiled predicate against one boxed value
-// with exactly evalBinary/evalIn/evalBetween's semantics, including
-// LIKE stringifying NULL to "NULL" and BETWEEN's NULL-before-NOT rule.
+// predValue evaluates one compiled predicate against one boxed value:
+// IS and IN here, everything else through the row path's compareOp
+// and between.
 func predValue(v Value, pr *colPred) bool {
 	switch pr.op {
 	case "is":
 		return v.IsNull()
 	case "is not":
 		return !v.IsNull()
-	case "=":
-		return Equal(v, pr.lit)
-	case "<>":
-		if v.IsNull() || pr.lit.IsNull() {
-			return false
-		}
-		return !Equal(v, pr.lit)
-	case "<", "<=", ">", ">=":
-		if v.IsNull() || pr.lit.IsNull() {
-			return false
-		}
-		cmp := Compare(v, pr.lit)
-		switch pr.op {
-		case "<":
-			return cmp < 0
-		case "<=":
-			return cmp <= 0
-		case ">":
-			return cmp > 0
-		default:
-			return cmp >= 0
-		}
-	case "like", "not like":
-		res := Like(v.String(), pr.lit.String())
-		if pr.op == "not like" {
-			res = !res
-		}
-		return res
 	case "between":
-		if v.IsNull() || pr.lo.IsNull() || pr.hi.IsNull() {
-			return false
-		}
-		in := Compare(v, pr.lo) >= 0 && Compare(v, pr.hi) <= 0
-		return in != pr.not
+		return between(v, pr.lo, pr.hi, pr.not)
 	case "in":
 		found := false
 		for _, it := range pr.items {
@@ -581,5 +416,6 @@ func predValue(v Value, pr *colPred) bool {
 		}
 		return found != pr.not
 	}
-	return false
+	res, _ := compareOp(pr.op, v, pr.lit)
+	return res
 }

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"strings"
-
-	"repro/internal/ast"
-)
+import "repro/internal/ast"
 
 // maxGroupCols bounds the composite group key the kernels pack into a
 // fixed-size array. Mined widget queries group by one or two columns;
@@ -20,11 +16,11 @@ type colRef struct {
 	name string
 }
 
-// Predicate operators after normalization ("!=" becomes "<>",
-// reversed literal-op-column comparisons are flipped).
+// Predicate operators after normalization (reversed literal-op-column
+// comparisons are flipped).
 type colPred struct {
 	col   colRef
-	op    string // "=", "<>", "<", "<=", ">", ">=", "like", "not like", "is", "is not", "between", "in"
+	op    string // "=", "<>", "!=", "<", "<=", ">", ">=", "like", "not like", "is", "is not", "between", "in"
 	lit   Value  // comparison / LIKE literal
 	lo    Value  // BETWEEN bounds
 	hi    Value
@@ -38,20 +34,6 @@ const (
 	projCol projKind = iota
 	projStar
 	projAgg
-)
-
-// Aggregate kinds. count(*) is split from count(col): they differ on
-// NULLs.
-type aggKind int
-
-const (
-	aggNone aggKind = iota
-	aggCountStar
-	aggCount
-	aggSum
-	aggAvg
-	aggMin
-	aggMax
 )
 
 type colProj struct {
@@ -134,18 +116,7 @@ func CompileColumnar(sel *ast.Node) (*ColPlan, bool) {
 	if proj == nil || proj.NumChildren() == 0 {
 		return nil, false
 	}
-	// Mirror Exec's aggregated-mode detection exactly: GROUP BY present,
-	// or any projection containing an aggregate. (HAVING also triggers
-	// it there, but HAVING already fell back above.)
-	p.grouped = len(p.groupBy) > 0
-	if !p.grouped {
-		for _, pc := range proj.Children {
-			if hasAggregate(pc.Child(0)) {
-				p.grouped = true
-				break
-			}
-		}
-	}
+	p.grouped = isAggregated(sel)
 	for _, pc := range proj.Children {
 		cp, ok := compileProj(pc, p.grouped)
 		if !ok {
@@ -201,33 +172,18 @@ func compileProj(pc *ast.Node, grouped bool) (colProj, bool) {
 		if !grouped {
 			return colProj{}, false
 		}
-		fname := e.Child(0).Value()
-		if !aggregateNames[fname] || e.Attr("distinct") == "true" {
+		k, ok := aggKindOf(e)
+		if !ok || e.Attr("distinct") == "true" {
 			return colProj{}, false
 		}
-		if fname == "count" && (e.NumChildren() == 1 || e.Child(1).Type == ast.TypeStarExpr) {
-			return colProj{kind: projAgg, agg: aggCountStar, name: name(ast.SQL(raw))}, true
+		if k == aggCountStar {
+			return colProj{kind: projAgg, agg: k, name: name(ast.SQL(raw))}, true
 		}
 		if e.NumChildren() != 2 {
 			return colProj{}, false
 		}
 		arg, ok := colRefOf(e.Child(1))
 		if !ok {
-			return colProj{}, false
-		}
-		var k aggKind
-		switch fname {
-		case "count":
-			k = aggCount
-		case "sum":
-			k = aggSum
-		case "avg":
-			k = aggAvg
-		case "min":
-			k = aggMin
-		case "max":
-			k = aggMax
-		default:
 			return colProj{}, false
 		}
 		return colProj{kind: projAgg, agg: k, col: arg, name: name(ast.SQL(raw))}, true
@@ -288,9 +244,6 @@ func collectPreds(n *ast.Node, out *[]colPred) bool {
 }
 
 func compileComparison(n *ast.Node, op string, out *[]colPred) bool {
-	if op == "!=" {
-		op = "<>"
-	}
 	switch op {
 	case "is", "is not":
 		// The row path tests the lhs for NULL without evaluating the rhs.
@@ -312,7 +265,7 @@ func compileComparison(n *ast.Node, op string, out *[]colPred) bool {
 		}
 		*out = append(*out, colPred{col: ref, op: op, lit: lit})
 		return true
-	case "=", "<>", "<", "<=", ">", ">=":
+	case "=", "<>", "!=", "<", "<=", ">", ">=":
 		if ref, ok := colRefOf(n.Child(0)); ok {
 			lit, ok := litOf(n.Child(1))
 			if !ok {
@@ -361,27 +314,14 @@ func colRefOf(n *ast.Node) (colRef, bool) {
 	return colRef{qual: n.Attr("table"), name: n.Value()}, true
 }
 
-// litOf evaluates a literal node to the exact Value the row path's
-// eval would produce.
+// litOf evaluates a (possibly parenthesized) literal through the row
+// path's literal.
 func litOf(n *ast.Node) (Value, bool) {
 	n = unparen(n)
 	if n == nil {
 		return Value{}, false
 	}
-	switch n.Type {
-	case ast.TypeNumExpr:
-		f, ok := numericLiteral(n)
-		if !ok {
-			return Value{}, false
-		}
-		return Num(f), true
-	case ast.TypeStrExpr:
-		return Str(n.Value()), true
-	case ast.TypeBoolExpr:
-		return Boolean(strings.EqualFold(n.Value(), "true")), true
-	case ast.TypeNullExpr:
-		return Null(), true
-	case ast.TypeUniExpr:
+	if n.Type == ast.TypeUniExpr {
 		// Fold a negated literal (BETWEEN -3 AND 6). evalUnary errors
 		// on non-numeric operands, so those shapes stay on the row path.
 		if n.Attr("op") != "-" {
@@ -397,7 +337,8 @@ func litOf(n *ast.Node) (Value, bool) {
 		}
 		return Num(-f), true
 	}
-	return Value{}, false
+	v, err := literal(n)
+	return v, err == nil
 }
 
 // PredicateColumn names a (table, column) pair that appears in a

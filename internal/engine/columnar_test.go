@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,11 +10,27 @@ import (
 )
 
 // sameResult compares the three logical fields of a result table —
-// the byte-identity contract the columnar kernels promise.
+// the byte-identity contract the columnar kernels promise. It is
+// reflect.DeepEqual except that a NaN equals a NaN.
 func sameResult(a, b *Table) bool {
-	return a.Name == b.Name &&
-		reflect.DeepEqual(a.Cols, b.Cols) &&
-		reflect.DeepEqual(a.Rows, b.Rows)
+	if a.Name != b.Name || !reflect.DeepEqual(a.Cols, b.Cols) ||
+		(a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i, ra := range a.Rows {
+		rb := b.Rows[i]
+		if (ra == nil) != (rb == nil) || len(ra) != len(rb) {
+			return false
+		}
+		for j, v := range ra {
+			w := rb[j]
+			sameNum := v.Num == w.Num || (math.IsNaN(v.Num) && math.IsNaN(w.Num))
+			if v.Kind != w.Kind || v.Str != w.Str || v.Bool != w.Bool || !sameNum {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // runColumnar compiles and executes sql through the columnar path.
@@ -40,13 +57,20 @@ func runColumnar(t *testing.T, cat Catalog, sql string) (*Table, error, bool) {
 // columnar path must have handled it.
 func assertBoth(t *testing.T, cat Catalog, sql string, wantColumnar bool) {
 	t.Helper()
-	rowRes, rowErr := ExecSQL(cat, sqlparser.Parse, sql)
-	colRes, colErr, ran := runColumnar(t, cat, sql)
-	if ran != wantColumnar {
+	if ran := matchBoth(t, cat, sql); ran != wantColumnar {
 		t.Fatalf("%q: columnar ran=%v, want %v", sql, ran, wantColumnar)
 	}
+}
+
+// matchBoth runs sql through both paths and, when the columnar path
+// handled it, asserts identical tables or identical errors. It reports
+// whether the columnar path ran.
+func matchBoth(t *testing.T, cat Catalog, sql string) bool {
+	t.Helper()
+	rowRes, rowErr := ExecSQL(cat, sqlparser.Parse, sql)
+	colRes, colErr, ran := runColumnar(t, cat, sql)
 	if !ran {
-		return
+		return false
 	}
 	if (rowErr == nil) != (colErr == nil) {
 		t.Fatalf("%q: row err=%v columnar err=%v", sql, rowErr, colErr)
@@ -55,11 +79,12 @@ func assertBoth(t *testing.T, cat Catalog, sql string, wantColumnar bool) {
 		if rowErr.Error() != colErr.Error() {
 			t.Fatalf("%q: error mismatch\nrow:      %v\ncolumnar: %v", sql, rowErr, colErr)
 		}
-		return
+		return true
 	}
 	if !sameResult(rowRes, colRes) {
 		t.Fatalf("%q: result mismatch\nrow:\n%s\ncolumnar:\n%s", sql, rowRes.Render(), colRes.Render())
 	}
+	return true
 }
 
 // mixedDB exercises every column layout: pure numeric, numeric with
@@ -76,6 +101,17 @@ func mixedDB() *DB {
 	add(Num(5), Null(), Str("CA"), Str("5.0"), Num(2))
 	add(Num(1), Num(10), Str("wa"), Str("-3"), Str("x"))
 	db.AddTable(tb)
+	return db
+}
+
+// nanDB is mixedDB plus two rows holding NaN, which compares equal to
+// every number.
+func nanDB() *DB {
+	db := mixedDB()
+	tb, _ := db.Table("t")
+	nan := Num(math.NaN())
+	tb.MustAddRow(nan, nan, Str("ca"), Str("NaN"), nan)
+	tb.MustAddRow(nan, Num(10), Str("tx"), Str("5"), Str("x"))
 	return db
 }
 
@@ -113,8 +149,40 @@ func TestColumnarFiltersMatchRowPath(t *testing.T) {
 		"SELECT a.n FROM t a WHERE a.n = 1",
 		"SELECT TOP 2 n FROM t",
 		"SELECT n FROM t",
+		"SELECT n FROM t WHERE n != 1",
+		"SELECT s FROM t WHERE s != 'ca'",
+		"SELECT m FROM t WHERE m != 'x'",
+		// A NULL BETWEEN bound or IN item.
+		"SELECT n FROM t WHERE n BETWEEN NULL AND 4",
+		"SELECT n FROM t WHERE n NOT BETWEEN 2 AND NULL",
+		"SELECT s FROM t WHERE s BETWEEN NULL AND 'z'",
+		"SELECT s FROM t WHERE s IN ('ca', NULL)",
+		"SELECT s FROM t WHERE s NOT IN ('ca', NULL)",
+		"SELECT nn FROM t WHERE nn NOT IN (10, NULL)",
+		// LIKE on a number matches its rendered form.
+		"SELECT n FROM t WHERE n LIKE '1%'",
+		"SELECT nn FROM t WHERE nn LIKE '%0'",
+		"SELECT m FROM t WHERE m LIKE 't%'",
 	} {
 		assertBoth(t, db, sql, true)
+	}
+	nan := nanDB()
+	for _, sql := range []string{
+		"SELECT n FROM t WHERE n = 1",
+		"SELECT n FROM t WHERE n <> 1",
+		"SELECT n FROM t WHERE n != 1",
+		"SELECT n FROM t WHERE n < 3",
+		"SELECT n FROM t WHERE 3 < n",
+		"SELECT n FROM t WHERE n BETWEEN 2 AND 4",
+		"SELECT n FROM t WHERE n NOT BETWEEN 2 AND 4",
+		"SELECT n FROM t WHERE n IN (2, 3)",
+		"SELECT n FROM t WHERE n LIKE 'NaN'",
+		"SELECT ns FROM t WHERE ns = 5",
+		"SELECT ns FROM t WHERE ns > 'a'",
+		"SELECT m FROM t WHERE m = 1",
+		"SELECT * FROM t WHERE nn IS NOT NULL",
+	} {
+		assertBoth(t, nan, sql, true)
 	}
 }
 
@@ -147,6 +215,19 @@ func TestColumnarAggregatesMatchRowPath(t *testing.T) {
 	} {
 		assertBoth(t, db, sql, true)
 	}
+	nan := nanDB()
+	for _, sql := range []string{
+		"SELECT SUM(n), AVG(n), MIN(n), MAX(n) FROM t",
+		"SELECT SUM(nn), AVG(nn), MIN(nn), MAX(nn) FROM t",
+		"SELECT s, SUM(n), AVG(nn), MIN(n), MAX(n) FROM t GROUP BY s",
+		"SELECT s, MIN(nn), MAX(nn) FROM t GROUP BY s",
+		"SELECT ns, COUNT(*), SUM(n), MAX(nn) FROM t GROUP BY ns",
+		"SELECT MIN(m), MAX(m), COUNT(m) FROM t",
+		"SELECT SUM(ns), MIN(ns), MAX(ns) FROM t WHERE ns <> 'abc'",
+		"SELECT s, SUM(ns) FROM t GROUP BY s",
+	} {
+		assertBoth(t, nan, sql, true)
+	}
 }
 
 func TestColumnarFallbacks(t *testing.T) {
@@ -170,8 +251,8 @@ func TestColumnarFallbacks(t *testing.T) {
 }
 
 // TestColumnarProviderCaching: the same *ColumnarTable is handed out
-// on repeat lookups, and copy-on-write clones rebuild rather than
-// serving a stale projection.
+// on repeat lookups, and a DB holding a new version of the table
+// builds its own projection rather than serving a stale one.
 func TestColumnarProviderCaching(t *testing.T) {
 	db := mixedDB()
 	a, ok := db.Columnar("t")
@@ -184,13 +265,14 @@ func TestColumnarProviderCaching(t *testing.T) {
 	}
 	tb := NewTable("t", "n")
 	tb.MustAddRow(Num(42))
-	db2 := db.WithTable(tb)
+	db2 := NewDB()
+	db2.AddTable(tb)
 	c, ok := db2.Columnar("t")
 	if !ok || c == a {
-		t.Fatal("copy-on-write clone served a stale columnar projection")
+		t.Fatal("new table version served a stale columnar projection")
 	}
 	if c.N != 1 || len(c.Cols) != 1 {
-		t.Fatalf("clone projection has wrong shape: %d rows, %v", c.N, c.Cols)
+		t.Fatalf("new projection has wrong shape: %d rows, %v", c.N, c.Cols)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -54,9 +55,89 @@ func (c *evalCtx) lookup(table, col string) (Value, error) {
 	return Value{}, fmt.Errorf("engine: unknown column %s", col)
 }
 
-// aggregateNames are the aggregate functions the executor understands.
-var aggregateNames = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
+// Aggregate kinds. count(*) is split from count(col): they differ on
+// NULLs.
+type aggKind int
+
+const (
+	aggNone aggKind = iota
+	aggCountStar
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggNames = [...]string{aggCountStar: "count", aggCount: "count", aggSum: "sum", aggAvg: "avg", aggMin: "min", aggMax: "max"}
+
+func (k aggKind) String() string { return aggNames[k] }
+
+// aggKinds maps the aggregate functions both executors understand to
+// their kind.
+var aggKinds = map[string]aggKind{
+	"count": aggCount, "sum": aggSum, "avg": aggAvg, "min": aggMin, "max": aggMax,
+}
+
+// aggKindOf classifies an aggregate call: COUNT() and COUNT(*) count
+// rows. ok=false means fn is not an aggregate.
+func aggKindOf(fn *ast.Node) (k aggKind, ok bool) {
+	k, ok = aggKinds[fn.Child(0).Value()]
+	if k == aggCount && (fn.NumChildren() == 1 || fn.Child(1).Type == ast.TypeStarExpr) {
+		k = aggCountStar
+	}
+	return k, ok
+}
+
+// aggState folds one aggregate over one group: add each row's argument
+// value in row order, then read result. A non-numeric SUM/AVG input is
+// remembered and reported by result, so callers can keep scanning.
+type aggState struct {
+	n    int64 // non-NULL values folded
+	sum  float64
+	best Value
+	err  error
+}
+
+func (s *aggState) add(k aggKind, v Value) {
+	if v.IsNull() || s.err != nil {
+		return
+	}
+	switch k {
+	case aggSum, aggAvg:
+		f, ok := v.AsNumber()
+		if !ok {
+			s.err = fmt.Errorf("engine: %s over non-numeric value %s", k, v)
+			return
+		}
+		s.sum += f
+	case aggMin, aggMax:
+		if s.n == 0 {
+			s.best = v
+		} else if cmp := Compare(v, s.best); (k == aggMin && cmp < 0) || (k == aggMax && cmp > 0) {
+			s.best = v
+		}
+	}
+	s.n++
+}
+
+// result is the aggregate's value over a group of rows rows.
+func (s *aggState) result(k aggKind, rows int64) (Value, error) {
+	switch {
+	case s.err != nil:
+		return Value{}, s.err
+	case k == aggCountStar:
+		return Num(float64(rows)), nil
+	case k == aggCount:
+		return Num(float64(s.n)), nil
+	case s.n == 0:
+		return Null(), nil
+	case k == aggSum:
+		return Num(s.sum), nil
+	case k == aggAvg:
+		return Num(s.sum / float64(s.n)), nil
+	}
+	return s.best, nil
 }
 
 // hasAggregate reports whether the expression contains an aggregate
@@ -66,7 +147,7 @@ func hasAggregate(n *ast.Node) bool {
 		return false
 	}
 	if n.Type == ast.TypeFuncExpr {
-		if name := n.Child(0).Value(); aggregateNames[name] {
+		if _, ok := aggKinds[n.Child(0).Value()]; ok {
 			return true
 		}
 	}
@@ -81,21 +162,25 @@ func hasAggregate(n *ast.Node) bool {
 	return false
 }
 
+// isAggregated reports whether a SELECT runs in aggregated mode: GROUP
+// BY or HAVING present, or an aggregate in any projection.
+func isAggregated(sel *ast.Node) bool {
+	if !ast.IsEmptyClause(sel.Child(ast.SlotGroupBy)) || !ast.IsEmptyClause(sel.Child(ast.SlotHaving)) {
+		return true
+	}
+	for _, pc := range sel.Child(ast.SlotProject).Children {
+		if hasAggregate(pc.Child(0)) {
+			return true
+		}
+	}
+	return false
+}
+
 // eval evaluates an expression node to a value.
 func (c *evalCtx) eval(n *ast.Node) (Value, error) {
 	switch n.Type {
-	case ast.TypeNumExpr:
-		f, ok := numericLiteral(n)
-		if !ok {
-			return Value{}, fmt.Errorf("engine: bad numeric literal %q", n.Value())
-		}
-		return Num(f), nil
-	case ast.TypeStrExpr:
-		return Str(n.Value()), nil
-	case ast.TypeBoolExpr:
-		return Boolean(strings.EqualFold(n.Value(), "true")), nil
-	case ast.TypeNullExpr:
-		return Null(), nil
+	case ast.TypeNumExpr, ast.TypeStrExpr, ast.TypeBoolExpr, ast.TypeNullExpr:
+		return literal(n)
 	case ast.TypeColExpr:
 		return c.lookup(n.Attr("table"), n.Value())
 	case ast.TypeParen:
@@ -118,6 +203,29 @@ func (c *evalCtx) eval(n *ast.Node) (Value, error) {
 		return c.evalScalarSubquery(n)
 	}
 	return Value{}, fmt.Errorf("engine: cannot evaluate %s node", n.Type)
+}
+
+// errNotLiteral is literal's answer for a node that is not a literal.
+var errNotLiteral = errors.New("engine: not a literal")
+
+// literal evaluates a NUM/STR/BOOL/NULL node, the one definition both
+// executors read literals through.
+func literal(n *ast.Node) (Value, error) {
+	switch n.Type {
+	case ast.TypeNumExpr:
+		f, ok := numericLiteral(n)
+		if !ok {
+			return Value{}, fmt.Errorf("engine: bad numeric literal %q", n.Value())
+		}
+		return Num(f), nil
+	case ast.TypeStrExpr:
+		return Str(n.Value()), nil
+	case ast.TypeBoolExpr:
+		return Boolean(strings.EqualFold(n.Value(), "true")), nil
+	case ast.TypeNullExpr:
+		return Null(), nil
+	}
+	return Value{}, errNotLiteral
 }
 
 func (c *evalCtx) evalUnary(n *ast.Node) (Value, error) {
@@ -187,35 +295,10 @@ func (c *evalCtx) evalBinary(n *ast.Node) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch op {
-	case "=":
-		return Boolean(Equal(l, r)), nil
-	case "<>", "!=":
-		if l.IsNull() || r.IsNull() {
-			return Boolean(false), nil
-		}
-		return Boolean(!Equal(l, r)), nil
-	case "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Boolean(false), nil
-		}
-		cmp := Compare(l, r)
-		switch op {
-		case "<":
-			return Boolean(cmp < 0), nil
-		case "<=":
-			return Boolean(cmp <= 0), nil
-		case ">":
-			return Boolean(cmp > 0), nil
-		default:
-			return Boolean(cmp >= 0), nil
-		}
-	case "like", "not like":
-		res := Like(l.String(), r.String())
-		if op == "not like" {
-			res = !res
-		}
+	if res, ok := compareOp(op, l, r); ok {
 		return Boolean(res), nil
+	}
+	switch op {
 	case "+", "-", "*", "/", "%":
 		lf, ok1 := l.AsNumber()
 		rf, ok2 := r.AsNumber()
@@ -246,7 +329,7 @@ func (c *evalCtx) evalBinary(n *ast.Node) (Value, error) {
 
 func (c *evalCtx) evalFunc(n *ast.Node) (Value, error) {
 	name := n.Child(0).Value()
-	if aggregateNames[name] {
+	if _, ok := aggKinds[name]; ok {
 		return c.evalAggregate(n)
 	}
 	args := make([]Value, 0, len(n.Children)-1)
@@ -312,71 +395,36 @@ func (c *evalCtx) evalFunc(n *ast.Node) (Value, error) {
 
 // evalAggregate computes an aggregate over the current group.
 func (c *evalCtx) evalAggregate(n *ast.Node) (Value, error) {
-	if c.group == nil {
-		return Value{}, fmt.Errorf("engine: aggregate %s outside grouping context", n.Child(0).Value())
-	}
 	name := n.Child(0).Value()
-	distinct := n.Attr("distinct") == "true"
-	// COUNT(*) counts rows.
-	if name == "count" && (n.NumChildren() == 1 || n.Child(1).Type == ast.TypeStarExpr) {
-		return Num(float64(len(c.group))), nil
+	if c.group == nil {
+		return Value{}, fmt.Errorf("engine: aggregate %s outside grouping context", name)
 	}
-	if n.NumChildren() < 2 {
-		return Value{}, fmt.Errorf("engine: aggregate %s needs an argument", name)
-	}
-	arg := n.Child(1)
-	var vals []Value
-	seen := map[string]bool{}
-	for _, row := range c.group {
-		v, err := c.withRow(row).evalNonAgg(arg)
-		if err != nil {
-			return Value{}, err
+	k, _ := aggKindOf(n)
+	var st aggState
+	if k != aggCountStar {
+		if n.NumChildren() < 2 {
+			return Value{}, fmt.Errorf("engine: aggregate %s needs an argument", name)
 		}
-		if v.IsNull() {
-			continue
+		var seen map[string]bool
+		if n.Attr("distinct") == "true" {
+			seen = map[string]bool{}
 		}
-		if distinct {
-			k := v.Key()
-			if seen[k] {
-				continue
+		for _, row := range c.group {
+			v, err := c.withRow(row).evalNonAgg(n.Child(1))
+			if err != nil {
+				return Value{}, err
 			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
-	}
-	switch name {
-	case "count":
-		return Num(float64(len(vals))), nil
-	case "sum", "avg":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		s := 0.0
-		for _, v := range vals {
-			f, ok := v.AsNumber()
-			if !ok {
-				return Value{}, fmt.Errorf("engine: %s over non-numeric value %s", name, v)
+			if seen != nil {
+				key := v.Key()
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
 			}
-			s += f
+			st.add(k, v)
 		}
-		if name == "avg" {
-			return Num(s / float64(len(vals))), nil
-		}
-		return Num(s), nil
-	case "min", "max":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			cmp := Compare(v, best)
-			if (name == "min" && cmp < 0) || (name == "max" && cmp > 0) {
-				best = v
-			}
-		}
-		return best, nil
 	}
-	return Value{}, fmt.Errorf("engine: unknown aggregate %q", name)
+	return st.result(k, int64(len(c.group)))
 }
 
 // evalNonAgg evaluates an expression in a per-row context (aggregates
@@ -494,14 +542,7 @@ func (c *evalCtx) evalBetween(n *ast.Node) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return Boolean(false), nil
-	}
-	in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-	if n.Attr("not") == "true" {
-		in = !in
-	}
-	return Boolean(in), nil
+	return Boolean(between(v, lo, hi, n.Attr("not") == "true")), nil
 }
 
 func (c *evalCtx) evalScalarSubquery(n *ast.Node) (Value, error) {

@@ -52,15 +52,7 @@ func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
 	having := sel.Child(ast.SlotHaving)
 	orderBy := sel.Child(ast.SlotOrderBy)
 
-	aggregated := !ast.IsEmptyClause(groupBy) || !ast.IsEmptyClause(having)
-	if !aggregated {
-		for _, pc := range proj.Children {
-			if hasAggregate(pc.Child(0)) {
-				aggregated = true
-				break
-			}
-		}
-	}
+	aggregated := isAggregated(sel)
 
 	outCols := projectionNames(proj, src)
 	var out [][]Value

@@ -124,8 +124,7 @@ type DB struct {
 
 	// colTabs lazily caches the columnar projection of each table
 	// (lowercased name -> *ColumnarTable). Safe under the DB's
-	// immutable-after-build contract; the copy-on-write primitives
-	// hand out clones with a fresh, empty cache.
+	// immutable-after-build contract.
 	colTabs sync.Map
 }
 
@@ -198,34 +197,6 @@ func (db *DB) FuncNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// clone copies the catalog maps (sharing the tables and functions
-// themselves) — the common step of the copy-on-write primitives.
-func (db *DB) clone() *DB {
-	cp := &DB{
-		tables: make(map[string]*Table, len(db.tables)+1),
-		funcs:  make(map[string]TableFunc, len(db.funcs)+1),
-	}
-	for k, v := range db.tables {
-		cp.tables[k] = v
-	}
-	for k, v := range db.funcs {
-		cp.funcs[k] = v
-	}
-	return cp
-}
-
-// WithTable returns a new DB sharing every table and function of the
-// receiver except the given table, which replaces (or adds to) its
-// name slot. The receiver is not modified — this is the copy-on-write
-// primitive the versioned store builds on: concurrent readers of the
-// old catalog stay untouched while the new catalog sees the new table
-// version.
-func (db *DB) WithTable(t *Table) *DB {
-	cp := db.clone()
-	cp.tables[strings.ToLower(t.Name)] = t
-	return cp
 }
 
 // Render returns the table as an aligned ASCII grid — the render()

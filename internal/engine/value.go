@@ -107,16 +107,63 @@ func Compare(a, b Value) int {
 	}
 	if af, ok := a.AsNumber(); ok {
 		if bf, ok2 := b.AsNumber(); ok2 {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			}
-			return 0
+			return cmpFloat(af, bf)
 		}
 	}
 	return strings.Compare(a.String(), b.String())
+}
+
+// cmpFloat orders two numbers. NaN compares equal to everything (both
+// < and > fail), a quirk every comparison inherits.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// cmpHolds reports whether a Compare/cmpFloat result satisfies the
+// comparison operator op ("=", "<>" or "!=", "<", "<=", ">", ">=").
+func cmpHolds(op string, cmp int) bool {
+	switch op {
+	case "=":
+		return cmp == 0
+	case "<>", "!=":
+		return cmp != 0
+	case "<":
+		return cmp < 0
+	case "<=":
+		return cmp <= 0
+	case ">":
+		return cmp > 0
+	}
+	return cmp >= 0
+}
+
+// compareOp applies a comparison or LIKE operator — the one definition
+// both executors evaluate predicates through. A comparison with a NULL
+// side is false (never NULL, so NOT over it is true); LIKE renders
+// NULL as the string "NULL". ok=false means op is not a comparison.
+func compareOp(op string, l, r Value) (res, ok bool) {
+	switch op {
+	case "=", "<>", "!=", "<", "<=", ">", ">=":
+		return !l.IsNull() && !r.IsNull() && cmpHolds(op, Compare(l, r)), true
+	case "like", "not like":
+		return Like(l.String(), r.String()) == (op == "like"), true
+	}
+	return false, false
+}
+
+// between is [NOT] BETWEEN: false whenever any operand is NULL, before
+// NOT applies.
+func between(v, lo, hi Value, not bool) bool {
+	if v.IsNull() || lo.IsNull() || hi.IsNull() {
+		return false
+	}
+	return (Compare(v, lo) >= 0 && Compare(v, hi) <= 0) != not
 }
 
 // Equal reports SQL equality (NULL never equals anything, including

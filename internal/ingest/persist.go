@@ -404,7 +404,8 @@ func (p *Persister) Restore() (*api.RestoreResult, error) {
 	return res, nil
 }
 
-// restoreOne rebuilds one interface to its exact acked state.
+// restoreOne rebuilds one interface to its exact acked state and
+// returns a capture of it.
 func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 	m, err := store.LoadManifest(p.dir, id)
 	if err != nil {
@@ -437,14 +438,8 @@ func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: restore %q: replay WAL tail: %w", id, err)
 	}
-	// Report the replayed position, not the base's.
-	if seq, err := p.ing.Seq(id); err == nil {
-		snap.Seq = seq
-	}
-	if h, ok := p.ing.reg.Get(id); ok {
-		snap.Epoch = h.Epoch()
-	}
-	return snap, nil
+	// Report the replayed feed, not the base.
+	return p.ing.Capture(id)
 }
 
 // scanDataDir enumerates restorable interfaces (manifest or bare

@@ -78,6 +78,9 @@ func TestWALKillRestoreRoundTrip(t *testing.T) {
 	if len(restored.Interfaces) != 1 || restored.Interfaces[0].ID != "live" {
 		t.Fatalf("restore result = %+v", restored)
 	}
+	if r := restored.Interfaces[0]; r.Rows != wantRows || r.LogEntries != wantMined {
+		t.Fatalf("restore reports %d rows, %d log entries; replayed %d, %d", r.Rows, r.LogEntries, wantRows, wantMined)
+	}
 	if got, _ := ing2.Seq("live"); got != wantSeq {
 		t.Fatalf("restored seq = %d, want %d", got, wantSeq)
 	}

@@ -8,38 +8,23 @@ import (
 	"repro/internal/api"
 )
 
-// AuthConfig is per-interface bearer-token access control for the
-// mutating endpoints (POST query, POST log). Metadata GETs (list,
-// detail, page, epoch, healthz, debug) stay open — discovering an
-// interface is harmless; executing queries against it and mutating it
-// through log ingestion are not.
-//
-// Token is the server-wide default; InterfaceTokens overrides it per
-// interface ID. An empty effective token leaves that interface open,
-// so a mixed deployment (public demo dashboard + protected production
-// interfaces) is one config.
+// AuthConfig is bearer-token access control for the mutating
+// endpoints (POST query, POST log). Metadata GETs (list, detail, page,
+// epoch, healthz, debug) stay open — discovering an interface is
+// harmless; executing queries against it and mutating it through log
+// ingestion are not. An empty Token leaves every interface open.
 type AuthConfig struct {
-	Token           string
-	InterfaceTokens map[string]string
+	Token string
 }
 
-// tokenFor returns the effective token for the interface ("" = open).
-func (a AuthConfig) tokenFor(id string) string {
-	if t, ok := a.InterfaceTokens[id]; ok {
-		return t
-	}
-	return a.Token
-}
-
-// Check validates the request's bearer token for the interface:
-// nil when the interface is open or the token matches, unauthorized
-// (401) when no token was presented, forbidden (403) when the wrong
-// one was. Exported for admin surfaces (internal/shard) that enforce
-// the same config on their own routes; pass id "" for server-wide
-// endpoints guarded by the default token.
+// Check validates the request's bearer token: nil when no token is
+// configured or the token matches, unauthorized (401) when no token
+// was presented, forbidden (403) when the wrong one was. id only names
+// the interface in the error text ("" for server-wide endpoints).
+// Exported for admin surfaces (internal/shard) that enforce the same
+// config on their own routes.
 func (a AuthConfig) Check(id string, r *http.Request) *api.Error {
-	want := a.tokenFor(id)
-	if want == "" {
+	if a.Token == "" {
 		return nil
 	}
 	got, ok := bearerToken(r)
@@ -47,7 +32,7 @@ func (a AuthConfig) Check(id string, r *http.Request) *api.Error {
 		return api.Errf(api.CodeUnauthorized, http.StatusUnauthorized,
 			"interface %q requires a bearer token", id)
 	}
-	if subtle.ConstantTimeCompare([]byte(got), []byte(want)) != 1 {
+	if subtle.ConstantTimeCompare([]byte(got), []byte(a.Token)) != 1 {
 		return api.Errf(api.CodeForbidden, http.StatusForbidden,
 			"token is not valid for interface %q", id)
 	}

@@ -468,33 +468,6 @@ func TestAuthContract(t *testing.T) {
 	}
 }
 
-// TestAuthPerInterfaceOverride: interface tokens override the global
-// one, and an interface with an empty override stays open.
-func TestAuthPerInterfaceOverride(t *testing.T) {
-	iface, db := minedOLAP(t)
-	reg := api.NewRegistry()
-	for _, id := range []string{"locked", "open"} {
-		if _, err := reg.Add(id, id, iface, db); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := httptest.NewServer(New(api.NewService(reg), WithAuth(AuthConfig{
-		Token:           "global",
-		InterfaceTokens: map[string]string{"locked": "special", "open": ""},
-	})).Handler())
-	t.Cleanup(ts.Close)
-
-	if resp, _ := doReq(t, "POST", ts.URL+"/v1/interfaces/locked/query", "global", `{"widgets":[]}`); resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("global token on overridden interface = %d, want 403", resp.StatusCode)
-	}
-	if resp, _ := doReq(t, "POST", ts.URL+"/v1/interfaces/locked/query", "special", `{"widgets":[]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("special token = %d, want 200", resp.StatusCode)
-	}
-	if resp, _ := doReq(t, "POST", ts.URL+"/v1/interfaces/open/query", "", `{"widgets":[]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("open interface = %d, want 200 without token", resp.StatusCode)
-	}
-}
-
 // TestHealthzQueryCounter: malformed and unauthorized requests must not
 // inflate the per-interface query counter.
 func TestHealthzQueryCounter(t *testing.T) {

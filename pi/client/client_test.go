@@ -18,8 +18,9 @@ import (
 )
 
 // fixtureService mines a tiny interface ("SELECT a FROM t WHERE x=N")
-// and returns a service over it — cheap enough to build per test.
-func fixtureService(t *testing.T, opts ...api.ServiceOptions) *api.Service {
+// over 20 rows, 5 per x, and returns a service over it — cheap enough
+// to build per test.
+func fixtureService(t *testing.T) *api.Service {
 	t.Helper()
 	l := &qlog.Log{}
 	for i := 1; i <= 4; i++ {
@@ -31,7 +32,7 @@ func fixtureService(t *testing.T, opts ...api.ServiceOptions) *api.Service {
 	}
 	tbl := engine.NewTable("t", "a", "x")
 	for i := 1; i <= 20; i++ {
-		if err := tbl.AddRow(engine.Num(float64(i*10)), engine.Num(float64(i))); err != nil {
+		if err := tbl.AddRow(engine.Num(float64(i*10)), engine.Num(float64((i-1)%4+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +42,7 @@ func fixtureService(t *testing.T, opts ...api.ServiceOptions) *api.Service {
 	if _, err := reg.Add("tiny", "tiny fixture", iface, db); err != nil {
 		t.Fatal(err)
 	}
-	return api.NewService(reg, opts...)
+	return api.NewService(reg)
 }
 
 // stubIngestor acks whatever log entries it is given, counting them;
@@ -149,7 +150,7 @@ func TestClientAuthFailures(t *testing.T) {
 // TestClientPagination pages through a result with QueryAll and checks
 // the cursor chain terminates with the full row set.
 func TestClientPagination(t *testing.T) {
-	svc := fixtureService(t, api.ServiceOptions{DefaultRowLimit: 2, MaxRowLimit: 2})
+	svc := fixtureService(t)
 	ts := httptest.NewServer(server.New(svc).Handler())
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
@@ -158,17 +159,17 @@ func TestClientPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Query(ctx, "tiny", api.QueryRequest{})
+	first, err := c.Query(ctx, "tiny", api.QueryRequest{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.RowCount <= 2 {
-		t.Skipf("fixture result has %d rows; need > 2", first.RowCount)
+		t.Fatalf("fixture result has %d rows; need > 2", first.RowCount)
 	}
 	if !first.Truncated || len(first.Rows) != 2 || first.NextCursor == "" {
 		t.Fatalf("first page = %+v", first)
 	}
-	all, err := c.QueryAll(ctx, "tiny", api.QueryRequest{}, 0)
+	all, err := c.QueryAll(ctx, "tiny", api.QueryRequest{Limit: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
