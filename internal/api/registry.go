@@ -102,9 +102,6 @@ func (h *Hosted) Catalog() engine.Catalog { return h.load().db }
 // Cache returns the current epoch's result cache (exposed for stats).
 func (h *Hosted) Cache() *Cache { return h.load().cache }
 
-// Plans returns the current epoch's plan cache (exposed for stats).
-func (h *Hosted) Plans() *PlanCache { return h.load().plans }
-
 // Epoch returns the current epoch counter (starts at 1, bumped by every
 // Swap).
 func (h *Hosted) Epoch() uint64 { return h.load().epoch }
@@ -235,16 +232,6 @@ func (r *Registry) DisableMetrics() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.noMetrics = true
-}
-
-// Swap replaces the interface hosted under id (see Hosted.Swap) and
-// returns the new epoch.
-func (r *Registry) Swap(id string, iface *core.Interface, db engine.Catalog) (uint64, error) {
-	h, ok := r.Get(id)
-	if !ok {
-		return 0, fmt.Errorf("api: unknown interface %q", id)
-	}
-	return h.Swap(iface, db)
 }
 
 // validID reports whether the ID is non-empty and safe to embed as one

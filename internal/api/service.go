@@ -88,9 +88,6 @@ func (s *Service) Persistence() bool { return s.per != nil }
 // Registry returns the underlying registry.
 func (s *Service) Registry() *Registry { return s.reg }
 
-// Ingestion reports whether an ingestor is wired in.
-func (s *Service) Ingestion() bool { return s.ing != nil }
-
 // hosted resolves an interface ID or returns a CodeNotFound error.
 func (s *Service) hosted(id string) (*Hosted, *Error) {
 	h, ok := s.reg.Get(id)

@@ -12,9 +12,9 @@ import (
 // columnar kernels must beat row-at-a-time Exec by ≥10x on the OLAP
 // widget shape (filter + group-by + aggregates over the on-time
 // table), measured as median-of-runs on the same snapshot. The margin
-// in practice is far larger (the row path re-materializes the scan,
-// builds string group keys and walks the AST per row), so 10x holds on
-// loaded CI machines.
+// in practice is larger (the row path boxes every value, builds string
+// group keys and walks the AST per row, where the kernels scan typed
+// vectors), so 10x holds on loaded CI machines.
 func TestColumnarAtLeast10x(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf pin skipped in -short")

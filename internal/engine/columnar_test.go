@@ -163,6 +163,9 @@ func TestColumnarFiltersMatchRowPath(t *testing.T) {
 		"SELECT n FROM t WHERE n LIKE '1%'",
 		"SELECT nn FROM t WHERE nn LIKE '%0'",
 		"SELECT m FROM t WHERE m LIKE 't%'",
+		"SELECT s FROM t WHERE s NOT LIKE 'c%'",
+		"SELECT n FROM t WHERE n NOT LIKE '1%'",
+		"SELECT m FROM t WHERE m NOT LIKE 't%'",
 	} {
 		assertBoth(t, db, sql, true)
 	}
@@ -177,6 +180,7 @@ func TestColumnarFiltersMatchRowPath(t *testing.T) {
 		"SELECT n FROM t WHERE n NOT BETWEEN 2 AND 4",
 		"SELECT n FROM t WHERE n IN (2, 3)",
 		"SELECT n FROM t WHERE n LIKE 'NaN'",
+		"SELECT n FROM t WHERE n NOT LIKE 'NaN'",
 		"SELECT ns FROM t WHERE ns = 5",
 		"SELECT ns FROM t WHERE ns > 'a'",
 		"SELECT m FROM t WHERE m = 1",
@@ -397,10 +401,12 @@ func BenchmarkColumnarOLAP(b *testing.B) {
 	}
 }
 
+// rowOLAPSQL is BenchmarkRowOLAP's query, the OLAP widget shape.
+const rowOLAPSQL = "SELECT DestState, COUNT(*), AVG(ArrDelay) FROM ontime WHERE Month = 2 AND DayOfWeek = 3 GROUP BY DestState"
+
 func BenchmarkRowOLAP(b *testing.B) {
 	db := OnTimeDB(20000)
-	n, err := sqlparser.Parse(
-		"SELECT DestState, COUNT(*), AVG(ArrDelay) FROM ontime WHERE Month = 2 AND DayOfWeek = 3 GROUP BY DestState")
+	n, err := sqlparser.Parse(rowOLAPSQL)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func dmlTarget(cat Catalog, tab *ast.Node) (*Table, *evalCtx, error) {
 	for i, c := range t.Cols {
 		bindings[i] = binding{alias: t.Name, col: c}
 	}
-	return t, &evalCtx{cat: cat, bindings: bindings}, nil
+	return t, newEvalCtx(cat, bindings), nil
 }
 
 // matchRows returns the indexes of rows the (possibly empty) WHERE

@@ -122,6 +122,9 @@ func TestInAndBetweenAndLike(t *testing.T) {
 	if got := exec(t, smallDB(), "SELECT product FROM sales WHERE product LIKE 'wid%'"); len(got.Rows) != 3 {
 		t.Fatalf("LIKE rows = %d", len(got.Rows))
 	}
+	if got := exec(t, smallDB(), "SELECT product FROM sales WHERE product NOT LIKE 'wid%'"); len(got.Rows) != 2 {
+		t.Fatalf("NOT LIKE rows = %d", len(got.Rows))
+	}
 	if got := exec(t, smallDB(), "SELECT product FROM sales WHERE amount NOT BETWEEN 80 AND 120"); len(got.Rows) != 2 {
 		t.Fatalf("NOT BETWEEN rows = %d", len(got.Rows))
 	}
@@ -213,6 +216,17 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 	}
 	if _, err := Exec(db, sqlparser.MustParse("SELECT s.amount FROM sales")); err == nil {
 		t.Fatal("unknown qualifier must error")
+	}
+	// A column is resolved when it is first evaluated, so a predicate
+	// over an empty table never reports one.
+	empty := NewDB()
+	empty.AddTable(NewTable("e", "a"))
+	if res, err := Exec(empty, sqlparser.MustParse("SELECT a FROM e WHERE nope = 1")); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("empty table, unknown WHERE column: %v, %v", res, err)
+	}
+	_, err := Exec(db, sqlparser.MustParse("SELECT amount FROM sales WHERE region = 'USA' AND s.nope = 1"))
+	if err == nil || err.Error() != "engine: unknown column s.nope" {
+		t.Fatalf("unknown qualified column: %v", err)
 	}
 }
 

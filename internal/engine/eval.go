@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -20,11 +21,21 @@ type binding struct {
 // bindings, the current row, the current group (non-nil only while
 // evaluating aggregate projections/HAVING), and the read-only catalog
 // for subqueries.
+//
+// cols memoizes each column reference's binding index on its first
+// evaluation. It is private to one binding scope of one call (ASTs are
+// shared and hash-consed, so a node may name other bindings in a
+// subquery or a join); withRow copies share it.
 type evalCtx struct {
 	cat      Catalog
 	bindings []binding
+	cols     map[*ast.Node]int
 	row      []Value
 	group    [][]Value
+}
+
+func newEvalCtx(cat Catalog, bindings []binding) *evalCtx {
+	return &evalCtx{cat: cat, bindings: bindings, cols: map[*ast.Node]int{}}
 }
 
 func (c *evalCtx) withRow(row []Value) *evalCtx {
@@ -33,8 +44,13 @@ func (c *evalCtx) withRow(row []Value) *evalCtx {
 	return &cp
 }
 
-// lookup resolves a column reference against the bindings.
-func (c *evalCtx) lookup(table, col string) (Value, error) {
+// column reads a column reference from the current row, resolving it
+// against the bindings on its first evaluation.
+func (c *evalCtx) column(n *ast.Node) (Value, error) {
+	if i, ok := c.cols[n]; ok {
+		return c.row[i], nil
+	}
+	table, col := n.Attr("table"), n.Value()
 	for i, b := range c.bindings {
 		if !strings.EqualFold(b.col, col) {
 			continue
@@ -42,6 +58,7 @@ func (c *evalCtx) lookup(table, col string) (Value, error) {
 		if table != "" && !strings.EqualFold(b.alias, table) {
 			continue
 		}
+		c.cols[n] = i
 		return c.row[i], nil
 	}
 	// The paper's Listing 4 uses a bare "now" pseudo-column; bind it to
@@ -182,7 +199,7 @@ func (c *evalCtx) eval(n *ast.Node) (Value, error) {
 	case ast.TypeNumExpr, ast.TypeStrExpr, ast.TypeBoolExpr, ast.TypeNullExpr:
 		return literal(n)
 	case ast.TypeColExpr:
-		return c.lookup(n.Attr("table"), n.Value())
+		return c.column(n)
 	case ast.TypeParen:
 		return c.eval(n.Child(0))
 	case ast.TypeUniExpr:
@@ -556,23 +573,17 @@ func (c *evalCtx) evalScalarSubquery(n *ast.Node) (Value, error) {
 	return tbl.Rows[0][0], nil
 }
 
-// numericLiteral parses a NumExpr (decimal or hex).
+// numericLiteral parses a NumExpr: decimal (strconv.ParseFloat, so the
+// whole text must be a number) or 0x-prefixed hex.
 func numericLiteral(n *ast.Node) (float64, bool) {
 	v := n.Value()
 	if n.Attr("fmt") == "hex" || strings.HasPrefix(v, "0x") || strings.HasPrefix(v, "0X") {
-		var f float64
-		_, err := fmt.Sscanf(strings.ToLower(v), "0x%x", new(uint64))
-		if err != nil {
+		if len(v) < 2 || v[0] != '0' || (v[1] != 'x' && v[1] != 'X') {
 			return 0, false
 		}
-		var u uint64
-		fmt.Sscanf(strings.ToLower(v), "0x%x", &u)
-		f = float64(u)
-		return f, true
+		u, err := strconv.ParseUint(v[2:], 16, 64)
+		return float64(u), err == nil
 	}
-	var f float64
-	if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
-		return 0, false
-	}
-	return f, true
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil
 }

@@ -12,13 +12,15 @@ import (
 // result relation. This is the exec() function the paper assumes is
 // provided (§3.3); generated interfaces call it on every interaction.
 //
-// Exec consumes only the read-only Catalog interface: filtering and
-// grouping only read source rows, ORDER BY sorts through a fresh index
-// slice, and every result row is newly allocated by the projection, so
-// nothing the catalog hands out is ever mutated. It is therefore safe
-// to call concurrently from many goroutines against a shared catalog,
-// as long as the catalog itself is immutable while serving — a *DB
-// built before serving begins, or a copy-on-write store snapshot
+// Exec consumes only the read-only Catalog interface and never writes
+// to what it hands out: a lone FROM table is not copied, so WHERE and
+// GROUP BY hold the catalog's own row slices and only read them; ORDER
+// BY sorts through a fresh index slice; every result row is newly
+// allocated by the projection; and the column-binding memo is private
+// to the call (subqueries make their own). Exec is therefore safe to
+// call concurrently from many goroutines against a shared catalog, as
+// long as the catalog itself is immutable while serving — a *DB built
+// before serving begins, or a copy-on-write store snapshot
 // (internal/store), which is immutable by construction. Registered
 // TableFuncs must uphold the same property.
 func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
@@ -29,7 +31,7 @@ func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{cat: cat, bindings: src.bindings}
+	ctx := newEvalCtx(cat, src.bindings)
 
 	// WHERE.
 	rows := src.rows
@@ -80,7 +82,8 @@ func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
 		}
 		for _, key := range order {
 			g := groups[key]
-			gctx := &evalCtx{cat: cat, bindings: src.bindings, group: g}
+			gctx := *ctx
+			gctx.group = g
 			if len(g) > 0 {
 				gctx.row = g[0]
 			} else {
@@ -95,12 +98,12 @@ func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
 					continue
 				}
 			}
-			row, err := projectRow(gctx, proj, src)
+			row, err := projectRow(&gctx, proj, src, len(outCols))
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, row)
-			keys, err := evalOrderKeys(gctx)
+			keys, err := evalOrderKeys(&gctx)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +112,7 @@ func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
 	} else {
 		for _, r := range rows {
 			rctx := ctx.withRow(r)
-			row, err := projectRow(rctx, proj, src)
+			row, err := projectRow(rctx, proj, src, len(outCols))
 			if err != nil {
 				return nil, err
 			}
@@ -191,19 +194,21 @@ type source struct {
 	rows     [][]Value
 }
 
-// evalFrom resolves the FROM clause into a single cross-joined source.
-// An empty FROM produces a single empty row so SELECT 1+1 works.
+// evalFrom resolves the FROM clause into a single source. A lone FROM
+// item is returned as is, sharing its rows; more items are
+// cross-joined. An empty FROM produces a single empty row so SELECT
+// 1+1 works.
 func evalFrom(cat Catalog, from *ast.Node) (*source, error) {
-	if ast.IsEmptyClause(from) {
-		return &source{rows: [][]Value{{}}}, nil
-	}
 	total := &source{rows: [][]Value{{}}}
-	for _, fc := range from.Children {
+	for i, fc := range from.Children {
 		s, err := resolveSource(cat, fc)
 		if err != nil {
 			return nil, err
 		}
-		total = crossJoin(total, s)
+		if i > 0 {
+			s = crossJoin(total, s)
+		}
+		total = s
 	}
 	return total, nil
 }
@@ -258,7 +263,7 @@ func resolveJoin(cat Catalog, j *ast.Node) (*source, error) {
 	out := &source{}
 	out.bindings = append(out.bindings, left.bindings...)
 	out.bindings = append(out.bindings, right.bindings...)
-	ctx := &evalCtx{cat: cat, bindings: out.bindings}
+	ctx := newEvalCtx(cat, out.bindings)
 	leftJoin := j.Attr("kind") == "left"
 	nulls := make([]Value, len(right.bindings))
 	for i := range nulls {
@@ -316,7 +321,7 @@ func resolveRelation(cat Catalog, fc *ast.Node) (*Table, string, error) {
 			return nil, "", fmt.Errorf("engine: unknown table function %q", rel.Child(0).Value())
 		}
 		args := make([]Value, 0, rel.NumChildren()-1)
-		ctx := &evalCtx{cat: cat}
+		ctx := newEvalCtx(cat, nil)
 		for _, a := range rel.Children[1:] {
 			v, err := ctx.eval(a)
 			if err != nil {
@@ -367,9 +372,13 @@ func groupRows(ctx *evalCtx, rows [][]Value, groupBy *ast.Node) (map[string][][]
 }
 
 // projectRow evaluates the projection list for one row/group context,
-// expanding stars.
-func projectRow(ctx *evalCtx, proj *ast.Node, src *source) ([]Value, error) {
-	var out []Value
+// expanding stars, into a row allocated at its final width (the
+// length of projectionNames).
+func projectRow(ctx *evalCtx, proj *ast.Node, src *source, width int) ([]Value, error) {
+	if width == 0 {
+		return nil, nil
+	}
+	out := make([]Value, 0, width)
 	for _, pc := range proj.Children {
 		e := pc.Child(0)
 		if e.Type == ast.TypeStarExpr {

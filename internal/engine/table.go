@@ -49,18 +49,6 @@ func (t *Table) NumRows() int { return len(t.Rows) }
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.Cols) }
 
-// Clone returns a deep copy of the table. Callers that want to mutate
-// a shared result (e.g. one handed out by a cache) must clone it first;
-// everything else should treat shared tables as read-only.
-func (t *Table) Clone() *Table {
-	cp := &Table{Name: t.Name, Cols: append([]string(nil), t.Cols...)}
-	cp.Rows = make([][]Value, len(t.Rows))
-	for i, row := range t.Rows {
-		cp.Rows[i] = append([]Value(nil), row...)
-	}
-	return cp
-}
-
 // ColIndex returns the index of a column (case-insensitive), or -1.
 // The first call builds a name->index map; later calls are a single
 // map probe instead of a linear scan (this sits under every bound

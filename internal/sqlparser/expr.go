@@ -66,7 +66,7 @@ func (p *parser) parseComparison() (*ast.Node, *Error) {
 	if err != nil {
 		return nil, err
 	}
-	t := p.peek()
+	t, next := p.peek(), p.peek2()
 	switch {
 	case t.kind == tokOp && isCmpOp(t.text):
 		p.advance()
@@ -75,13 +75,17 @@ func (p *parser) parseComparison() (*ast.Node, *Error) {
 			return nil, err
 		}
 		return ast.NewAttr(ast.TypeBiExpr, "op", t.text, left, right), nil
-	case t.kind == tokKeyword && t.text == "like":
+	case t.kind == tokKeyword && (t.text == "like" || (t.text == "not" && next.kind == tokKeyword && next.text == "like")):
+		op := "like"
+		if p.acceptKeyword("not") {
+			op = "not like"
+		}
 		p.advance()
 		right, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
-		return ast.NewAttr(ast.TypeBiExpr, "op", "like", left, right), nil
+		return ast.NewAttr(ast.TypeBiExpr, "op", op, left, right), nil
 	case t.kind == tokKeyword && t.text == "is":
 		p.advance()
 		op := "is"
@@ -93,7 +97,7 @@ func (p *parser) parseComparison() (*ast.Node, *Error) {
 		}
 		return ast.NewAttr(ast.TypeBiExpr, "op", op, left, ast.New(ast.TypeNullExpr)), nil
 	case t.kind == tokKeyword && (t.text == "in" || t.text == "between" ||
-		(t.text == "not" && isSetOp(p.peek2()))):
+		(t.text == "not" && isSetOp(next))):
 		neg := false
 		if p.acceptKeyword("not") {
 			neg = true
@@ -154,7 +158,7 @@ func (p *parser) parseComparison() (*ast.Node, *Error) {
 }
 
 func isSetOp(t token) bool {
-	return t.kind == tokKeyword && (t.text == "in" || t.text == "between" || t.text == "like")
+	return t.kind == tokKeyword && (t.text == "in" || t.text == "between")
 }
 
 func isCmpOp(op string) bool {

@@ -59,6 +59,7 @@ func TestRoundTrip(t *testing.T) {
 		"SELECT DISTINCT a, b AS bb FROM t1, t2 u WHERE a IN (1, 2, 3) ORDER BY a DESC, b LIMIT 5",
 		"SELECT a FROM t WHERE x BETWEEN 1 AND 10 AND y NOT IN ('p', 'q')",
 		"SELECT a FROM t WHERE NOT (x = 1 OR y LIKE 'ab%')",
+		"SELECT a FROM t WHERE y NOT LIKE 'ab%' AND NOT z LIKE 'c'",
 		"SELECT a FROM t WHERE x IS NOT NULL AND y IS NULL",
 		"SELECT COUNT(*), COUNT(DISTINCT a) FROM t GROUP BY b HAVING COUNT(*) > 2",
 		"SELECT -x + 3 * (y - 2) / z % 4 FROM t",
@@ -112,6 +113,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT TOP 1 a FROM t LIMIT 2",
 		`SELECT ""`,
 		"SELECT a FROM []",
+		"SELECT a FROM t WHERE x NOT 'like'",
+		"SELECT a FROM t WHERE x NOT LIKE",
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
