@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz loc bench microbench bench-json perf-gate ingest-demo api-smoke persist-smoke shard-smoke replica-smoke wal-smoke dml-smoke obs-smoke
+.PHONY: check fmt-check vet build test race fuzz cover loc bench microbench bench-json perf-gate ingest-demo api-smoke persist-smoke shard-smoke replica-smoke wal-smoke dml-smoke obs-smoke
 
 check: fmt-check vet build race
 
@@ -33,6 +33,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/mapper
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanKey$$' -fuzztime 10s ./internal/api
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnarMatchesRow$$' -fuzztime 10s ./internal/engine
+
+# Tier-1 statement coverage: the total, the library functions no test
+# runs, and a failure for each one scripts/cover_allow.txt does not name.
+cover:
+	sh scripts/cover.sh
 
 # Non-test Go line counts: the whole repo, and the serving scoreboard
 # (the packages behind pi-serve and pi-router) that ROADMAP tracks.

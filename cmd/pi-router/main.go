@@ -165,7 +165,7 @@ func main() {
 		}()
 	}
 
-	log.Printf("pi-router serving on %s over shards %s (auth %v)", c.Addr, strings.Join(rt.Shards(), ", "), tok != "")
+	log.Printf("pi-router serving on %s over shards %s (auth %v)", c.Addr, strings.Join(addrs, ", "), tok != "")
 	admin := server.WithAdmin("/v1/router/", rt.AdminHandler(server.AuthConfig{Token: tok}))
 	if err := c.Serve(ctx, rt, tok, admin); err != nil {
 		fatal(err)

@@ -211,7 +211,7 @@ func main() {
 	// A shard may legitimately boot empty (-workloads ''): a fresh
 	// process joining a fleet hosts nothing until the router migrates
 	// an interface onto it or seeds it as a follower replica.
-	if reg.Len() == 0 && c.shardAddr == "" {
+	if len(reg.List()) == 0 && c.shardAddr == "" {
 		fatal(fmt.Errorf("no workloads hosted"))
 	}
 
@@ -285,10 +285,10 @@ func main() {
 		}
 		servicer = node
 		admin = append(admin, server.WithAdmin("/v1/shard/", node.AdminHandler(server.AuthConfig{Token: tok})))
-		log.Printf("shard mode: advertising %s, admin surface at /v1/shard/ (auth %v)", node.Addr(), tok != "")
+		log.Printf("shard mode: advertising %s, admin surface at /v1/shard/ (auth %v)", c.shardAddr, tok != "")
 	}
 
-	log.Printf("serving %d interface(s) on %s (auth %v)", reg.Len(), c.Addr, tok != "")
+	log.Printf("serving %d interface(s) on %s (auth %v)", len(reg.List()), c.Addr, tok != "")
 	if err := c.Serve(ctx, servicer, tok, admin...); err != nil {
 		fatal(err)
 	}

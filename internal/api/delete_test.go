@@ -44,11 +44,14 @@ func TestRegistryRemove(t *testing.T) {
 }
 
 func TestDeleteInterface(t *testing.T) {
-	svc, _ := newTestService(t)
+	base, _ := newTestService(t)
 	det := &stubDetacher{}
 	rem := &stubRemover{}
+	svc, _, err := NewPersistentService(base.Registry(), rem)
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc.SetIngestor(det)
-	svc.SetPersister(rem)
 
 	ack, err := svc.DeleteInterface("olap")
 	if err != nil {

@@ -31,16 +31,6 @@ func (c *lru[K, V]) hit(el *list.Element) V {
 	return c.value(el)
 }
 
-// get returns key's value, counting the hit or miss.
-func (c *lru[K, V]) get(key K) (V, bool) {
-	if el, ok := c.items[key]; ok {
-		return c.hit(el), true
-	}
-	c.misses++
-	var zero V
-	return zero, false
-}
-
 // put stores key's value as the most recently used, evicting the least
 // recently used entry when full. A capacity of 0 or less keeps nothing.
 func (c *lru[K, V]) put(key K, v V) {

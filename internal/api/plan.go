@@ -2,9 +2,7 @@ package api
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -28,7 +26,7 @@ type Plan struct {
 }
 
 // PlanCache is a concurrency-safe LRU of Plans keyed by the canonical
-// widget-state shape (PlanKey). Like the result cache it lives inside
+// widget-state shape (AppendPlanKey). Like the result cache it lives inside
 // one epoch snapshot, so an interface swap starts with an empty plan
 // cache and stale bindings can never leak across epochs.
 type PlanCache struct {
@@ -40,13 +38,6 @@ type PlanCache struct {
 // disables caching).
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{lru: newLRU[string, *Plan](capacity)}
-}
-
-// Get returns the cached plan for the widget-state key.
-func (c *PlanCache) Get(key string) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.get(key)
 }
 
 // GetBytes is Get for a key assembled in a reusable byte buffer
@@ -79,57 +70,6 @@ func (c *PlanCache) Stats() CacheStats {
 	return c.lru.stats()
 }
 
-// PlanKey renders a widget-binding set as a canonical string: bindings
-// sorted by path, each with a tag for which of the four binding forms
-// it uses and a canonical rendering of the value. Requests that bind
-// the same widgets to the same values produce the same key regardless
-// of binding order, so they share one cached plan. The key builder
-// never touches the query AST — that is the work being skipped.
-//
-// Every user-controlled field (path, text, value SQL) is length-
-// prefixed, making the encoding injective: no crafted text can make
-// one binding set collide with another's key and hit a plan the
-// client's own bindings would not have validated to.
-func PlanKey(bindings []WidgetBinding) string {
-	if len(bindings) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(bindings))
-	for i := range bindings {
-		b := &bindings[i]
-		var sb strings.Builder
-		writeField(&sb, b.Path)
-		switch {
-		case b.Absent:
-			sb.WriteByte('a')
-		case b.Number != nil:
-			sb.WriteByte('n')
-			writeField(&sb, strconv.FormatFloat(*b.Number, 'g', -1, 64))
-		case b.Text != nil:
-			sb.WriteByte('t')
-			writeField(&sb, *b.Text)
-		case b.Value != nil:
-			sb.WriteByte('v')
-			writeField(&sb, strconv.FormatUint(uint64(ast.HashOf(b.Value)), 16))
-			writeField(&sb, ast.SQL(b.Value))
-		default:
-			// Malformed binding (nothing set): make the key unique so it
-			// misses and Bind reports the error.
-			sb.WriteByte('?')
-		}
-		parts = append(parts, sb.String())
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|")
-}
-
-// writeField appends one length-prefixed field.
-func writeField(sb *strings.Builder, s string) {
-	sb.WriteString(strconv.Itoa(len(s)))
-	sb.WriteByte(':')
-	sb.WriteString(s)
-}
-
 // planKeyScratch is the reusable state one AppendPlanKey call needs:
 // the key buffer itself, a per-binding rendering area for multi-binding
 // requests (which must sort before joining), and a small number buffer
@@ -143,13 +83,21 @@ type planKeyScratch struct {
 
 var planKeyPool = sync.Pool{New: func() any { return &planKeyScratch{num: make([]byte, 0, 32)} }}
 
-// AppendPlanKey renders the same canonical widget-state key as PlanKey
-// into sc.buf — byte-identical, so GetBytes hits exactly the entries
-// Put stored under PlanKey-formed strings. The single-binding case
-// (the common dashboard interaction: one widget changed) needs no
-// sort and no join; multi-binding requests render each part into
-// reused scratch slices, insertion-sort them (binding counts are
-// widget counts — single digits) and join with '|'.
+// AppendPlanKey renders a widget-binding set's canonical key into
+// sc.buf: bindings sorted by path, each with a tag for which of the
+// four binding forms it uses and a canonical rendering of the value.
+// Requests that bind the same widgets to the same values produce the
+// same key regardless of binding order, so they share one cached plan.
+// The key builder never touches the query AST — that is the work being
+// skipped. Every user-controlled field (path, text, value SQL) is
+// length-prefixed, making the encoding injective: no crafted text can
+// make one binding set collide with another's key and hit a plan the
+// client's own bindings would not have validated to.
+//
+// The single-binding case (the common dashboard interaction: one
+// widget changed) needs no sort and no join; multi-binding requests
+// render each part into reused scratch slices, insertion-sort them
+// (binding counts are widget counts — single digits) and join with '|'.
 func (sc *planKeyScratch) AppendPlanKey(bindings []WidgetBinding) {
 	sc.buf = sc.buf[:0]
 	switch len(bindings) {
@@ -179,8 +127,7 @@ func (sc *planKeyScratch) AppendPlanKey(bindings []WidgetBinding) {
 	}
 }
 
-// appendBinding renders one binding exactly as PlanKey's per-binding
-// loop does.
+// appendBinding renders one binding's part of the key.
 func (sc *planKeyScratch) appendBinding(dst []byte, b *WidgetBinding) []byte {
 	dst = appendFieldStr(dst, b.Path)
 	switch {

@@ -62,14 +62,14 @@ func TestPlanCacheLRUAndStats(t *testing.T) {
 	p := func(sql string) *Plan { return &Plan{SQL: sql} }
 	c.Put("a", p("A"))
 	c.Put("b", p("B"))
-	if got, ok := c.Get("a"); !ok || got.SQL != "A" {
+	if got, ok := c.GetBytes([]byte("a")); !ok || got.SQL != "A" {
 		t.Fatalf("get a = %v %v", got, ok)
 	}
 	c.Put("c", p("C")) // evicts b (a was just used)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.GetBytes([]byte("b")); ok {
 		t.Fatal("b not evicted")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.GetBytes([]byte("c")); !ok {
 		t.Fatal("c missing")
 	}
 	st := c.Stats()
@@ -79,7 +79,7 @@ func TestPlanCacheLRUAndStats(t *testing.T) {
 	// Capacity 0 disables.
 	d := NewPlanCache(0)
 	d.Put("x", p("X"))
-	if _, ok := d.Get("x"); ok {
+	if _, ok := d.GetBytes([]byte("x")); ok {
 		t.Fatal("disabled cache stored a plan")
 	}
 }
@@ -137,7 +137,7 @@ func BenchmarkBindPlanCached(b *testing.B) {
 	cache.Put(PlanKey(bindings), &Plan{Query: q, SQL: ast.SQL(q), Hash: ast.HashOf(q)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := cache.Get(PlanKey(bindings)); !ok {
+		if _, ok := cache.GetBytes([]byte(PlanKey(bindings))); !ok {
 			b.Fatal("plan miss")
 		}
 	}

@@ -95,13 +95,6 @@ func (h *Hosted) load() *epochState { return h.state.Load() }
 // replaces rather than mutates it, so holders stay consistent).
 func (h *Hosted) Iface() *core.Interface { return h.load().iface }
 
-// Catalog returns the read-only dataset view the current interface
-// executes against (a frozen *engine.DB or a store snapshot).
-func (h *Hosted) Catalog() engine.Catalog { return h.load().db }
-
-// Cache returns the current epoch's result cache (exposed for stats).
-func (h *Hosted) Cache() *Cache { return h.load().cache }
-
 // Epoch returns the current epoch counter (starts at 1, bumped by every
 // Swap).
 func (h *Hosted) Epoch() uint64 { return h.load().epoch }
@@ -224,16 +217,6 @@ func (r *Registry) AddAt(id, title string, iface *core.Interface, db engine.Cata
 	return h, nil
 }
 
-// DisableMetrics stops interfaces hosted after this call from
-// registering with the process metric registry. It exists for the
-// instrumentation-overhead benchmark (a clean "metrics off" baseline),
-// not for production use.
-func (r *Registry) DisableMetrics() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noMetrics = true
-}
-
 // validID reports whether the ID is non-empty and safe to embed as one
 // URL path segment.
 func validID(id string) bool {
@@ -285,11 +268,4 @@ func (r *Registry) List() []*Hosted {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Len returns the number of hosted interfaces.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ifaces)
 }

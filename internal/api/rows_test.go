@@ -127,14 +127,14 @@ func TestServiceSnapshotContract(t *testing.T) {
 	if _, err := svc.Snapshot(); errCode(t, err) != CodePersistenceDisabled {
 		t.Fatalf("no-persister code = %v", err)
 	}
-	if svc.Persistence() {
-		t.Fatal("Persistence() true without a persister")
+	if svc.Health().Persistence {
+		t.Fatal("health reports persistence without a persister")
 	}
 
 	p := &fakePersister{}
-	svc.SetPersister(p)
-	if !svc.Persistence() {
-		t.Fatal("Persistence() false with a persister")
+	svc, _, err := NewPersistentService(svc.Registry(), p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := svc.Snapshot()
 	if err != nil {
@@ -163,7 +163,7 @@ func TestNewPersistentServiceRestores(t *testing.T) {
 	if p.restores != 1 || len(res.Interfaces) != 1 || res.Interfaces[0].ID != "back" {
 		t.Fatalf("restore result = %+v (restores %d)", res, p.restores)
 	}
-	if !svc.Persistence() {
+	if !svc.Health().Persistence {
 		t.Fatal("persister not wired after restore")
 	}
 

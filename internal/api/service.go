@@ -77,14 +77,6 @@ func (s *Service) SetIngestor(ing Ingestor) { s.ing = ing }
 // latency sampler fires.
 func (s *Service) SetSlowRing(r *obs.SlowRing) { s.slow = r }
 
-// SetPersister wires durable snapshots into Snapshot without the
-// restore-on-construct step (tests, or a first boot into an empty
-// dir). Call before serving begins.
-func (s *Service) SetPersister(p Persister) { s.per = p }
-
-// Persistence reports whether a persister is wired in.
-func (s *Service) Persistence() bool { return s.per != nil }
-
 // Registry returns the underlying registry.
 func (s *Service) Registry() *Registry { return s.reg }
 

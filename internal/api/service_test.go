@@ -1,7 +1,9 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +130,32 @@ func TestServiceBindRejectedCode(t *testing.T) {
 	})
 	if errCode(t, err) != CodeBindRejected {
 		t.Fatalf("unknown-path code = %v", err)
+	}
+}
+
+// TestServiceHexWithoutPrefixRejected: a NumExpr marked fmt=hex must
+// carry the 0x prefix to be a number at all, for the domain check as for
+// the executor, so the request is rejected at bind (422 bind_rejected)
+// instead of binding as 0x14 = 20 and failing to execute. The same text
+// without the mark is the decimal 14 and runs.
+func TestServiceHexWithoutPrefixRejected(t *testing.T) {
+	svc, _ := newTestService(t)
+	query := func(attrs string) error {
+		var req QueryRequest
+		body := `{"widgets":[{"path":"2/0/0/1","value":{"type":"NumExpr","attrs":` + attrs + `}}]}`
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		_, err := svc.Query("olap", req)
+		return err
+	}
+	err := query(`{"value":"14","fmt":"hex"}`)
+	var e *Error
+	if !errors.As(err, &e) || e.Code != CodeBindRejected || e.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("fmt=hex \"14\" = %v, want 422 bind_rejected", err)
+	}
+	if err := query(`{"value":"14"}`); err != nil {
+		t.Fatalf("decimal 14 = %v, want it to run", err)
 	}
 }
 

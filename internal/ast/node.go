@@ -10,6 +10,7 @@ package ast
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -60,6 +61,23 @@ func (n *Node) Value() string {
 		return ""
 	}
 	return n.Attrs["value"]
+}
+
+// NumValue parses a NumExpr's text: decimal (strconv.ParseFloat, so the
+// whole text must be a number) or 0x-prefixed hex; a fmt=hex literal
+// still needs the prefix. The executors and the widget domains read
+// numbers through it alike, so a value a domain accepts also runs.
+func NumValue(n *Node) (float64, bool) {
+	v := n.Value()
+	if n.Attr("fmt") == "hex" || strings.HasPrefix(v, "0x") || strings.HasPrefix(v, "0X") {
+		if len(v) < 2 || v[0] != '0' || (v[1] != 'x' && v[1] != 'X') {
+			return 0, false
+		}
+		u, err := strconv.ParseUint(v[2:], 16, 64)
+		return float64(u), err == nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil
 }
 
 // Attr returns the named attribute ("" when absent).
@@ -184,35 +202,6 @@ func (n *Node) Size() int {
 	s := 1
 	for _, c := range n.Children {
 		s += c.Size()
-	}
-	return s
-}
-
-// Depth returns the height of the subtree (a leaf has depth 1).
-func (n *Node) Depth() int {
-	if n == nil {
-		return 0
-	}
-	d := 0
-	for _, c := range n.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}
-
-// NumLeaves returns the number of leaves in the subtree.
-func (n *Node) NumLeaves() int {
-	if n == nil {
-		return 0
-	}
-	if len(n.Children) == 0 {
-		return 1
-	}
-	s := 0
-	for _, c := range n.Children {
-		s += c.NumLeaves()
 	}
 	return s
 }

@@ -60,20 +60,13 @@ func TestLabelEqual(t *testing.T) {
 	}
 }
 
-func TestSizeDepthLeaves(t *testing.T) {
-	tr := sampleTree()
-	if got := tr.Size(); got != 17 {
+func TestSize(t *testing.T) {
+	if got := sampleTree().Size(); got != 17 {
 		t.Fatalf("Size = %d, want 17", got)
 	}
-	if got := tr.Depth(); got != 4 {
-		t.Fatalf("Depth = %d, want 4", got)
-	}
-	if got := tr.NumLeaves(); got != 9 {
-		t.Fatalf("NumLeaves = %d, want 9", got)
-	}
 	var nilNode *Node
-	if nilNode.Size() != 0 || nilNode.Depth() != 0 || nilNode.NumLeaves() != 0 {
-		t.Fatal("nil node metrics should be zero")
+	if nilNode.Size() != 0 {
+		t.Fatal("nil node size should be zero")
 	}
 }
 

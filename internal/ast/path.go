@@ -1,7 +1,6 @@
 package ast
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -10,25 +9,6 @@ import (
 // the root, rendered as "0/1/0" like the paper's Table 1. The empty path
 // names the root.
 type Path []int
-
-// ParsePath parses the "0/1/0" rendering. The empty string and "/" both
-// name the root.
-func ParsePath(s string) (Path, error) {
-	s = strings.Trim(s, "/")
-	if s == "" {
-		return Path{}, nil
-	}
-	parts := strings.Split(s, "/")
-	p := make(Path, len(parts))
-	for i, part := range parts {
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("ast: invalid path segment %q in %q", part, s)
-		}
-		p[i] = v
-	}
-	return p, nil
-}
 
 // String renders the path as "0/1/0"; the root renders as "/".
 func (p Path) String() string {
@@ -40,19 +20,6 @@ func (p Path) String() string {
 		parts[i] = strconv.Itoa(v)
 	}
 	return strings.Join(parts, "/")
-}
-
-// Equal reports whether two paths are identical.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsPrefixOf reports whether p is a (possibly equal) prefix of q, i.e.
@@ -80,15 +47,6 @@ func (p Path) Child(i int) Path {
 	copy(c, p)
 	c[len(p)] = i
 	return c
-}
-
-// Parent returns the path with the last segment removed; the root's
-// parent is the root itself.
-func (p Path) Parent() Path {
-	if len(p) == 0 {
-		return p
-	}
-	return p[:len(p)-1].Clone()
 }
 
 // Clone returns an independent copy of the path.

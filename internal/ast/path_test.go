@@ -2,6 +2,7 @@ package ast
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -32,7 +33,7 @@ func TestParsePath(t *testing.T) {
 			t.Errorf("ParsePath(%q): %v", c.in, err)
 			continue
 		}
-		if !got.Equal(c.want) {
+		if !slices.Equal(got, c.want) {
 			t.Errorf("ParsePath(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
@@ -45,7 +46,7 @@ func TestPathStringRoundTrip(t *testing.T) {
 			p[i] = int(v)
 		}
 		back, err := ParsePath(p.String())
-		return err == nil && back.Equal(p)
+		return err == nil && slices.Equal(back, p)
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -76,14 +77,14 @@ func TestPathPrefix(t *testing.T) {
 func TestPathChildParent(t *testing.T) {
 	p := Path{0, 1}
 	c := p.Child(3)
-	if !c.Equal(Path{0, 1, 3}) {
+	if !slices.Equal(c, Path{0, 1, 3}) {
 		t.Fatalf("Child = %v", c)
 	}
-	if !c.Parent().Equal(p) {
+	if !slices.Equal(c.Parent(), p) {
 		t.Fatalf("Parent = %v", c.Parent())
 	}
 	root := Path{}
-	if !root.Parent().Equal(root) {
+	if !slices.Equal(root.Parent(), root) {
 		t.Fatal("root parent should be root")
 	}
 }

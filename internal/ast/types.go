@@ -36,7 +36,7 @@ const (
 	TypeParen      = "ParenExpr"   // one child, preserved so unparse round-trips
 
 	// DML statement nodes. These are produced only by
-	// sqlparser.ParseStatement — the mining pipeline (Parse/ParseMany)
+	// sqlparser.ParseStatement — the mining pipeline (Parse)
 	// stays SELECT-only, so no Slot layout, widget kind or collection
 	// annotation applies to them.
 	TypeUpdate  = "Update"  // children: TabExpr, Set, Where (empty clause when absent)

@@ -126,7 +126,7 @@ func CompileColumnar(sel *ast.Node) (*ColPlan, bool) {
 	}
 
 	if lim := sel.Child(ast.SlotLimit); !ast.IsEmptyClause(lim) && lim.NumChildren() > 0 {
-		n, ok := numericLiteral(lim.Child(0))
+		n, ok := ast.NumValue(lim.Child(0))
 		if !ok || n < 0 {
 			return nil, false // the row path reports the error
 		}

@@ -67,7 +67,11 @@ func assertBoth(t *testing.T, cat Catalog, sql string, wantColumnar bool) {
 // whether the columnar path ran.
 func matchBoth(t *testing.T, cat Catalog, sql string) bool {
 	t.Helper()
-	rowRes, rowErr := ExecSQL(cat, sqlparser.Parse, sql)
+	n, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	rowRes, rowErr := Exec(cat, n)
 	colRes, colErr, ran := runColumnar(t, cat, sql)
 	if !ran {
 		return false

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -230,7 +229,7 @@ var errNotLiteral = errors.New("engine: not a literal")
 func literal(n *ast.Node) (Value, error) {
 	switch n.Type {
 	case ast.TypeNumExpr:
-		f, ok := numericLiteral(n)
+		f, ok := ast.NumValue(n)
 		if !ok {
 			return Value{}, fmt.Errorf("engine: bad numeric literal %q", n.Value())
 		}
@@ -571,19 +570,4 @@ func (c *evalCtx) evalScalarSubquery(n *ast.Node) (Value, error) {
 		return Null(), nil
 	}
 	return tbl.Rows[0][0], nil
-}
-
-// numericLiteral parses a NumExpr: decimal (strconv.ParseFloat, so the
-// whole text must be a number) or 0x-prefixed hex.
-func numericLiteral(n *ast.Node) (float64, bool) {
-	v := n.Value()
-	if n.Attr("fmt") == "hex" || strings.HasPrefix(v, "0x") || strings.HasPrefix(v, "0X") {
-		if len(v) < 2 || v[0] != '0' || (v[1] != 'x' && v[1] != 'X') {
-			return 0, false
-		}
-		u, err := strconv.ParseUint(v[2:], 16, 64)
-		return float64(u), err == nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	return f, err == nil
 }

@@ -175,7 +175,7 @@ func Exec(cat Catalog, sel *ast.Node) (*Table, error) {
 
 	// TOP / LIMIT.
 	if lim := sel.Child(ast.SlotLimit); !ast.IsEmptyClause(lim) && lim.NumChildren() > 0 {
-		n, ok := numericLiteral(lim.Child(0))
+		n, ok := ast.NumValue(lim.Child(0))
 		if !ok || n < 0 {
 			return nil, fmt.Errorf("engine: bad LIMIT value %q", lim.Child(0).Value())
 		}
@@ -433,14 +433,4 @@ func rowKey(row []Value) string {
 		b.WriteByte('\x01')
 	}
 	return b.String()
-}
-
-// ExecSQL is a convenience wrapper: parse-then-exec is what generated
-// web interfaces do on every widget interaction.
-func ExecSQL(cat Catalog, parse func(string) (*ast.Node, error), sql string) (*Table, error) {
-	n, err := parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return Exec(cat, n)
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/sqlparser"
 )
 
 // randomExecDB builds a small random table deterministically.
@@ -139,17 +137,5 @@ func TestPropertyJoinVsWhere(t *testing.T) {
 			t.Fatalf("join %v != filtered cross product %v",
 				joined.Rows[0][0], crossed.Rows[0][0])
 		}
-	}
-}
-
-func TestQueryViaSQLParseAgreesWithDirectParse(t *testing.T) {
-	db := randomExecDB(rand.New(rand.NewSource(68)))
-	a, err := ExecSQL(db, sqlparser.Parse, "SELECT k FROM r WHERE v > 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := exec(t, db, "SELECT k FROM r WHERE v > 10")
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("ExecSQL disagrees: %d vs %d", len(a.Rows), len(b.Rows))
 	}
 }

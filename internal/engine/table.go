@@ -102,7 +102,7 @@ type Catalog interface {
 //
 // Concurrency contract: a DB is built single-threaded (AddTable,
 // AddFunc, loading rows) and is immutable afterwards. All read paths —
-// Exec, Table, Func, TableNames, NumTables — are safe to use
+// Exec, Table, Func, TableNames — are safe to use
 // concurrently once building is done. The serving layer shares one DB
 // across all request goroutines under this contract instead of locking
 // per query.
@@ -163,9 +163,6 @@ func (db *DB) Columnar(name string) (*ColumnarTable, bool) {
 	actual, _ := db.colTabs.LoadOrStore(key, BuildColumnar(t))
 	return actual.(*ColumnarTable), true
 }
-
-// NumTables returns the number of registered tables.
-func (db *DB) NumTables() int { return len(db.tables) }
 
 // TableNames lists registered tables in sorted order.
 func (db *DB) TableNames() []string {

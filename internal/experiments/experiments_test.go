@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -137,6 +138,32 @@ func TestFig8cOutput(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("fig8c: SDSS Task 1 should sit near the 60s cap:\n%s", out)
+	}
+}
+
+// TestFig7aOutput checks Figure 7a's shape: within a row recall never
+// falls as training grows, and at a fixed total the mixed log of 8
+// clients recalls less than a single client's.
+func TestFig7aOutput(t *testing.T) {
+	rows := map[string][]float64{}
+	for _, line := range strings.Split(runToString(t, "fig7a"), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 8 || f[0] == "M" || f[0] == "-" {
+			continue
+		}
+		for _, v := range f[1:] {
+			r, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("fig7a row %q: %v", line, err)
+			}
+			if n := len(rows[f[0]]); n > 0 && r < rows[f[0]][n-1] {
+				t.Errorf("fig7a M=%s: recall falls with more training: %q", f[0], line)
+			}
+			rows[f[0]] = append(rows[f[0]], r)
+		}
+	}
+	if len(rows) != 4 || rows["1"][2] <= rows["8"][2] {
+		t.Fatalf("fig7a rows = %v, want M=1,3,5,8 with M=1 above M=8 at n=20", rows)
 	}
 }
 

@@ -366,15 +366,3 @@ func (ing *Ingester) IngestStatus(id string) (api.IngestStatus, bool) {
 		LastError:    f.lastError,
 	}, true
 }
-
-// MinedLen returns how many log entries the interface's miner holds
-// (initial log plus mined appends).
-func (ing *Ingester) MinedLen(id string) (int, error) {
-	f, err := ing.feed(id)
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.miner.Len(), nil
-}

@@ -51,7 +51,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 	}
 	savedEpoch := h1.Epoch()
 	savedWidgets := len(h1.Iface().Widgets)
-	savedMined, _ := ing1.MinedLen("live")
+	savedMined, _ := minedLen(ing1, "live")
 	if res.Interfaces[0].Epoch != savedEpoch {
 		t.Fatalf("snapshot epoch %d, live epoch %d", res.Interfaces[0].Epoch, savedEpoch)
 	}
@@ -84,7 +84,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 	if got := len(h2.Iface().Widgets); got != savedWidgets {
 		t.Fatalf("restored widgets = %d, want %d", got, savedWidgets)
 	}
-	if got, _ := ing2.MinedLen("live"); got != savedMined {
+	if got, _ := minedLen(ing2, "live"); got != savedMined {
 		t.Fatalf("restored mined log = %d entries, want %d", got, savedMined)
 	}
 	st2, err := ing2.Store("live")
@@ -110,7 +110,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 	if _, err := ing2.Submit("live", []qlog.Entry{entry("SELECT a FROM t WHERE x = 40")}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ing2.MinedLen("live"); got != savedMined+1 {
+	if got, _ := minedLen(ing2, "live"); got != savedMined+1 {
 		t.Fatalf("post-restore ingestion mined %d, want %d", got, savedMined+1)
 	}
 	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(900, 40)}); err != nil {
@@ -228,11 +228,11 @@ func TestTailGlob(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n, _ := ing.MinedLen("live"); n == 6 { // 4 initial + 2 tailed
+		if n, _ := minedLen(ing, "live"); n == 6 { // 4 initial + 2 tailed
 			break
 		}
 		if time.Now().After(deadline) {
-			n, _ := ing.MinedLen("live")
+			n, _ := minedLen(ing, "live")
 			t.Fatalf("mined %d entries, want 6", n)
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -57,7 +57,7 @@ func TestWALKillRestoreRoundTrip(t *testing.T) {
 	if wantSeq == 0 {
 		t.Fatal("no publications were acked")
 	}
-	wantMined, _ := ing1.MinedLen("live")
+	wantMined, _ := minedLen(ing1, "live")
 	st1, _ := ing1.Store("live")
 	wantRows, _ := st1.RowCount("t")
 	if wantRows != 52 {
@@ -84,7 +84,7 @@ func TestWALKillRestoreRoundTrip(t *testing.T) {
 	if got, _ := ing2.Seq("live"); got != wantSeq {
 		t.Fatalf("restored seq = %d, want %d", got, wantSeq)
 	}
-	if got, _ := ing2.MinedLen("live"); got != wantMined {
+	if got, _ := minedLen(ing2, "live"); got != wantMined {
 		t.Fatalf("restored mined log = %d entries, want %d", got, wantMined)
 	}
 	st2, err := ing2.Store("live")

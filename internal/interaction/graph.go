@@ -7,8 +7,6 @@
 package interaction
 
 import (
-	"fmt"
-
 	"repro/internal/ast"
 	"repro/internal/treediff"
 )
@@ -19,11 +17,6 @@ type DiffRecord struct {
 	Q1, Q2 int // indices of the incident queries in the log
 	treediff.Diff
 	IsLeaf bool // leaf-d vs ancestor transformation
-}
-
-// String renders the record like a Table 1 row.
-func (d DiffRecord) String() string {
-	return fmt.Sprintf("d{q%d->q%d %s}", d.Q1, d.Q2, d.Diff.String())
 }
 
 // Edge is a labeled edge of the interaction graph: the interaction
@@ -146,31 +139,4 @@ func compare(queries []*ast.Node, i, j int, lca bool) (Edge, bool) {
 		e.Diffs = append(e.Diffs, DiffRecord{Q1: i, Q2: j, Diff: d})
 	}
 	return e, true
-}
-
-// ConnectedFrom returns the set of vertex indices reachable from start
-// following edges (in either direction) for which expressible returns
-// true. This implements the paper's connectivity notion used to compute
-// the interface closure with respect to the log (§4.4).
-func (g *Graph) ConnectedFrom(start int, expressible func(Edge) bool) map[int]bool {
-	adj := make(map[int][]int)
-	for _, e := range g.Edges {
-		if expressible(e) {
-			adj[e.Q1] = append(adj[e.Q1], e.Q2)
-			adj[e.Q2] = append(adj[e.Q2], e.Q1)
-		}
-	}
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
 }

@@ -99,39 +99,6 @@ func TestEdgeEndpointsAndLeafFlags(t *testing.T) {
 	}
 }
 
-func TestConnectedFrom(t *testing.T) {
-	qs := parseAll(t,
-		"SELECT a FROM t WHERE x = 1",
-		"SELECT a FROM t WHERE x = 2",
-		"SELECT zzz FROM other_table GROUP BY q1, q2", // unrelated island with window=2? still compared
-	)
-	g, _ := Mine(qs, Options{WindowSize: 2})
-	// All edges expressible: everything reachable.
-	all := g.ConnectedFrom(0, func(Edge) bool { return true })
-	if len(all) != 3 {
-		t.Fatalf("reachable = %d, want 3", len(all))
-	}
-	// No edges expressible: only the start.
-	none := g.ConnectedFrom(0, func(Edge) bool { return false })
-	if len(none) != 1 || !none[0] {
-		t.Fatalf("reachable = %v, want only vertex 0", none)
-	}
-	// Only single-diff edges expressible: q0-q1 qualifies (one literal
-	// change), q1-q2 does not.
-	some := g.ConnectedFrom(0, func(e Edge) bool {
-		leaves := 0
-		for _, d := range e.Diffs {
-			if d.IsLeaf {
-				leaves++
-			}
-		}
-		return leaves == 1
-	})
-	if !some[1] || some[2] {
-		t.Fatalf("reachable = %v, want {0,1}", some)
-	}
-}
-
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if o.WindowSize != 2 || !o.LCAPrune {

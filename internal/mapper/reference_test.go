@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -273,7 +274,7 @@ func sameWidgets(got, want []*MappedWidget) string {
 	for i, g := range got {
 		w := want[i]
 		switch {
-		case !g.Path.Equal(w.Path):
+		case !slices.Equal(g.Path, w.Path):
 			return fmt.Sprintf("widget %d at %s, reference at %s", i, g.Path, w.Path)
 		case g.Type.Name != w.Type.Name:
 			return fmt.Sprintf("widget %s is a %s, reference a %s", g.Path, g.Type.Name, w.Type.Name)
@@ -307,7 +308,7 @@ func sameRecords(a, b []interaction.DiffRecord) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Q1 != y.Q1 || x.Q2 != y.Q2 || x.IsLeaf != y.IsLeaf || !x.Path.Equal(y.Path) ||
+		if x.Q1 != y.Q1 || x.Q2 != y.Q2 || x.IsLeaf != y.IsLeaf || !slices.Equal(x.Path, y.Path) ||
 			x.Left != y.Left || x.Right != y.Right {
 			return false
 		}

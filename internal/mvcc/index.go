@@ -147,16 +147,6 @@ func (t *Table) EnableIndex(col string) bool {
 	return true
 }
 
-// IndexedCols lists the indexed columns (lowercased, sorted).
-func (t *Table) IndexedCols() []string {
-	out := make([]string, 0, len(t.indexes))
-	for k := range t.indexes {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // indexAdd inserts one freshly-appended version into every index tail.
 func (t *Table) indexAdd(rv *RowVersion) {
 	for _, ix := range t.indexes {

@@ -43,9 +43,6 @@ type RowVersion struct {
 	end atomic.Uint64 // 0 = live; otherwise first epoch NOT visible at
 }
 
-// End returns the retirement epoch (0 while live).
-func (rv *RowVersion) End() uint64 { return rv.end.Load() }
-
 // Live reports whether the version has not been retired.
 func (rv *RowVersion) Live() bool { return rv.end.Load() == 0 }
 
@@ -131,13 +128,6 @@ func (t *Table) NextID() uint64 { return t.nextID }
 // the table has absorbed. Snapshots carry it so a restored table
 // resumes the count.
 func (t *Table) MutGen() uint64 { return t.mutGen }
-
-// LiveCount returns the number of live rows (without materializing).
-func (t *Table) LiveCount() int { return len(t.live) }
-
-// VersionCount returns the arena length, live and retired versions
-// both — Compact shrinks it.
-func (t *Table) VersionCount() int { return len(t.versions) }
 
 // Append adds rows as new live versions beginning at epoch, assigning
 // sequential rowids, and returns the assigned ids. RowIDs are assigned
@@ -288,12 +278,6 @@ type View struct {
 	col atomic.Pointer[engine.ColumnarTable] // lazy columnar projection
 }
 
-// Name returns the table's declared (original-case) name.
-func (v *View) Name() string { return v.name }
-
-// Epoch returns the data epoch the view was published at.
-func (v *View) Epoch() uint64 { return v.epoch }
-
 // Table returns the flattened visible rows as a plain *engine.Table —
 // the drop-in execution target for engine.Exec. The first call per
 // view pays one O(visible-rows) scan; later calls return the cached
@@ -304,9 +288,6 @@ func (v *View) Table() *engine.Table { return v.materialize().tab }
 // how the DML path maps "row i matched the predicate" to a stable
 // identity that followers and the WAL replay can re-apply.
 func (v *View) RowIDs() []uint64 { return v.materialize().ids }
-
-// NumRows returns the visible row count (materializing if needed).
-func (v *View) NumRows() int { return len(v.materialize().ids) }
 
 func (v *View) materialize() *matState {
 	if m := v.mat.Load(); m != nil {

@@ -31,8 +31,8 @@ func TestVisibilityAcrossEpochs(t *testing.T) {
 	wt := NewTable("t", []string{"a", "x"})
 	ids := wt.Append(numRows(4, 100), 1)
 	v1 := wt.Publish(1, 4)
-	if v1.NumRows() != 4 {
-		t.Fatalf("epoch-1 view has %d rows, want 4", v1.NumRows())
+	if len(v1.RowIDs()) != 4 {
+		t.Fatalf("epoch-1 view has %d rows, want 4", len(v1.RowIDs()))
 	}
 
 	if err := wt.Mutate(
@@ -43,14 +43,14 @@ func TestVisibilityAcrossEpochs(t *testing.T) {
 	v2 := wt.Publish(2, 0)
 
 	// The old view still serves the pre-mutation row set.
-	if v1.NumRows() != 4 || rowVal(t, v1.Table(), 0) != 100 {
-		t.Fatalf("pinned epoch-1 view changed: %d rows, row0=%v", v1.NumRows(), v1.Table().Rows[0])
+	if len(v1.RowIDs()) != 4 || rowVal(t, v1.Table(), 0) != 100 {
+		t.Fatalf("pinned epoch-1 view changed: %d rows, row0=%v", len(v1.RowIDs()), v1.Table().Rows[0])
 	}
 	// The new view sees the update and not the deleted row. The
 	// replacement version lands at the end of the visible order (it is
 	// the newest arena entry), keeping its identity.
-	if v2.NumRows() != 3 {
-		t.Fatalf("epoch-2 view has %d rows, want 3", v2.NumRows())
+	if len(v2.RowIDs()) != 3 {
+		t.Fatalf("epoch-2 view has %d rows, want 3", len(v2.RowIDs()))
 	}
 	updated := -1
 	for i, id := range v2.RowIDs() {
@@ -84,8 +84,8 @@ func TestMutateValidatesBeforeApplying(t *testing.T) {
 		t.Fatal("mutation with unknown delete rowid applied")
 	}
 	v := wt.Publish(2, 0)
-	if v.NumRows() != 3 || rowVal(t, v.Table(), 0) != 0 {
-		t.Fatalf("failed mutation left partial state: %d rows, row0=%v", v.NumRows(), v.Table().Rows[0])
+	if len(v.RowIDs()) != 3 || rowVal(t, v.Table(), 0) != 0 {
+		t.Fatalf("failed mutation left partial state: %d rows, row0=%v", len(v.RowIDs()), v.Table().Rows[0])
 	}
 	if wt.MutGen() != 0 {
 		t.Fatalf("failed mutation bumped mutGen to %d", wt.MutGen())
@@ -121,17 +121,17 @@ func TestCompactKeepsOldViewsIntact(t *testing.T) {
 		t.Fatalf("idempotent Compact dropped %d", dropped)
 	}
 	// The pinned pre-compaction view still sees all 10 rows.
-	if v1.NumRows() != 10 {
-		t.Fatalf("pinned view lost rows to compaction: %d", v1.NumRows())
+	if len(v1.RowIDs()) != 10 {
+		t.Fatalf("pinned view lost rows to compaction: %d", len(v1.RowIDs()))
 	}
-	if v2.NumRows() != 5 {
-		t.Fatalf("head view = %d rows, want 5", v2.NumRows())
+	if len(v2.RowIDs()) != 5 {
+		t.Fatalf("head view = %d rows, want 5", len(v2.RowIDs()))
 	}
 	// Post-compaction publishes keep working with stable identity.
 	wt.Append(numRows(1, 500), 3)
 	v3 := wt.Publish(3, 1)
-	if v3.NumRows() != 6 || v3.RowIDs()[5] != ids[9]+1 {
-		t.Fatalf("post-compact append: %d rows, last id %d", v3.NumRows(), v3.RowIDs()[5])
+	if len(v3.RowIDs()) != 6 || v3.RowIDs()[5] != ids[9]+1 {
+		t.Fatalf("post-compact append: %d rows, last id %d", len(v3.RowIDs()), v3.RowIDs()[5])
 	}
 }
 
@@ -160,8 +160,8 @@ func TestPublishAppendFastPath(t *testing.T) {
 	}
 	wt.Append(numRows(1, 2000), 3)
 	v3 := wt.Publish(3, 1)
-	if v3.NumRows() != 101 {
-		t.Fatalf("post-mutation view has %d rows, want 101", v3.NumRows())
+	if len(v3.RowIDs()) != 101 {
+		t.Fatalf("post-mutation view has %d rows, want 101", len(v3.RowIDs()))
 	}
 }
 
@@ -295,6 +295,6 @@ func ExampleTable_Mutate() {
 	wt.Publish(1, 2)
 	sinkErr = wt.Mutate([]Update{{RowID: ids[0], Vals: []engine.Value{engine.Num(10)}}}, []uint64{ids[1]}, 2)
 	v := wt.Publish(2, 0)
-	fmt.Println(v.NumRows(), v.Table().Rows[0][0].String())
+	fmt.Println(len(v.RowIDs()), v.Table().Rows[0][0].String())
 	// Output: 1 10
 }

@@ -43,9 +43,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current total.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -56,16 +53,6 @@ type Gauge struct {
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Add adjusts the value by d (CAS loop; gauges are not hot-path).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(floatFrom(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return floatFrom(g.bits.Load()) }
@@ -100,15 +87,6 @@ func (h *Histogram) ObserveTicks(t int64) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(t)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // LatencyBuckets spans 250ns to 2.5s: the low end covers the cached

@@ -35,7 +35,9 @@ func lines(dump string) []string {
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.CounterVec("t_requests_total", "Requests.", "route", "class")
-	c.With("/v1/query/{id}", "2xx").Add(3)
+	for i := 0; i < 3; i++ {
+		c.With("/v1/query/{id}", "2xx").Inc()
+	}
 	c.With("/v1/query/{id}", "5xx").Inc()
 	g := r.GaugeVec("t_depth", "Depth.")
 	g.With().Set(-2.5)
@@ -129,9 +131,6 @@ func TestHistogramInvariants(t *testing.T) {
 	if got, wantSum := get(`_sum{op="query"}`), sum.Seconds(); got < wantSum*0.999 || got > wantSum*1.001 {
 		t.Errorf("_sum = %v, want ~%v", got, wantSum)
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count() = %d, want 5", h.Count())
-	}
 }
 
 func TestUnitHistogram(t *testing.T) {
@@ -208,9 +207,7 @@ func TestMetricsRecordZeroAlloc(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(500, func() {
 		c.Inc()
-		c.Add(2)
 		g.Set(1.5)
-		g.Add(-0.5)
 		h.Observe(300 * time.Nanosecond)
 		h.Observe(80 * time.Millisecond)
 		if ring.Should(time.Microsecond) {
@@ -248,7 +245,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 				default:
 				}
 				cc.Inc()
-				gg.Add(1)
+				gg.Set(float64(i))
 				d := time.Duration(i%1000) * time.Microsecond
 				hh.Observe(d)
 				if ring.Should(d) {

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"net/http"
 	"strconv"
 )
 
@@ -144,11 +143,3 @@ func escapeHelp(bw *bufio.Writer, v string) {
 
 // ContentType is the Prometheus text exposition content type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// Handler serves the registry in exposition format.
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		r.WritePrometheus(w)
-	})
-}

@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -97,28 +96,6 @@ func (l *Log) ParseEntry(i int) (*ast.Node, error) {
 		return nil, fmt.Errorf("qlog: entry %d (client %q): %w", i, e.Client, err)
 	}
 	return n, nil
-}
-
-// PartitionByClient splits the log into per-client logs, preserving
-// order within each client. Clients are returned in sorted name order.
-func (l *Log) PartitionByClient() []*Log {
-	byClient := map[string]*Log{}
-	var names []string
-	for _, e := range l.Entries {
-		cl, ok := byClient[e.Client]
-		if !ok {
-			cl = &Log{}
-			byClient[e.Client] = cl
-			names = append(names, e.Client)
-		}
-		cl.Append(e.SQL, e.Client)
-	}
-	sort.Strings(names)
-	out := make([]*Log, len(names))
-	for i, n := range names {
-		out[i] = byClient[n]
-	}
-	return out
 }
 
 // Interleave merges several logs round-robin, simulating the

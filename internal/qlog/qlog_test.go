@@ -35,24 +35,6 @@ func TestParseReportsEntry(t *testing.T) {
 	}
 }
 
-func TestPartitionByClient(t *testing.T) {
-	l := &Log{}
-	l.Append("SELECT a FROM t", "c2")
-	l.Append("SELECT b FROM t", "c1")
-	l.Append("SELECT c FROM t", "c2")
-	parts := l.PartitionByClient()
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	if parts[0].Entries[0].Client != "c1" || parts[1].Len() != 2 {
-		t.Fatalf("partition wrong: %+v", parts)
-	}
-	// Order within a client is preserved.
-	if parts[1].Entries[0].SQL != "SELECT a FROM t" {
-		t.Fatal("client order not preserved")
-	}
-}
-
 func TestInterleave(t *testing.T) {
 	a := &Log{}
 	a.Append("SELECT a1 FROM t", "a")

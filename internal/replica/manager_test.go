@@ -366,7 +366,11 @@ func TestStateMachine(t *testing.T) {
 					qi.Role != api.RoleOwner || qi.Term != 3 || qi.Seq != 2 {
 					p.t.Fatalf("new owner = %+v (handoff reported %+v), want owner at term 3, seq 2 (the acked write + fence bump)", qi, st.Info)
 				}
-				if n, _ := q.ing.MinedLen(iface); n != 5 {
+				snap, err := q.ing.Capture(iface)
+				if err != nil {
+					return err
+				}
+				if n := len(snap.Log); n != 5 {
 					p.t.Fatalf("new owner mined %d entries, want 5 (the acked entry included)", n)
 				}
 				if to := p.awaitDemoted(); to != q.url {

@@ -372,12 +372,3 @@ func (c *Client) Status(ctx context.Context, id string) (*StatusResponse, error)
 	}
 	return &out, nil
 }
-
-// StatusAll fetches every tracked interface's status on a shard.
-func (c *Client) StatusAll(ctx context.Context) ([]StatusResponse, error) {
-	var out []StatusResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/shard/replication", nil, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

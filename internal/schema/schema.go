@@ -7,7 +7,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -51,41 +50,6 @@ func (c *Catalog) HasTable(table string) bool {
 func (c *Catalog) HasColumn(table, column string) bool {
 	cols, ok := c.tables[strings.ToLower(lastPart(table))]
 	return ok && cols[strings.ToLower(column)]
-}
-
-// TablesWithColumn returns the tables containing the column — the
-// "mapping from column name to the names of tables that contain the
-// column" Appendix D's filter keeps.
-func (c *Catalog) TablesWithColumn(column string) []string {
-	col := strings.ToLower(column)
-	var out []string
-	for t, cols := range c.tables {
-		if cols[col] {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Tables lists the known tables in sorted order.
-func (c *Catalog) Tables() []string {
-	var out []string
-	for t := range c.tables {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Columns lists a table's known columns in sorted order.
-func (c *Catalog) Columns(table string) []string {
-	var out []string
-	for col := range c.tables[strings.ToLower(lastPart(table))] {
-		out = append(out, col)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // InferFromQueries builds a catalog from parsed queries by attributing
@@ -206,8 +170,6 @@ func blockTables(c *Catalog, sel *ast.Node) (map[string]string, []string, []*ast
 type Violation struct {
 	Msg string
 }
-
-func (v Violation) String() string { return v.Msg }
 
 // Validate checks a query against the catalog the way Appendix D's
 // precision experiment does: every referenced table must exist and

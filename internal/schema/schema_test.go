@@ -24,29 +24,16 @@ func TestInferFromQueries(t *testing.T) {
 	)
 	c := InferFromQueries(qs)
 	if !c.HasTable("speclineindex") || !c.HasTable("xcredshift") || !c.HasTable("galaxy") {
-		t.Fatalf("tables = %v", c.Tables())
+		t.Fatalf("catalog = %v", c.tables)
 	}
 	if !c.HasColumn("SpecLineIndex", "ew") || !c.HasColumn("speclineindex", "specobjid") {
-		t.Fatalf("SpecLineIndex columns = %v", c.Columns("SpecLineIndex"))
+		t.Fatalf("SpecLineIndex columns = %v", c.tables["speclineindex"])
 	}
 	if !c.HasColumn("galaxy", "objid") || !c.HasColumn("galaxy", "redshift") {
-		t.Fatalf("Galaxy columns = %v", c.Columns("Galaxy"))
+		t.Fatalf("Galaxy columns = %v", c.tables["galaxy"])
 	}
 	if c.HasColumn("galaxy", "ew") {
 		t.Fatal("ew must not leak into Galaxy")
-	}
-}
-
-func TestTablesWithColumn(t *testing.T) {
-	qs := parseAll(t,
-		"SELECT specObjId FROM SpecLineIndex",
-		"SELECT specObjId FROM XCRedshift",
-		"SELECT objID FROM Galaxy",
-	)
-	c := InferFromQueries(qs)
-	got := c.TablesWithColumn("specObjId")
-	if len(got) != 2 || got[0] != "speclineindex" || got[1] != "xcredshift" {
-		t.Fatalf("TablesWithColumn = %v", got)
 	}
 }
 
@@ -144,7 +131,7 @@ func TestJoinValidation(t *testing.T) {
 	))
 	if !c.HasColumn("emp", "dept") || !c.HasColumn("dept", "did") {
 		t.Fatalf("ON condition columns not inferred: emp=%v dept=%v",
-			c.Columns("emp"), c.Columns("dept"))
+			c.tables["emp"], c.tables["dept"])
 	}
 	ok := parseAll(t, "SELECT e.name FROM emp e LEFT JOIN dept d ON e.dept = d.did")[0]
 	if !c.Valid(ok) {

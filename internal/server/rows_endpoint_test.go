@@ -162,8 +162,12 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 	// With one, the result round-trips; with auth, the default token
 	// guards the endpoint.
-	ts2, _, svc := liveServer(t, WithAuth(AuthConfig{Token: "tok"}))
-	svc.SetPersister(&snapPersister{})
+	svc, _, err := api.NewPersistentService(api.NewRegistry(), &snapPersister{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(New(svc, WithAuth(AuthConfig{Token: "tok"})).Handler())
+	t.Cleanup(ts2.Close)
 
 	resp, err = http.Post(ts2.URL+"/v1/snapshot", "application/json", nil)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -285,7 +286,8 @@ func TestQueryInitial(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	want, err := engine.Exec(h.Catalog(), h.Iface().Initial)
+	_, db := minedOLAP(t)
+	want, err := engine.Exec(db, h.Iface().Initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,8 @@ func TestQueryUnseenSliderValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.Exec(h.Catalog(), bound)
+	_, db := minedOLAP(t)
+	want, err := engine.Exec(db, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +540,27 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
+// failingDetail is a Servicer whose GetInterface fails with an error
+// that is not an *api.Error, as a Servicer wrapping some other store's
+// errors might.
+type failingDetail struct{ api.Servicer }
+
+func (failingDetail) GetInterface(string) (*api.InterfaceDetail, error) {
+	return nil, errors.New("catalog unreadable")
+}
+
+// TestPlainErrorAnswersInternal: an error without a code still reaches
+// the client as the JSON envelope, as 500 internal with its text.
+func TestPlainErrorAnswersInternal(t *testing.T) {
+	ts := httptest.NewServer(New(failingDetail{api.NewService(api.NewRegistry())}).Handler())
+	t.Cleanup(ts.Close)
+	var e api.Error
+	code := getJSON(t, ts.URL+"/v1/interfaces/olap", &e)
+	if code != http.StatusInternalServerError || e.Code != api.CodeInternal || e.Message != "catalog unreadable" {
+		t.Fatalf("= %d %+v, want 500 internal \"catalog unreadable\"", code, e)
+	}
+}
+
 func TestRequestLogging(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -605,9 +629,10 @@ func TestConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	stats := h.Cache().Stats()
-	if stats.Hits+stats.Misses == 0 {
-		t.Fatalf("cache saw no traffic: %+v", stats)
+	var dbg api.DebugInfo
+	getJSON(t, ts.URL+"/v1/debug", &dbg)
+	if len(dbg.Interfaces) != 1 || dbg.Interfaces[0].Cache.Hits+dbg.Interfaces[0].Cache.Misses == 0 {
+		t.Fatalf("cache saw no traffic: %+v", dbg)
 	}
 	if got := h.Queries(); got != goroutines*perG {
 		t.Fatalf("query counter = %d, want %d", got, goroutines*perG)

@@ -3,9 +3,8 @@
 // and "preprocessing the query log by leveraging query meta-data ...,
 // modeling semantic distances between queries to cluster similar
 // queries, and removing anomalous queries are all promising
-// approaches". This package provides all three:
+// approaches". This package provides the last two:
 //
-//   - PartitionByClient: split on the session/client ids DBMS logs carry;
 //   - Cluster: distance-based clustering of queries using the
 //     Zhang-Shasha tree edit distance (internal/treediff), which
 //     separates interleaved analyses even without client metadata;
@@ -17,7 +16,6 @@
 package sessions
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/ast"
@@ -205,21 +203,4 @@ func RemoveAnomalies(log *qlog.Log, clusters []Cluster, threshold float64, minCl
 		}
 	}
 	return kept, removed, nil
-}
-
-// Describe renders a short cluster summary for logs/debugging.
-func Describe(log *qlog.Log, clusters []Cluster) string {
-	s := fmt.Sprintf("%d clusters over %d queries\n", len(clusters), log.Len())
-	for i, c := range clusters {
-		s += fmt.Sprintf("  cluster %d: %d queries, medoid %q\n",
-			i, len(c.Members), truncate(log.Entries[c.Medoid].SQL, 60))
-	}
-	return s
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-3] + "..."
 }

@@ -1,7 +1,6 @@
 package sessions
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -43,7 +42,7 @@ func TestClusterSeparatesAnalyses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(clusters) < 2 || len(clusters) > 8 {
-		t.Fatalf("clusters = %d, want a handful (got %s)", len(clusters), Describe(log, clusters))
+		t.Fatalf("clusters = %d, want a handful (got %v)", len(clusters), clusters)
 	}
 	// Purity: every cluster should be dominated by one client.
 	for i, c := range clusters {
@@ -187,17 +186,5 @@ func TestRemoveAnomalies(t *testing.T) {
 		if e.Client == "noise" {
 			t.Errorf("noise query kept: %q", e.SQL)
 		}
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	log := mixedLog()
-	clusters, err := ClusterLog(log, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Describe(log, clusters)
-	if !strings.Contains(out, "clusters over") || !strings.Contains(out, "medoid") {
-		t.Fatalf("describe output: %s", out)
 	}
 }

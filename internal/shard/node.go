@@ -129,9 +129,6 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 	return n, nil
 }
 
-// Addr returns the shard's advertised base URL.
-func (n *Node) Addr() string { return n.opts.Addr }
-
 // NormalizeAddr turns a shard address ("host:port" or a full URL) into
 // a canonical base URL, so addresses compare equal regardless of how
 // the operator spelled them. Delegates to the SDK's canonicalizer —
@@ -154,18 +151,6 @@ func (n *Node) movedErr(id string) *api.Error {
 		return nil
 	}
 	return api.ErrMoved(id, addr)
-}
-
-// Moved returns the tombstoned relocations this shard remembers
-// (interface ID -> new owner), for load reports and tests.
-func (n *Node) Moved() map[string]string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make(map[string]string, len(n.moved))
-	for id, addr := range n.moved {
-		out[id] = addr
-	}
-	return out
 }
 
 // --- api.Servicer overrides: tombstone and replication-role checks

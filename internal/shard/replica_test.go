@@ -453,8 +453,9 @@ func TestTombstoneSurvivesRestart(t *testing.T) {
 	if _, err := sh2.node.Replication().Follow(frame, 1, peer.ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	if moved := build().node.Moved(); len(moved) != 0 {
-		t.Fatalf("tombstone survived the seed: %v", moved)
+	_, qerr = build().node.Query("olap", api.QueryRequest{Limit: 1})
+	if errors.As(qerr, &ae) && ae.Code == api.CodeMoved {
+		t.Fatalf("tombstone survived the seed: %v", qerr)
 	}
 }
 

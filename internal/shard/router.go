@@ -208,13 +208,6 @@ func (rt *Router) addShard(addr string) (*shardConn, error) {
 	return conn, nil
 }
 
-// Shards returns the configured shard addresses in sorted order.
-func (rt *Router) Shards() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return append([]string(nil), rt.order...)
-}
-
 // Placement returns a copy of the current interface→shard map.
 func (rt *Router) Placement() map[string]string {
 	rt.mu.RLock()

@@ -4,7 +4,7 @@
 // space of queries is small, this can be a way to both verify and
 // pre-compute results for performance purposes."
 //
-// Three facilities:
+// Two facilities:
 //
 //   - Dependencies: detect multi-level widget relationships — a widget
 //     whose path only exists under some options of an ancestor widget
@@ -13,17 +13,14 @@
 //   - Verify: walk the closure, validate each query against a schema
 //     catalog, and report which single-widget options and which
 //     pairwise option combinations always produce invalid queries, so
-//     the interface can disable them;
-//   - Precompute: execute closure queries against the in-memory engine
-//     and cache the results keyed by query hash.
+//     the interface can disable them.
+//
+// Pre-computing results is not implemented.
 package speculate
 
 import (
-	"fmt"
-
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/schema"
 )
 
@@ -74,8 +71,6 @@ func Dependencies(iface *core.Interface) []Dependency {
 type OptionRef struct {
 	Widget, Option int
 }
-
-func (o OptionRef) String() string { return fmt.Sprintf("w%d#%d", o.Widget, o.Option) }
 
 // Report is the result of speculative closure verification.
 type Report struct {
@@ -152,61 +147,4 @@ func Verify(iface *core.Interface, catalog *schema.Catalog, maxPairs int) Report
 		}
 	}
 	return rep
-}
-
-// Precomputed caches executed results for closure queries, keyed by
-// structural hash and verified with ast.Equal, so two queries whose
-// hashes collide keep their own results.
-type Precomputed struct {
-	hash    func(*ast.Node) ast.Hash
-	buckets map[ast.Hash][]precomputed
-	n       int
-	// Failed counts closure queries the engine rejected.
-	Failed int
-}
-
-type precomputed struct {
-	q   *ast.Node
-	res *engine.Table
-}
-
-// Get returns the cached result for a query, if present.
-func (p *Precomputed) Get(q *ast.Node) (*engine.Table, bool) {
-	for _, e := range p.buckets[p.hash(q)] {
-		if ast.Equal(e.q, q) {
-			return e.res, true
-		}
-	}
-	return nil, false
-}
-
-// Len returns the number of cached results.
-func (p *Precomputed) Len() int { return p.n }
-
-// Precompute executes up to max closure queries against the database
-// and caches their results — the §4.5 "pre-compute results for
-// performance purposes" path. Invalid queries are counted, not fatal.
-func Precompute(iface *core.Interface, cat engine.Catalog, max int) *Precomputed {
-	return precompute(iface, cat, max, ast.HashOf)
-}
-
-// precompute is Precompute keyed by the given hash, which a test
-// degrades to force collisions.
-func precompute(iface *core.Interface, cat engine.Catalog, max int, hash func(*ast.Node) ast.Hash) *Precomputed {
-	p := &Precomputed{hash: hash, buckets: map[ast.Hash][]precomputed{}}
-	iface.EnumerateClosure(max, func(q *ast.Node) bool {
-		if _, ok := p.Get(q); ok {
-			return true
-		}
-		res, err := engine.Exec(cat, q)
-		if err != nil {
-			p.Failed++
-			return true
-		}
-		h := hash(q)
-		p.buckets[h] = append(p.buckets[h], precomputed{q, res})
-		p.n++
-		return true
-	})
-	return p
 }

@@ -1,15 +1,11 @@
 package speculate
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/qlog"
 	"repro/internal/schema"
-	"repro/internal/sqlparser"
 )
 
 func generate(t *testing.T, sqls ...string) *core.Interface {
@@ -145,67 +141,5 @@ func TestVerifyPairCap(t *testing.T) {
 	capped := Verify(iface, catalog, 1)
 	if capped.Checked >= full.Checked {
 		t.Fatalf("cap had no effect: %d vs %d", capped.Checked, full.Checked)
-	}
-}
-
-// TestPrecompute executes the closure of a small interface and caches
-// results.
-func TestPrecompute(t *testing.T) {
-	iface := generate(t,
-		"SELECT cty, SUM(sales) FROM t WHERE x > 1 GROUP BY cty",
-		"SELECT cty, SUM(sales) FROM t WHERE x > 3 GROUP BY cty",
-		"SELECT cty, SUM(sales) FROM t WHERE x > 7 GROUP BY cty")
-	db := engine.TinyDB()
-	pre := Precompute(iface, db, 100)
-	if pre.Len() == 0 {
-		t.Fatalf("nothing precomputed (failed=%d)", pre.Failed)
-	}
-	// The initial query must be cached and retrievable.
-	q := sqlparser.MustParse("SELECT cty, SUM(sales) FROM t WHERE x > 1 GROUP BY cty")
-	res, ok := pre.Get(q)
-	if !ok {
-		t.Fatal("initial query missing from cache")
-	}
-	if len(res.Cols) != 2 {
-		t.Fatalf("cached result cols = %v", res.Cols)
-	}
-	if _, ok := pre.Get(sqlparser.MustParse("SELECT zzz FROM t")); ok {
-		t.Fatal("cache hit for query outside the closure")
-	}
-}
-
-// TestPrecomputeHashCollision forces every closure query into one hash
-// bucket: each must still get its own result, not the first one cached.
-func TestPrecomputeHashCollision(t *testing.T) {
-	iface := generate(t,
-		"SELECT cty, SUM(sales) FROM t WHERE x > 1 GROUP BY cty",
-		"SELECT cty, SUM(sales) FROM t WHERE x > 3 GROUP BY cty",
-		"SELECT cty, SUM(sales) FROM t WHERE x > 7 GROUP BY cty")
-	db := engine.TinyDB()
-	pre := precompute(iface, db, 100, func(*ast.Node) ast.Hash { return 1 })
-	if pre.Len() < 2 {
-		t.Fatalf("closure cached %d results, want at least two colliding ones", pre.Len())
-	}
-	distinct := map[string]bool{}
-	iface.EnumerateClosure(100, func(q *ast.Node) bool {
-		want, err := engine.Exec(db, q)
-		if err != nil {
-			return true
-		}
-		got, ok := pre.Get(q)
-		if !ok {
-			t.Fatalf("%s: missing from the cache", ast.SQL(q))
-		}
-		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-			t.Fatalf("%s: cached rows %v, executing gives %v", ast.SQL(q), got.Rows, want.Rows)
-		}
-		distinct[fmt.Sprint(want.Rows)] = true
-		return true
-	})
-	if len(distinct) < 2 {
-		t.Fatalf("the colliding queries all have the same result %v; the test proves nothing", distinct)
-	}
-	if _, ok := pre.Get(sqlparser.MustParse("SELECT zzz FROM t")); ok {
-		t.Fatal("cache hit for a query outside the closure that shares its bucket")
 	}
 }

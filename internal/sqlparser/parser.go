@@ -27,32 +27,6 @@ func Parse(sql string) (*ast.Node, error) {
 	return stmt, nil
 }
 
-// ParseMany parses a script of semicolon-separated SELECT statements.
-func ParseMany(sql string) ([]*ast.Node, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, err
-	}
-	var out []*ast.Node
-	for p.peek().kind != tokEOF {
-		if p.peek().kind == tokSemi {
-			p.advance()
-			continue
-		}
-		stmt, perr := p.parseSelect()
-		if perr != nil {
-			return nil, perr
-		}
-		out = append(out, stmt)
-		if p.peek().kind == tokSemi {
-			p.advance()
-		} else if p.peek().kind != tokEOF {
-			return nil, p.errorf("expected ';' between statements, got %s", p.peek())
-		}
-	}
-	return out, nil
-}
-
 // MustParse parses sql and panics on error; intended for tests and
 // workload generators whose inputs are program constants.
 func MustParse(sql string) *ast.Node {

@@ -137,14 +137,13 @@ func TestFixedSlotLayout(t *testing.T) {
 	}
 	// Paths from the paper: Table 1 path 0/1 is the second ProjClause.
 	n3 := MustParse("SELECT cty, sales FROM T WHERE cty = 'USA'")
-	p, _ := ast.ParsePath("0/1")
+	p := ast.Path{0, 1}
 	if got := n3.At(p); got == nil || got.Type != ast.TypeProjClause {
 		t.Fatalf("At(0/1) = %v, want ProjClause", got)
 	}
-	p2, _ := ast.ParsePath("2/0/0/1")
 	// 2=Where, 0=BiExpr, ... our Where wraps the expression, so 2/0 is
 	// the BiExpr and 2/0/1 its string literal.
-	p2 = ast.Path{ast.SlotWhere, 0, 1}
+	p2 := ast.Path{ast.SlotWhere, 0, 1}
 	if got := n3.At(p2); got == nil || got.Value() != "USA" {
 		t.Fatalf("WHERE literal lookup failed: %v (path %v)", got, p2)
 	}
@@ -216,16 +215,6 @@ func TestSubqueryInFrom(t *testing.T) {
 	inner := sq.Child(0)
 	if inner.Type != ast.TypeSelect || len(inner.Children) != ast.NumSlots {
 		t.Fatal("inner select malformed")
-	}
-}
-
-func TestParseMany(t *testing.T) {
-	stmts, err := ParseMany("SELECT a FROM t; SELECT b FROM u;\n-- comment\nSELECT c FROM v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 3 {
-		t.Fatalf("got %d statements", len(stmts))
 	}
 }
 

@@ -141,23 +141,10 @@ func (v *View) IndexLookup(table, col string, key engine.Value) ([]int32, bool) 
 	return t.Lookup(col, key)
 }
 
-// NumTables returns the number of tables in the view.
-func (v *View) NumTables() int { return len(v.tables) }
-
 // TableNames lists the view's tables (lowercased) in sorted order.
 func (v *View) TableNames() []string {
 	out := make([]string, 0, len(v.tables))
 	for n := range v.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FuncNames lists the view's table-valued functions in sorted order.
-func (v *View) FuncNames() []string {
-	out := make([]string, 0, len(v.funcs))
-	for n := range v.funcs {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -171,11 +158,6 @@ type Store struct {
 	mu     sync.Mutex // serializes writers; readers never take it
 	tables map[string]*mvcc.Table
 	v      atomic.Pointer[version]
-
-	// indexCols remembers which secondary indexes were requested per
-	// table key, so a table replaced via AddTable (re-mine, restore)
-	// gets them re-applied.
-	indexCols map[string]map[string]bool
 }
 
 // FromDB seeds a store from a built database. The store takes over the
@@ -203,9 +185,6 @@ func FromDB(db *engine.DB) *Store {
 	s.v.Store(&version{view: View{epoch: 1, tables: views, funcs: funcs}})
 	return s
 }
-
-// New returns an empty store at data epoch 1.
-func New() *Store { return FromDB(engine.NewDB()) }
 
 // seed builds a store directly from persisted table state (rows with
 // their saved rowids plus the rowid allocator and mutation generation)
@@ -347,45 +326,14 @@ func (s *Store) MutateRows(table string, updates []RowUpdate, deletes []uint64) 
 	return epoch, nil
 }
 
-// AddTable registers a (possibly non-empty) table under a new version.
-// Replacing an existing name swaps the whole table; its rows get fresh
-// rowids.
-func (s *Store) AddTable(t *engine.Table) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.v.Load()
-	epoch := cur.view.epoch + 1
-	wt, err := mvcc.Seed(t.Name, t.Cols, t.Rows, nil, 0, 0, epoch)
-	if err != nil { // unreachable: nil ids cannot collide
-		panic(err)
-	}
-	key := strings.ToLower(t.Name)
-	s.tables[key] = wt
-	for col := range s.indexCols[key] {
-		wt.EnableIndex(col)
-	}
-	s.publish(epoch, key, wt.Publish(epoch, 0))
-	return epoch
-}
-
 // EnableIndex builds a secondary index on table.col (idempotent) and
 // republishes the current epoch's view so the live snapshot carries
-// it. Returns false when the table or column does not exist right
-// now; the selection is still recorded, so a table hosted (or
-// replaced) later under that name gets the index the moment AddTable
-// publishes it. The data epoch does not change: an index is not a
-// data mutation, and every epoch-keyed cache above stays valid.
+// it. Returns false when the table or column does not exist. The data
+// epoch does not change: an index is not a data mutation, and every
+// epoch-keyed cache above stays valid.
 func (s *Store) EnableIndex(table, col string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := strings.ToLower(table)
-	if s.indexCols == nil {
-		s.indexCols = map[string]map[string]bool{}
-	}
-	if s.indexCols[key] == nil {
-		s.indexCols[key] = map[string]bool{}
-	}
-	s.indexCols[key][col] = true
 	t, key, ok := s.lookupWriter(table)
 	if !ok || !t.EnableIndex(col) {
 		return false
@@ -396,10 +344,9 @@ func (s *Store) EnableIndex(table, col string) bool {
 }
 
 // EnableIndexes applies a batch of auto-selected predicate columns
-// (engine.PredicateColumns output). Unknown columns are skipped —
-// mined ASTs can reference pseudo-columns — and unknown tables are
-// deferred until AddTable hosts them. Returns how many indexes are
-// now enabled from the batch.
+// (engine.PredicateColumns output). Unknown tables and columns are
+// skipped — mined ASTs can reference pseudo-columns. Returns how many
+// indexes are now enabled from the batch.
 func (s *Store) EnableIndexes(cols []engine.PredicateColumn) int {
 	n := 0
 	for _, pc := range cols {
@@ -451,22 +398,4 @@ func (s *Store) RowCount(table string) (int, bool) {
 		return 0, false
 	}
 	return t.NumRows(), true
-}
-
-// RowCounts returns every table's current row count, keyed by the
-// catalog's (lowercased) table name in sorted order.
-func (s *Store) RowCounts() map[string]int {
-	v := s.Snapshot()
-	out := make(map[string]int, v.NumTables())
-	for _, name := range v.TableNames() {
-		if t, ok := v.Table(name); ok {
-			out[name] = t.NumRows()
-		}
-	}
-	return out
-}
-
-// TableNames lists the catalog's tables in sorted order.
-func (s *Store) TableNames() []string {
-	return s.Snapshot().TableNames()
 }

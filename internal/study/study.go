@@ -12,7 +12,6 @@
 package study
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -289,9 +288,3 @@ func meanStd(g []Observation) (mean, sd float64) {
 }
 
 func sqrtf(n int) float64 { return math.Sqrt(float64(n)) }
-
-// FormatCell renders a cell like the paper's reporting style, e.g.
-// "9.3s ± 0.8".
-func (c CellStat) FormatCell() string {
-	return fmt.Sprintf("%.1fs ± %.1f (acc %.0f%%)", c.MeanSecs, c.CI95Secs, c.Accuracy*100)
-}

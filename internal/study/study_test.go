@@ -156,10 +156,3 @@ func TestRegIncBeta(t *testing.T) {
 		t.Error("boundary values wrong")
 	}
 }
-
-func TestSummaryFormatting(t *testing.T) {
-	c := CellStat{Task: 1, Condition: PrecisionInterface, N: 20, MeanSecs: 9.3, CI95Secs: 0.8, Accuracy: 0.95}
-	if got := c.FormatCell(); got != "9.3s ± 0.8 (acc 95%)" {
-		t.Fatalf("FormatCell = %q", got)
-	}
-}

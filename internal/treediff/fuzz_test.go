@@ -3,6 +3,7 @@ package treediff
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,7 +126,7 @@ func FuzzCompare(f *testing.F) {
 			t.Fatalf("LCA pruning kept %v, want %v", lca, want)
 		}
 		for i := range lca {
-			if !lca[i].Path.Equal(want[i].Path) {
+			if !slices.Equal(lca[i].Path, want[i].Path) {
 				t.Fatalf("LCA pruning kept %v, want %v", lca, want)
 			}
 		}

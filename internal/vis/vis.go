@@ -27,18 +27,6 @@ const (
 	KindScatter
 )
 
-func (k ChartKind) String() string {
-	switch k {
-	case KindBar:
-		return "bar"
-	case KindLine:
-		return "line"
-	case KindScatter:
-		return "scatter"
-	}
-	return "table"
-}
-
 // Spec is the chosen visualization: the chart kind and the column
 // indices bound to the x and y channels (-1 when unused).
 type Spec struct {

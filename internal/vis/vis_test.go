@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/sqlparser"
 )
 
 func barTable() *engine.Table {
@@ -129,7 +130,11 @@ func TestRenderSVGDegenerate(t *testing.T) {
 func TestEndToEndWithEngine(t *testing.T) {
 	db := engine.OnTimeDB(500)
 	// deststate (categorical) + count (quantitative).
-	res, err := engine.ExecSQL(db, parse, "SELECT deststate, COUNT(*) FROM ontime GROUP BY deststate")
+	q, err := sqlparser.Parse("SELECT deststate, COUNT(*) FROM ontime GROUP BY deststate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Exec(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

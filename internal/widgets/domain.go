@@ -7,9 +7,6 @@
 package widgets
 
 import (
-	"strconv"
-	"strings"
-
 	"repro/internal/ast"
 )
 
@@ -62,7 +59,7 @@ func (d *Domain) Add(n *ast.Node) {
 	k := ast.KindOf(n)
 	switch k {
 	case ast.KindNumber:
-		if v, ok := NumericValue(n); ok {
+		if v, ok := ast.NumValue(n); ok {
 			d.numCount++
 			if d.numCount == 1 {
 				d.min, d.max = v, v
@@ -122,8 +119,8 @@ func (d *Domain) Contains(n *ast.Node) bool {
 	if d.set.Contains(n) {
 		return true
 	}
-	if n != nil && d.IsNumericRange() {
-		if v, ok := NumericValue(n); ok {
+	if ast.KindOf(n) == ast.KindNumber && d.IsNumericRange() {
+		if v, ok := ast.NumValue(n); ok {
 			return v >= d.min && v <= d.max
 		}
 	}
@@ -132,24 +129,3 @@ func (d *Domain) Contains(n *ast.Node) bool {
 
 // Values returns the distinct member subtrees in deterministic order.
 func (d *Domain) Values() []*ast.Node { return d.set.Values() }
-
-// NumericValue parses the numeric value of a NumExpr terminal,
-// supporting both decimal and the SDSS logs' 0x hex object ids.
-func NumericValue(n *ast.Node) (float64, bool) {
-	if n == nil || n.Type != ast.TypeNumExpr {
-		return 0, false
-	}
-	v := n.Value()
-	if n.Attr("fmt") == "hex" || strings.HasPrefix(v, "0x") || strings.HasPrefix(v, "0X") {
-		u, err := strconv.ParseUint(strings.TrimPrefix(strings.TrimPrefix(v, "0x"), "0X"), 16, 64)
-		if err != nil {
-			return 0, false
-		}
-		return float64(u), true
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}

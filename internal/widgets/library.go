@@ -103,14 +103,6 @@ type Widget struct {
 // Cost is c_WT(w.d).
 func (w *Widget) Cost() float64 { return w.Type.Cost.Eval(w.Domain.Len()) }
 
-// Expresses reports whether the widget expresses the transformation of
-// replacing the subtree at path with sub (§4.3 "Widget Expressiveness"):
-// the widget's path must equal the transformation's path and the target
-// subtree must be in (or extrapolated by) the widget's domain.
-func (w *Widget) Expresses(path ast.Path, sub *ast.Node) bool {
-	return w.Path.Equal(path) && w.Domain.Contains(sub)
-}
-
 // Pick implements pickWidget (Algorithm 2): among the library types
 // whose rules accept the domain, instantiate the one with minimal cost.
 // It returns nil when no type accepts (cannot happen with the default

@@ -320,21 +320,6 @@ func TestFitMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestWidgetExpresses(t *testing.T) {
-	lib := DefaultLibrary()
-	p := ast.Path{2, 0, 1}
-	w := lib.Pick(p, strDomain("USA", "EUR", "JPN"))
-	if !w.Expresses(p, ast.Leaf(ast.TypeStrExpr, "EUR")) {
-		t.Fatal("widget should express a domain member at its own path")
-	}
-	if w.Expresses(ast.Path{2, 0, 0}, ast.Leaf(ast.TypeStrExpr, "EUR")) {
-		t.Fatal("different path must not be expressed")
-	}
-	if w.Expresses(p, ast.Leaf(ast.TypeStrExpr, "CHN")) {
-		t.Fatal("non-member must not be expressed")
-	}
-}
-
 // TestNineWidgetTypes pins the paper's library size: "We defined 9 HTML
 // widget types natively supported in modern browsers".
 func TestNineWidgetTypes(t *testing.T) {

@@ -37,10 +37,12 @@ func liveFixture(t *testing.T) (*api.Service, *memPersister) {
 	if _, err := ing.Host("tiny", "tiny live", l, db, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	svc := api.NewService(reg)
-	svc.SetIngestor(ing)
 	p := &memPersister{}
-	svc.SetPersister(p)
+	svc, _, err := api.NewPersistentService(reg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetIngestor(ing)
 	return svc, p
 }
 
