@@ -50,13 +50,3 @@ func writeField(sb *strings.Builder, s string) {
 	sb.WriteByte(':')
 	sb.WriteString(s)
 }
-
-// DisableMetrics stops interfaces hosted after this call from
-// registering with the process metric registry. It exists for the
-// instrumentation-overhead benchmark (a clean "metrics off" baseline),
-// not for production use.
-func (r *Registry) DisableMetrics() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noMetrics = true
-}

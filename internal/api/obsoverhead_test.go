@@ -36,18 +36,18 @@ func TestMetricsOverhead(t *testing.T) {
 		limit = v
 	}
 
-	svcOn, reqOn := newBenchService(t, true)
-	svcOff, reqOff := newBenchService(t, false)
+	svcOn, idOn, reqOn := newBenchService(t, true)
+	svcOff, idOff, reqOff := newBenchService(t, false)
 
 	const perRound = 5000
 	const rounds = 6
-	measure := func(svc *Service, req QueryRequest) time.Duration {
+	measure := func(svc *Service, id string, req QueryRequest) time.Duration {
 		var resp QueryResponse
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < rounds; r++ {
 			start := time.Now()
 			for i := 0; i < perRound; i++ {
-				if err := svc.QueryIntoCtx(context.Background(), "olap", req, &resp); err != nil {
+				if err := svc.QueryIntoCtx(context.Background(), id, req, &resp); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -59,15 +59,15 @@ func TestMetricsOverhead(t *testing.T) {
 	}
 
 	// Warm both paths out of any cold-start effects before timing.
-	measure(svcOn, reqOn)
-	measure(svcOff, reqOff)
+	measure(svcOn, idOn, reqOn)
+	measure(svcOff, idOff, reqOff)
 
 	const attempts = 5
 	var lines []string
 	for a := 0; a < attempts; a++ {
 		// Interleave so frequency scaling hits both sides alike.
-		off := measure(svcOff, reqOff)
-		on := measure(svcOn, reqOn)
+		off := measure(svcOff, idOff, reqOff)
+		on := measure(svcOn, idOn, reqOn)
 		ratio := float64(on) / float64(off)
 		lines = append(lines, fmt.Sprintf("attempt %d: off %v, on %v per %d queries, ratio %.3fx",
 			a, off, on, perRound, ratio))

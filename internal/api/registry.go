@@ -54,8 +54,8 @@ type Hosted struct {
 	cacheSize int
 	queries   atomic.Uint64 // total POST /query requests served
 
-	// mx holds the interface's preallocated metric handles (nil when
-	// the registry was built with metrics disabled). statsMu guards the
+	// mx holds the interface's preallocated metric handles (nil only in
+	// the tests' metrics-off baseline). statsMu guards the
 	// cache hit/miss totals carried over from retired epochs, so the
 	// cumulative counters /v1/metrics and /v1/debug expose survive hot
 	// swaps even though each epoch starts with fresh caches.
@@ -164,7 +164,6 @@ type Registry struct {
 	mu        sync.RWMutex
 	ifaces    map[string]*Hosted
 	cacheSize int
-	noMetrics bool
 }
 
 // DefaultCacheSize is the per-interface result LRU capacity used when
@@ -210,9 +209,7 @@ func (r *Registry) AddAt(id, title string, iface *core.Interface, db engine.Cata
 		epoch = 1
 	}
 	h := newHosted(id, title, iface, db, r.cacheSize, epoch)
-	if !r.noMetrics {
-		h.mx = newHostedMetrics(h)
-	}
+	h.mx = newHostedMetrics(h)
 	r.ifaces[id] = h
 	return h, nil
 }

@@ -8,11 +8,13 @@ import (
 
 // generateAllocCeiling bounds the heap allocations of one Generate over
 // a 2,000-entry SDSS log. Measured: 2,148,155 before subtree hashes were
-// memoized (a fresh FNV walk per HashOf) and 206,956 after; the ceiling
-// is the latter plus 10%, and a third of the former would be 716,051.
-// Allocation counts repeat almost exactly from run to run, so this
-// guards the gain without depending on timing.
-const generateAllocCeiling = 228_000
+// memoized (a fresh FNV walk per HashOf), 206,956 after, 182,039 while
+// every entry was parsed, and 69,937 once the Miner parses each distinct
+// text once (the log holds 328 distinct texts among its 2,000 entries);
+// the ceiling is the last plus 10%. Allocation counts repeat almost
+// exactly from run to run, so this guards the gain without depending on
+// timing.
+const generateAllocCeiling = 76_930
 
 func TestGenerateAllocBudget(t *testing.T) {
 	log := workload.SDSSFullLog(2000, 1)
@@ -32,8 +34,9 @@ func TestGenerateAllocBudget(t *testing.T) {
 // shape. Measured: 1,425 while every append re-added its
 // touched partitions whole and each merge step built its pair sets in
 // maps, 696 once partition domains only grow and merging goes by edge
-// key; the ceiling is the latter plus 10%.
-const appendAllocCeiling = 766
+// key, and 352 once a text the miner has seen is not parsed again; the
+// ceiling is the last plus 10%.
+const appendAllocCeiling = 387
 
 func TestAppendAllocBudget(t *testing.T) {
 	const base, per, runs = 2000, 8, 10

@@ -90,12 +90,17 @@ func (l *Log) Parse() ([]*ast.Node, error) {
 // ParseEntry parses entry i into an AST; the error names the entry and
 // its client.
 func (l *Log) ParseEntry(i int) (*ast.Node, error) {
-	e := l.Entries[i]
-	n, err := sqlparser.Parse(e.SQL)
+	n, err := sqlparser.Parse(l.Entries[i].SQL)
 	if err != nil {
-		return nil, fmt.Errorf("qlog: entry %d (client %q): %w", i, e.Client, err)
+		return nil, l.EntryError(i, err)
 	}
 	return n, nil
+}
+
+// EntryError wraps err, the failure to parse entry i, naming the entry
+// and its client.
+func (l *Log) EntryError(i int, err error) error {
+	return fmt.Errorf("qlog: entry %d (client %q): %w", i, l.Entries[i].Client, err)
 }
 
 // Interleave merges several logs round-robin, simulating the

@@ -1,8 +1,13 @@
 package pi
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func sdssLog() *Log {
@@ -89,5 +94,30 @@ func TestExecFacade(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Num != 7 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestPaperHeadlineGolden pins the paper's headline run (§6, Fig 12):
+// the 10,000-entry SDSS log mined with the default options and compiled
+// with its dependencies. A change to parsing, mining, mapping or page
+// generation that alters any interface must change these values on
+// purpose.
+func TestPaperHeadlineGolden(t *testing.T) {
+	iface, err := Generate(workload.SDSSFullLog(10000, 1), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := CompileHTMLWithDeps(iface, "Precision Interface", Dependencies(iface))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(page))
+	if got, want := hex.EncodeToString(sum[:]), "2da61c5bc86064199172f14b0313f850ddea9976d760d8989957acf6cc06a4c6"; got != want {
+		t.Errorf("page sha256 = %s, want %s", got, want)
+	}
+	st := iface.Stats
+	got := fmt.Sprintf("%d/%d/%d/%d/%.2f", st.Comparisons, st.Edges, st.DiffRecords, st.WidgetCount, st.Cost)
+	if want := "9999/9885/46124/16/491130.72"; got != want {
+		t.Errorf("Comparisons/Edges/DiffRecords/WidgetCount/Cost = %s, want %s", got, want)
 	}
 }
