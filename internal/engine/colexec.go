@@ -57,20 +57,15 @@ func ExecColumnar(cat Catalog, p *ColPlan) (*Table, bool, error) {
 		}
 	}
 
-	// Selection: start from a secondary-index equality lookup when one
-	// applies, then narrow with the vectorized predicate kernels.
+	// Selection: start from a column's equality postings when they
+	// answer a predicate, then narrow with the vectorized kernels.
 	var sel []int32
 	selAll := true
 	usedIdx := -1
-	if ic, ok := cat.(IndexedCatalog); ok {
-		for i := range p.preds {
-			if p.preds[i].op != "=" {
-				continue
-			}
-			if pos, ok := ic.IndexLookup(p.Table, p.preds[i].col.name, p.preds[i].lit); ok {
-				sel, selAll, usedIdx = pos, false, i
-				break
-			}
+	for i := range p.preds {
+		if pos, ok := ct.lookup(predCols[i], &p.preds[i]); ok {
+			sel, selAll, usedIdx = pos, false, i
+			break
 		}
 	}
 	for i := range p.preds {

@@ -340,86 +340,3 @@ func litOf(n *ast.Node) (Value, bool) {
 	v, err := literal(n)
 	return v, err == nil
 }
-
-// PredicateColumn names a (table, column) pair that appears in a
-// selective predicate of a mined query — the auto-selection input for
-// secondary indexes.
-type PredicateColumn struct {
-	Table string
-	Col   string
-}
-
-// PredicateColumns walks an interface's initial AST and returns the
-// (table, column) pairs used in equality or IN predicates of
-// single-table SELECTs — the predicates a sorted secondary index can
-// serve. Ranges are excluded: the scan kernels already handle them
-// well, and equality is where the mined SDSS-style id lookups live.
-func PredicateColumns(n *ast.Node) []PredicateColumn {
-	var out []PredicateColumn
-	seen := map[PredicateColumn]bool{}
-	n.Walk(func(node *ast.Node, _ ast.Path) bool {
-		if node == nil || node.Type != ast.TypeSelect {
-			return true
-		}
-		from := node.Child(ast.SlotFrom)
-		if ast.IsEmptyClause(from) || from.NumChildren() != 1 {
-			return true
-		}
-		rel := from.Child(0).Child(0)
-		if rel == nil || rel.Type != ast.TypeTabExpr {
-			return true
-		}
-		w := node.Child(ast.SlotWhere)
-		if ast.IsEmptyClause(w) {
-			return true
-		}
-		collectEqualityCols(w.Child(0), rel.Value(), seen, &out)
-		return true
-	})
-	return out
-}
-
-func collectEqualityCols(n *ast.Node, table string, seen map[PredicateColumn]bool, out *[]PredicateColumn) {
-	n = unparen(n)
-	if n == nil {
-		return
-	}
-	add := func(ref colRef) {
-		pc := PredicateColumn{Table: table, Col: ref.name}
-		if !seen[pc] {
-			seen[pc] = true
-			*out = append(*out, pc)
-		}
-	}
-	switch n.Type {
-	case ast.TypeBiExpr:
-		switch n.Attr("op") {
-		case "and":
-			collectEqualityCols(n.Child(0), table, seen, out)
-			collectEqualityCols(n.Child(1), table, seen, out)
-		case "=":
-			if ref, ok := colRefOf(n.Child(0)); ok {
-				if _, lit := litOf(n.Child(1)); lit {
-					add(ref)
-				}
-			} else if ref, ok := colRefOf(n.Child(1)); ok {
-				if _, lit := litOf(n.Child(0)); lit {
-					add(ref)
-				}
-			}
-		}
-	case ast.TypeInExpr:
-		if ref, ok := colRefOf(n.Child(0)); ok && n.Attr("not") != "true" {
-			allLit := n.NumChildren() >= 2
-			for _, item := range n.Children[1:] {
-				if _, ok := litOf(item); !ok {
-					allLit = false
-					break
-				}
-			}
-			if allLit {
-				add(ref)
-			}
-		}
-	}
-}

@@ -42,15 +42,17 @@ type Column struct {
 // column vectors the vectorized kernels (colexec.go) scan instead of
 // walking [][]Value rows through the AST evaluator. It is built once
 // per table per data epoch (lazily, on the first columnar-eligible
-// query) and is immutable afterwards, so it is safe to share across
-// any number of concurrent executions — the same discipline as the
-// epoch snapshots it is derived from.
+// query) and its vectors are immutable afterwards, so it is safe to
+// share across any number of concurrent executions — the same
+// discipline as the epoch snapshots it is derived from. The one thing
+// it grows is each column's `=` postings, published atomically.
 type ColumnarTable struct {
 	Name string
 	Cols []string
 	N    int // row count
 
 	cols   []Column
+	eq     []eqIndex      // per column, lazily built `=` postings (postings.go)
 	byName map[string]int // lowercased first-occurrence column name -> index
 }
 
@@ -60,17 +62,6 @@ type ColumnarTable struct {
 // building the projection per query would cost more than it saves.
 type ColumnarProvider interface {
 	Columnar(name string) (*ColumnarTable, bool)
-}
-
-// IndexedCatalog is implemented by catalogs that maintain secondary
-// indexes (store snapshots over the MVCC row store). IndexLookup
-// returns the positions — ascending row indices into Table(table) —
-// whose value in col satisfies SQL equality with key, or ok=false when
-// no index covers the column (callers fall back to a vector scan).
-// Implementations must agree exactly with Equal semantics, including
-// cross-kind numeric coercion ("5" = 5).
-type IndexedCatalog interface {
-	IndexLookup(table, col string, key Value) ([]int32, bool)
 }
 
 // BuildColumnar converts a row-major table into its columnar
@@ -85,6 +76,7 @@ func BuildColumnar(t *Table) *ColumnarTable {
 		Cols:   t.Cols,
 		N:      len(t.Rows),
 		cols:   make([]Column, len(t.Cols)),
+		eq:     make([]eqIndex, len(t.Cols)),
 		byName: make(map[string]int, len(t.Cols)),
 	}
 	for i, c := range t.Cols {

@@ -12,7 +12,7 @@ import (
 // corners between them.
 var fuzzCells = []Value{
 	Null(), Num(0), Num(1), Num(-3), Num(math.NaN()),
-	Str("5"), Str("05"), Str("a"), Str("NULL"), Boolean(true),
+	Str("5"), Str("05"), Str("a"), Str("NULL"), Boolean(true), Str("NaN"),
 }
 
 // fuzzLits are the SQL literals a fuzzed predicate compares against.
@@ -82,6 +82,9 @@ func FuzzColumnarMatchesRow(f *testing.F) {
 	f.Add([]byte{6, 0, 5, 7, 1, 6, 8, 2, 7, 9, 3, 8, 0, 4, 9, 1, 5, 0, 2, 6, 1, 7, 1, 2})
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 3, 0, 1, 0, 0})
 	f.Add([]byte{4, 1, 1, 1, 4, 4, 4, 2, 2, 2, 0, 0, 0, 5, 2, 1})
+	// a = '5' over a dictionary column "5", "NaN", "05", "5": every row
+	// matches, and the postings union three groups out of row order.
+	f.Add([]byte{4, 5, 1, 1, 10, 2, 2, 6, 3, 3, 5, 4, 4, 0, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, sql := fuzzQuery(data)
 		tb, _ := db.Table("t")

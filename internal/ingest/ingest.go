@@ -126,17 +126,6 @@ func (ing *Ingester) Host(id, title string, log *qlog.Log, db *engine.DB, opts c
 // starting epoch and replication sequence — shared by Host (fresh,
 // epoch 1, seq 0) and the snapshot paths (saved epoch/seq).
 func (ing *Ingester) host(id, title string, m *core.Miner, st *store.Store, epoch, seq uint64) (*api.Hosted, error) {
-	// Auto-select secondary indexes from the mined interface: every
-	// (table, column) pair the initial query's equality/IN predicates
-	// touch gets a sorted index before the first snapshot is taken, so
-	// widget-shaped lookups are index-accelerated from the first serve.
-	// Enabling an index republishes at the same data epoch (it changes
-	// no visible rows), and the store re-applies the choice to tables
-	// added later, so the restore/failover/shard paths through here get
-	// identical treatment.
-	if iface := m.Interface(); iface != nil && iface.Initial != nil {
-		st.EnableIndexes(engine.PredicateColumns(iface.Initial))
-	}
 	h, err := ing.reg.AddAt(id, title, m.Interface(), st.Snapshot(), epoch)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,15 @@
 package ingest
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/ast"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/qlog"
 )
 
 func numRow(vals ...float64) []engine.Value {
@@ -131,5 +135,44 @@ func TestConcurrentQueriesDuringRowAppends(t *testing.T) {
 	}
 	if n, _ := sto.RowCount("t"); n != 50+appends {
 		t.Fatalf("final rows = %d, want %d", n, 50+appends)
+	}
+}
+
+// TestServedNaNStringMatchesExec: a served answer equals engine.Exec
+// on the same snapshot when the column an `=` filters holds the
+// string "NaN", which equals every number. Seven rows hold k = "5";
+// the appended "NaN" row makes eight.
+func TestServedNaNStringMatchesExec(t *testing.T) {
+	tbl := engine.NewTable("t", "k", "x")
+	for i := 0; i < 21; i++ {
+		tbl.MustAddRow(engine.Str([]string{"5", "6", "7"}[i%3]), engine.Num(float64(i)))
+	}
+	db := engine.NewDB()
+	db.AddTable(tbl)
+	log := &qlog.Log{}
+	for _, k := range []int{5, 6, 7} {
+		log.Append(fmt.Sprintf("SELECT x FROM t WHERE k = %d", k), "")
+	}
+	reg := api.NewRegistry()
+	ing := New(reg, Options{})
+	h, err := ing.Host("nan", "nan", log, db, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := api.NewService(reg)
+	svc.SetIngestor(ing)
+	if _, err := svc.AppendRows("nan", api.RowsRequest{Table: "t", Rows: [][]any{{"NaN", 99.0}}}, false); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := svc.Query("nan", api.QueryRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Exec(ing.feeds["nan"].store.Snapshot(), h.Iface().Initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumRows() != 8 || resp.RowCount != want.NumRows() {
+		t.Fatalf("%s: served %d rows, engine.Exec %d, want 8", ast.SQL(h.Iface().Initial), resp.RowCount, want.NumRows())
 	}
 }

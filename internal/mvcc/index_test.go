@@ -5,63 +5,63 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/sqlparser"
 )
 
-// lookupSet runs a Lookup and returns the positions as a plain slice,
-// failing the test when the index refuses to serve the column.
-func lookupSet(t *testing.T, v *View, col string, key engine.Value) []int32 {
+// viewCat serves one view, under any table name, to the executors.
+type viewCat struct{ v *View }
+
+func (c viewCat) Table(string) (*engine.Table, bool)            { return c.v.Table(), true }
+func (viewCat) Func(string) (engine.TableFunc, bool)            { return nil, false }
+func (c viewCat) Columnar(string) (*engine.ColumnarTable, bool) { return c.v.Columnar(), true }
+
+// eqRows answers `SELECT * FROM t WHERE k = lit` at v through the
+// columnar plan twice — the second run answers from k's postings on
+// the view's columnar projection — and fails the test unless both runs
+// render exactly what the row path returns.
+func eqRows(t *testing.T, v *View, lit string) *engine.Table {
 	t.Helper()
-	pos, ok := v.Lookup(col, key)
+	sql := "SELECT * FROM t WHERE k = " + lit
+	n, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Exec(viewCat{v}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := engine.CompileColumnar(n)
 	if !ok {
-		t.Fatalf("Lookup(%s, %v) not served", col, key)
+		t.Fatalf("%s: not a columnar plan", sql)
 	}
-	return pos
-}
-
-// scanSet is the oracle: positions whose column satisfies SQL equality
-// with key, by scanning the materialized rows the way the filter
-// kernels would.
-func scanSet(v *View, col int, key engine.Value) []int32 {
-	var out []int32
-	for i, row := range v.Table().Rows {
-		if engine.Equal(row[col], key) {
-			out = append(out, int32(i))
+	for run := 1; run <= 2; run++ {
+		got, ran, err := engine.ExecColumnar(viewCat{v}, p)
+		if !ran || err != nil {
+			t.Fatalf("%s run %d: columnar ran=%v err=%v", sql, run, ran, err)
+		}
+		if got.Render() != want.Render() {
+			t.Fatalf("%s run %d at epoch %d:\ncolumnar:\n%s\nrow path:\n%s", sql, run, v.epoch, got.Render(), want.Render())
 		}
 	}
-	return out
+	return want
 }
 
-func sameSet(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestIndexMatchesScanAcrossEpochs pins the epoch-chain guarantee the
-// tentpole rests on: after interleaved appends, updates and deletes, a
-// lookup at any published epoch returns exactly what a scan of that
-// epoch's rows returns — the pinned view never sees post-pin entries,
-// the head never misses them.
+// TestIndexMatchesScanAcrossEpochs pins the epoch-chain guarantee:
+// after interleaved appends, updates and deletes, an equality lookup
+// at any published epoch returns exactly what the row path returns
+// there — the pinned view never sees post-pin rows, the head never
+// misses them.
 func TestIndexMatchesScanAcrossEpochs(t *testing.T) {
 	wt := NewTable("t", []string{"k", "x"})
-	if !wt.EnableIndex("k") {
-		t.Fatal("EnableIndex(k) = false")
-	}
 	ids := wt.Append([][]engine.Value{
 		{engine.Num(1), engine.Num(10)},
 		{engine.Num(2), engine.Num(20)},
 		{engine.Num(1), engine.Num(30)},
-		{engine.Str("a"), engine.Num(40)},
+		{engine.Num(4), engine.Num(40)},
 	}, 1)
 	v1 := wt.Publish(1, 4)
 
-	// Epoch 2: update row 0's key 1 -> 2, delete the string row.
+	// Epoch 2: update row 0's key 1 -> 2, delete the key-4 row.
 	if err := wt.Mutate(
 		[]Update{{RowID: ids[0], Vals: []engine.Value{engine.Num(2), engine.Num(10)}}},
 		[]uint64{ids[3]}, 2); err != nil {
@@ -72,110 +72,53 @@ func TestIndexMatchesScanAcrossEpochs(t *testing.T) {
 	// Epoch 3: append more rows, one sharing key 2.
 	wt.Append([][]engine.Value{
 		{engine.Num(2), engine.Num(50)},
-		{engine.Str("a"), engine.Num(60)},
+		{engine.Num(4), engine.Num(60)},
 	}, 3)
 	v3 := wt.Publish(3, 2)
 
-	keys := []engine.Value{
-		engine.Num(1), engine.Num(2), engine.Str("a"),
-		engine.Str("2"), // numeric string: coerces, must hit key 2
-		engine.Num(99),  // absent
-	}
-	for vi, v := range []*View{v1, v2, v3} {
-		for _, key := range keys {
-			got := lookupSet(t, v, "k", key)
-			want := scanSet(v, 0, key)
-			if !sameSet(got, want) {
-				t.Errorf("epoch %d key %v: index %v, scan %v", vi+1, key, got, want)
-			}
+	for _, v := range []*View{v1, v2, v3} {
+		for _, lit := range []string{"1", "2", "4", "'2'", "99"} {
+			eqRows(t, v, lit)
 		}
 	}
-
-	// The pinned epoch-1 view still answers its original row set after
-	// everything above: key 1 lives at two positions, the string row at
-	// one.
-	if got := lookupSet(t, v1, "k", engine.Num(1)); len(got) != 2 {
-		t.Fatalf("pinned view key 1 positions = %v, want 2 entries", got)
+	if got := eqRows(t, v1, "1").NumRows(); got != 2 {
+		t.Fatalf("pinned view key 1 rows = %d, want 2", got)
 	}
-	if got := lookupSet(t, v1, "k", engine.Str("a")); len(got) != 1 {
-		t.Fatalf("pinned view key a positions = %v, want 1 entry", got)
+	if got := eqRows(t, v1, "4").NumRows(); got != 1 {
+		t.Fatalf("pinned view key 4 rows = %d, want 1", got)
 	}
-	// And the head no longer serves the deleted string row's old
-	// position but does serve the appended one.
-	if got := lookupSet(t, v3, "k", engine.Str("a")); len(got) != 1 {
-		t.Fatalf("head key a positions = %v, want the appended row only", got)
+	if got := eqRows(t, v3, "4").NumRows(); got != 1 {
+		t.Fatalf("head key 4 rows = %d, want the appended row only", got)
 	}
 }
 
-// TestIndexUnindexableKeys: NULL keys are an empty (served) result,
-// NaN keys fall back to the scan kernels, and NULL/NaN cell values
-// never enter the index.
+// TestIndexUnindexableKeys: NULL and NaN keys and cells answer what
+// the row path answers — NULL matches nothing, and NaN, in a cell or
+// as the string literal 'NaN', equals every number.
 func TestIndexUnindexableKeys(t *testing.T) {
 	wt := NewTable("t", []string{"k"})
-	wt.EnableIndex("k")
 	wt.Append([][]engine.Value{
 		{engine.Null()},
 		{engine.Num(math.NaN())},
 		{engine.Num(5)},
+		{engine.Str("NaN")},
 	}, 1)
-	v := wt.Publish(1, 3)
-
-	if pos, ok := v.Lookup("k", engine.Null()); !ok || len(pos) != 0 {
-		t.Fatalf("NULL key: pos=%v ok=%v, want empty served result", pos, ok)
-	}
-	if _, ok := v.Lookup("k", engine.Num(math.NaN())); ok {
-		t.Fatal("NaN key must not be served by the index")
-	}
-	if _, ok := v.Lookup("missing", engine.Num(1)); ok {
-		t.Fatal("unindexed column must not be served")
-	}
-	if got := lookupSet(t, v, "k", engine.Num(5)); !sameSet(got, []int32{2}) {
-		t.Fatalf("key 5 positions = %v, want [2]", got)
-	}
-}
-
-// TestIndexMergeThreshold drives the tail past the merge threshold and
-// checks (a) lookups stay correct across the fold and (b) a view
-// snapshotted before the merge still answers from its own run.
-func TestIndexMergeThreshold(t *testing.T) {
-	wt := NewTable("t", []string{"k", "x"})
-	wt.EnableIndex("k")
-	wt.Append(numRows(10, 0), 1)
-	early := wt.Publish(1, 10)
-
-	// Push well past the 64-entry tail threshold in several publishes.
-	epoch := uint64(1)
-	for b := 0; b < 5; b++ {
-		epoch++
-		wt.Append(numRows(40, float64(10+40*b)), epoch)
-		wt.Publish(epoch, 40)
-	}
-	head := wt.Publish(epoch, 0)
-
-	for _, k := range []float64{0, 9, 10, 57, 133, 209} {
-		got := lookupSet(t, head, "k", engine.Num(k))
-		want := scanSet(head, 0, engine.Num(k))
-		if !sameSet(got, want) {
-			t.Errorf("post-merge key %v: index %v, scan %v", k, got, want)
+	v := wt.Publish(1, 4)
+	for lit, want := range map[string]int{"NULL": 0, "'NaN'": 3, "5": 3, "6": 2} {
+		if got := eqRows(t, v, lit).NumRows(); got != want {
+			t.Errorf("k = %s: %d rows, want %d", lit, got, want)
 		}
-	}
-	// The pre-merge view still sees exactly its 10 rows.
-	if got := lookupSet(t, early, "k", engine.Num(5)); !sameSet(got, []int32{5}) {
-		t.Fatalf("pre-merge view key 5 = %v, want [5]", got)
-	}
-	if got := lookupSet(t, early, "k", engine.Num(57)); len(got) != 0 {
-		t.Fatalf("pre-merge view sees post-pin key 57 at %v", got)
 	}
 }
 
 // TestIndexCompactRebuild: compaction drops retired versions from the
-// arena and rebuilds the index; head lookups stay exact and a pinned
-// pre-compaction view keeps its own snapshot.
+// arena; head lookups stay exact and a view pinned before the
+// compaction keeps answering its own rows.
 func TestIndexCompactRebuild(t *testing.T) {
 	wt := NewTable("t", []string{"k", "x"})
-	wt.EnableIndex("k")
 	ids := wt.Append(numRows(8, 0), 1)
 	v1 := wt.Publish(1, 8)
+	eqRows(t, v1, "5")
 	if err := wt.Mutate(
 		[]Update{{RowID: ids[2], Vals: []engine.Value{engine.Num(100), engine.Num(2)}}},
 		[]uint64{ids[5], ids[6]}, 2); err != nil {
@@ -187,32 +130,13 @@ func TestIndexCompactRebuild(t *testing.T) {
 	}
 	head := wt.Publish(3, 0)
 
-	for _, k := range []float64{0, 2, 5, 100} {
-		got := lookupSet(t, head, "k", engine.Num(k))
-		want := scanSet(head, 0, engine.Num(k))
-		if !sameSet(got, want) {
-			t.Errorf("post-compact key %v: index %v, scan %v", k, got, want)
+	for lit, want := range map[string]int{"0": 1, "2": 0, "5": 0, "100": 1} {
+		if got := eqRows(t, head, lit).NumRows(); got != want {
+			t.Errorf("post-compact k = %s: %d rows, want %d", lit, got, want)
 		}
 	}
-	// v1 predates the compaction AND the mutation; its lookups answer
-	// the original rows.
-	if got := lookupSet(t, v1, "k", engine.Num(5)); !sameSet(got, []int32{5}) {
-		t.Fatalf("pinned view key 5 = %v after compact, want [5]", got)
-	}
-}
-
-// TestIndexedColsReporting: EnableIndex is idempotent, rejects unknown
-// columns and reports lowercased names.
-func TestIndexedColsReporting(t *testing.T) {
-	wt := NewTable("t", []string{"Alpha", "Beta"})
-	if wt.EnableIndex("nope") {
-		t.Fatal("EnableIndex on a missing column returned true")
-	}
-	if !wt.EnableIndex("ALPHA") || !wt.EnableIndex("alpha") {
-		t.Fatal("EnableIndex not case-insensitive/idempotent")
-	}
-	cols := wt.IndexedCols()
-	if len(cols) != 1 || cols[0] != "alpha" {
-		t.Fatalf("IndexedCols = %v, want [alpha]", cols)
+	// v1 predates the compaction and the mutation.
+	if got := eqRows(t, v1, "5").NumRows(); got != 1 {
+		t.Fatalf("pinned view k = 5: %d rows after compact, want 1", got)
 	}
 }

@@ -20,6 +20,9 @@
 //     *engine.Table (cached, built at most once per view), so the
 //     query engine keeps executing against ordinary tables and the
 //     epoch-keyed result caches above stay correct by construction.
+//     Columnar caches the view's engine.ColumnarTable the same way;
+//     the `=` postings the engine builds on it share its lifetime, so
+//     the row store maintains no index of its own.
 package mvcc
 
 import (
@@ -79,7 +82,6 @@ type Table struct {
 	nextID   uint64                 // next rowid to assign
 	mutGen   uint64                 // bumped by every Mutate publish
 	head     *View                  // most recently published view
-	indexes  map[string]*colIndex   // secondary indexes (index.go), keyed by lowercased column
 }
 
 // NewTable returns an empty writer table. RowIDs start at 1.
@@ -141,7 +143,6 @@ func (t *Table) Append(rows [][]engine.Value, epoch uint64) []uint64 {
 		rv := &RowVersion{RowID: id, Begin: epoch, Vals: r}
 		t.versions = append(t.versions, rv)
 		t.live[id] = rv
-		t.indexAdd(rv)
 		ids[i] = id
 	}
 	return ids
@@ -175,7 +176,6 @@ func (t *Table) Mutate(updates []Update, deletes []uint64, epoch uint64) error {
 		rv := &RowVersion{RowID: u.RowID, Begin: epoch, Vals: u.Vals}
 		t.versions = append(t.versions, rv)
 		t.live[u.RowID] = rv
-		t.indexAdd(rv)
 	}
 	for _, id := range deletes {
 		t.live[id].retire(epoch)
@@ -198,7 +198,6 @@ func (t *Table) Publish(epoch uint64, rowsAdded int) *View {
 		cols:     t.Cols,
 		epoch:    epoch,
 		versions: t.versions[:len(t.versions):len(t.versions)],
-		indexes:  t.snapIndexes(),
 	}
 	if prev := t.head; prev != nil && rowsAdded > 0 && prev.mutGen == t.mutGen {
 		if m := prev.mat.Load(); m != nil {
@@ -241,13 +240,6 @@ func (t *Table) Compact() int {
 	}
 	dropped := len(t.versions) - len(kept)
 	t.versions = kept
-	// Rebuild indexes over the surviving versions: retired entries drop
-	// out. Safe for every future epoch (a retired version's end is <=
-	// the current epoch, so no later view could see it anyway); views
-	// already published keep their own snapshots of the old runs.
-	for _, ix := range t.indexes {
-		ix.rebuild(t.versions)
-	}
 	return dropped
 }
 
@@ -270,11 +262,9 @@ type View struct {
 	epoch    uint64
 	mutGen   uint64
 	versions []*RowVersion
-	indexes  map[string]ixSnap // per-publish secondary index snapshots (index.go)
 
 	mu  sync.Mutex // serializes the one-time materialization
 	mat atomic.Pointer[matState]
-	pos atomic.Pointer[map[uint64]int32]     // lazy rowid -> row position
 	col atomic.Pointer[engine.ColumnarTable] // lazy columnar projection
 }
 
@@ -309,4 +299,17 @@ func (v *View) materialize() *matState {
 	m := &matState{tab: &engine.Table{Name: v.name, Cols: v.cols, Rows: rows}, ids: ids}
 	v.mat.Store(m)
 	return m
+}
+
+// Columnar returns the columnar projection of the view's visible rows,
+// built at most once per view (per data epoch) and shared by every
+// concurrent reader — the engine.ColumnarProvider plumbing for store
+// snapshots. The projection's `=` postings live and die with it.
+func (v *View) Columnar() *engine.ColumnarTable {
+	if c := v.col.Load(); c != nil {
+		return c
+	}
+	ct := engine.BuildColumnar(v.Table())
+	v.col.CompareAndSwap(nil, ct)
+	return v.col.Load()
 }

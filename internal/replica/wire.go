@@ -87,17 +87,6 @@ func readBody(w http.ResponseWriter, r *http.Request, cap int64) ([]byte, *api.E
 	return raw, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, err error) {
-	e := api.FromErr(err)
-	writeJSON(w, e.Status, e)
-}
-
 // senderOf reads the term and owner a binary replication body rides
 // with; a missing or malformed term is a bad request.
 func senderOf(r *http.Request) (uint64, string, *api.Error) {
@@ -112,31 +101,31 @@ func senderOf(r *http.Request) (uint64, string, *api.Error) {
 func (m *Manager) handleFollow(w http.ResponseWriter, r *http.Request) {
 	frame, aerr := readBody(w, r, maxSeedBody)
 	if aerr != nil {
-		writeErr(w, aerr)
+		api.WriteError(w, aerr)
 		return
 	}
 	term, owner, aerr := senderOf(r)
 	if aerr != nil {
-		writeErr(w, aerr)
+		api.WriteError(w, aerr)
 		return
 	}
 	st, err := m.Follow(frame, term, owner)
 	if err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleApply(w http.ResponseWriter, r *http.Request) {
 	raw, aerr := readBody(w, r, maxEventBody)
 	if aerr != nil {
-		writeErr(w, aerr)
+		api.WriteError(w, aerr)
 		return
 	}
 	term, owner, aerr := senderOf(r)
 	if aerr != nil {
-		writeErr(w, aerr)
+		api.WriteError(w, aerr)
 		return
 	}
 	p, n, err := wal.DecodeRecord(raw)
@@ -144,94 +133,94 @@ func (m *Manager) handleApply(w http.ResponseWriter, r *http.Request) {
 		err = fmt.Errorf("%d trailing bytes after the record", int64(len(raw))-n)
 	}
 	if err != nil {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "apply body: %v", err))
+		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "apply body: %v", err))
 		return
 	}
 	if err := m.Apply(r.PathValue("id"), term, owner, p); err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"seq": p.Seq})
+	api.WriteJSON(w, http.StatusOK, map[string]uint64{"seq": p.Seq})
 }
 
 func (m *Manager) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode promote: %v", err))
+		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode promote: %v", err))
 		return
 	}
 	st, err := m.Promote(r.PathValue("id"), req.Term, req.Targets)
 	if err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleDemote(w http.ResponseWriter, r *http.Request) {
 	var req DemoteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode demote: %v", err))
+		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode demote: %v", err))
 		return
 	}
 	if err := m.Demote(r.PathValue("id"), req); err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "movedTo": req.To})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "movedTo": req.To})
 }
 
 func (m *Manager) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	to, err := client.NormalizeBase(r.URL.Query().Get("to"))
 	if err != nil {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "handoff: %v", err))
+		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "handoff: %v", err))
 		return
 	}
 	st, err := m.Handoff(r.PathValue("id"), to)
 	if err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleUnfollow(w http.ResponseWriter, r *http.Request) {
 	if err := m.Unfollow(r.PathValue("id")); err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id")})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id")})
 }
 
 func (m *Manager) handleTargets(w http.ResponseWriter, r *http.Request) {
 	var req TargetsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode targets: %v", err))
+		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode targets: %v", err))
 		return
 	}
 	if err := m.SetTargets(r.PathValue("id"), req.Targets); err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	st, err := m.Status(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := m.Status(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, err)
+		api.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleStatusAll(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, m.StatusAll())
+	api.WriteJSON(w, http.StatusOK, m.StatusAll())
 }
 
 // --- the wire client: owners stream to followers with it, routers

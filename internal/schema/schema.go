@@ -71,42 +71,44 @@ func inferBlock(c *Catalog, sel *ast.Node) {
 		return
 	}
 	aliases, tables, onConds := blockTables(c, sel)
-	var walkExprs func(n *ast.Node)
-	walkExprs = func(n *ast.Node) {
-		if n == nil {
-			return
-		}
-		switch n.Type {
-		case ast.TypeSubQuery:
+	walkExprs(sel, onConds, func(n *ast.Node) {
+		if n.Type == ast.TypeSubQuery {
 			inferBlock(c, n.Child(0))
 			return
-		case ast.TypeColExpr:
-			qual := strings.ToLower(n.Attr("table"))
-			if qual != "" {
-				if t, ok := aliases[qual]; ok {
-					c.AddColumn(t, n.Value())
-				} else {
-					c.AddColumn(qual, n.Value())
-				}
-				return
-			}
-			for _, t := range tables {
+		}
+		qual := strings.ToLower(n.Attr("table"))
+		if qual != "" {
+			if t, ok := aliases[qual]; ok {
 				c.AddColumn(t, n.Value())
+			} else {
+				c.AddColumn(qual, n.Value())
 			}
 			return
 		}
-		for _, ch := range n.Children {
-			walkExprs(ch)
+		for _, t := range tables {
+			c.AddColumn(t, n.Value())
 		}
+	})
+}
+
+// walkExprs visits, in pre-order, the subqueries and column references
+// of one block's non-FROM clauses and JOIN ON conditions, without
+// descending into either: a subquery is its own block.
+func walkExprs(sel *ast.Node, onConds []*ast.Node, visit func(n *ast.Node)) {
+	fn := func(n *ast.Node, _ ast.Path) bool {
+		if n.Type != ast.TypeSubQuery && n.Type != ast.TypeColExpr {
+			return true
+		}
+		visit(n)
+		return false
 	}
 	for slot, ch := range sel.Children {
-		if slot == ast.SlotFrom {
-			continue // handled by blockTables
+		if slot != ast.SlotFrom { // FROM is handled by blockTables
+			ch.Walk(fn)
 		}
-		walkExprs(ch)
 	}
 	for _, cond := range onConds {
-		walkExprs(cond)
+		cond.Walk(fn)
 	}
 }
 
@@ -212,51 +214,32 @@ func (c *Catalog) validateBlock(sel *ast.Node, out *[]Violation) {
 			}
 		}
 	}
-	var walk func(n *ast.Node)
-	walk = func(n *ast.Node) {
-		if n == nil {
-			return
-		}
-		switch n.Type {
-		case ast.TypeSubQuery:
+	walkExprs(sel, onConds, func(n *ast.Node) {
+		if n.Type == ast.TypeSubQuery {
 			c.validateBlock(n.Child(0), out)
 			return
-		case ast.TypeColExpr:
-			qual := strings.ToLower(n.Attr("table"))
-			if qual != "" {
-				t, ok := aliases[qual]
-				if !ok {
-					t = qual
-				}
-				if !c.HasColumn(t, n.Value()) {
-					*out = append(*out, Violation{Msg: fmt.Sprintf("column %s.%s not in schema", qual, n.Value())})
-				}
-				return
+		}
+		qual := strings.ToLower(n.Attr("table"))
+		if qual != "" {
+			t, ok := aliases[qual]
+			if !ok {
+				t = qual
 			}
-			if strings.EqualFold(n.Value(), "now") {
-				return // pseudo-column (Listing 4)
+			if !c.HasColumn(t, n.Value()) {
+				*out = append(*out, Violation{Msg: fmt.Sprintf("column %s.%s not in schema", qual, n.Value())})
 			}
-			for _, t := range tables {
-				if c.HasColumn(t, n.Value()) {
-					return
-				}
-			}
-			*out = append(*out, Violation{Msg: fmt.Sprintf("column %q not in any FROM table", n.Value())})
 			return
 		}
-		for _, ch := range n.Children {
-			walk(ch)
+		if strings.EqualFold(n.Value(), "now") {
+			return // pseudo-column (Listing 4)
 		}
-	}
-	for slot, ch := range sel.Children {
-		if slot == ast.SlotFrom {
-			continue
+		for _, t := range tables {
+			if c.HasColumn(t, n.Value()) {
+				return
+			}
 		}
-		walk(ch)
-	}
-	for _, cond := range onConds {
-		walk(cond)
-	}
+		*out = append(*out, Violation{Msg: fmt.Sprintf("column %q not in any FROM table", n.Value())})
+	})
 }
 
 // Valid reports whether the query has no schema violations.

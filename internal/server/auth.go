@@ -39,6 +39,19 @@ func (a AuthConfig) Check(id string, r *http.Request) *api.Error {
 	return nil
 }
 
+// Guard wraps an admin handler with Check against the default token:
+// admin operations move whole interfaces between processes, so they
+// are never open just because individual interfaces are.
+func (a AuthConfig) Guard(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if apiErr := a.Check("", r); apiErr != nil {
+			api.WriteError(w, apiErr)
+			return
+		}
+		h(w, r)
+	}
+}
+
 // bearerToken extracts the token from "Authorization: Bearer <tok>".
 func bearerToken(r *http.Request) (string, bool) {
 	h := r.Header.Get("Authorization")

@@ -118,17 +118,9 @@ type FailoverResult struct {
 // Every route is guarded by the auth config's default token.
 func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
 	mux := http.NewServeMux()
-	guard := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if apiErr := auth.Check("", r); apiErr != nil {
-				writeAdminError(w, apiErr)
-				return
-			}
-			h(w, r)
-		}
-	}
+	guard := auth.Guard
 	mux.HandleFunc("GET /v1/router/shards", guard(func(w http.ResponseWriter, r *http.Request) {
-		writeAdminJSON(w, http.StatusOK, rt.Status())
+		api.WriteJSON(w, http.StatusOK, rt.Status())
 	}))
 	mux.HandleFunc("POST /v1/router/refresh", guard(func(w http.ResponseWriter, r *http.Request) {
 		// An explicit refresh overrides probe backoff (the operator is
@@ -138,14 +130,14 @@ func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
 		shards := rt.ForceRefresh(r.Context())
 		st := &RouterStatus{Shards: shards, Placement: rt.Placement()}
 		st.Interfaces = len(st.Placement)
-		writeAdminJSON(w, http.StatusOK, st)
+		api.WriteJSON(w, http.StatusOK, st)
 	}))
 	mux.HandleFunc("POST /v1/router/migrate", guard(func(w http.ResponseWriter, r *http.Request) {
 		var req migrateRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil || req.ID == "" || req.To == "" {
-			writeAdminError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+			api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 				`migrate needs a JSON body {"id": ..., "to": ...}`))
 			return
 		}
@@ -155,37 +147,37 @@ func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
 		defer cancel()
 		res, err := rt.Migrate(ctx, req.ID, req.To)
 		if err != nil {
-			writeAdminError(w, err)
+			api.WriteError(w, err)
 			return
 		}
-		writeAdminJSON(w, http.StatusOK, res)
+		api.WriteJSON(w, http.StatusOK, res)
 	}))
 	mux.HandleFunc("POST /v1/router/rebalance", guard(func(w http.ResponseWriter, r *http.Request) {
 		res, err := rt.Rebalance(r.Context())
 		if err != nil {
-			writeAdminError(w, err)
+			api.WriteError(w, err)
 			return
 		}
-		writeAdminJSON(w, http.StatusOK, res)
+		api.WriteJSON(w, http.StatusOK, res)
 	}))
 	mux.HandleFunc("GET /v1/router/replication", guard(func(w http.ResponseWriter, r *http.Request) {
-		writeAdminJSON(w, http.StatusOK, rt.Replication())
+		api.WriteJSON(w, http.StatusOK, rt.Replication())
 	}))
 	mux.HandleFunc("POST /v1/router/failover", guard(func(w http.ResponseWriter, r *http.Request) {
 		var req failoverRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil || req.ID == "" {
-			writeAdminError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+			api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 				`failover needs a JSON body {"id": ...}`))
 			return
 		}
 		addr, apiErr := rt.FailoverInterface(req.ID)
 		if apiErr != nil {
-			writeAdminError(w, apiErr)
+			api.WriteError(w, apiErr)
 			return
 		}
-		writeAdminJSON(w, http.StatusOK, &FailoverResult{ID: req.ID, Owner: addr})
+		api.WriteJSON(w, http.StatusOK, &FailoverResult{ID: req.ID, Owner: addr})
 	}))
 	return mux
 }

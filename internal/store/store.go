@@ -129,18 +129,6 @@ func (v *View) Columnar(name string) (*engine.ColumnarTable, bool) {
 	return t.Columnar(), true
 }
 
-// IndexLookup implements engine.IndexedCatalog: equality positions
-// from a secondary index at this view's epoch. ok=false (no index on
-// that column, or an unservable key) sends the executor to the scan
-// kernels.
-func (v *View) IndexLookup(table, col string, key engine.Value) ([]int32, bool) {
-	t, ok := v.lookup(table)
-	if !ok {
-		return nil, false
-	}
-	return t.Lookup(col, key)
-}
-
 // TableNames lists the view's tables (lowercased) in sorted order.
 func (v *View) TableNames() []string {
 	out := make([]string, 0, len(v.tables))
@@ -324,37 +312,6 @@ func (s *Store) MutateRows(table string, updates []RowUpdate, deletes []uint64) 
 	}
 	s.publish(epoch, key, t.Publish(epoch, 0))
 	return epoch, nil
-}
-
-// EnableIndex builds a secondary index on table.col (idempotent) and
-// republishes the current epoch's view so the live snapshot carries
-// it. Returns false when the table or column does not exist. The data
-// epoch does not change: an index is not a data mutation, and every
-// epoch-keyed cache above stays valid.
-func (s *Store) EnableIndex(table, col string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, key, ok := s.lookupWriter(table)
-	if !ok || !t.EnableIndex(col) {
-		return false
-	}
-	cur := &s.v.Load().view
-	s.publish(cur.epoch, key, t.Publish(cur.epoch, 0))
-	return true
-}
-
-// EnableIndexes applies a batch of auto-selected predicate columns
-// (engine.PredicateColumns output). Unknown tables and columns are
-// skipped — mined ASTs can reference pseudo-columns. Returns how many
-// indexes are now enabled from the batch.
-func (s *Store) EnableIndexes(cols []engine.PredicateColumn) int {
-	n := 0
-	for _, pc := range cols {
-		if s.EnableIndex(pc.Table, pc.Col) {
-			n++
-		}
-	}
-	return n
 }
 
 // AddFunc registers a table-valued function under a new version —
