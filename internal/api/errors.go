@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -205,18 +204,4 @@ func FromErr(err error) *Error {
 		return e
 	}
 	return errInternal(err)
-}
-
-// WriteJSON writes v as a JSON response with the given status: the
-// admin and replication surfaces' one response writer.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WriteError writes err's {"code", "error"} envelope at its status.
-func WriteError(w http.ResponseWriter, err error) {
-	e := FromErr(err)
-	WriteJSON(w, e.Status, e)
 }

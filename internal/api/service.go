@@ -198,8 +198,7 @@ func (s *Service) Query(id string, req QueryRequest) (*QueryResponse, error) {
 // transports can pool responses and a warm dashboard's per-interaction
 // cost is pure lookup. resp is fully overwritten. The request context
 // exists solely so the trace id minted (or accepted) at the HTTP edge
-// reaches the slow-query ring — the Servicer seam itself stays
-// context-free.
+// reaches the slow-query ring.
 // It is also the instrumented wrapper around the query proper: latency
 // lands in the per-interface histogram (sampled 1:32 when the slow ring
 // is not armed, so the untimed path pays one atomic tick and no clock

@@ -18,6 +18,10 @@ import (
 // when the ID is unknown, CodeMoved (with the new owner's address)
 // when a shard has relinquished the interface, and CodeShardUnavailable
 // when a routed implementation cannot reach the owner.
+//
+// The query is the one operation that carries the request context
+// (QueryIntoCtx, which the transport calls); Query is its context-free
+// form for in-process callers.
 type Servicer interface {
 	// ListInterfaces returns a summary row per hosted interface, sorted
 	// by ID. A routed implementation fans out and merges.
@@ -30,6 +34,9 @@ type Servicer interface {
 	Page(id string) (string, error)
 	// Query binds widget state, executes, and returns one page of rows.
 	Query(id string, req QueryRequest) (*QueryResponse, error)
+	// CtxQuerier is the serving path's query: Query with the request's
+	// context and a caller-provided response.
+	CtxQuerier
 	// IngestReady reports whether IngestLog can accept entries for the
 	// interface (cheap pre-check before decoding a large body).
 	IngestReady(id string) error
@@ -59,16 +66,11 @@ type Servicer interface {
 
 var _ Servicer = (*Service)(nil)
 
-// CtxQuerier is the optional context-carrying query seam. The Servicer
-// surface is deliberately context-free, but the query path is where
-// cross-hop tracing matters: a transport that has a request context
-// (carrying the obs trace id) type-asserts for this interface and
-// prefers it, so the trace id minted at the edge reaches slow-query
-// rings and proxied hops; the response is caller-provided so the
-// transport can pool it. Implementations must behave exactly like
-// Query otherwise.
+// CtxQuerier is the context-carrying query seam the HTTP transport
+// calls. The context carries the obs trace id minted at the edge, so
+// it reaches slow-query rings and proxied hops; the response is
+// caller-provided so the transport can pool it. Implementations must
+// behave exactly like Query otherwise.
 type CtxQuerier interface {
 	QueryIntoCtx(ctx context.Context, id string, req QueryRequest, resp *QueryResponse) error
 }
-
-var _ CtxQuerier = (*Service)(nil)

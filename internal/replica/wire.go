@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -60,167 +59,120 @@ type PromoteRequest struct {
 	Targets []PromoteTarget `json:"targets,omitempty"`
 }
 
+// maxControlBody caps the JSON control bodies (promote, demote,
+// targets): a term and a follower set.
+const maxControlBody = 1 << 20
+
 // Register mounts the replication routes on the shard-admin mux.
 // guard wraps each handler with the admin bearer-token check.
 func (m *Manager) Register(mux *http.ServeMux, guard func(http.HandlerFunc) http.HandlerFunc) {
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/follow", guard(m.handleFollow))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/apply", guard(m.handleApply))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/promote", guard(m.handlePromote))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/demote", guard(m.handleDemote))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/handoff", guard(m.handleHandoff))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/unfollow", guard(m.handleUnfollow))
-	mux.HandleFunc("POST /v1/shard/interfaces/{id}/targets", guard(m.handleTargets))
-	mux.HandleFunc("GET /v1/shard/interfaces/{id}/replica", guard(m.handleStatus))
-	mux.HandleFunc("GET /v1/shard/replication", guard(m.handleStatusAll))
-}
-
-func readBody(w http.ResponseWriter, r *http.Request, cap int64) ([]byte, *api.Error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cap))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, api.Errf(api.CodePayloadTooLarge, http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes", maxErr.Limit)
-		}
-		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "read body: %v", err)
+	route := func(pattern string, op func(w http.ResponseWriter, r *http.Request) (any, error)) {
+		mux.HandleFunc(pattern, guard(api.Handle(http.StatusOK, op)))
 	}
-	return raw, nil
+	route("POST /v1/shard/interfaces/{id}/follow", m.handleFollow)
+	route("POST /v1/shard/interfaces/{id}/apply", m.handleApply)
+	route("POST /v1/shard/interfaces/{id}/promote", m.handlePromote)
+	route("POST /v1/shard/interfaces/{id}/demote", m.handleDemote)
+	route("POST /v1/shard/interfaces/{id}/handoff", m.handleHandoff)
+	route("POST /v1/shard/interfaces/{id}/unfollow", m.handleUnfollow)
+	route("POST /v1/shard/interfaces/{id}/targets", m.handleTargets)
+	route("GET /v1/shard/interfaces/{id}/replica", m.handleStatus)
+	route("GET /v1/shard/replication", m.handleStatusAll)
 }
 
-// senderOf reads the term and owner a binary replication body rides
-// with; a missing or malformed term is a bad request.
-func senderOf(r *http.Request) (uint64, string, *api.Error) {
-	term, err := strconv.ParseUint(r.Header.Get(termHeader), 10, 64)
+// readFrame reads a binary replication body of at most maxBytes and
+// the sender's term and owner that ride beside it in headers; a
+// missing or malformed term is a bad request.
+func readFrame(w http.ResponseWriter, r *http.Request, maxBytes int64) (raw []byte, term uint64, owner string, err error) {
+	raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
-		return 0, "", api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+		return nil, 0, "", api.BodyError(err)
+	}
+	term, err = strconv.ParseUint(r.Header.Get(termHeader), 10, 64)
+	if err != nil {
+		return nil, 0, "", api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 			"%s header: %v", termHeader, err)
 	}
-	return term, r.Header.Get(ownerHeader), nil
+	return raw, term, r.Header.Get(ownerHeader), nil
 }
 
-func (m *Manager) handleFollow(w http.ResponseWriter, r *http.Request) {
-	frame, aerr := readBody(w, r, maxSeedBody)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	term, owner, aerr := senderOf(r)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	st, err := m.Follow(frame, term, owner)
+func (m *Manager) handleFollow(w http.ResponseWriter, r *http.Request) (any, error) {
+	frame, term, owner, err := readFrame(w, r, maxSeedBody)
 	if err != nil {
-		api.WriteError(w, err)
-		return
+		return nil, err
 	}
-	api.WriteJSON(w, http.StatusOK, st)
+	return m.Follow(frame, term, owner)
 }
 
-func (m *Manager) handleApply(w http.ResponseWriter, r *http.Request) {
-	raw, aerr := readBody(w, r, maxEventBody)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	term, owner, aerr := senderOf(r)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
+func (m *Manager) handleApply(w http.ResponseWriter, r *http.Request) (any, error) {
+	raw, term, owner, err := readFrame(w, r, maxEventBody)
+	if err != nil {
+		return nil, err
 	}
 	p, n, err := wal.DecodeRecord(raw)
 	if err == nil && n != int64(len(raw)) {
 		err = fmt.Errorf("%d trailing bytes after the record", int64(len(raw))-n)
 	}
 	if err != nil {
-		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "apply body: %v", err))
-		return
+		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "apply body: %v", err)
 	}
 	if err := m.Apply(r.PathValue("id"), term, owner, p); err != nil {
-		api.WriteError(w, err)
-		return
+		return nil, err
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]uint64{"seq": p.Seq})
+	return map[string]uint64{"seq": p.Seq}, nil
 }
 
-func (m *Manager) handlePromote(w http.ResponseWriter, r *http.Request) {
+func (m *Manager) handlePromote(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req PromoteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode promote: %v", err))
-		return
+	if err := api.DecodeJSON(w, r, maxControlBody, &req); err != nil {
+		return nil, err
 	}
-	st, err := m.Promote(r.PathValue("id"), req.Term, req.Targets)
-	if err != nil {
-		api.WriteError(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, st)
+	return m.Promote(r.PathValue("id"), req.Term, req.Targets)
 }
 
-func (m *Manager) handleDemote(w http.ResponseWriter, r *http.Request) {
+func (m *Manager) handleDemote(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req DemoteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode demote: %v", err))
-		return
+	if err := api.DecodeJSON(w, r, maxControlBody, &req); err != nil {
+		return nil, err
 	}
 	if err := m.Demote(r.PathValue("id"), req); err != nil {
-		api.WriteError(w, err)
-		return
+		return nil, err
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "movedTo": req.To})
+	return map[string]string{"id": r.PathValue("id"), "movedTo": req.To}, nil
 }
 
-func (m *Manager) handleHandoff(w http.ResponseWriter, r *http.Request) {
+func (m *Manager) handleHandoff(w http.ResponseWriter, r *http.Request) (any, error) {
 	to, err := client.NormalizeBase(r.URL.Query().Get("to"))
 	if err != nil {
-		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "handoff: %v", err))
-		return
+		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "handoff: %v", err)
 	}
-	st, err := m.Handoff(r.PathValue("id"), to)
-	if err != nil {
-		api.WriteError(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, st)
+	return m.Handoff(r.PathValue("id"), to)
 }
 
-func (m *Manager) handleUnfollow(w http.ResponseWriter, r *http.Request) {
+func (m *Manager) handleUnfollow(w http.ResponseWriter, r *http.Request) (any, error) {
 	if err := m.Unfollow(r.PathValue("id")); err != nil {
-		api.WriteError(w, err)
-		return
+		return nil, err
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id")})
+	return map[string]string{"id": r.PathValue("id")}, nil
 }
 
-func (m *Manager) handleTargets(w http.ResponseWriter, r *http.Request) {
+func (m *Manager) handleTargets(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req TargetsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "decode targets: %v", err))
-		return
+	if err := api.DecodeJSON(w, r, maxControlBody, &req); err != nil {
+		return nil, err
 	}
 	if err := m.SetTargets(r.PathValue("id"), req.Targets); err != nil {
-		api.WriteError(w, err)
-		return
+		return nil, err
 	}
-	st, err := m.Status(r.PathValue("id"))
-	if err != nil {
-		api.WriteError(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, st)
+	return m.Status(r.PathValue("id"))
 }
 
-func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := m.Status(r.PathValue("id"))
-	if err != nil {
-		api.WriteError(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, st)
+func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) (any, error) {
+	return m.Status(r.PathValue("id"))
 }
 
-func (m *Manager) handleStatusAll(w http.ResponseWriter, r *http.Request) {
-	api.WriteJSON(w, http.StatusOK, m.StatusAll())
+func (m *Manager) handleStatusAll(w http.ResponseWriter, r *http.Request) (any, error) {
+	return m.StatusAll(), nil
 }
 
 // --- the wire client: owners stream to followers with it, routers

@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/subtle"
+	"fmt"
 	"net/http"
 	"strings"
 
@@ -20,32 +21,37 @@ type AuthConfig struct {
 // Check validates the request's bearer token: nil when no token is
 // configured or the token matches, unauthorized (401) when no token
 // was presented, forbidden (403) when the wrong one was. id only names
-// the interface in the error text ("" for server-wide endpoints).
-// Exported for admin surfaces (internal/shard) that enforce the same
-// config on their own routes.
+// the interface in the error text ("" for server-wide and admin
+// endpoints).
 func (a AuthConfig) Check(id string, r *http.Request) *api.Error {
 	if a.Token == "" {
 		return nil
 	}
+	what := "this endpoint"
+	if id != "" {
+		what = fmt.Sprintf("interface %q", id)
+	}
 	got, ok := bearerToken(r)
 	if !ok {
 		return api.Errf(api.CodeUnauthorized, http.StatusUnauthorized,
-			"interface %q requires a bearer token", id)
+			"%s requires a bearer token", what)
 	}
 	if subtle.ConstantTimeCompare([]byte(got), []byte(a.Token)) != 1 {
 		return api.Errf(api.CodeForbidden, http.StatusForbidden,
-			"token is not valid for interface %q", id)
+			"token is not valid for %s", what)
 	}
 	return nil
 }
 
-// Guard wraps an admin handler with Check against the default token:
-// admin operations move whole interfaces between processes, so they
-// are never open just because individual interfaces are.
+// Guard enforces Check in front of a handler: the v1 routes that
+// execute or mutate, and every route of the shard-admin and
+// router-admin surfaces (admin operations move whole interfaces
+// between processes, so they are never open just because metadata
+// is). The error text names the route's {id} path value, if any.
 func (a AuthConfig) Guard(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if apiErr := a.Check("", r); apiErr != nil {
-			api.WriteError(w, apiErr)
+		if err := a.Check(r.PathValue("id"), r); err != nil {
+			api.WriteError(w, r, err)
 			return
 		}
 		h(w, r)
@@ -60,16 +66,4 @@ func bearerToken(r *http.Request) (string, bool) {
 		return "", false
 	}
 	return strings.TrimSpace(h[len(prefix):]), true
-}
-
-// protected enforces the auth config in front of a handler for routes
-// that carry an {id} path value.
-func (s *Server) protected(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if apiErr := s.auth.Check(r.PathValue("id"), r); apiErr != nil {
-			writeError(w, r, apiErr)
-			return
-		}
-		next(w, r)
-	}
 }

@@ -51,7 +51,7 @@ func Recover(logger *log.Logger) Middleware {
 				if logger != nil {
 					logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 				}
-				writeError(w, r, api.Errf(api.CodeInternal, http.StatusInternalServerError,
+				api.WriteError(w, r, api.Errf(api.CodeInternal, http.StatusInternalServerError,
 					"internal server error"))
 			}()
 			next.ServeHTTP(w, r)

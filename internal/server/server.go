@@ -28,9 +28,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"log"
 	"net/http"
 	"strings"
@@ -117,25 +114,26 @@ func New(svc api.Servicer, opts ...Option) *Server {
 
 // routes mounts every operation under /v1.
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /v1/interfaces", s.handleList)
-	s.mux.HandleFunc("GET /v1/interfaces/{id}", s.handleGet)
+	ok, accepted := http.StatusOK, http.StatusAccepted
+	s.mux.HandleFunc("GET /v1/interfaces", api.Handle(ok, s.handleList))
+	s.mux.HandleFunc("GET /v1/interfaces/{id}", api.Handle(ok, s.handleGet))
 	s.mux.HandleFunc("GET /v1/interfaces/{id}/page", s.handlePage)
-	s.mux.HandleFunc("GET /v1/interfaces/{id}/epoch", s.handleEpoch)
-	s.mux.HandleFunc("POST /v1/interfaces/{id}/query", s.protected(s.handleQuery))
-	s.mux.HandleFunc("POST /v1/interfaces/{id}/log", s.protected(s.handleLog))
-	s.mux.HandleFunc("POST /v1/interfaces/{id}/rows", s.protected(s.handleRows))
-	s.mux.HandleFunc("POST /v1/interfaces/{id}/mutate", s.protected(s.handleMutate))
-	s.mux.HandleFunc("DELETE /v1/interfaces/{id}", s.protected(s.handleDelete))
+	s.mux.HandleFunc("GET /v1/interfaces/{id}/epoch", api.Handle(ok, s.handleEpoch))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/query", s.auth.Guard(s.handleQuery))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/log", s.auth.Guard(api.Handle(accepted, s.handleLog)))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/rows", s.auth.Guard(api.Handle(accepted, s.handleRows)))
+	s.mux.HandleFunc("POST /v1/interfaces/{id}/mutate", s.auth.Guard(api.Handle(accepted, s.handleMutate)))
+	s.mux.HandleFunc("DELETE /v1/interfaces/{id}", s.auth.Guard(api.Handle(ok, s.handleDelete)))
 	// Snapshot is server-wide: it is guarded by the default token (the
 	// empty path id resolves to AuthConfig.Token).
-	s.mux.HandleFunc("POST /v1/snapshot", s.protected(s.handleSnapshot))
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/debug", s.handleDebug)
+	s.mux.HandleFunc("POST /v1/snapshot", s.auth.Guard(api.Handle(ok, s.handleSnapshot)))
+	s.mux.HandleFunc("GET /v1/healthz", api.Handle(ok, s.handleHealthz))
+	s.mux.HandleFunc("GET /v1/debug", api.Handle(ok, s.handleDebug))
 	if s.metrics != nil {
 		s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	}
 	if s.slowRing != nil {
-		s.mux.HandleFunc("GET /v1/debug/slow", s.handleSlow)
+		s.mux.HandleFunc("GET /v1/debug/slow", api.Handle(ok, s.handleSlow))
 	}
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	for _, m := range s.admin {
@@ -169,38 +167,29 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 	}
 }
 
-// --- handlers: decode, call the service, encode.
+// --- handlers: decode, call the service, encode (api.Handle writes
+// the result or the error envelope).
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, "/v1/interfaces", http.StatusFound)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListInterfaces())
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.ListInterfaces(), nil
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	d, err := s.svc.GetInterface(r.PathValue("id"))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.GetInterface(r.PathValue("id"))
 }
 
-func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	e, err := s.svc.Epoch(r.PathValue("id"))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, e)
+func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.Epoch(r.PathValue("id"))
 }
 
 func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	page, err := s.svc.Page(r.PathValue("id"))
 	if err != nil {
-		writeError(w, r, err)
+		api.WriteError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -214,115 +203,76 @@ var respPool = sync.Pool{New: func() any { return new(api.QueryResponse) }}
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.QueryRequest
-	if apiErr := decodeJSON(w, r, maxQueryBody, &req); apiErr != nil {
-		writeError(w, r, apiErr)
+	if err := api.DecodeJSON(w, r, maxQueryBody, &req); err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
-	if cq, ok := s.svc.(api.CtxQuerier); ok {
-		resp := respPool.Get().(*api.QueryResponse)
-		err := cq.QueryIntoCtx(r.Context(), r.PathValue("id"), req, resp)
-		if err == nil {
-			writeJSON(w, http.StatusOK, resp)
-		} else {
-			writeError(w, r, err)
-		}
-		*resp = api.QueryResponse{}
-		respPool.Put(resp)
-		return
+	resp := respPool.Get().(*api.QueryResponse)
+	if err := s.svc.QueryIntoCtx(r.Context(), r.PathValue("id"), req, resp); err != nil {
+		api.WriteError(w, r, err)
+	} else {
+		api.WriteJSON(w, http.StatusOK, resp)
 	}
-	resp, err := s.svc.Query(r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	*resp = api.QueryResponse{}
+	respPool.Put(resp)
 }
 
 // handleLog ingests query-log entries; the ack follows the re-mine and
 // hot swap. ?flush is accepted and ignored: every write publishes
 // before its ack.
-func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) (any, error) {
 	// Cheap checks first: don't parse up to 8 MiB of log body just to
 	// answer 404 or 501.
 	if err := s.svc.IngestReady(r.PathValue("id")); err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	entries, apiErr := readLogEntries(w, r)
-	if apiErr != nil {
-		writeError(w, r, apiErr)
-		return
-	}
-	ack, err := s.svc.IngestLog(r.PathValue("id"), entries, r.URL.Query().Get("flush") != "")
+	entries, err := readLogEntries(w, r)
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusAccepted, ack)
+	return s.svc.IngestLog(r.PathValue("id"), entries, r.URL.Query().Get("flush") != "")
 }
 
 // handleRows appends dataset rows to one table of the interface's
 // store; the ack follows the publish (and hot swap), so its epoch and
 // row count reflect the submitted rows. ?flush is ignored, as on the
 // log route.
-func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req api.RowsRequest
-	if apiErr := decodeJSON(w, r, maxLogBody, &req); apiErr != nil {
-		writeError(w, r, apiErr)
-		return
+	if err := api.DecodeJSON(w, r, maxLogBody, &req); err != nil {
+		return nil, err
 	}
-	ack, err := s.svc.AppendRows(r.PathValue("id"), req, r.URL.Query().Get("flush") != "")
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, ack)
+	return s.svc.AppendRows(r.PathValue("id"), req, r.URL.Query().Get("flush") != "")
 }
 
 // handleMutate runs one UPDATE or DELETE statement against the
 // interface's store as a versioned mutation; the ack carries how many
 // rows matched and the epochs after the publish.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req api.MutateRequest
-	if apiErr := decodeJSON(w, r, maxQueryBody, &req); apiErr != nil {
-		writeError(w, r, apiErr)
-		return
+	if err := api.DecodeJSON(w, r, maxQueryBody, &req); err != nil {
+		return nil, err
 	}
-	ack, err := s.svc.MutateRows(r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, ack)
+	return s.svc.MutateRows(r.PathValue("id"), req)
 }
 
 // handleDelete unhosts an interface: it stops being served, its live
 // feed detaches and its durable snapshot (if any) is removed.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	ack, err := s.svc.DeleteInterface(r.PathValue("id"))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.DeleteInterface(r.PathValue("id"))
 }
 
 // handleSnapshot persists every hosted interface to the data dir.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	res, err := s.svc.Snapshot()
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.Snapshot()
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Health())
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.Health(), nil
 }
 
-func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Debug())
+func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.svc.Debug(), nil
 }
 
 // handleMetrics serves the registry in Prometheus text exposition
@@ -334,94 +284,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSlow serves the slow-query ring, newest entry first.
-func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slowRing.Report())
+func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) (any, error) {
+	return s.slowRing.Report(), nil
 }
 
 // readLogEntries decodes the /log request body: JSON ({"entries":
 // [{"sql": ...}]}) or plain text in the qlog statement format.
-func readLogEntries(w http.ResponseWriter, r *http.Request) ([]qlog.Entry, *api.Error) {
+func readLogEntries(w http.ResponseWriter, r *http.Request) ([]qlog.Entry, error) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req api.LogRequest
-		if apiErr := decodeJSON(w, r, maxLogBody, &req); apiErr != nil {
-			return nil, apiErr
+		if err := api.DecodeJSON(w, r, maxLogBody, &req); err != nil {
+			return nil, err
 		}
 		return req.QlogEntries(), nil
 	}
 	l, err := qlog.Read(http.MaxBytesReader(w, r.Body, maxLogBody))
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, api.Errf(api.CodePayloadTooLarge, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", maxErr.Limit)
-		}
-		return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest, "bad log text: %v", err)
+		return nil, api.BodyError(err)
 	}
 	return l.Entries, nil
-}
-
-// --- encoding helpers.
-
-// decodeJSON decodes a size-capped JSON body, mapping failures onto
-// the error contract (payload_too_large / bad_request).
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return api.Errf(api.CodePayloadTooLarge, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", maxErr.Limit)
-		}
-		return api.Errf(api.CodeBadRequest, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	return nil
-}
-
-// jsonEnc is a pooled (buffer, encoder) pair: json.NewEncoder per
-// response was one of the last steady-state allocations on the hot
-// query path. Encoding into the buffer first also means a response
-// that fails to marshal never reaches the wire half-written.
-type jsonEnc struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	e := &jsonEnc{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
-// maxPooledEncBuf caps the buffer size re-pooled after a response: one
-// huge page must not turn the pool into a permanent high-water-mark
-// memory hold.
-const maxPooledEncBuf = 1 << 20
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	e := encPool.Get().(*jsonEnc)
-	e.buf.Reset()
-	err := e.enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-	} else {
-		w.WriteHeader(status)
-		_, _ = w.Write(e.buf.Bytes())
-	}
-	if e.buf.Cap() <= maxPooledEncBuf {
-		encPool.Put(e)
-	}
-}
-
-// writeError encodes any error as the v1 envelope {"code", "error"}
-// with the status the service layer chose, stamping the request's
-// trace id onto the envelope (WithTrace clones, so shared error values
-// are never mutated).
-func writeError(w http.ResponseWriter, r *http.Request, err error) {
-	e := api.FromErr(err).WithTrace(obs.TraceID(r.Context()))
-	if e.Code == api.CodeUnauthorized {
-		w.Header().Set("WWW-Authenticate", `Bearer realm="pi"`)
-	}
-	writeJSON(w, e.Status, e)
 }

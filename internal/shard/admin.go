@@ -18,9 +18,8 @@ import (
 // the auth config's default token (server.AuthConfig.Guard).
 func (n *Node) AdminHandler(auth server.AuthConfig) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/shard/load", auth.Guard(func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, n.Load())
-	}))
+	mux.HandleFunc("GET /v1/shard/load", auth.Guard(api.Handle(http.StatusOK,
+		func(w http.ResponseWriter, r *http.Request) (any, error) { return n.Load(), nil })))
 	n.mgr.Register(mux, auth.Guard)
 	return mux
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -64,7 +63,7 @@ func (rt *Router) Migrate(ctx context.Context, id, target string) (*MigrateResul
 		select {
 		case <-busy:
 		case <-ctx.Done():
-			return nil, migrateErr("wait for the owner change in flight", id, toAddr, ctx.Err())
+			return nil, unavailable(ctx.Err(), "migrate %q: wait for the owner change in flight on %s", id, toAddr)
 		}
 		release, busy = rt.claimOwnerChange(id)
 	}
@@ -77,11 +76,11 @@ func (rt *Router) Migrate(ctx context.Context, id, target string) (*MigrateResul
 	res := &MigrateResult{ID: id, From: src.addr, To: toAddr}
 	if src.addr != toAddr {
 		if err := awaitFollower(ctx, src.rep, id, toAddr); err != nil {
-			return nil, migrateErr("sync target", id, src.addr, err)
+			return nil, unavailable(err, "migrate %q: sync target on %s", id, src.addr)
 		}
 		st, err := src.rep.Handoff(ctx, id, toAddr)
 		if err != nil {
-			return nil, migrateErr("handoff", id, src.addr, err)
+			return nil, unavailable(err, "migrate %q: handoff on %s", id, src.addr)
 		}
 		rt.ownerChanged(id, toAddr, st)
 		res.Epoch = st.Epoch
@@ -141,17 +140,6 @@ func followerAt(st *replica.StatusResponse, addr string) api.ReplicaFollower {
 		}
 	}
 	return api.ReplicaFollower{}
-}
-
-// migrateErr wraps one migration step's failure, preserving structured
-// errors and turning transport failures into shard_unavailable.
-func migrateErr(step, id, addr string, err error) error {
-	var ae *api.Error
-	if errors.As(err, &ae) {
-		return ae
-	}
-	return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
-		"migrate %q: %s on %s: %v", id, step, addr, err)
 }
 
 // RebalanceResult reports what a rebalance pass moved.

@@ -162,29 +162,28 @@ func (n *Node) movedErr(id string) *api.Error {
 // with the owner's address, which the SDK follows exactly like moved
 // (the request was not processed, so the re-issue is safe).
 
-// readErr gates read-only per-interface operations.
-func (n *Node) readErr(id string) *api.Error {
+// gate runs one per-interface operation behind the shard's checks, in
+// order: the tombstone (moved), then the replication role (not_owner
+// for a write on a follower, replica_lagging for a read on a stale
+// one), then op, whose not_found orMoved turns into moved.
+func gate[T any](n *Node, id string, write bool, op func() (T, error)) (T, error) {
+	var zero T
 	if e := n.movedErr(id); e != nil {
-		return e
+		return zero, e
 	}
-	if role, owner, stale := n.mgr.RoleOf(id); role == api.RoleFollower && stale {
-		return api.ErrReplicaLagging(id, owner)
+	if role, owner, stale := n.mgr.RoleOf(id); role == api.RoleFollower {
+		if write {
+			return zero, api.ErrNotOwner(id, owner)
+		}
+		if stale {
+			return zero, api.ErrReplicaLagging(id, owner)
+		}
 	}
-	return nil
+	v, err := op()
+	return v, n.orMoved(id, err)
 }
 
-// writeErr gates mutating per-interface operations.
-func (n *Node) writeErr(id string) *api.Error {
-	if e := n.movedErr(id); e != nil {
-		return e
-	}
-	if role, owner, _ := n.mgr.RoleOf(id); role == api.RoleFollower {
-		return api.ErrNotOwner(id, owner)
-	}
-	return nil
-}
-
-// orMoved closes the gates' check-then-act window. An operation that
+// orMoved closes the gate's check-then-act window. An operation that
 // passed its gate and then lost a race with a handoff or demotion finds
 // the interface gone (not_found, which routers read as "drop the
 // placement") — but the tombstone is always written before the copy is
@@ -203,85 +202,52 @@ func (n *Node) orMoved(id string, err error) error {
 }
 
 func (n *Node) GetInterface(id string) (*api.InterfaceDetail, error) {
-	if e := n.readErr(id); e != nil {
-		return nil, e
-	}
-	d, err := n.Service.GetInterface(id)
-	return d, n.orMoved(id, err)
+	return gate(n, id, false, func() (*api.InterfaceDetail, error) { return n.Service.GetInterface(id) })
 }
 
 func (n *Node) Epoch(id string) (*api.EpochResponse, error) {
-	if e := n.readErr(id); e != nil {
-		return nil, e
-	}
-	e, err := n.Service.Epoch(id)
-	return e, n.orMoved(id, err)
+	return gate(n, id, false, func() (*api.EpochResponse, error) { return n.Service.Epoch(id) })
 }
 
 func (n *Node) Page(id string) (string, error) {
-	if e := n.readErr(id); e != nil {
-		return "", e
-	}
-	page, err := n.Service.Page(id)
-	return page, n.orMoved(id, err)
+	return gate(n, id, false, func() (string, error) { return n.Service.Page(id) })
 }
 
 func (n *Node) Query(id string, req api.QueryRequest) (*api.QueryResponse, error) {
-	if e := n.readErr(id); e != nil {
-		return nil, e
-	}
-	resp, err := n.Service.Query(id, req)
-	return resp, n.orMoved(id, err)
+	return gate(n, id, false, func() (*api.QueryResponse, error) { return n.Service.Query(id, req) })
 }
 
 // QueryIntoCtx keeps the zero-alloc, context-carrying serving path
-// behind the shard's gate: the embedded Service satisfies
-// api.CtxQuerier by promotion, and without this override the
-// transport's type assertion would bypass the tombstone check that
-// turns queries for moved interfaces into structured `moved` errors.
+// behind the shard's gate: without this override the embedded
+// Service's method would be promoted, and the transport would bypass
+// the tombstone check that turns queries for moved interfaces into
+// structured `moved` errors.
 func (n *Node) QueryIntoCtx(ctx context.Context, id string, req api.QueryRequest, resp *api.QueryResponse) error {
-	if e := n.readErr(id); e != nil {
-		return e
-	}
-	return n.orMoved(id, n.Service.QueryIntoCtx(ctx, id, req, resp))
+	_, err := gate(n, id, false, func() (struct{}, error) {
+		return struct{}{}, n.Service.QueryIntoCtx(ctx, id, req, resp)
+	})
+	return err
 }
 
 func (n *Node) IngestReady(id string) error {
-	if e := n.writeErr(id); e != nil {
-		return e
-	}
-	return n.orMoved(id, n.Service.IngestReady(id))
+	_, err := gate(n, id, true, func() (struct{}, error) { return struct{}{}, n.Service.IngestReady(id) })
+	return err
 }
 
 func (n *Node) IngestLog(id string, entries []qlog.Entry, flush bool) (*api.IngestAck, error) {
-	if e := n.writeErr(id); e != nil {
-		return nil, e
-	}
-	ack, err := n.Service.IngestLog(id, entries, flush)
-	return ack, n.orMoved(id, err)
+	return gate(n, id, true, func() (*api.IngestAck, error) { return n.Service.IngestLog(id, entries, flush) })
 }
 
 func (n *Node) AppendRows(id string, req api.RowsRequest, flush bool) (*api.RowsAck, error) {
-	if e := n.writeErr(id); e != nil {
-		return nil, e
-	}
-	ack, err := n.Service.AppendRows(id, req, flush)
-	return ack, n.orMoved(id, err)
+	return gate(n, id, true, func() (*api.RowsAck, error) { return n.Service.AppendRows(id, req, flush) })
 }
 
 func (n *Node) MutateRows(id string, req api.MutateRequest) (*api.MutateAck, error) {
-	if e := n.writeErr(id); e != nil {
-		return nil, e
-	}
-	ack, err := n.Service.MutateRows(id, req)
-	return ack, n.orMoved(id, err)
+	return gate(n, id, true, func() (*api.MutateAck, error) { return n.Service.MutateRows(id, req) })
 }
 
 func (n *Node) DeleteInterface(id string) (*api.DeleteAck, error) {
-	if e := n.writeErr(id); e != nil {
-		return nil, e
-	}
-	ack, err := n.Service.DeleteInterface(id)
+	ack, err := gate(n, id, true, func() (*api.DeleteAck, error) { return n.Service.DeleteInterface(id) })
 	if err == nil {
 		// Tear the replication down fleet-side (best effort, off the
 		// request path): followers drop their copies instead of serving

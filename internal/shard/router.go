@@ -462,40 +462,59 @@ func (rt *Router) drop(id, addr string) {
 	rt.mu.Unlock()
 }
 
-// proxy runs one per-interface operation against the owning shard,
-// following moved errors (and repairing the placement map) a bounded
-// number of times, and translating transport failures into structured
-// shard_unavailable errors.
-func (rt *Router) proxy(id string, fn func(ctx context.Context, c *client.Client) error) error {
-	return rt.proxyOp(context.Background(), id, false, fn)
-}
-
-func (rt *Router) proxyOp(parent context.Context, id string, readOnly bool, fn func(ctx context.Context, c *client.Client) error) error {
-	for hop := 0; hop < maxPlacementHops; hop++ {
-		conn, apiErr := rt.owner(id)
-		if apiErr != nil {
-			return apiErr
-		}
-		ctx, cancel := rt.callCtx(parent)
+// routed is the router's one call path for a per-interface operation.
+// A read first tries the round-robin pick among in-sync followers when
+// fan-out is on (readTarget), falling back to the owner on ANY
+// follower failure — fan-out spreads load, it never trades away an
+// answer the owner could have given. On the owner it follows moved
+// errors (repairing the placement map) a bounded number of times,
+// drops a placement the owner answers not_found for, and translates
+// transport failures into structured shard_unavailable errors — after
+// promoting a follower when failover is on, in which case a read is
+// re-run on the new owner and a write is not.
+func routed[T any](rt *Router, ctx context.Context, id string, read bool, fn func(ctx context.Context, c *client.Client) (T, error)) (T, error) {
+	var zero T
+	call := func(conn *shardConn) (T, error) {
+		cctx, cancel := rt.callCtx(ctx)
 		start := time.Now()
-		err := fn(ctx, conn.c)
+		v, err := fn(cctx, conn.c)
 		cancel()
 		conn.mx.proxied.Inc()
 		conn.mx.dur.Observe(time.Since(start))
+		return v, err
+	}
+	if read {
+		if conn := rt.readTarget(id); conn != nil {
+			v, err := call(conn)
+			if err == nil {
+				return v, nil
+			}
+			// Only transport failures count as proxy errors: a structured
+			// api.Error means the follower answered (lagging, moved, ...).
+			var ae *api.Error
+			if !errors.As(err, &ae) {
+				conn.mx.errs.Inc()
+			}
+			rt.markFollowerFailed(id, conn.addr)
+		}
+	}
+	for hop := 0; hop < maxPlacementHops; hop++ {
+		conn, apiErr := rt.owner(id)
+		if apiErr != nil {
+			return zero, apiErr
+		}
+		v, err := call(conn)
 		if err == nil {
-			return nil
+			return v, nil
 		}
 		var ae *api.Error
 		if errors.As(err, &ae) {
 			switch {
-			case ae.Code == api.CodeMoved && ae.Addr != "":
-				mxMovedFollows.Inc()
-				rt.follow(id, ae.Addr)
-				continue
-			case (ae.Code == api.CodeNotOwner || ae.Code == api.CodeReplicaLagging) && ae.Addr != "":
-				// The placement map lags a promotion: the shard we
-				// believed owned the interface is (or became) a follower,
-				// and names the owner it knows.
+			case (ae.Code == api.CodeMoved || ae.Code == api.CodeNotOwner || ae.Code == api.CodeReplicaLagging) && ae.Addr != "":
+				// moved: the interface changed shards. not_owner and
+				// replica_lagging: the placement map lags a promotion —
+				// the shard we believed owned the interface is (or
+				// became) a follower, and names the owner it knows.
 				mxMovedFollows.Inc()
 				rt.follow(id, ae.Addr)
 				continue
@@ -503,9 +522,8 @@ func (rt *Router) proxyOp(parent context.Context, id string, readOnly bool, fn f
 				// The shard genuinely does not host it (restart without
 				// its data dir, tombstone lost): stop routing there.
 				rt.drop(id, conn.addr)
-				return ae
 			}
-			return ae
+			return zero, ae
 		}
 		// Transport failure: the owner is gone. Back its probe off, and
 		// when failover is on, try to promote the most-caught-up in-sync
@@ -514,7 +532,7 @@ func (rt *Router) proxyOp(parent context.Context, id string, readOnly bool, fn f
 		rt.noteShardDown(conn.addr)
 		if rt.opts.Failover {
 			if newAddr, ok := rt.failover(id, conn.addr); ok {
-				if readOnly {
+				if read {
 					continue // re-run the read against the promoted owner
 				}
 				// Writes are NOT retried across a promotion: the dead
@@ -523,60 +541,42 @@ func (rt *Router) proxyOp(parent context.Context, id string, readOnly bool, fn f
 				// owner would double-apply. The placement already points
 				// at the promoted follower, so the caller's retry lands
 				// there directly.
-				return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
+				return zero, api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
 					"shard %s (owner of %q) became unreachable mid-write; follower on %s was promoted — retry against the new owner",
 					conn.addr, id, newAddr)
 			}
 		}
-		return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
+		return zero, api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
 			"shard %s (owner of %q) is unreachable: %v", conn.addr, id, err)
 	}
-	return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
+	return zero, api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
 		"placement for %q did not converge after %d moves", id, maxPlacementHops)
 }
 
-// maxPlacementHops bounds moved-following during one proxied call.
+// maxPlacementHops bounds moved-following during one routed call.
 const maxPlacementHops = 3
 
-// --- api.Servicer: per-interface operations proxy to the owner.
+// --- api.Servicer: per-interface operations are one routed call each.
+// Reads (epoch, page, query) may fan out to followers; everything
+// else, GetInterface included, goes to the owner only.
 
 func (rt *Router) GetInterface(id string) (*api.InterfaceDetail, error) {
-	var out *api.InterfaceDetail
-	err := rt.proxy(id, func(ctx context.Context, c *client.Client) error {
-		d, err := c.GetInterface(ctx, id)
-		out = d
-		return err
+	return routed(rt, context.Background(), id, false, func(ctx context.Context, c *client.Client) (*api.InterfaceDetail, error) {
+		return c.GetInterface(ctx, id)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (rt *Router) Epoch(id string) (*api.EpochResponse, error) {
-	var out api.EpochResponse
-	err := rt.proxyRead(id, func(ctx context.Context, c *client.Client) error {
+	return routed(rt, context.Background(), id, true, func(ctx context.Context, c *client.Client) (*api.EpochResponse, error) {
 		e, err := c.Epoch(ctx, id)
-		out.Epoch = e
-		return err
+		return &api.EpochResponse{Epoch: e}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 func (rt *Router) Page(id string) (string, error) {
-	var out string
-	err := rt.proxyRead(id, func(ctx context.Context, c *client.Client) error {
-		p, err := c.Page(ctx, id)
-		out = p
-		return err
+	return routed(rt, context.Background(), id, true, func(ctx context.Context, c *client.Client) (string, error) {
+		return c.Page(ctx, id)
 	})
-	if err != nil {
-		return "", err
-	}
-	return out, nil
 }
 
 // Query proxies with the request — limit, cursor and all — passed
@@ -594,10 +594,8 @@ func (rt *Router) Query(id string, req api.QueryRequest) (*api.QueryResponse, er
 	return &out, nil
 }
 
-var _ api.CtxQuerier = (*Router)(nil)
-
 // QueryIntoCtx is the context-carrying query path the HTTP transport
-// prefers: the caller's context carries the edge-minted trace id, so
+// calls: the caller's context carries the edge-minted trace id, so
 // the proxied hop forwards it to the shard (pi/client sets the
 // Pi-Trace-Id header from the context) and the router's own slow-query
 // ring records it. The whole routed call is attributed to ProxyMS —
@@ -608,14 +606,12 @@ func (rt *Router) QueryIntoCtx(ctx context.Context, id string, req api.QueryRequ
 	if rt.slow.Armed() {
 		start = time.Now()
 	}
-	err := rt.proxyReadCtx(ctx, id, func(cctx context.Context, c *client.Client) error {
-		r, err := c.Query(cctx, id, req)
-		if err != nil {
-			return err
-		}
-		*resp = *r
-		return nil
+	r, err := routed(rt, ctx, id, true, func(cctx context.Context, c *client.Client) (*api.QueryResponse, error) {
+		return c.Query(cctx, id, req)
 	})
+	if err == nil {
+		*resp = *r
+	}
 	if !start.IsZero() {
 		total := time.Since(start)
 		if rt.slow.Should(total) {
@@ -667,61 +663,46 @@ func (rt *Router) IngestLog(id string, entries []qlog.Entry, flush bool) (*api.I
 	for i, e := range entries {
 		wire[i] = api.LogEntry{SQL: e.SQL, Client: e.Client}
 	}
-	var out *api.IngestAck
-	err := rt.proxy(id, func(ctx context.Context, c *client.Client) error {
-		ack, err := c.IngestLog(ctx, id, wire, flush)
-		out = ack
-		return err
+	return routed(rt, context.Background(), id, false, func(ctx context.Context, c *client.Client) (*api.IngestAck, error) {
+		return c.IngestLog(ctx, id, wire, flush)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (rt *Router) AppendRows(id string, req api.RowsRequest, flush bool) (*api.RowsAck, error) {
-	var out *api.RowsAck
-	err := rt.proxy(id, func(ctx context.Context, c *client.Client) error {
-		ack, err := c.AppendRows(ctx, id, req.Table, req.Rows, flush)
-		out = ack
-		return err
+	return routed(rt, context.Background(), id, false, func(ctx context.Context, c *client.Client) (*api.RowsAck, error) {
+		return c.AppendRows(ctx, id, req.Table, req.Rows, flush)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (rt *Router) MutateRows(id string, req api.MutateRequest) (*api.MutateAck, error) {
-	var out *api.MutateAck
-	err := rt.proxy(id, func(ctx context.Context, c *client.Client) error {
-		ack, err := c.MutateRows(ctx, id, req.SQL, req.IfEpoch)
-		out = ack
-		return err
+	return routed(rt, context.Background(), id, false, func(ctx context.Context, c *client.Client) (*api.MutateAck, error) {
+		return c.MutateRows(ctx, id, req.SQL, req.IfEpoch)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (rt *Router) DeleteInterface(id string) (*api.DeleteAck, error) {
-	var out *api.DeleteAck
-	err := rt.proxy(id, func(ctx context.Context, c *client.Client) error {
-		ack, err := c.DeleteInterface(ctx, id)
-		out = ack
-		return err
+	ack, err := routed(rt, context.Background(), id, false, func(ctx context.Context, c *client.Client) (*api.DeleteAck, error) {
+		return c.DeleteInterface(ctx, id)
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		rt.mu.Lock()
+		delete(rt.place, id)
+		rt.mu.Unlock()
 	}
-	rt.mu.Lock()
-	delete(rt.place, id)
-	rt.mu.Unlock()
-	return out, nil
+	return ack, err
 }
 
 // --- api.Servicer: fleet-wide operations fan out and merge.
+
+// unavailable passes a shard's structured error through and turns a
+// transport failure into shard_unavailable, prefixed with what failed.
+func unavailable(err error, format string, args ...any) error {
+	var ae *api.Error
+	if errors.As(err, &ae) {
+		return ae
+	}
+	return api.Errf(api.CodeShardUnavailable, http.StatusBadGateway, format+": %v", append(args, err)...)
+}
 
 // fanOut runs fn once per shard concurrently and returns the results
 // in shard order.
@@ -859,12 +840,7 @@ func (rt *Router) Snapshot() (*api.SnapshotResult, error) {
 	var dirs []string
 	for _, res := range results {
 		if res.err != nil {
-			var ae *api.Error
-			if errors.As(res.err, &ae) {
-				return nil, ae
-			}
-			return nil, api.Errf(api.CodeShardUnavailable, http.StatusBadGateway,
-				"snapshot on shard %s: %v", res.addr, res.err)
+			return nil, unavailable(res.err, "snapshot on shard %s", res.addr)
 		}
 		merged.Interfaces = append(merged.Interfaces, res.v.Interfaces...)
 		dirs = append(dirs, res.addr+":"+res.v.Dir)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 
@@ -37,6 +36,10 @@ func (rt *Router) Status() *RouterStatus {
 	rt.mu.RUnlock()
 	return st
 }
+
+// maxAdminBody caps the router-admin request bodies (migrate,
+// failover): an interface id and a shard address.
+const maxAdminBody = 1 << 16
 
 // migrateRequest is the body of POST /v1/router/migrate.
 type migrateRequest struct {
@@ -118,11 +121,13 @@ type FailoverResult struct {
 // Every route is guarded by the auth config's default token.
 func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
 	mux := http.NewServeMux()
-	guard := auth.Guard
-	mux.HandleFunc("GET /v1/router/shards", guard(func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, rt.Status())
-	}))
-	mux.HandleFunc("POST /v1/router/refresh", guard(func(w http.ResponseWriter, r *http.Request) {
+	route := func(pattern string, op func(w http.ResponseWriter, r *http.Request) (any, error)) {
+		mux.HandleFunc(pattern, auth.Guard(api.Handle(http.StatusOK, op)))
+	}
+	route("GET /v1/router/shards", func(w http.ResponseWriter, r *http.Request) (any, error) {
+		return rt.Status(), nil
+	})
+	route("POST /v1/router/refresh", func(w http.ResponseWriter, r *http.Request) (any, error) {
 		// An explicit refresh overrides probe backoff (the operator is
 		// telling us something changed — typically a restarted shard),
 		// and it just polled every shard, so report what it saw instead
@@ -130,54 +135,43 @@ func (rt *Router) AdminHandler(auth server.AuthConfig) http.Handler {
 		shards := rt.ForceRefresh(r.Context())
 		st := &RouterStatus{Shards: shards, Placement: rt.Placement()}
 		st.Interfaces = len(st.Placement)
-		api.WriteJSON(w, http.StatusOK, st)
-	}))
-	mux.HandleFunc("POST /v1/router/migrate", guard(func(w http.ResponseWriter, r *http.Request) {
+		return st, nil
+	})
+	route("POST /v1/router/migrate", func(w http.ResponseWriter, r *http.Request) (any, error) {
 		var req migrateRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil || req.ID == "" || req.To == "" {
-			api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
-				`migrate needs a JSON body {"id": ..., "to": ...}`))
-			return
+		if err := api.DecodeJSON(w, r, maxAdminBody, &req); err != nil {
+			return nil, err
+		}
+		if req.ID == "" || req.To == "" {
+			return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+				`migrate needs a JSON body {"id": ..., "to": ...}`)
 		}
 		// Migration seeds a full snapshot and waits for the target to
 		// sync; give it its own budget rather than the proxy timeout.
 		ctx, cancel := context.WithTimeout(r.Context(), 2*rt.opts.Timeout)
 		defer cancel()
-		res, err := rt.Migrate(ctx, req.ID, req.To)
-		if err != nil {
-			api.WriteError(w, err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, res)
-	}))
-	mux.HandleFunc("POST /v1/router/rebalance", guard(func(w http.ResponseWriter, r *http.Request) {
-		res, err := rt.Rebalance(r.Context())
-		if err != nil {
-			api.WriteError(w, err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, res)
-	}))
-	mux.HandleFunc("GET /v1/router/replication", guard(func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, rt.Replication())
-	}))
-	mux.HandleFunc("POST /v1/router/failover", guard(func(w http.ResponseWriter, r *http.Request) {
+		return rt.Migrate(ctx, req.ID, req.To)
+	})
+	route("POST /v1/router/rebalance", func(w http.ResponseWriter, r *http.Request) (any, error) {
+		return rt.Rebalance(r.Context())
+	})
+	route("GET /v1/router/replication", func(w http.ResponseWriter, r *http.Request) (any, error) {
+		return rt.Replication(), nil
+	})
+	route("POST /v1/router/failover", func(w http.ResponseWriter, r *http.Request) (any, error) {
 		var req failoverRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil || req.ID == "" {
-			api.WriteError(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
-				`failover needs a JSON body {"id": ...}`))
-			return
+		if err := api.DecodeJSON(w, r, maxAdminBody, &req); err != nil {
+			return nil, err
 		}
-		addr, apiErr := rt.FailoverInterface(req.ID)
-		if apiErr != nil {
-			api.WriteError(w, apiErr)
-			return
+		if req.ID == "" {
+			return nil, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
+				`failover needs a JSON body {"id": ...}`)
 		}
-		api.WriteJSON(w, http.StatusOK, &FailoverResult{ID: req.ID, Owner: addr})
-	}))
+		addr, err := rt.FailoverInterface(req.ID)
+		if err != nil {
+			return nil, err
+		}
+		return &FailoverResult{ID: req.ID, Owner: addr}, nil
+	})
 	return mux
 }

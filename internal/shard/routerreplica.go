@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/replica"
-	"repro/pi/client"
 )
 
 // This file is the router half of the replication layer: placement
@@ -218,37 +216,6 @@ func (rt *Router) ensureReplication(ctx context.Context, claims map[string]owner
 }
 
 // --- read fan-out.
-
-// proxyRead routes a read-only operation: with fan-out enabled it
-// first tries the round-robin pick among in-sync followers, falling
-// back to the owner (the normal proxy path, failover included) on ANY
-// follower failure — fan-out spreads load, it never trades away an
-// answer the owner could have given.
-func (rt *Router) proxyRead(id string, fn func(ctx context.Context, c *client.Client) error) error {
-	return rt.proxyReadCtx(context.Background(), id, fn)
-}
-
-func (rt *Router) proxyReadCtx(parent context.Context, id string, fn func(ctx context.Context, c *client.Client) error) error {
-	if conn := rt.readTarget(id); conn != nil {
-		ctx, cancel := rt.callCtx(parent)
-		start := time.Now()
-		err := fn(ctx, conn.c)
-		cancel()
-		conn.mx.proxied.Inc()
-		conn.mx.dur.Observe(time.Since(start))
-		if err == nil {
-			return nil
-		}
-		// Only transport failures count as proxy errors: a structured
-		// api.Error means the follower answered (lagging, moved, ...).
-		var ae *api.Error
-		if !errors.As(err, &ae) {
-			conn.mx.errs.Inc()
-		}
-		rt.markFollowerFailed(id, conn.addr)
-	}
-	return rt.proxyOp(parent, id, true, fn)
-}
 
 // readTarget picks the next read target for the interface, or nil when
 // the read should go to the owner (fan-out off, no usable followers,
