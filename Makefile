@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/qlog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzUpgrade$$' -fuzztime 10s ./internal/upgrade
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzCompare$$' -fuzztime 10s ./internal/treediff

@@ -466,10 +466,10 @@ func (s *Service) IngestLog(id string, entries []qlog.Entry, _ bool) (*IngestAck
 }
 
 // AppendRows submits new dataset rows for one table of the
-// interface's store. The ingestion layer publishes them copy-on-write
-// under a bumped epoch before it returns, so queries accepted after
-// the ack can never be answered from a pre-append cache. flush is
-// ignored (see Servicer).
+// interface's store. The ingestion layer publishes them as a new store
+// version under a bumped epoch before it returns, so queries accepted
+// after the ack can never be answered from a pre-append cache. flush
+// is ignored (see Servicer).
 func (s *Service) AppendRows(id string, req RowsRequest, _ bool) (*RowsAck, error) {
 	h, apiErr := s.hosted(id)
 	if apiErr != nil {

@@ -146,7 +146,7 @@ type MutateRequest struct {
 
 // MutateAck reports what happened to one MutateRows call. Matched is
 // how many visible rows the predicate selected; Updated/Deleted how
-// many row versions the publish retired or replaced (zero matches ack
+// many of them the publish replaced or removed (zero matches ack
 // without publishing, leaving the epochs untouched).
 type MutateAck struct {
 	Table     string `json:"table,omitempty"`
@@ -196,7 +196,7 @@ type Ingestor interface {
 	SubmitRows(id, table string, rows [][]engine.Value) (RowsAck, error)
 	// SubmitMutation evaluates one UPDATE or DELETE statement against
 	// the interface's current snapshot and publishes the resulting
-	// row-version changes under a bumped epoch.
+	// rowid-keyed changes under a bumped epoch.
 	SubmitMutation(id, sql string, ifEpoch uint64) (MutateAck, error)
 	// Detach drops the interface's live feed: DeleteInterface calls it
 	// so an unhosted interface stops accepting submissions instead of

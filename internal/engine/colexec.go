@@ -5,22 +5,19 @@ import (
 	"strings"
 )
 
-// ExecColumnar runs a compiled columnar plan against the catalog's
-// cached column vectors. The second return reports whether the plan
-// could run here at all: false means "use the row path" (no columnar
-// provider, unknown/unsupported column, qualifier mismatch) and
-// carries no error. When it does run, the result is value-identical to
-// Exec on the same catalog: same column names, same row order, same
-// Value structs bit-for-bit.
+// ExecColumnar runs a compiled columnar plan against the column
+// vectors the catalog's table caches (Table.Columnar). The second
+// return reports whether the plan could run here at all: false means
+// "use the row path" (unknown table, unknown/unsupported column,
+// qualifier mismatch) and carries no error. When it does run, the
+// result is value-identical to Exec on the same catalog: same column
+// names, same row order, same Value structs bit-for-bit.
 func ExecColumnar(cat Catalog, p *ColPlan) (*Table, bool, error) {
-	prov, ok := cat.(ColumnarProvider)
+	t, ok := cat.Table(p.Table)
 	if !ok {
 		return nil, false, nil
 	}
-	ct, ok := prov.Columnar(p.Table)
-	if !ok {
-		return nil, false, nil
-	}
+	ct := t.Columnar()
 	alias := p.alias
 	if alias == "" {
 		alias = ct.Name

@@ -41,10 +41,10 @@ type Column struct {
 // ColumnarTable is a read-only columnar projection of a Table: typed
 // column vectors the vectorized kernels (colexec.go) scan instead of
 // walking [][]Value rows through the AST evaluator. It is built once
-// per table per data epoch (lazily, on the first columnar-eligible
+// per table version (Table.Columnar, on the first columnar-eligible
 // query) and its vectors are immutable afterwards, so it is safe to
 // share across any number of concurrent executions — the same
-// discipline as the epoch snapshots it is derived from. The one thing
+// discipline as the immutable tables it is derived from. The one thing
 // it grows is each column's `=` postings, published atomically.
 type ColumnarTable struct {
 	Name string
@@ -54,14 +54,6 @@ type ColumnarTable struct {
 	cols   []Column
 	eq     []eqIndex      // per column, lazily built `=` postings (postings.go)
 	byName map[string]int // lowercased first-occurrence column name -> index
-}
-
-// ColumnarProvider is implemented by catalogs that can serve a cached
-// columnar projection of a table (a *DB, or a store snapshot). The
-// columnar executor only runs against catalogs that provide one —
-// building the projection per query would cost more than it saves.
-type ColumnarProvider interface {
-	Columnar(name string) (*ColumnarTable, bool)
 }
 
 // BuildColumnar converts a row-major table into its columnar

@@ -262,25 +262,22 @@ func TestColumnarFallbacks(t *testing.T) {
 	}
 }
 
-// TestColumnarProviderCaching: the same *ColumnarTable is handed out
-// on repeat lookups, and a DB holding a new version of the table
-// builds its own projection rather than serving a stale one.
-func TestColumnarProviderCaching(t *testing.T) {
+// TestColumnarCachedOnTable: a table hands out the same
+// *ColumnarTable on repeat lookups, whatever name the catalog resolved;
+// a new table version builds its own projection rather than serving a
+// stale one.
+func TestColumnarCachedOnTable(t *testing.T) {
 	db := mixedDB()
-	a, ok := db.Columnar("t")
-	if !ok {
-		t.Fatal("no columnar projection for t")
-	}
-	b, _ := db.Columnar("T") // case-insensitive name
-	if a != b {
+	ta, _ := db.Table("t")
+	tb, _ := db.Table("T") // case-insensitive name
+	a := ta.Columnar()
+	if a != tb.Columnar() {
 		t.Fatal("columnar projection not cached")
 	}
-	tb := NewTable("t", "n")
-	tb.MustAddRow(Num(42))
-	db2 := NewDB()
-	db2.AddTable(tb)
-	c, ok := db2.Columnar("t")
-	if !ok || c == a {
+	next := NewTable("t", "n")
+	next.MustAddRow(Num(42))
+	c := next.Columnar()
+	if c == a {
 		t.Fatal("new table version served a stale columnar projection")
 	}
 	if c.N != 1 || len(c.Cols) != 1 {
@@ -379,7 +376,8 @@ func BenchmarkColumnarOLAP(b *testing.B) {
 	if !ok {
 		b.Fatal("query did not compile columnar")
 	}
-	db.Columnar("ontime") // build outside the timer
+	tab, _ := db.Table("ontime")
+	tab.Columnar() // build outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ran, err := ExecColumnar(db, p); !ran || err != nil {

@@ -116,7 +116,8 @@ func TestPostingsHandOutCopies(t *testing.T) {
 	if res, _, _ := runColumnar(t, db, "SELECT n FROM t WHERE s = 'ca'"); len(res.Rows) != 2 {
 		t.Fatalf("narrowing leaked into the postings: %d rows, want 2", len(res.Rows))
 	}
-	ct, _ := db.Columnar("t")
+	tab, _ := db.Table("t")
+	ct := tab.Columnar()
 	ct.lookup(0, eqPred(Num(1)))
 	pos, ok := ct.lookup(0, eqPred(Num(1)))
 	if !ok || len(pos) != 2 {

@@ -2,9 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -18,6 +18,8 @@ type Table struct {
 	// lazily by ColIndex. Cols never changes after a table is built
 	// (AddRow only appends rows), so the cache cannot go stale.
 	colIdx atomic.Pointer[map[string]int]
+	// col caches the columnar projection, built lazily by Columnar.
+	col atomic.Pointer[ColumnarTable]
 }
 
 // NewTable returns an empty table with the given columns.
@@ -79,6 +81,18 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
+// Columnar returns the table's columnar projection, built at most once
+// and shared by every concurrent reader. A table is immutable once
+// shared (a store version, a built DB), so the projection — and the
+// `=` postings it grows — lives exactly as long as the table.
+func (t *Table) Columnar() *ColumnarTable {
+	if c := t.col.Load(); c != nil {
+		return c
+	}
+	t.col.CompareAndSwap(nil, BuildColumnar(t))
+	return t.col.Load()
+}
+
 // TableFunc is a table-valued function (e.g. the SDSS fGetNearbyObjEq
 // UDF): it maps argument values to a relation.
 type TableFunc func(args []Value) (*Table, error)
@@ -109,11 +123,6 @@ type Catalog interface {
 type DB struct {
 	tables map[string]*Table
 	funcs  map[string]TableFunc
-
-	// colTabs lazily caches the columnar projection of each table
-	// (lowercased name -> *ColumnarTable). Safe under the DB's
-	// immutable-after-build contract.
-	colTabs sync.Map
 }
 
 // NewDB returns an empty database.
@@ -125,59 +134,36 @@ func NewDB() *DB {
 func (db *DB) AddTable(t *Table) { db.tables[strings.ToLower(t.Name)] = t }
 
 // Table looks up a table by (possibly qualified) name.
-func (db *DB) Table(name string) (*Table, bool) {
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		// Accept the final path component of qualified names (dbo.X).
-		parts := strings.Split(name, ".")
-		t, ok = db.tables[strings.ToLower(parts[len(parts)-1])]
-	}
-	return t, ok
-}
+func (db *DB) Table(name string) (*Table, bool) { return lookup(db.tables, name) }
 
 // AddFunc registers a table-valued function.
 func (db *DB) AddFunc(name string, fn TableFunc) { db.funcs[strings.ToLower(name)] = fn }
 
 // Func looks up a table-valued function by (possibly qualified) name.
-func (db *DB) Func(name string) (TableFunc, bool) {
-	f, ok := db.funcs[strings.ToLower(name)]
+func (db *DB) Func(name string) (TableFunc, bool) { return lookup(db.funcs, name) }
+
+// lookup is the catalog's one name rule: the lowercased name, else the
+// lowercased final component of a qualified name (dbo.X).
+func lookup[V any](m map[string]V, name string) (V, bool) {
+	v, ok := m[strings.ToLower(name)]
 	if !ok {
 		parts := strings.Split(name, ".")
-		f, ok = db.funcs[strings.ToLower(parts[len(parts)-1])]
+		v, ok = m[strings.ToLower(parts[len(parts)-1])]
 	}
-	return f, ok
+	return v, ok
 }
 
-// Columnar returns the cached columnar projection of a table,
-// building it on first use — the ColumnarProvider hook for plain
-// catalogs (store snapshots provide their own per-epoch variant).
-func (db *DB) Columnar(name string) (*ColumnarTable, bool) {
-	t, ok := db.Table(name)
-	if !ok {
-		return nil, false
-	}
-	key := strings.ToLower(t.Name)
-	if c, ok := db.colTabs.Load(key); ok {
-		return c.(*ColumnarTable), true
-	}
-	actual, _ := db.colTabs.LoadOrStore(key, BuildColumnar(t))
-	return actual.(*ColumnarTable), true
+// Clone returns a DB over the same tables and functions; adding to the
+// clone leaves db as it was. The store builds each published version
+// this way, sharing every table it does not replace.
+func (db *DB) Clone() *DB {
+	return &DB{tables: maps.Clone(db.tables), funcs: maps.Clone(db.funcs)}
 }
 
 // TableNames lists registered tables in sorted order.
 func (db *DB) TableNames() []string {
 	var out []string
 	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FuncNames lists registered table-valued functions in sorted order.
-func (db *DB) FuncNames() []string {
-	var out []string
-	for n := range db.funcs {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -260,15 +260,6 @@ func (ing *Ingester) Handoff(id string, moved error, commit func(seq uint64) err
 	return nil
 }
 
-// Store returns the versioned store backing a live-hosted interface.
-func (ing *Ingester) Store(id string) (*store.Store, error) {
-	f, err := ing.feed(id)
-	if err != nil {
-		return nil, err
-	}
-	return f.store, nil
-}
-
 // ErrNoFeed reports an interface with no live feed (hosted without
 // ingestion, or already detached). Matched with errors.Is.
 var ErrNoFeed = errors.New("no live feed")

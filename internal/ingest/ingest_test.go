@@ -19,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/qlog"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // fixtureDB is a tiny dataset matching the "SELECT a FROM t WHERE x=N"
@@ -45,6 +46,15 @@ func fixtureLog(n int) *qlog.Log {
 }
 
 func entry(sql string) qlog.Entry { return qlog.Entry{SQL: sql} }
+
+// Store returns the versioned store backing a live-hosted interface.
+func (ing *Ingester) Store(id string) (*store.Store, error) {
+	f, err := ing.feed(id)
+	if err != nil {
+		return nil, err
+	}
+	return f.store, nil
+}
 
 func newIngester(t *testing.T, opts Options) (*api.Registry, *Ingester, *api.Hosted) {
 	t.Helper()

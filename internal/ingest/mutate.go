@@ -23,12 +23,11 @@ import (
 // acks follow their publish — then the statement parses, plans and
 // evaluates against that same snapshot.
 // A mutation that matches zero rows acks without publishing — no
-// epoch bump, nothing journaled. One that matches publishes in
-// O(rows-touched) through the same publishLocked every write path
-// uses: the store retires and appends row versions, the hosted
-// interface hot-swaps onto the new snapshot, and the publication
-// journals and replicates before the ack returns. Implements
-// api.Ingestor.
+// epoch bump, nothing journaled. One that matches publishes through
+// the same publishLocked every write path uses: the store builds the
+// table's next version, the hosted interface hot-swaps onto it, and
+// the publication journals and replicates before the ack returns.
+// Implements api.Ingestor.
 func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateAck, error) {
 	f, err := ing.feed(id)
 	if err != nil {

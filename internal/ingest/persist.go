@@ -34,8 +34,7 @@ import (
 //   - A save is a checkpoint. It writes a new base and truncates the
 //     log only once the log outgrows a fixed fraction of the base
 //     (checkpointFraction); otherwise it writes nothing but a changed
-//     replication state. Either way it folds superseded MVCC row
-//     versions out of the live store.
+//     replication state.
 //   - Restore = base + log replayed through the same Apply followers
 //     use. The acked state comes back exactly; a torn final record
 //     (crash mid-append) was never acked and is truncated, not applied.
@@ -211,14 +210,8 @@ func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 // asks for one (none yet, a capture behind the base) or the log has
 // outgrown checkpointFraction of the base;
 // otherwise only a changed replication state is written, and the log
-// keeps carrying everything past the base. Either way superseded MVCC
-// row versions (UPDATE/DELETE residue) fold out of the live store: the
-// base and the log describe rows by rowid, never by version. Caller
-// holds saveMu.
+// keeps carrying everything past the base. Caller holds saveMu.
 func (p *Persister) saveLocked(snap *store.Snapshot) (api.SnapshotInterface, error) {
-	if st, err := p.ing.Store(snap.ID); err == nil {
-		defer st.Compact()
-	}
 	m := p.manifests[snap.ID]
 	var rs *store.ReplState
 	if p.replState != nil {

@@ -51,8 +51,8 @@ func (ing *Ingester) publishHook() PublishHook {
 
 // land applies one publication's content to the feed and publishes it
 // under exactly one epoch bump: a log batch re-mines, row batches
-// append to the store and rowid-keyed mutations retire and replace row
-// versions; then one hot swap moves the hosted interface onto the
+// append to the store and rowid-keyed mutations rebuild their table's
+// version; then one hot swap moves the hosted interface onto the
 // result, the feed's sequence number advances, p is stamped with the
 // (seq, epoch) it landed at and offered to the journal. Caller holds
 // f.mu.

@@ -9,8 +9,8 @@ import (
 )
 
 // SubmitRows appends new dataset rows to one table of the interface's
-// store and publishes them before it returns: copy-on-write in the
-// store followed by a hot swap of the hosted interface onto the fresh
+// store and publishes them before it returns: a new store version
+// followed by a hot swap of the hosted interface onto the fresh
 // snapshot under a bumped epoch — the same discipline Submit applies
 // to interface updates, so a query accepted after the ack can never be
 // answered from a cache that predates the appended rows.

@@ -23,15 +23,17 @@ import (
 // tableRows counts one table's rows in the interface on sh.
 func tableRows(t testing.TB, sh *testShard, id, table string) int {
 	t.Helper()
-	st, err := sh.ing.Store(id)
+	snap, err := sh.ing.Capture(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, ok := st.RowCount(table)
-	if !ok {
-		t.Fatalf("%s has no table %q", id, table)
+	for _, td := range snap.Tables {
+		if td.Name == table {
+			return len(td.Rows)
+		}
 	}
-	return n
+	t.Fatalf("%s has no table %q", id, table)
+	return 0
 }
 
 // TestMigrateUnderLoadNoLostAcks is the planned-move twin of

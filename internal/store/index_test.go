@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -137,4 +138,92 @@ func TestStoreIndexConcurrentWritesWithPinnedReader(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// eqRows answers `SELECT * FROM t WHERE k = lit` at v through the
+// columnar plan twice — the second run answers from k's postings on
+// the version's columnar projection — and fails the test unless both
+// runs render exactly what the row path returns.
+func eqRows(t *testing.T, v *View, lit string) *engine.Table {
+	t.Helper()
+	sql := "SELECT * FROM t WHERE k = " + lit
+	n, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Exec(v, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := engine.CompileColumnar(n)
+	if !ok {
+		t.Fatalf("%s: not a columnar plan", sql)
+	}
+	for run := 1; run <= 2; run++ {
+		if got := columnar(t, v, p); got.Render() != want.Render() {
+			t.Fatalf("%s run %d at epoch %d:\ncolumnar:\n%s\nrow path:\n%s", sql, run, v.Epoch(), got.Render(), want.Render())
+		}
+	}
+	return want
+}
+
+// kStore builds a store over one table "t" (cols k, x) holding rows.
+func kStore(rows ...[]engine.Value) *Store {
+	tbl := engine.NewTable("t", "k", "x")
+	tbl.Rows = rows
+	db := engine.NewDB()
+	db.AddTable(tbl)
+	return FromDB(db)
+}
+
+// TestIndexMatchesScanAcrossEpochs pins the epoch-chain guarantee:
+// after interleaved appends, updates and deletes, an equality lookup
+// at any published epoch returns exactly what the row path returns
+// there — the pinned view never sees post-pin rows, the head never
+// misses them.
+func TestIndexMatchesScanAcrossEpochs(t *testing.T) {
+	st := kStore(row(1, 10), row(2, 20), row(1, 30), row(4, 40))
+	v1 := st.Snapshot()
+	// Epoch 2: update rowid 1's key 1 -> 2, delete the key-4 row.
+	if _, err := st.MutateRows("t", []RowUpdate{{RowID: 1, Vals: row(2, 10)}}, []uint64{4}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := st.Snapshot()
+	// Epoch 3: append more rows, one sharing key 2.
+	if _, err := st.AppendRows("t", [][]engine.Value{row(2, 50), row(4, 60)}); err != nil {
+		t.Fatal(err)
+	}
+	v3 := st.Snapshot()
+
+	for _, v := range []*View{v1, v2, v3} {
+		for _, lit := range []string{"1", "2", "4", "'2'", "99"} {
+			eqRows(t, v, lit)
+		}
+	}
+	if got := eqRows(t, v1, "1").NumRows(); got != 2 {
+		t.Fatalf("pinned view key 1 rows = %d, want 2", got)
+	}
+	if got := eqRows(t, v1, "4").NumRows(); got != 1 {
+		t.Fatalf("pinned view key 4 rows = %d, want 1", got)
+	}
+	if got := eqRows(t, v3, "4").NumRows(); got != 1 {
+		t.Fatalf("head key 4 rows = %d, want the appended row only", got)
+	}
+}
+
+// TestIndexUnindexableKeys: NULL and NaN keys and cells answer what
+// the row path answers — NULL matches nothing, and NaN, in a cell or
+// as the string literal 'NaN', equals every number.
+func TestIndexUnindexableKeys(t *testing.T) {
+	st := kStore(
+		[]engine.Value{engine.Null(), engine.Num(0)},
+		[]engine.Value{engine.Num(math.NaN()), engine.Num(1)},
+		[]engine.Value{engine.Num(5), engine.Num(2)},
+		[]engine.Value{engine.Str("NaN"), engine.Num(3)},
+	)
+	for lit, want := range map[string]int{"NULL": 0, "'NaN'": 3, "5": 3, "6": 2} {
+		if got := eqRows(t, st.Snapshot(), lit).NumRows(); got != want {
+			t.Errorf("k = %s: %d rows, want %d", lit, got, want)
+		}
+	}
 }

@@ -45,11 +45,8 @@ type Snapshot struct {
 	Tables []TableData
 }
 
-// TableData is one serialized table. RowIDs, NextRowID and MutGen
-// carry the MVCC identity state: each row's stable rowid (aligned with
-// Rows), the next id the table would assign, and how many mutation
-// publishes the table has absorbed. Restore refuses a table whose
-// RowIDs do not line up with its Rows.
+// TableData is one serialized table: each row's stable rowid (aligned
+// with Rows, or Restore refuses it) and the next rowid to assign.
 type TableData struct {
 	Name string
 	Cols []string
@@ -57,7 +54,6 @@ type TableData struct {
 
 	RowIDs    []uint64
 	NextRowID uint64
-	MutGen    uint64
 }
 
 // FormatVersion is the current snapshot file format.
@@ -90,29 +86,17 @@ func ValidID(id string) bool {
 	return !strings.Contains(id, "..")
 }
 
-// CaptureTables serializes the store's current snapshot into table
-// data, in sorted name order for deterministic files. Rows and rowids
-// come from the current view's materialization (immutable, shared with
-// readers); the rowid allocator and mutation generation come from the
-// writer state under the writer lock.
+// CaptureTables serializes the store's current version, in sorted name
+// order for deterministic files. The version is immutable and shared
+// with readers, so the capture takes no lock.
 func (s *Store) CaptureTables() []TableData {
-	view := s.Snapshot()
-	names := view.TableNames()
+	v := s.Snapshot()
+	names := v.db.TableNames()
 	out := make([]TableData, 0, len(names))
 	for _, name := range names {
-		t, ok := view.Table(name)
-		if !ok {
-			continue
-		}
-		ids, _ := view.RowIDs(name)
-		td := TableData{Name: t.Name, Cols: t.Cols, Rows: t.Rows, RowIDs: ids}
-		s.mu.Lock()
-		if wt, _, ok := s.lookupWriter(name); ok {
-			td.NextRowID = wt.NextID()
-			td.MutGen = wt.MutGen()
-		}
-		s.mu.Unlock()
-		out = append(out, td)
+		t, _ := v.db.Table(name)
+		r := v.rows[t]
+		out = append(out, TableData{Name: t.Name, Cols: t.Cols, Rows: t.Rows, RowIDs: r.ids, NextRowID: r.nextID})
 	}
 	return out
 }
@@ -227,7 +211,7 @@ func Load(path string) (*Snapshot, error) {
 // rather than restarting at 1. Function values are not part of a
 // snapshot; callers re-attach them with AddFunc.
 func (snap *Snapshot) Restore() (*Store, error) {
-	return seed(snap.Tables, snap.DataEpoch)
+	return seed(engine.NewDB(), snap.Tables, snap.DataEpoch)
 }
 
 // RestoredLog rebuilds the qlog from the snapshot's entries.

@@ -1,36 +1,29 @@
 // Package store is the versioned storage layer under the serving
-// system: an MVCC row store (internal/mvcc) behind a copy-on-write
-// catalog that turns the "immutable after build" DB into a sequence of
-// immutable versions. Readers take a Snapshot — a *View that satisfies
-// engine.Catalog and never changes — while writers publish through
-// AppendRows and MutateRows, each bumping the data epoch without
-// copying row data: appends extend the version arena, updates and
-// deletes retire row versions by stamping an end epoch and (for
-// updates) appending a replacement, so every publish is O(rows
-// touched), never O(table). A snapshot taken at epoch E sees exactly
-// the rows live at E, forever — the Berkholz-style
-// answering-under-updates discipline PR 2 applied to interfaces,
-// applied to the data itself: queries always run against an immutable
-// snapshot, so result caches keyed to a snapshot stay correct by
-// construction.
+// system. A store is a sequence of immutable versions: readers take a
+// Snapshot — a *View that satisfies engine.Catalog and never changes —
+// and writers publish through AppendRows and MutateRows, each bumping
+// the data epoch. A table version is an immutable *engine.Table plus
+// its rowids; an append extends the head in place past every older
+// version's length, a mutation builds the next version in one pass.
+// So a snapshot at epoch E sees exactly the rows live at E, and every
+// cache keyed to it (the columnar projection each *engine.Table
+// carries included) stays correct by construction.
 //
 // The package also owns durable persistence (persist.go): a hosted
-// interface's (log, dataset, epoch) triple serializes to a single
-// checksummed snapshot file written with an atomic rename, so a
-// SIGKILLed server restores without the original log. Row identities
-// (rowids) persist too, so replicated mutations keep applying across
-// crash/restore.
+// interface's (log, dataset, epoch) triple, rowids included, serializes
+// to one checksummed snapshot file written with an atomic rename, so a
+// SIGKILLed server restores without the original log and replicated
+// mutations keep applying.
 package store
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
-	"repro/internal/mvcc"
 )
 
 // RowUpdate is one row replacement in a mutation: the row identified
@@ -52,300 +45,238 @@ type TableMutation struct {
 	Deletes []uint64
 }
 
-// version is one immutable store state: the published table views plus
-// the function catalog at one data epoch.
-type version struct {
-	view View
+// rowIDs is a table version's identity: each row's rowid, index-aligned
+// with its *engine.Table, and the next rowid to assign.
+type rowIDs struct {
+	ids    []uint64
+	nextID uint64
 }
 
-// View is an immutable snapshot of the store at one data epoch: it
-// satisfies engine.Catalog (name matching is case-insensitive and
-// accepts the final component of qualified names, like engine.DB), and
-// additionally exposes the epoch and per-table rowids the DML path
-// needs. Views are safe for concurrent use and never change — old
-// views keep serving their exact row set while the store moves on.
+// View is the store at one data epoch: an engine.Catalog over an
+// *engine.DB built per publish (unchanged tables shared by pointer),
+// plus the epoch and rowids the DML path needs. Views never change and
+// are safe for concurrent use.
 type View struct {
-	epoch  uint64
-	tables map[string]*mvcc.View // keyed by lowercase name
-	funcs  map[string]engine.TableFunc
+	epoch uint64
+	db    *engine.DB
+	rows  map[*engine.Table]rowIDs
 }
 
 // Epoch returns the data epoch the view was taken at.
 func (v *View) Epoch() uint64 { return v.epoch }
 
-func (v *View) lookup(name string) (*mvcc.View, bool) {
-	t, ok := v.tables[strings.ToLower(name)]
-	if !ok {
-		// Accept the final path component of qualified names (dbo.X).
-		parts := strings.Split(name, ".")
-		t, ok = v.tables[strings.ToLower(parts[len(parts)-1])]
-	}
-	return t, ok
-}
-
-// Table implements engine.Catalog: the flattened visible rows of the
-// named table at this view's epoch.
-func (v *View) Table(name string) (*engine.Table, bool) {
-	t, ok := v.lookup(name)
-	if !ok {
-		return nil, false
-	}
-	return t.Table(), true
-}
+// Table implements engine.Catalog with the engine's name rule.
+func (v *View) Table(name string) (*engine.Table, bool) { return v.db.Table(name) }
 
 // Func implements engine.Catalog.
-func (v *View) Func(name string) (engine.TableFunc, bool) {
-	f, ok := v.funcs[strings.ToLower(name)]
-	if !ok {
-		parts := strings.Split(name, ".")
-		f, ok = v.funcs[strings.ToLower(parts[len(parts)-1])]
-	}
-	return f, ok
-}
+func (v *View) Func(name string) (engine.TableFunc, bool) { return v.db.Func(name) }
 
 // RowIDs returns the stable row identity for each row of Table(name),
 // index-aligned — how a predicate match at row i becomes a mutation of
 // a concrete rowid.
 func (v *View) RowIDs(name string) ([]uint64, bool) {
-	t, ok := v.lookup(name)
+	t, ok := v.db.Table(name)
+	return v.rows[t].ids, ok
+}
+
+// checkRows resolves the table and checks every row's column count
+// against it.
+func (v *View) checkRows(table string, rows [][]engine.Value) (*engine.Table, error) {
+	t, ok := v.db.Table(table)
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("store: unknown table %q", table)
 	}
-	return t.RowIDs(), true
+	for i, r := range rows {
+		if len(r) != len(t.Cols) {
+			return nil, fmt.Errorf("store: table %q has %d columns, row %d has %d",
+				t.Name, len(t.Cols), i, len(r))
+		}
+	}
+	return t, nil
 }
 
-// Columnar implements engine.ColumnarProvider: the cached columnar
-// projection of the named table's visible rows, built at most once per
-// table per data epoch (it lives on the underlying mvcc.View, which is
-// shared by every snapshot of the same epoch) and dropped automatically
-// when the epoch moves on — the same lifetime as every other epoch-
-// keyed cache above the store, so hot-swap, failover and WAL replay
-// need no extra invalidation.
-func (v *View) Columnar(name string) (*engine.ColumnarTable, bool) {
-	t, ok := v.lookup(name)
-	if !ok {
-		return nil, false
-	}
-	return t.Columnar(), true
-}
-
-// TableNames lists the view's tables (lowercased) in sorted order.
-func (v *View) TableNames() []string {
-	out := make([]string, 0, len(v.tables))
-	for n := range v.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Store is the MVCC versioned catalog. It is safe for concurrent use:
-// any number of readers call Snapshot while writers call
-// AppendRows/MutateRows/AddFunc; writers are serialized internally.
+// Store is the versioned catalog, safe for concurrent use: writers
+// are serialized internally, readers never wait. The head version is
+// the whole writer state.
 type Store struct {
-	mu     sync.Mutex // serializes writers; readers never take it
-	tables map[string]*mvcc.Table
-	v      atomic.Pointer[version]
+	mu sync.Mutex // serializes writers; readers never take it
+	v  atomic.Pointer[View]
 }
 
-// FromDB seeds a store from a built database. The store takes over the
-// write path: the caller must not mutate db (or its tables) afterwards
-// — exactly the contract the serving layer already imposed, with
-// AppendRows/MutateRows now providing the sanctioned ways to change
-// tables. Rows get fresh sequential rowids.
+// FromDB seeds a store from a built database at data epoch 1, with
+// fresh sequential rowids. It shares db's rows and functions but never
+// writes into db's backing arrays.
 func FromDB(db *engine.DB) *Store {
-	s := &Store{tables: map[string]*mvcc.Table{}}
-	views := map[string]*mvcc.View{}
+	var tables []TableData
 	for _, name := range db.TableNames() {
 		t, _ := db.Table(name)
-		wt, err := mvcc.Seed(t.Name, t.Cols, t.Rows, nil, 0, 0, 1)
-		if err != nil { // unreachable: nil ids cannot collide
-			panic(err)
+		ids := make([]uint64, len(t.Rows))
+		for i := range ids {
+			ids[i] = uint64(i) + 1
 		}
-		s.tables[name] = wt
-		views[name] = wt.Publish(1, 0)
+		tables = append(tables, TableData{Name: t.Name, Cols: t.Cols, Rows: t.Rows, RowIDs: ids})
 	}
-	funcs := map[string]engine.TableFunc{}
-	for _, name := range db.FuncNames() {
-		fn, _ := db.Func(name)
-		funcs[name] = fn
-	}
-	s.v.Store(&version{view: View{epoch: 1, tables: views, funcs: funcs}})
+	s, _ := seed(db.Clone(), tables, 1) // fresh rowids cannot collide
 	return s
 }
 
-// seed builds a store directly from persisted table state (rows with
-// their saved rowids plus the rowid allocator and mutation generation)
-// at the given epoch — the restore path.
-func seed(tables []TableData, epoch uint64) (*Store, error) {
-	if epoch == 0 {
-		epoch = 1
-	}
-	s := &Store{tables: map[string]*mvcc.Table{}}
-	views := map[string]*mvcc.View{}
+// maxRowID bounds rowids past any row count, and so MutateRows' bitmap.
+const maxRowID = 1 << 32
+
+// seed builds a store at epoch over db's functions and the tables.
+// Rows and rowids are capped at their length, so the first append
+// copies them instead of writing past another owner's length (a DB's,
+// or the store a capture came from).
+func seed(db *engine.DB, tables []TableData, epoch uint64) (*Store, error) {
+	v := &View{epoch: max(epoch, 1), db: db, rows: map[*engine.Table]rowIDs{}}
 	for _, td := range tables {
 		if len(td.RowIDs) != len(td.Rows) {
 			return nil, fmt.Errorf("store: restore table %q: %d rows but %d rowids; %s",
 				td.Name, len(td.Rows), len(td.RowIDs), upgradeHint)
 		}
-		wt, err := mvcc.Seed(td.Name, td.Cols, td.Rows, td.RowIDs, td.NextRowID, td.MutGen, epoch)
-		if err != nil {
-			return nil, fmt.Errorf("store: restore table %q: %w", td.Name, err)
+		next := max(td.NextRowID, 1)
+		for _, id := range td.RowIDs {
+			next = max(next, min(id, maxRowID)+1) // min: no overflow at MaxUint64
 		}
-		key := strings.ToLower(td.Name)
-		s.tables[key] = wt
-		views[key] = wt.Publish(epoch, 0)
+		if next > maxRowID {
+			return nil, fmt.Errorf("store: restore table %q: rowids reach past %d", td.Name, maxRowID)
+		}
+		seen := make([]bool, next)
+		for _, id := range td.RowIDs {
+			if seen[id] {
+				return nil, fmt.Errorf("store: restore table %q: duplicate rowid %d", td.Name, id)
+			}
+			seen[id] = true
+		}
+		t := &engine.Table{Name: td.Name, Cols: td.Cols, Rows: td.Rows[:len(td.Rows):len(td.Rows)]}
+		v.db.AddTable(t)
+		v.rows[t] = rowIDs{ids: td.RowIDs[:len(td.RowIDs):len(td.RowIDs)], nextID: next}
 	}
-	s.v.Store(&version{view: View{epoch: epoch, tables: views, funcs: map[string]engine.TableFunc{}}})
+	s := &Store{}
+	s.v.Store(v)
 	return s, nil
 }
 
-// Snapshot returns the current store version: an immutable *View that
-// satisfies engine.Catalog and is therefore a drop-in execution
-// target. Snapshots are O(1): no rows are copied.
-func (s *Store) Snapshot() *View { return &s.v.Load().view }
+// Snapshot returns the current version, an immutable engine.Catalog,
+// in O(1).
+func (s *Store) Snapshot() *View { return s.v.Load() }
 
 // Epoch returns the current data epoch (starts at 1, bumped by every
 // publishing write).
-func (s *Store) Epoch() uint64 { return s.v.Load().view.epoch }
+func (s *Store) Epoch() uint64 { return s.v.Load().epoch }
 
-// lookupWriter resolves a table name against the writer map with the
-// same name rules the catalog uses. Callers hold s.mu.
-func (s *Store) lookupWriter(name string) (*mvcc.Table, string, bool) {
-	key := strings.ToLower(name)
-	t, ok := s.tables[key]
-	if !ok {
-		parts := strings.Split(name, ".")
-		key = strings.ToLower(parts[len(parts)-1])
-		t, ok = s.tables[key]
-	}
-	return t, key, ok
-}
-
-// publish installs a new version that replaces exactly one table's
-// view, sharing everything else. Callers hold s.mu.
-func (s *Store) publish(epoch uint64, key string, tv *mvcc.View) {
-	cur := &s.v.Load().view
-	tables := make(map[string]*mvcc.View, len(cur.tables)+1)
-	for k, v := range cur.tables {
-		tables[k] = v
-	}
-	tables[key] = tv
-	s.v.Store(&version{view: View{epoch: epoch, tables: tables, funcs: cur.funcs}})
+// publish installs the next version: cur with table old replaced by t,
+// under a bumped data epoch. Callers hold s.mu.
+func (s *Store) publish(cur *View, old, t *engine.Table, r rowIDs) uint64 {
+	next := &View{epoch: cur.epoch + 1, db: cur.db.Clone(), rows: maps.Clone(cur.rows)}
+	next.db.AddTable(t)
+	delete(next.rows, old)
+	next.rows[t] = r
+	s.v.Store(next)
+	return next.epoch
 }
 
 // ValidateRows checks that the table exists and every row matches its
-// column count, without publishing anything — the cheap pre-flight the
-// ingestion path runs before buffering and before landing a
-// publication. It reads the writer state, so it never materializes a
-// view.
+// column count, publishing nothing — the ingestion path's pre-flight.
 func (s *Store) ValidateRows(table string, rows [][]engine.Value) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, _, err := s.checkRowsLocked(table, rows)
+	_, err := s.Snapshot().checkRows(table, rows)
 	return err
 }
 
-// checkRowsLocked resolves the writer table and checks every row's
-// column count against it. Callers hold s.mu.
-func (s *Store) checkRowsLocked(table string, rows [][]engine.Value) (*mvcc.Table, string, error) {
-	t, key, ok := s.lookupWriter(table)
-	if !ok {
-		return nil, "", fmt.Errorf("store: unknown table %q", table)
-	}
-	for i, r := range rows {
-		if len(r) != len(t.Cols) {
-			return nil, "", fmt.Errorf("store: table %q has %d columns, row %d has %d",
-				t.Name, len(t.Cols), i, len(r))
-		}
-	}
-	return t, key, nil
-}
-
-// AppendRows appends rows to the named table and publishes a new
-// version under a bumped data epoch. The append is copy-on-write at
-// the catalog level: new row versions extend the table's arena
-// (readers of older snapshots only ever see their own epoch's rows),
-// and only the view map is duplicated. Either every row is appended or
-// none is (validation runs before publishing). The caller must not
-// mutate rows afterwards. Returns the new data epoch.
+// AppendRows appends rows to the named table and publishes the new
+// version under a bumped data epoch, which it returns. The version
+// extends the head's rows and rowids in place; older versions end at
+// their own length. Every row is appended or none is. The caller must
+// not mutate rows afterwards.
 func (s *Store) AppendRows(table string, rows [][]engine.Value) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.v.Load()
-	t, key, err := s.checkRowsLocked(table, rows)
+	t, err := cur.checkRows(table, rows)
 	if err != nil || len(rows) == 0 {
-		return cur.view.epoch, err
+		return cur.epoch, err
 	}
-	epoch := cur.view.epoch + 1
-	t.Append(rows, epoch)
-	s.publish(epoch, key, t.Publish(epoch, len(rows)))
-	return epoch, nil
+	r := cur.rows[t]
+	for range rows {
+		r.ids = append(r.ids, r.nextID)
+		r.nextID++
+	}
+	return s.publish(cur, t, &engine.Table{Name: t.Name, Cols: t.Cols, Rows: append(t.Rows, rows...)}, r), nil
 }
 
-// MutateRows applies one mutation set — row updates and deletes keyed
-// by rowid — to the named table and publishes a new version under a
-// bumped data epoch. Updates retire the row's current version and
-// append a replacement; deletes just retire: O(rows touched), never a
-// table rewrite, and every snapshot taken before the publish keeps
-// serving its exact pre-mutation rows. Either the whole set applies or
-// none of it (validation runs before the first retire). Returns the
-// new data epoch; an empty set publishes nothing.
+// MutateRows applies one mutation set — updates and deletes keyed by
+// rowid — to the named table and publishes the next version, built in
+// one pass over the head, under a bumped data epoch, which it returns.
+// Untouched rows keep their order, updated rows move to the end in the
+// order of each rowid's last update, and a rowid both updated and
+// deleted is gone. An unknown rowid or a width mismatch refuses the
+// whole set; an empty set publishes nothing.
 func (s *Store) MutateRows(table string, updates []RowUpdate, deletes []uint64) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.v.Load()
 	if len(updates) == 0 && len(deletes) == 0 {
-		return cur.view.epoch, nil
+		return cur.epoch, nil
 	}
-	t, key, ok := s.lookupWriter(table)
+	t, ok := cur.db.Table(table)
 	if !ok {
-		return cur.view.epoch, fmt.Errorf("store: unknown table %q", table)
+		return cur.epoch, fmt.Errorf("store: unknown table %q", table)
 	}
-	ups := make([]mvcc.Update, len(updates))
-	for i, u := range updates {
-		ups[i] = mvcc.Update{RowID: u.RowID, Vals: u.Vals}
+	r := cur.rows[t]
+	const live, moved, gone = 1, 2, 4
+	flags := make([]uint8, r.nextID) // by rowid; every live rowid is below nextID
+	for _, id := range r.ids {
+		flags[id] = live
 	}
-	epoch := cur.view.epoch + 1
-	if err := t.Mutate(ups, deletes, epoch); err != nil {
-		return cur.view.epoch, err
+	for _, u := range updates {
+		if u.RowID >= r.nextID || flags[u.RowID] == 0 {
+			return cur.epoch, fmt.Errorf("store: table %q: update of unknown rowid %d", t.Name, u.RowID)
+		}
+		if len(u.Vals) != len(t.Cols) {
+			return cur.epoch, fmt.Errorf("store: table %q has %d columns, update of rowid %d has %d",
+				t.Name, len(t.Cols), u.RowID, len(u.Vals))
+		}
+		flags[u.RowID] |= moved
 	}
-	s.publish(epoch, key, t.Publish(epoch, 0))
-	return epoch, nil
+	for _, id := range deletes {
+		if id >= r.nextID || flags[id] == 0 {
+			return cur.epoch, fmt.Errorf("store: table %q: delete of unknown rowid %d", t.Name, id)
+		}
+		flags[id] |= gone
+	}
+	rows := make([][]engine.Value, 0, len(r.ids)+len(updates))
+	ids := make([]uint64, 0, cap(rows))
+	for i, id := range r.ids {
+		if flags[id] == live {
+			rows = append(rows, t.Rows[i])
+			ids = append(ids, id)
+		}
+	}
+	// Keep each rowid's last update: walk backwards, then reverse.
+	mid := len(rows)
+	for i := len(updates) - 1; i >= 0; i-- {
+		if id := updates[i].RowID; flags[id] == live|moved {
+			flags[id] = live
+			rows = append(rows, updates[i].Vals)
+			ids = append(ids, id)
+		}
+	}
+	slices.Reverse(rows[mid:])
+	slices.Reverse(ids[mid:])
+	return s.publish(cur, t, &engine.Table{Name: t.Name, Cols: t.Cols, Rows: rows}, rowIDs{ids, r.nextID}), nil
 }
 
-// AddFunc registers a table-valued function under a new version —
-// the restore path uses it to re-attach UDFs a snapshot file cannot
-// carry.
+// AddFunc registers a table-valued function — the restore path uses it
+// to re-attach UDFs a snapshot file cannot carry. A function is not
+// data: the new version keeps the data epoch, which it returns.
 func (s *Store) AddFunc(name string, fn engine.TableFunc) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := &s.v.Load().view
-	epoch := cur.epoch + 1
-	funcs := make(map[string]engine.TableFunc, len(cur.funcs)+1)
-	for k, v := range cur.funcs {
-		funcs[k] = v
-	}
-	funcs[strings.ToLower(name)] = fn
-	s.v.Store(&version{view: View{epoch: epoch, tables: cur.tables, funcs: funcs}})
-	return epoch
-}
-
-// Compact folds fully-superseded row versions out of every table's
-// arena — pure memory reclamation after updates and deletes, invisible
-// to readers (old views hold their own arena slices) and to
-// persistence (visible row order is unchanged). The persister calls
-// this at every save, so a long-lived interface's dead versions are
-// bounded by what one save interval supersedes. Returns the total
-// number of versions dropped.
-func (s *Store) Compact() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped := 0
-	for _, t := range s.tables {
-		dropped += t.Compact()
-	}
-	return dropped
+	cur := s.v.Load()
+	next := &View{epoch: cur.epoch, db: cur.db.Clone(), rows: cur.rows}
+	next.db.AddFunc(name, fn)
+	s.v.Store(next)
+	return next.epoch
 }
 
 // RowCount returns the current row count of the named table.

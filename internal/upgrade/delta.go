@@ -25,8 +25,9 @@ type Delta struct {
 // TableDelta is one table's change since the previous save: an append
 // tail of the rows past FromRow, or, with Replace, the full visible
 // table after UPDATE/DELETE mutations. RowIDs align with Rows;
-// NextRowID and MutGen are the table's rowid allocator and mutation
-// generation at the cut.
+// NextRowID is the table's rowid allocator at the cut. MutGen, the
+// old mutation generation, is decoded and dropped: the current
+// snapshot format has no such field.
 type TableDelta struct {
 	Name      string
 	Cols      []string
@@ -58,7 +59,7 @@ func (d *Delta) Apply(snap *store.Snapshot) error {
 	}
 	for _, td := range d.Tables {
 		data := store.TableData{Name: td.Name, Cols: td.Cols, Rows: td.Rows,
-			RowIDs: td.RowIDs, NextRowID: td.NextRowID, MutGen: td.MutGen}
+			RowIDs: td.RowIDs, NextRowID: td.NextRowID}
 		idx := slices.IndexFunc(snap.Tables, func(t store.TableData) bool { return t.Name == td.Name })
 		switch {
 		case idx >= 0 && td.Replace:
@@ -80,7 +81,6 @@ func (d *Delta) Apply(snap *store.Snapshot) error {
 			}
 			t.Rows = append(t.Rows, td.Rows...)
 			t.NextRowID = max(t.NextRowID, td.NextRowID)
-			t.MutGen = max(t.MutGen, td.MutGen)
 		}
 	}
 	snap.Log = append(snap.Log, d.Log...)

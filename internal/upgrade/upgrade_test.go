@@ -349,7 +349,7 @@ func TestReplaceDeltaApply(t *testing.T) {
 		FormatVersion: DeltaFormatVersion, ID: "iface", FromSeq: 1, ToSeq: 2,
 		Epoch: live.Epoch, DataEpoch: live.DataEpoch,
 		Tables: []TableDelta{{Name: td.Name, Cols: td.Cols, Rows: td.Rows, RowIDs: td.RowIDs,
-			NextRowID: td.NextRowID, MutGen: td.MutGen, Replace: true}},
+			NextRowID: td.NextRowID, Replace: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

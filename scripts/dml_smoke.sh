@@ -1,5 +1,6 @@
 #!/bin/sh
-# End-to-end smoke of the DML/MVCC path: start pi-serve with -data-dir,
+# End-to-end smoke of the DML path (UPDATE/DELETE published as rowid-keyed
+# table versions): start pi-serve with -data-dir,
 # append marker rows, run acked UPDATE/DELETE mutations WITHOUT ever
 # snapshotting, SIGKILL the process, restart on the same data dir, and
 # verify every acked mutation replayed from the WAL tail — updated
